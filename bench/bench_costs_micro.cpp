@@ -265,10 +265,11 @@ BENCHMARK(BM_Sortition_CdfUncached);
 // --- Simulation engine ---
 
 void BM_Simulation_ScheduleStep(benchmark::State& state) {
-  const bool map_queue = state.range(0) != 0;
-  Simulation sim(map_queue ? Simulation::QueueKind::kMap : Simulation::QueueKind::kHeap);
-  // Steady-state queue of 4096 pending events, randomized delays: each
-  // iteration schedules one event and runs one, the simulator's hot loop.
+  // Steady-state queue of 4096 pending node-stream events, randomized
+  // delays: each iteration schedules one event and runs one window (lookahead
+  // 1, so one timestamp), the simulator's hot loop.
+  Simulation sim(/*workers=*/1, /*n_streams=*/1, /*lookahead=*/1);
+  sim.SetExternalStream(0);
   DeterministicRng rng(7);
   uint64_t x = 0;
   for (int i = 0; i < 4096; ++i) {
@@ -279,9 +280,8 @@ void BM_Simulation_ScheduleStep(benchmark::State& state) {
     sim.Step();
   }
   benchmark::DoNotOptimize(x);
-  state.SetLabel(map_queue ? "map" : "heap");
 }
-BENCHMARK(BM_Simulation_ScheduleStep)->Arg(0)->Arg(1);
+BENCHMARK(BM_Simulation_ScheduleStep);
 
 void BM_DedupId_Cached_vs_Uncached(benchmark::State& state) {
   const bool fresh_each_time = state.range(0) != 0;

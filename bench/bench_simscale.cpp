@@ -3,27 +3,26 @@
 // (the paper's §8.4 scaling discipline). This is the engine benchmark behind
 // the Figure 5/6 reproductions — it measures the simulator itself, not the
 // protocol, so regressions in the event queue, message memoization, the
-// parallel engine, or the sortition cache show up here first.
+// window barriers, or the sortition cache show up here first.
 //
 //   $ ./bench/bench_simscale --nodes=100,200,500 --rounds=3 --workers=1,2,4 \
-//         --users-per-group=500 --out=BENCH_sim.json [--map-queue] [--seed=N]
+//         --users-per-group=500 --out=BENCH_sim.json [--seed=N]
 //
-// --workers sweeps ENGINE worker counts: 0 = the classic sequential engine,
-// N >= 1 = the conservative-lookahead parallel engine with N shard workers
-// (every N >= 1 produces bit-identical executed_events — the report calls
+// --workers sweeps ENGINE shard-worker counts of the conservative-lookahead
+// engine (every N produces bit-identical executed_events — the report calls
 // out any mismatch). Each (nodes x workers) pair is one sweep point.
 // --users-per-group=K makes every node host K users' stake (aggregate-user
 // modeling; 1000 nodes x 500 = the paper's 500k-user configuration).
 // --sweep-threads spreads independent sweep points across OS threads
-// (share-nothing; results identical to sequential). --map-queue A/Bs the
-// reference std::map event queue against the default 4-ary heap. The JSON
-// report records wall seconds, wall seconds per round, executed events, and
-// events/sec per sweep point.
+// (share-nothing; results identical to one thread). The JSON report records
+// wall seconds, wall seconds per round, executed events, and events/sec per
+// sweep point.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,12 +38,12 @@ namespace {
 struct Options {
   std::vector<size_t> nodes = {100, 200, 500};
   uint64_t rounds = 3;
-  std::vector<size_t> workers = {0};  // Engine workers; 0 = sequential.
+  std::vector<size_t> workers = {1};  // Engine shard workers.
   size_t users_per_group = 1;
   size_t sweep_threads = 1;
   uint64_t seed = 1;
-  bool map_queue = false;
   bool help = false;
+  bool bad_value = false;  // A malformed number: usage error, exit 2.
   std::string out = "BENCH_sim.json";
   // Durable-store A/B: every node writes its disk log under DIR/n<count>/.
   std::string data_dir;
@@ -86,32 +85,36 @@ Options Parse(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     std::string v;
-    if (ParseFlag(argc, argv, &i, "nodes", &v)) {
-      opt.nodes = ParseSizeList(v);
-    } else if (ParseFlag(argc, argv, &i, "rounds", &v)) {
-      opt.rounds = std::stoull(v);
-    } else if (ParseFlag(argc, argv, &i, "workers", &v)) {
-      opt.workers = ParseSizeList(v);
-    } else if (ParseFlag(argc, argv, &i, "users-per-group", &v)) {
-      opt.users_per_group = static_cast<size_t>(std::stoul(v));
-    } else if (ParseFlag(argc, argv, &i, "sweep-threads", &v)) {
-      opt.sweep_threads = static_cast<size_t>(std::stoul(v));
-    } else if (ParseFlag(argc, argv, &i, "seed", &v)) {
-      opt.seed = std::stoull(v);
-    } else if (ParseFlag(argc, argv, &i, "out", &v)) {
-      opt.out = v;
-    } else if (ParseFlag(argc, argv, &i, "data-dir", &v)) {
-      opt.data_dir = v;
-    } else if (ParseFlag(argc, argv, &i, "fsync", &v)) {
-      if (auto policy = ParseFsyncPolicy(v)) {
-        opt.fsync = *policy;
+    try {
+      if (ParseFlag(argc, argv, &i, "nodes", &v)) {
+        opt.nodes = ParseSizeList(v);
+      } else if (ParseFlag(argc, argv, &i, "rounds", &v)) {
+        opt.rounds = std::stoull(v);
+      } else if (ParseFlag(argc, argv, &i, "workers", &v)) {
+        opt.workers = ParseSizeList(v);
+      } else if (ParseFlag(argc, argv, &i, "users-per-group", &v)) {
+        opt.users_per_group = static_cast<size_t>(std::stoul(v));
+      } else if (ParseFlag(argc, argv, &i, "sweep-threads", &v)) {
+        opt.sweep_threads = static_cast<size_t>(std::stoul(v));
+      } else if (ParseFlag(argc, argv, &i, "seed", &v)) {
+        opt.seed = std::stoull(v);
+      } else if (ParseFlag(argc, argv, &i, "out", &v)) {
+        opt.out = v;
+      } else if (ParseFlag(argc, argv, &i, "data-dir", &v)) {
+        opt.data_dir = v;
+      } else if (ParseFlag(argc, argv, &i, "fsync", &v)) {
+        if (auto policy = ParseFsyncPolicy(v)) {
+          opt.fsync = *policy;
+        } else {
+          opt.help = true;
+        }
       } else {
         opt.help = true;
       }
-    } else if (strcmp(argv[i], "--map-queue") == 0) {
-      opt.map_queue = true;
-    } else {
-      opt.help = true;
+    } catch (const std::logic_error&) {
+      // std::sto* throw invalid_argument / out_of_range on a malformed number.
+      fprintf(stderr, "bad numeric value in %s\n", argv[i]);
+      opt.bad_value = true;
     }
   }
   return opt;
@@ -121,26 +124,23 @@ Options Parse(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   Options opt = Parse(argc, argv);
-  if (opt.help || opt.nodes.empty() || opt.workers.empty() || opt.users_per_group == 0) {
+  if (opt.help || opt.bad_value || opt.nodes.empty() || opt.workers.empty() ||
+      opt.users_per_group == 0) {
     printf(
         "usage: bench_simscale [flags]\n"
         "  --nodes=A,B,C        node counts to sweep (default 100,200,500)\n"
         "  --rounds=N           rounds per point (default 3)\n"
-        "  --workers=A,B,C      engine worker counts to sweep: 0 = sequential\n"
-        "                       engine, N>=1 = parallel engine with N shards\n"
-        "                       (default 0)\n"
+        "  --workers=A,B,C      engine shard-worker counts to sweep (default 1)\n"
         "  --users-per-group=K  users hosted per node (aggregate-user\n"
         "                       modeling; total users = nodes*K; default 1)\n"
         "  --sweep-threads=N    independent sweep points run on N OS threads\n"
         "                       (default 1)\n"
         "  --seed=N             rng seed (default 1)\n"
-        "  --map-queue          use the reference std::map event queue\n"
-        "                       (sequential engine only)\n"
         "  --data-dir=DIR       durable block store per node under DIR (A/B\n"
         "                       the cost of disk logging on the sim hot path)\n"
         "  --fsync=POLICY       store fsync policy: every_round, batched, off\n"
         "  --out=FILE           JSON report path (default BENCH_sim.json)\n");
-    return opt.help ? 1 : 0;
+    return opt.bad_value ? 2 : opt.help ? 1 : 0;
   }
 
   Banner("simscale", "simulator scaling (engine benchmark, not a paper figure)",
@@ -153,7 +153,6 @@ int main(int argc, char** argv) {
       spec.n_nodes = n;
       spec.rounds = opt.rounds;
       spec.seed = opt.seed;
-      spec.use_map_event_queue = opt.map_queue;
       spec.sim_workers = w;
       spec.users_per_group = opt.users_per_group;
       if (!opt.data_dir.empty()) {
@@ -167,18 +166,16 @@ int main(int argc, char** argv) {
 
   printf("%-8s %-8s %-10s %-10s %-12s %-12s %-12s %-10s %-8s\n", "nodes", "workers", "users",
          "wall(s)", "wall/round", "events", "events/sec", "med-lat(s)", "safety");
-  std::string json = "{\n  \"queue\": \"";
-  json += opt.map_queue ? "map" : "heap";
-  json += "\",\n  \"store\": \"";
+  std::string json = "{\n  \"store\": \"";
   json += opt.data_dir.empty() ? "none" : FsyncPolicyName(opt.fsync);
   json += "\",\n  \"rounds\": " + std::to_string(opt.rounds);
   json += ",\n  \"seed\": " + std::to_string(opt.seed);
   json += ",\n  \"users_per_group\": " + std::to_string(opt.users_per_group);
   json += ",\n  \"points\": [\n";
   bool all_ok = true;
-  // Parallel-engine determinism cross-check: every worker count >= 1 at one
-  // node count must execute exactly the same number of events.
-  std::map<size_t, uint64_t> parallel_events_by_nodes;
+  // Determinism cross-check: every worker count at one node count must
+  // execute exactly the same number of events.
+  std::map<size_t, uint64_t> events_by_nodes;
   bool determinism_ok = true;
   for (size_t i = 0; i < specs.size(); ++i) {
     const RunResult& r = results[i];
@@ -186,18 +183,15 @@ int main(int argc, char** argv) {
     double per_round = r.wall_seconds / static_cast<double>(opt.rounds);
     double eps = r.wall_seconds > 0 ? static_cast<double>(r.executed_events) / r.wall_seconds : 0;
     all_ok = all_ok && r.completed && r.safety_ok;
-    if (specs[i].sim_workers >= 1) {
-      auto [it, inserted] =
-          parallel_events_by_nodes.emplace(specs[i].n_nodes, r.executed_events);
-      if (!inserted && it->second != r.executed_events) {
-        determinism_ok = false;
-        fprintf(stderr,
-                "DETERMINISM MISMATCH: nodes=%zu workers=%zu executed %llu events, expected "
-                "%llu\n",
-                specs[i].n_nodes, specs[i].sim_workers,
-                static_cast<unsigned long long>(r.executed_events),
-                static_cast<unsigned long long>(it->second));
-      }
+    auto [it, inserted] = events_by_nodes.emplace(specs[i].n_nodes, r.executed_events);
+    if (!inserted && it->second != r.executed_events) {
+      determinism_ok = false;
+      fprintf(stderr,
+              "DETERMINISM MISMATCH: nodes=%zu workers=%zu executed %llu events, expected "
+              "%llu\n",
+              specs[i].n_nodes, specs[i].sim_workers,
+              static_cast<unsigned long long>(r.executed_events),
+              static_cast<unsigned long long>(it->second));
     }
     printf("%-8zu %-8zu %-10zu %-10.2f %-12.2f %-12llu %-12.0f %-10.1f %-8s%s\n",
            specs[i].n_nodes, specs[i].sim_workers, users, r.wall_seconds, per_round,
@@ -228,9 +222,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   Note("sim crypto + verification cache (the paper's methodology); committee sizes fixed");
-  Note("--map-queue reruns the sweep on the reference std::map event queue for A/B");
   if (!determinism_ok) {
-    fprintf(stderr, "error: parallel worker counts disagreed on executed_events\n");
+    fprintf(stderr, "error: engine worker counts disagreed on executed_events\n");
     return 3;
   }
   return all_ok ? 0 : 2;

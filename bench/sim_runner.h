@@ -39,15 +39,12 @@ struct RunSpec {
   double malicious_fraction = 0;
   bool real_crypto = false;
   SimTime deadline = Hours(6);
-  // Engine workers: 0 = classic sequential Simulation, >= 1 = the
-  // conservative-lookahead ParallelSimulation with that many shards (any N
-  // is bit-identical to N=1 — see parallel_simulation.h).
-  size_t sim_workers = 0;
+  // Engine shard workers (any N is bit-identical to N=1 — see
+  // src/netsim/simulation.h).
+  size_t sim_workers = 1;
   // Users hosted per node (aggregate-user modeling); total simulated users =
   // n_nodes * users_per_group.
   size_t users_per_group = 1;
-  // A/B switch for the event-queue benchmark; kMap is the reference queue.
-  bool use_map_event_queue = false;
   // Durable store A/B: when data_dir is non-empty every node streams its
   // rounds to a disk log there — the cost of durability on the sim hot path.
   std::string data_dir;
@@ -84,7 +81,6 @@ inline RunResult RunScenario(const RunSpec& spec) {
   cfg.latency = HarnessConfig::Latency::kCity;
   cfg.use_sim_crypto = !spec.real_crypto;
   cfg.malicious_fraction = spec.malicious_fraction;
-  cfg.use_map_event_queue = spec.use_map_event_queue;
   cfg.data_dir = spec.data_dir;
   cfg.store_fsync = spec.store_fsync;
   cfg.sim_workers = spec.sim_workers;

@@ -18,6 +18,7 @@
 #include <iostream>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -48,11 +49,10 @@ struct CliOptions {
   // accounts. 0 = no load (blocks carry only padding, the historical mode).
   size_t tx_load = 0;
   size_t tx_clients = 16;
-  size_t workers = 0;          // Engine workers; 0 = sequential engine.
+  size_t workers = 1;          // Engine shard workers.
   size_t users_per_group = 1;  // Users hosted per node (aggregation).
   bool real_crypto = false;
   bool uniform_latency = false;
-  bool map_queue = false;
   bool help = false;
   std::string metrics_json;
   std::string trace_jsonl;
@@ -135,77 +135,81 @@ CliOptions Parse(int argc, char** argv) {
   CliOptions opt;
   for (int i = 1; i < argc; ++i) {
     std::string v;
-    if (ParseFlag(argc, argv, &i, "users", &v)) {
-      opt.users = static_cast<size_t>(std::stoul(v));
-    } else if (ParseFlag(argc, argv, &i, "rounds", &v)) {
-      opt.rounds = std::stoull(v);
-    } else if (ParseFlag(argc, argv, &i, "block-kb", &v)) {
-      opt.block_kb = std::stoull(v);
-    } else if (ParseFlag(argc, argv, &i, "malicious", &v)) {
-      opt.malicious = std::stod(v);
-    } else if (ParseFlag(argc, argv, &i, "tau-step", &v)) {
-      opt.tau_step = std::stod(v);
-    } else if (ParseFlag(argc, argv, &i, "tau-final", &v)) {
-      opt.tau_final = std::stod(v);
-    } else if (ParseFlag(argc, argv, &i, "tau-proposer", &v)) {
-      opt.tau_proposer = std::stod(v);
-    } else if (ParseFlag(argc, argv, &i, "seed", &v)) {
-      opt.seed = std::stoull(v);
-    } else if (ParseFlag(argc, argv, &i, "uplink-mbit", &v)) {
-      opt.uplink_mbit = std::stod(v);
-    } else if (ParseFlag(argc, argv, &i, "verify-workers", &v)) {
-      opt.verify_workers = std::stoi(v);
-    } else if (ParseFlag(argc, argv, &i, "exec-workers", &v)) {
-      opt.exec_workers = std::stoi(v);
-    } else if (ParseFlag(argc, argv, &i, "tx-load", &v)) {
-      opt.tx_load = static_cast<size_t>(std::stoull(v));
-    } else if (ParseFlag(argc, argv, &i, "tx-clients", &v)) {
-      opt.tx_clients = static_cast<size_t>(std::stoul(v));
-    } else if (ParseFlag(argc, argv, &i, "workers", &v)) {
-      opt.workers = static_cast<size_t>(std::stoul(v));
-    } else if (ParseFlag(argc, argv, &i, "users-per-group", &v)) {
-      opt.users_per_group = static_cast<size_t>(std::stoul(v));
-    } else if (ParseFlag(argc, argv, &i, "metrics-json", &v)) {
-      opt.metrics_json = v;
-    } else if (ParseFlag(argc, argv, &i, "trace-jsonl", &v)) {
-      opt.trace_jsonl = v;
-    } else if (ParseFlag(argc, argv, &i, "report-interval", &v)) {
-      opt.report_interval_ms = std::stod(v);
-    } else if (ParseFlag(argc, argv, &i, "report-file", &v)) {
-      opt.report_file = v;
-    } else if (ParseFlag(argc, argv, &i, "waterfall-json", &v)) {
-      opt.waterfall_json = v;
-    } else if (strcmp(argv[i], "--audit") == 0) {
-      opt.audit = true;
-    } else if (strcmp(argv[i], "--waterfall") == 0) {
-      opt.waterfall = true;
-    } else if (ParseFlag(argc, argv, &i, "crash-schedule", &v)) {
-      opt.crash_schedule = v;
-    } else if (ParseFlag(argc, argv, &i, "loss-rate", &v)) {
-      opt.loss_rate = std::stod(v);
-    } else if (ParseFlag(argc, argv, &i, "partition", &v)) {
-      opt.partition = v;
-      opt.audit = true;  // A partition run is only meaningful under audit.
-    } else if (ParseFlag(argc, argv, &i, "data-dir", &v)) {
-      opt.data_dir = v;
-    } else if (ParseFlag(argc, argv, &i, "checkpoint-interval", &v)) {
-      opt.checkpoint_interval = std::stoull(v);
-    } else if (strcmp(argv[i], "--fast-sync") == 0) {
-      opt.fast_sync = true;
-    } else if (ParseFlag(argc, argv, &i, "fsync", &v)) {
-      if (auto policy = ParseFsyncPolicy(v)) {
-        opt.fsync = *policy;
+    try {
+      if (ParseFlag(argc, argv, &i, "users", &v)) {
+        opt.users = static_cast<size_t>(std::stoul(v));
+      } else if (ParseFlag(argc, argv, &i, "rounds", &v)) {
+        opt.rounds = std::stoull(v);
+      } else if (ParseFlag(argc, argv, &i, "block-kb", &v)) {
+        opt.block_kb = std::stoull(v);
+      } else if (ParseFlag(argc, argv, &i, "malicious", &v)) {
+        opt.malicious = std::stod(v);
+      } else if (ParseFlag(argc, argv, &i, "tau-step", &v)) {
+        opt.tau_step = std::stod(v);
+      } else if (ParseFlag(argc, argv, &i, "tau-final", &v)) {
+        opt.tau_final = std::stod(v);
+      } else if (ParseFlag(argc, argv, &i, "tau-proposer", &v)) {
+        opt.tau_proposer = std::stod(v);
+      } else if (ParseFlag(argc, argv, &i, "seed", &v)) {
+        opt.seed = std::stoull(v);
+      } else if (ParseFlag(argc, argv, &i, "uplink-mbit", &v)) {
+        opt.uplink_mbit = std::stod(v);
+      } else if (ParseFlag(argc, argv, &i, "verify-workers", &v)) {
+        opt.verify_workers = std::stoi(v);
+      } else if (ParseFlag(argc, argv, &i, "exec-workers", &v)) {
+        opt.exec_workers = std::stoi(v);
+      } else if (ParseFlag(argc, argv, &i, "tx-load", &v)) {
+        opt.tx_load = static_cast<size_t>(std::stoull(v));
+      } else if (ParseFlag(argc, argv, &i, "tx-clients", &v)) {
+        opt.tx_clients = static_cast<size_t>(std::stoul(v));
+      } else if (ParseFlag(argc, argv, &i, "workers", &v)) {
+        opt.workers = static_cast<size_t>(std::stoul(v));
+      } else if (ParseFlag(argc, argv, &i, "users-per-group", &v)) {
+        opt.users_per_group = static_cast<size_t>(std::stoul(v));
+      } else if (ParseFlag(argc, argv, &i, "metrics-json", &v)) {
+        opt.metrics_json = v;
+      } else if (ParseFlag(argc, argv, &i, "trace-jsonl", &v)) {
+        opt.trace_jsonl = v;
+      } else if (ParseFlag(argc, argv, &i, "report-interval", &v)) {
+        opt.report_interval_ms = std::stod(v);
+      } else if (ParseFlag(argc, argv, &i, "report-file", &v)) {
+        opt.report_file = v;
+      } else if (ParseFlag(argc, argv, &i, "waterfall-json", &v)) {
+        opt.waterfall_json = v;
+      } else if (strcmp(argv[i], "--audit") == 0) {
+        opt.audit = true;
+      } else if (strcmp(argv[i], "--waterfall") == 0) {
+        opt.waterfall = true;
+      } else if (ParseFlag(argc, argv, &i, "crash-schedule", &v)) {
+        opt.crash_schedule = v;
+      } else if (ParseFlag(argc, argv, &i, "loss-rate", &v)) {
+        opt.loss_rate = std::stod(v);
+      } else if (ParseFlag(argc, argv, &i, "partition", &v)) {
+        opt.partition = v;
+        opt.audit = true;  // A partition run is only meaningful under audit.
+      } else if (ParseFlag(argc, argv, &i, "data-dir", &v)) {
+        opt.data_dir = v;
+      } else if (ParseFlag(argc, argv, &i, "checkpoint-interval", &v)) {
+        opt.checkpoint_interval = std::stoull(v);
+      } else if (strcmp(argv[i], "--fast-sync") == 0) {
+        opt.fast_sync = true;
+      } else if (ParseFlag(argc, argv, &i, "fsync", &v)) {
+        if (auto policy = ParseFsyncPolicy(v)) {
+          opt.fsync = *policy;
+        } else {
+          fprintf(stderr, "bad --fsync=%s (want every_round, batched or off)\n", v.c_str());
+          opt.help = true;
+        }
+      } else if (strcmp(argv[i], "--real-crypto") == 0) {
+        opt.real_crypto = true;
+      } else if (strcmp(argv[i], "--uniform-latency") == 0) {
+        opt.uniform_latency = true;
       } else {
-        fprintf(stderr, "bad --fsync=%s (want every_round, batched or off)\n", v.c_str());
         opt.help = true;
       }
-    } else if (strcmp(argv[i], "--real-crypto") == 0) {
-      opt.real_crypto = true;
-    } else if (strcmp(argv[i], "--uniform-latency") == 0) {
-      opt.uniform_latency = true;
-    } else if (strcmp(argv[i], "--map-queue") == 0) {
-      opt.map_queue = true;
-    } else {
+    } catch (const std::logic_error&) {
+      // std::sto* throw invalid_argument / out_of_range on a malformed number.
+      fprintf(stderr, "bad numeric value in %s\n", argv[i]);
       opt.help = true;
     }
   }
@@ -242,15 +246,13 @@ void PrintHelp() {
       "                      chain actually commits transactions\n"
       "  --tx-clients=N      client accounts carrying the payment load\n"
       "                      (default 16)\n"
-      "  --workers=N         parallel event-loop shard workers; 0 (default) =\n"
-      "                      the classic sequential engine. Any N >= 1 gives\n"
+      "  --workers=N         event-loop shard workers (default 1). Any N gives\n"
       "                      bit-identical results to N = 1\n"
       "  --users-per-group=K aggregate-user modeling: every node hosts K\n"
       "                      users' stake (total users = --users * K)\n"
       "  --seed=N            deterministic seed (default 1)\n"
       "  --real-crypto       real Ed25519+ECVRF instead of the sim backends\n"
       "  --uniform-latency   50ms uniform links instead of the 20-city model\n"
-      "  --map-queue         reference std::map event queue (A/B testing)\n"
       "  --metrics-json=FILE write the merged metrics snapshot as JSON\n"
       "  --trace-jsonl=FILE  write the BA* round trace (one JSON event/line)\n"
       "  --report-interval=MS  periodic live stats, one JSON line per interval\n"
@@ -315,7 +317,6 @@ int main(int argc, char** argv) {
                                                      4 * opt.tx_load);
   }
   cfg.malicious_fraction = opt.malicious;
-  cfg.use_map_event_queue = opt.map_queue;
   cfg.sim_workers = opt.workers;
   cfg.users_per_group = opt.users_per_group;
   cfg.latency =
@@ -334,9 +335,7 @@ int main(int argc, char** argv) {
   cfg.params.checkpoint_interval = opt.checkpoint_interval;
   cfg.params.fastsync_enabled = opt.fast_sync;
 
-  const std::string engine = cfg.sim_workers > 0
-                                 ? "parallel/" + std::to_string(cfg.sim_workers) + "-worker"
-                                 : std::string("sequential");
+  const std::string engine = std::to_string(std::max<size_t>(1, cfg.sim_workers)) + "-worker";
   printf("algorand-sim: %llu users (%zu nodes x %zu users/group, %.0f%% malicious), "
          "%llu KB blocks, tau_step=%.0f tau_final=%.0f, %s crypto, %s engine, seed %llu\n\n",
          static_cast<unsigned long long>(cfg.n_nodes) *
@@ -348,7 +347,8 @@ int main(int argc, char** argv) {
 
   SimHarness h(cfg);
   if (opt.loss_rate > 0) {
-    h.SetNetworkAdversary(std::make_unique<LossyAdversary>(opt.loss_rate, opt.seed));
+    h.SetNetworkAdversary(
+        std::make_unique<LossyAdversary>(opt.loss_rate, opt.seed, cfg.n_nodes));
   }
 
   // Network partition: split the first n/2 nodes from the rest for the given
@@ -466,7 +466,7 @@ int main(int argc, char** argv) {
          safety.ok ? "holds" : safety.violation.c_str(), chains_ok ? "yes" : "no");
   uint64_t events = h.sim().executed_events();
   printf("engine: %s | wall %.2fs | %llu events | %.0f events/sec\n",
-         cfg.sim_workers > 0 ? engine.c_str() : (opt.map_queue ? "map queue" : "heap queue"),
+         engine.c_str(),
          wall_s, static_cast<unsigned long long>(events),
          wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0);
 

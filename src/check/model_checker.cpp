@@ -31,7 +31,7 @@ uint64_t Prefix64(const Bytes& h) {
 }
 
 // The harness configuration every schedule runs under: the small, fast,
-// fully deterministic shape the tier-1 tests use (sequential engine, inline
+// fully deterministic shape the tier-1 tests use (one engine worker, inline
 // verification, sim crypto, uniform latency).
 HarnessConfig MakeHarnessConfig(const CheckConfig& cfg) {
   HarnessConfig hc;
@@ -45,7 +45,6 @@ HarnessConfig MakeHarnessConfig(const CheckConfig& cfg) {
   hc.uniform_latency = Millis(50);
   hc.uniform_jitter = Millis(20);
   hc.use_sim_crypto = true;
-  hc.sim_workers = 0;    // Choice hooks exist only on the sequential engine.
   hc.verify_workers = 0; // Inline verification: bit-identical replays.
   hc.malicious_fraction = cfg.malicious_fraction;
   hc.grinding_count = cfg.grinding_count;

@@ -6,7 +6,7 @@
 // into choice points answered by a Strategy (strategy.h):
 //
 //   kDelivery  — which of the events inside a weak-synchrony window runs
-//                next (Simulation::ScheduleChoiceHook);
+//                next (ScheduleChoiceHook, simulation.h);
 //   kAdversary — per-transmission deliver/drop/delay (HookedAdversary);
 //   kCrash     — crash/restart injection at periodic probe ticks.
 //
@@ -38,7 +38,8 @@ struct CheckConfig {
   uint64_t harness_seed = 7;
 
   // Delivery choice points: events within `window` of the earliest pending
-  // event are concurrent; at most `max_candidates` race per choice point.
+  // event (and no later than the engine's current lookahead window end) are
+  // concurrent; at most `max_candidates` race per choice point.
   SimTime window = Millis(5);
   size_t max_candidates = 3;
 

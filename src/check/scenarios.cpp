@@ -41,7 +41,6 @@ HarnessConfig ScenarioHarnessConfig(size_t n_nodes, uint64_t seed) {
   cfg.params.recovery_interval = Minutes(10);
   cfg.latency = HarnessConfig::Latency::kUniform;
   cfg.use_sim_crypto = true;
-  cfg.sim_workers = 0;
   cfg.verify_workers = 0;
   return cfg;
 }

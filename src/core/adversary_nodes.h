@@ -19,8 +19,8 @@
 
 namespace algorand {
 
-// Shared state among colluding malicious nodes. Mutations race under the
-// parallel engine (colluders live on different shards), so the channel is
+// Shared state among colluding malicious nodes. Mutations race with several
+// engine workers (colluders live on different shards), so the channel is
 // mutex-guarded and the winner of concurrent registrations for one round is
 // chosen by lowest proposer id — an order-independent rule, which keeps
 // parallel runs deterministic across worker counts.

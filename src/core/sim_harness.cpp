@@ -5,7 +5,6 @@
 #include <filesystem>
 
 #include "src/core/user_group.h"
-#include "src/netsim/parallel_simulation.h"
 
 namespace algorand {
 
@@ -61,22 +60,13 @@ SimHarness::SimHarness(HarnessConfig config)
   if (config_.latency == HarnessConfig::Latency::kCity) {
     latency_ = std::make_unique<CityLatencyModel>(config_.n_nodes, config_.rng_seed);
   } else {
-    latency_ = std::make_unique<UniformLatencyModel>(config_.uniform_latency,
-                                                     config_.uniform_jitter, config_.rng_seed);
+    latency_ = std::make_unique<UniformLatencyModel>(
+        config_.uniform_latency, config_.uniform_jitter, config_.rng_seed, config_.n_nodes);
   }
-  if (config_.sim_workers > 0) {
-    // Conservative lookahead: no delivery can land earlier than send time +
-    // sender overhead + the latency floor (Network::Send adds both).
-    const SimTime lookahead = config_.net.send_overhead + latency_->Floor();
-    sim_ = std::make_unique<ParallelSimulation>(config_.sim_workers, config_.n_nodes, lookahead);
-    // Concurrent senders need independent jitter streams; draw values differ
-    // from the shared-stream sequential engine, so this is parallel-only.
-    latency_->SetPerSenderStreams(config_.n_nodes);
-  } else {
-    sim_ = std::make_unique<Simulation>(config_.use_map_event_queue
-                                            ? Simulation::QueueKind::kMap
-                                            : Simulation::QueueKind::kHeap);
-  }
+  // Conservative lookahead: no delivery can land earlier than send time +
+  // sender overhead + the latency floor (Network::Send adds both).
+  const SimTime lookahead = config_.net.send_overhead + latency_->Floor();
+  sim_ = std::make_unique<Simulation>(config_.sim_workers, config_.n_nodes, lookahead);
   network_ =
       std::make_unique<Network>(sim_.get(), latency_.get(), config_.net, config_.n_nodes);
   DeterministicRng topo_rng = rng_.Fork("topology");
@@ -166,9 +156,6 @@ SimHarness::~SimHarness() = default;
 
 void SimHarness::SetNetworkAdversary(std::unique_ptr<NetworkAdversary> adversary) {
   net_adversary_ = std::move(adversary);
-  if (net_adversary_ != nullptr && config_.sim_workers > 0) {
-    net_adversary_->SetPerSenderStreams(config_.n_nodes);
-  }
   network_->set_adversary(net_adversary_.get());
 }
 
@@ -178,40 +165,15 @@ void SimHarness::Start() {
   // advances. Two batches go in up front — round N+1's proposal is built in
   // the same event cascade that commits round N, before the probe's next
   // tick, so without a standing one-batch buffer every other block would
-  // sail empty at full-block load. (Load generation targets the sequential
-  // engine, like SubmitPayment.)
+  // sail empty at full-block load.
   if (config_.tx_load_per_round > 0 && client_keys_.size() >= 2) {
     InjectTxLoad();
     InjectTxLoad();
     last_loaded_round_ = nodes_[malicious_count_]->ledger().chain_length();
-    auto probe = std::make_shared<std::function<void()>>();
-    *probe = [this, probe] {
-      uint64_t tip = 0;
-      size_t tip_node = malicious_count_;
-      for (size_t i = malicious_count_; i < nodes_.size(); ++i) {
-        if (alive_[i] && nodes_[i]->ledger().chain_length() > tip) {
-          tip = nodes_[i]->ledger().chain_length();
-          tip_node = i;
-        }
-      }
-      while (last_loaded_round_ < tip) {
-        // Back off while the chain is committing empty blocks: injecting into
-        // a pool that is not draining only forces fee evictions, and an
-        // evicted middle nonce strands every later nonce of that sender.
-        const uint64_t backlog = tx_counter_ - CommittedTxCount(tip_node);
-        if (backlog >= 2 * config_.tx_load_per_round) {
-          break;
-        }
-        InjectTxLoad();
-        ++last_loaded_round_;
-      }
-      sim_->Schedule(Seconds(1), *probe);
-    };
-    sim_->Schedule(Seconds(1), *probe);
+    sim_->Schedule(Seconds(1), [this] { TxLoadProbe(); });
   }
-  // Each node's startup events are keyed to its own stream so the parallel
-  // engine orders them independently of the worker count (no-op on the
-  // sequential engine).
+  // Each node's startup events are keyed to its own stream so the engine
+  // orders them independently of the worker count.
   for (size_t i = 0; i < nodes_.size(); ++i) {
     sim_->SetExternalStream(static_cast<uint32_t>(i));
     nodes_[i]->Start();
@@ -515,6 +477,29 @@ void SimHarness::InjectTxLoad() {
     }
   }
   sim_->SetExternalStream(Simulation::kGlobalStream);
+}
+
+void SimHarness::TxLoadProbe() {
+  uint64_t tip = 0;
+  size_t tip_node = malicious_count_;
+  for (size_t i = malicious_count_; i < nodes_.size(); ++i) {
+    if (alive_[i] && nodes_[i]->ledger().chain_length() > tip) {
+      tip = nodes_[i]->ledger().chain_length();
+      tip_node = i;
+    }
+  }
+  while (last_loaded_round_ < tip) {
+    // Back off while the chain is committing empty blocks: injecting into a
+    // pool that is not draining only forces fee evictions, and an evicted
+    // middle nonce strands every later nonce of that sender.
+    const uint64_t backlog = tx_counter_ - CommittedTxCount(tip_node);
+    if (backlog >= 2 * config_.tx_load_per_round) {
+      break;
+    }
+    InjectTxLoad();
+    ++last_loaded_round_;
+  }
+  sim_->Schedule(Seconds(1), [this] { TxLoadProbe(); });
 }
 
 uint64_t SimHarness::CommittedTxCount(size_t i) const {

@@ -43,18 +43,11 @@ struct HarnessConfig {
   // paper's replace-crypto-with-sleeps methodology for very large runs.
   bool use_sim_crypto = false;
 
-  // Event-queue implementation. The 4-ary heap is the default; the std::map
-  // queue is kept for determinism regression tests (both produce identical
-  // executions — see Simulation::QueueKind).
-  bool use_map_event_queue = false;
-
-  // Parallel event loop. 0 (default) = the classic sequential engine,
-  // bit-compatible with every earlier release. >= 1 = the conservative-
-  // lookahead ParallelSimulation with that many shard workers; any N produces
-  // identical results to N=1 (the per-stream event keys make runs a pure
-  // function of (seed, scenario) — see parallel_simulation.h), but parallel
-  // runs order jitter draws per sender, so results differ from sim_workers=0.
-  size_t sim_workers = 0;
+  // Event-loop shard workers (conservative-lookahead engine, see
+  // simulation.h). Any N produces identical results to N = 1: the per-stream
+  // event keys make runs a pure function of (seed, scenario). 1 runs the
+  // single shard inline; 0 is treated as 1.
+  size_t sim_workers = 1;
 
   // Aggregate-user modeling (§10.1's 500k-user methodology): every node
   // hosts this many users' stake behind one gossip endpoint. Sub-user
@@ -242,12 +235,14 @@ class SimHarness {
  private:
   // Opens (or reopens) node i's store at <data_dir>/node-<i>.
   std::unique_ptr<BlockStore> OpenStoreFor(size_t i);
+  // The synthetic-load probe: tops the mempools up once per round the honest
+  // chain advanced, then reschedules itself a second later.
+  void TxLoadProbe();
   HarnessConfig config_;
   DeterministicRng rng_;
   GenesisBundle genesis_;
-  // Sequential Simulation or ParallelSimulation, per config.sim_workers
-  // (constructed in the ctor body: the parallel engine's lookahead is
-  // send_overhead + the latency model's floor).
+  // Constructed in the ctor body: the engine's lookahead is send_overhead +
+  // the latency model's floor.
   std::unique_ptr<Simulation> sim_;
   std::unique_ptr<LatencyModel> latency_;
   std::unique_ptr<Network> network_;

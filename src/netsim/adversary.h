@@ -35,24 +35,23 @@ struct AdversaryAction {
   static AdversaryAction Delay(SimTime d) { return {kDelay, d}; }
 };
 
-// OnTransmit is called from the sending node's execution context. Under the
-// parallel engine different senders call concurrently, so implementations
-// must be race-free; those whose *decisions* depend on cross-sender mutable
-// state (VoterDosAdversary) are additionally order-sensitive and only give
-// reproducible drop patterns on the sequential engine or with workers=1.
+// OnTransmit is called from the sending node's execution context. With more
+// than one engine worker different senders call concurrently, so
+// implementations must be race-free; those whose *decisions* depend on
+// cross-sender mutable state (VoterDosAdversary) are additionally
+// order-sensitive and only give reproducible drop patterns with workers=1.
+// Adversaries that sample randomness keep one stream per sender
+// (ForkPerSender) so concurrent transmissions stay deterministic.
 class NetworkAdversary {
  public:
   virtual ~NetworkAdversary() = default;
   virtual AdversaryAction OnTransmit(NodeId from, NodeId to, const MessagePtr& msg,
                                      SimTime now) = 0;
-  // See LatencyModel::SetPerSenderStreams: adversaries that sample randomness
-  // split it per sender so concurrent transmissions stay deterministic.
-  virtual void SetPerSenderStreams(size_t n_senders) { (void)n_senders; }
 };
 
 // Delegates every per-transmission decision to an external decider — the
 // model checker's adversary choice point. The decider sees (from, to, msg,
-// now) and returns deliver/drop/delay; sequential-engine use only (deciders
+// now) and returns deliver/drop/delay; one-worker engine use only (deciders
 // are stateful strategy callbacks and not thread-safe).
 class HookedAdversary : public NetworkAdversary {
  public:
@@ -230,30 +229,23 @@ class ChurnAdversary : public NetworkAdversary {
   std::atomic<uint64_t> dropped_{0};
 };
 
-// Drops each transmission independently with fixed probability.
+// Drops each transmission independently with fixed probability. Senders are
+// node ids below `n_senders`.
 class LossyAdversary : public NetworkAdversary {
  public:
-  LossyAdversary(double drop_probability, uint64_t rng_seed)
-      : drop_probability_(drop_probability), rng_(rng_seed, "lossy-adversary") {}
-
-  AdversaryAction OnTransmit(NodeId from, NodeId, const MessagePtr&, SimTime) override {
-    DeterministicRng& rng =
-        per_sender_.empty() ? rng_ : per_sender_[static_cast<size_t>(from) % per_sender_.size()];
-    return rng.UniformDouble() < drop_probability_ ? AdversaryAction::Drop()
-                                                   : AdversaryAction::Deliver();
+  LossyAdversary(double drop_probability, uint64_t rng_seed, size_t n_senders)
+      : drop_probability_(drop_probability) {
+    DeterministicRng rng(rng_seed, "lossy-adversary");
+    per_sender_ = ForkPerSender(&rng, n_senders);
   }
 
-  void SetPerSenderStreams(size_t n_senders) override {
-    per_sender_.clear();
-    per_sender_.reserve(n_senders);
-    for (size_t i = 0; i < n_senders; ++i) {
-      per_sender_.push_back(rng_.Fork("sender-" + std::to_string(i)));
-    }
+  AdversaryAction OnTransmit(NodeId from, NodeId, const MessagePtr&, SimTime) override {
+    return per_sender_[from].UniformDouble() < drop_probability_ ? AdversaryAction::Drop()
+                                                                 : AdversaryAction::Deliver();
   }
 
  private:
   double drop_probability_;
-  DeterministicRng rng_;
   std::vector<DeterministicRng> per_sender_;
 };
 

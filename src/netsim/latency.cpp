@@ -51,8 +51,23 @@ const std::vector<std::string>& CityLatencyModel::CityNames() {
   return kNames;
 }
 
-CityLatencyModel::CityLatencyModel(size_t n_nodes, uint64_t rng_seed)
-    : rng_(rng_seed, "city-latency") {
+std::vector<DeterministicRng> ForkPerSender(DeterministicRng* rng, size_t n_senders) {
+  std::vector<DeterministicRng> out;
+  out.reserve(n_senders);
+  for (size_t i = 0; i < n_senders; ++i) {
+    out.push_back(rng->Fork("sender-" + std::to_string(i)));
+  }
+  return out;
+}
+
+UniformLatencyModel::UniformLatencyModel(SimTime base, SimTime jitter, uint64_t rng_seed,
+                                         size_t n_senders)
+    : base_(base), jitter_(jitter) {
+  DeterministicRng rng(rng_seed, "uniform-latency");
+  per_sender_ = ForkPerSender(&rng, n_senders);
+}
+
+CityLatencyModel::CityLatencyModel(size_t n_nodes, uint64_t rng_seed) {
   constexpr int kNumCities = 20;
   // Speed of light in fibre ~ 200,000 km/s; routing inflates path length.
   constexpr double kKmPerMs = 200.0;
@@ -85,14 +100,8 @@ CityLatencyModel::CityLatencyModel(size_t n_nodes, uint64_t rng_seed)
       }
     }
   }
-}
-
-void CityLatencyModel::SetPerSenderStreams(size_t n_senders) {
-  per_sender_.clear();
-  per_sender_.reserve(n_senders);
-  for (size_t i = 0; i < n_senders; ++i) {
-    per_sender_.push_back(rng_.Fork("sender-" + std::to_string(i)));
-  }
+  DeterministicRng rng(rng_seed, "city-latency");
+  per_sender_ = ForkPerSender(&rng, n_nodes);
 }
 
 SimTime CityLatencyModel::BaseLatency(int city_a, int city_b) const {
@@ -101,9 +110,7 @@ SimTime CityLatencyModel::BaseLatency(int city_a, int city_b) const {
 
 SimTime CityLatencyModel::Sample(NodeId from, NodeId to) {
   SimTime base = base_[static_cast<size_t>(city_of_[from])][static_cast<size_t>(city_of_[to])];
-  DeterministicRng& rng =
-      per_sender_.empty() ? rng_ : per_sender_[static_cast<size_t>(from) % per_sender_.size()];
-  double jitter = std::abs(rng.Normal(0.0, 0.10));
+  double jitter = std::abs(per_sender_[from].Normal(0.0, 0.10));
   return base + static_cast<SimTime>(static_cast<double>(base) * jitter);
 }
 

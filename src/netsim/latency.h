@@ -26,47 +26,35 @@ class LatencyModel {
   // (may be sampled; models may hold mutable rng state).
   virtual SimTime Sample(NodeId from, NodeId to) = 0;
   // A strictly positive lower bound on Sample() over all (from, to) pairs.
-  // The parallel engine's conservative lookahead is derived from this floor:
+  // The engine's conservative lookahead is derived from this floor:
   // no delivery can land earlier than send time + Floor().
   virtual SimTime Floor() const = 0;
-  // Splits the jitter rng into one independent stream per sender, so that
-  // concurrent senders on different workers sample without sharing state.
-  // Draw *values* change versus the shared-stream default (which is why the
-  // harness only enables this in parallel mode), but each run remains a pure
-  // function of (seed, scenario) — per-stream draws depend only on that
-  // sender's own deterministic send sequence.
-  virtual void SetPerSenderStreams(size_t n_senders) { (void)n_senders; }
 };
 
-// Constant latency plus uniform jitter: handy for unit tests.
+// One jitter stream per sender, forked from a model's seeded rng, so
+// concurrent senders on different workers sample without sharing state: each
+// sender's draws depend only on its own deterministic send sequence.
+std::vector<DeterministicRng> ForkPerSender(DeterministicRng* rng, size_t n_senders);
+
+// Constant latency plus uniform jitter: handy for unit tests. Senders are
+// node ids below `n_senders`.
 class UniformLatencyModel : public LatencyModel {
  public:
-  UniformLatencyModel(SimTime base, SimTime jitter, uint64_t rng_seed)
-      : base_(base), jitter_(jitter), rng_(rng_seed, "uniform-latency") {}
+  UniformLatencyModel(SimTime base, SimTime jitter, uint64_t rng_seed, size_t n_senders);
 
   SimTime Sample(NodeId from, NodeId) override {
     if (jitter_ <= 0) {
       return base_;
     }
-    DeterministicRng& rng =
-        per_sender_.empty() ? rng_ : per_sender_[static_cast<size_t>(from) % per_sender_.size()];
-    return base_ + static_cast<SimTime>(rng.UniformU64(static_cast<uint64_t>(jitter_)));
+    return base_ +
+           static_cast<SimTime>(per_sender_[from].UniformU64(static_cast<uint64_t>(jitter_)));
   }
 
   SimTime Floor() const override { return base_ > 0 ? base_ : 1; }
 
-  void SetPerSenderStreams(size_t n_senders) override {
-    per_sender_.clear();
-    per_sender_.reserve(n_senders);
-    for (size_t i = 0; i < n_senders; ++i) {
-      per_sender_.push_back(rng_.Fork("sender-" + std::to_string(i)));
-    }
-  }
-
  private:
   SimTime base_;
   SimTime jitter_;
-  DeterministicRng rng_;
   std::vector<DeterministicRng> per_sender_;
 };
 
@@ -81,7 +69,6 @@ class CityLatencyModel : public LatencyModel {
 
   SimTime Sample(NodeId from, NodeId to) override;
   SimTime Floor() const override { return floor_; }
-  void SetPerSenderStreams(size_t n_senders) override;
 
   int city_of(NodeId n) const { return city_of_[n]; }
   static const std::vector<std::string>& CityNames();
@@ -92,7 +79,6 @@ class CityLatencyModel : public LatencyModel {
   std::vector<int> city_of_;
   std::vector<std::vector<SimTime>> base_;  // [city][city] one-way latency.
   SimTime floor_ = 0;  // min over the base matrix (jitter is non-negative).
-  DeterministicRng rng_;
   std::vector<DeterministicRng> per_sender_;
 };
 

@@ -61,7 +61,7 @@ void Network::Send(NodeId from, NodeId to, const MessagePtr& msg) {
   }
 
   // The delivery mutates the receiver's state, so it is keyed to `to`'s
-  // stream: the parallel engine routes it to to's shard (cross-shard sends
+  // stream: the engine routes it to to's shard (cross-shard sends
   // ride the exchange queues and land at a window barrier).
   SimTime arrival = done + latency_->Sample(from, to) + action.extra_delay;
   sim_->ScheduleAtForStream(arrival, to, [this, to, from, msg] {

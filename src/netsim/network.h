@@ -81,7 +81,7 @@ class Network : public Transport {
   std::vector<double> uplink_rate_;
   std::vector<NodeTraffic> traffic_;
   // Per-sender message-type counters: each entry is only ever written by its
-  // sender's worker thread, so Send() needs no lock under the parallel engine.
+  // sender's worker thread, so Send() needs no lock with several engine workers.
   std::vector<std::map<std::string, uint64_t>> by_type_;
 };
 

@@ -1,53 +1,127 @@
 #include "src/netsim/simulation.h"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 namespace algorand {
 
 namespace {
+
 constexpr size_t kArity = 4;
+constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+
+// Identifies the shard (and owning engine) the calling thread is currently
+// executing a window for. Workers of different Simulation instances (nested
+// scenario sweeps) never confuse each other: the owner pointer is checked on
+// every access.
+struct WorkerTls {
+  const void* owner = nullptr;
+  size_t shard = 0;
+};
+thread_local WorkerTls tls_worker;
+
+SimTime SaturatingAdd(SimTime a, SimTime b) {
+  SimTime out;
+  if (__builtin_add_overflow(a, b, &out)) {
+    return kNever;
+  }
+  return out;
+}
+
 }  // namespace
 
-void Simulation::Schedule(SimTime delay, Callback fn) {
-  ScheduleAt(now_ + (delay < 0 ? 0 : delay), std::move(fn));
+Simulation::Simulation(size_t workers, size_t n_streams, SimTime lookahead)
+    : workers_(workers == 0 ? 1 : workers),
+      lookahead_(lookahead < 1 ? 1 : lookahead),
+      shards_(workers_),
+      stream_seq_(n_streams, 0),
+      exchange_(workers_) {
+  for (auto& row : exchange_) {
+    row.resize(workers_);
+  }
+  if (workers_ > 1) {
+    pool_.reserve(workers_);
+    for (size_t i = 0; i < workers_; ++i) {
+      pool_.emplace_back([this, i] { WorkerLoop(i); });
+    }
+  }
 }
 
-void Simulation::ScheduleAt(SimTime when, Callback fn) {
-  if (when < now_) {
-    when = now_;
+Simulation::~Simulation() {
+  if (!pool_.empty()) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      exit_ = true;
+    }
+    cv_workers_.notify_all();
+    for (auto& t : pool_) {
+      t.join();
+    }
   }
-  const uint64_t seq = next_seq_++;
-  if (queue_kind_ == QueueKind::kMap) {
-    map_queue_.emplace(Key{when, seq}, std::move(fn));
+}
+
+uint32_t Simulation::ContextStream() const {
+  if (tls_worker.owner == this) {
+    return shards_[tls_worker.shard].current_stream;
+  }
+  return external_stream_;
+}
+
+SimTime Simulation::now() const {
+  if (tls_worker.owner == this) {
+    return shards_[tls_worker.shard].local_now;
+  }
+  return now_;
+}
+
+void Simulation::RequireStream(uint32_t stream) {
+  if (stream == kGlobalStream || stream < stream_seq_.size()) {
     return;
   }
-  HeapPush(Event{when, seq, std::move(fn)});
+  if (workers_ > 1) {
+    throw std::out_of_range("Simulation: stream " + std::to_string(stream) +
+                            " was not declared at construction");
+  }
+  stream_seq_.resize(static_cast<size_t>(stream) + 1, 0);
 }
 
-void Simulation::HeapPush(Event ev) {
+void Simulation::SetExternalStream(uint32_t stream) {
+  RequireStream(stream);
+  external_stream_ = stream;
+}
+
+void Simulation::set_choice_hook(ScheduleChoiceHook* hook) {
+  if (hook != nullptr && workers_ > 1) {
+    throw std::logic_error("Simulation: a choice hook needs a one-worker engine");
+  }
+  choice_hook_ = hook;
+}
+
+void Simulation::HeapPush(std::vector<Event>* heap, Event ev) {
   // Sift up with a hole: parents shift down into the gap and `ev` moves once.
-  size_t i = heap_.size();
-  heap_.emplace_back();  // Placeholder; overwritten below.
+  size_t i = heap->size();
+  heap->emplace_back();
   while (i > 0) {
     size_t parent = (i - 1) / kArity;
-    if (!Before(ev, heap_[parent])) {
+    if (!Before(ev, (*heap)[parent])) {
       break;
     }
-    heap_[i] = std::move(heap_[parent]);
+    (*heap)[i] = std::move((*heap)[parent]);
     i = parent;
   }
-  heap_[i] = std::move(ev);
+  (*heap)[i] = std::move(ev);
 }
 
-Simulation::Event Simulation::HeapPop() {
-  Event top = std::move(heap_.front());
-  Event last = std::move(heap_.back());
-  heap_.pop_back();
-  if (!heap_.empty()) {
+Simulation::Event Simulation::HeapPop(std::vector<Event>* heap) {
+  Event top = std::move(heap->front());
+  Event last = std::move(heap->back());
+  heap->pop_back();
+  if (!heap->empty()) {
     // Sift `last` down from the root: pull the smallest child up into the
     // hole until `last` fits.
     size_t i = 0;
-    const size_t n = heap_.size();
+    const size_t n = heap->size();
     for (;;) {
       size_t first_child = i * kArity + 1;
       if (first_child >= n) {
@@ -56,57 +130,29 @@ Simulation::Event Simulation::HeapPop() {
       size_t best = first_child;
       size_t end = first_child + kArity < n ? first_child + kArity : n;
       for (size_t c = first_child + 1; c < end; ++c) {
-        if (Before(heap_[c], heap_[best])) {
+        if (Before((*heap)[c], (*heap)[best])) {
           best = c;
         }
       }
-      if (!Before(heap_[best], last)) {
+      if (!Before((*heap)[best], last)) {
         break;
       }
-      heap_[i] = std::move(heap_[best]);
+      (*heap)[i] = std::move((*heap)[best]);
       i = best;
     }
-    heap_[i] = std::move(last);
+    (*heap)[i] = std::move(last);
   }
   return top;
 }
 
-bool Simulation::Step() {
-  if (queue_kind_ == QueueKind::kMap) {
-    if (map_queue_.empty()) {
-      return false;
-    }
-    auto node = map_queue_.extract(map_queue_.begin());
-    now_ = node.key().first;
-    ++executed_;
-    node.mapped()();
-    return true;
-  }
-  if (heap_.empty()) {
-    return false;
-  }
-  if (choice_hook_ != nullptr) {
-    StepWithChoice();
-    return true;
-  }
-  Event ev = HeapPop();
-  now_ = ev.when;
-  ++executed_;
-  ev.fn();
-  return true;
-}
-
-void Simulation::StepWithChoice() {
-  const SimTime earliest = heap_.front().when;
-  const SimTime horizon = earliest + choice_hook_->Window();
-  size_t cap = choice_hook_->MaxCandidates();
-  if (cap < 1) {
-    cap = 1;
-  }
+Simulation::Event Simulation::PopChosen(std::vector<Event>* heap, SimTime window_end) {
+  const SimTime earliest = heap->front().when;
+  const SimTime horizon =
+      std::min(SaturatingAdd(earliest, choice_hook_->Window()), window_end);
+  const size_t cap = std::max<size_t>(1, choice_hook_->MaxCandidates());
   std::vector<Event> candidates;
-  while (!heap_.empty() && candidates.size() < cap &&
-         heap_.front().when <= horizon) {
-    candidates.push_back(HeapPop());
+  while (!heap->empty() && candidates.size() < cap && heap->front().when <= horizon) {
+    candidates.push_back(HeapPop(heap));
   }
   size_t pick = 0;
   if (candidates.size() > 1) {
@@ -115,55 +161,231 @@ void Simulation::StepWithChoice() {
       pick = 0;
     }
   }
-  Event chosen = std::move(candidates[pick]);
-  // Unchosen candidates keep their original (when, seq) keys: they stay in
-  // default order relative to each other, and a hook that always picks 0
-  // replays the unhooked schedule bit-for-bit.
+  // Unchosen candidates keep their original keys: they stay in default order
+  // relative to each other, and a hook that always picks 0 replays the
+  // unhooked schedule bit-for-bit.
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (i != pick) {
-      HeapPush(std::move(candidates[i]));
+      HeapPush(heap, std::move(candidates[i]));
     }
   }
-  // Running a later event first models the adversary delaying the others;
-  // time advances to the chosen event and never regresses afterwards.
-  now_ = std::max(now_, chosen.when);
-  ++executed_;
-  chosen.fn();
+  return std::move(candidates[pick]);
+}
+
+void Simulation::PushEvent(size_t shard, Event ev) {
+  Shard& sh = shards_[shard];
+  HeapPush(&sh.heap, std::move(ev));
+  if (sh.heap.size() > sh.peak_queue) {
+    sh.peak_queue = sh.heap.size();
+  }
+}
+
+void Simulation::Schedule(SimTime delay, Callback fn) {
+  ScheduleAt(now() + (delay < 0 ? 0 : delay), std::move(fn));
+}
+
+void Simulation::ScheduleAt(SimTime when, Callback fn) {
+  // An event scheduled with no target stream acts on its scheduler's own
+  // state (timers); deliveries go through ScheduleAtForStream.
+  ScheduleAtForStream(when, ContextStream(), std::move(fn));
+}
+
+void Simulation::ScheduleAtForStream(SimTime when, uint32_t stream, Callback fn) {
+  const SimTime current = now();
+  if (when < current) {
+    when = current;
+  }
+  if (stream == kGlobalStream) {
+    // Global events carry a global sequence; they run at barriers.
+    global_.emplace(std::make_pair(when, global_seq_++), std::move(fn));
+    return;
+  }
+  RequireStream(stream);
+  const uint32_t src = ContextStream();
+  Event ev;
+  ev.when = when;
+  ev.key_stream = src;
+  ev.key_seq = src == kGlobalStream ? global_seq_++ : stream_seq_[src]++;
+  ev.exec_stream = stream;
+  ev.fn = std::move(fn);
+  const size_t dst = ShardOf(stream);
+  if (tls_worker.owner == this && dst != tls_worker.shard) {
+    // Cross-shard send from inside a window: buffer for the barrier merge.
+    exchange_[tls_worker.shard][dst].push_back(std::move(ev));
+    return;
+  }
+  // Same-shard send, or an external/barrier-context schedule while every
+  // worker is parked: push straight into the target heap.
+  PushEvent(dst, std::move(ev));
+}
+
+SimTime Simulation::MinShardTime() const {
+  SimTime t = kNever;
+  for (const Shard& sh : shards_) {
+    if (!sh.heap.empty() && sh.heap.front().when < t) {
+      t = sh.heap.front().when;
+    }
+  }
+  return t;
+}
+
+void Simulation::DrainExchanges() {
+  for (size_t src = 0; src < workers_; ++src) {
+    for (size_t dst = 0; dst < workers_; ++dst) {
+      std::vector<Event>& q = exchange_[src][dst];
+      if (q.empty()) {
+        continue;
+      }
+      exchanged_ += q.size();
+      for (Event& ev : q) {
+        PushEvent(dst, std::move(ev));
+      }
+      q.clear();
+    }
+  }
+}
+
+void Simulation::ProcessShardWindow(size_t s, SimTime window_end) {
+  WorkerTls saved = tls_worker;
+  tls_worker.owner = this;
+  tls_worker.shard = s;
+  Shard& sh = shards_[s];
+  while (!sh.heap.empty() && sh.heap.front().when <= window_end) {
+    Event ev = choice_hook_ != nullptr ? PopChosen(&sh.heap, window_end) : HeapPop(&sh.heap);
+    // A hook may run a later candidate first; the passed-over ones then run
+    // at the advanced clock, which never regresses.
+    sh.local_now = std::max(sh.local_now, ev.when);
+    sh.current_stream = ev.exec_stream;
+    ++sh.executed;
+    ev.fn();
+  }
+  tls_worker = saved;
+}
+
+bool Simulation::Advance(SimTime deadline) {
+  DrainExchanges();
+  const SimTime t_shard = MinShardTime();
+  const SimTime t_global = global_.empty() ? kNever : global_.begin()->first.first;
+  const SimTime t = std::min(t_shard, t_global);
+  if (t == kNever || t > deadline) {
+    return false;
+  }
+  SimTime window_end = SaturatingAdd(t, lookahead_ - 1);
+  if (window_end > deadline) {
+    window_end = deadline;
+  }
+  bool run_globals = false;
+  if (t_global <= window_end) {
+    // Clamp the window at the global event: shard events up to (and at) its
+    // timestamp run first, then the global events run at the barrier.
+    window_end = t_global;
+    run_globals = true;
+  }
+  ++windows_;
+  if (t_shard <= window_end) {
+    if (workers_ == 1) {
+      ProcessShardWindow(0, window_end);
+    } else {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        window_end_ = window_end;
+        workers_done_ = 0;
+        ++epoch_;
+      }
+      cv_workers_.notify_all();
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_done_.wait(lock, [this] { return workers_done_ == workers_; });
+    }
+  }
+  DrainExchanges();
+  now_ = window_end;
+  if (run_globals) {
+    // A global event may schedule node-stream work at its own timestamp;
+    // that work orders before any later global at the same time, so yield
+    // to the next window as soon as a shard event is due first.
+    while (!stopped() && !global_.empty() && global_.begin()->first.first <= window_end &&
+           MinShardTime() > global_.begin()->first.first) {
+      auto node = global_.extract(global_.begin());
+      now_ = node.key().first;
+      ++global_executed_;
+      node.mapped()();
+    }
+  }
+  return true;
+}
+
+void Simulation::WorkerLoop(size_t shard_index) {
+  uint64_t seen_epoch = 0;
+  for (;;) {
+    SimTime end;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_workers_.wait(lock, [&] { return exit_ || epoch_ != seen_epoch; });
+      if (exit_) {
+        return;
+      }
+      seen_epoch = epoch_;
+      end = window_end_;
+    }
+    ProcessShardWindow(shard_index, end);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++workers_done_;
+    }
+    cv_done_.notify_one();
+  }
 }
 
 void Simulation::Run() {
-  stopped_ = false;
-  while (!stopped_ && Step()) {
+  stopped_.store(false, std::memory_order_relaxed);
+  while (!stopped() && Advance(kNever - 1)) {
   }
 }
 
 void Simulation::RunUntil(SimTime deadline) {
-  stopped_ = false;
-  for (;;) {
-    if (stopped_) {
-      break;
-    }
-    SimTime next;
-    if (queue_kind_ == QueueKind::kMap) {
-      if (map_queue_.empty()) {
-        break;
-      }
-      next = map_queue_.begin()->first.first;
-    } else {
-      if (heap_.empty()) {
-        break;
-      }
-      next = heap_.front().when;
-    }
-    if (next > deadline) {
-      break;
-    }
-    Step();
+  stopped_.store(false, std::memory_order_relaxed);
+  while (!stopped() && Advance(deadline)) {
   }
   // The full window elapsed only if nothing stopped us early.
-  if (!stopped_ && now_ < deadline) {
+  if (!stopped() && now_ < deadline) {
     now_ = deadline;
   }
+}
+
+bool Simulation::Step() { return Advance(kNever - 1); }
+
+size_t Simulation::pending_events() const {
+  size_t n = global_.size();
+  for (const Shard& sh : shards_) {
+    n += sh.heap.size();
+  }
+  for (const auto& row : exchange_) {
+    for (const auto& q : row) {
+      n += q.size();
+    }
+  }
+  return n;
+}
+
+uint64_t Simulation::executed_events() const {
+  uint64_t n = global_executed_;
+  for (const Shard& sh : shards_) {
+    n += sh.executed;
+  }
+  return n;
+}
+
+std::vector<std::pair<std::string, uint64_t>> Simulation::EngineStats() const {
+  std::vector<std::pair<std::string, uint64_t>> out;
+  out.emplace_back("sim.windows", windows_);
+  out.emplace_back("sim.cross_shard_events", exchanged_);
+  out.emplace_back("sim.global_events", global_executed_);
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    const std::string prefix = "sim.worker" + std::to_string(i);
+    out.emplace_back(prefix + ".events", shards_[i].executed);
+    out.emplace_back(prefix + ".peak_queue", shards_[i].peak_queue);
+  }
+  return out;
 }
 
 }  // namespace algorand

@@ -1,30 +1,51 @@
-// Deterministic discrete-event simulation core.
+// Deterministic discrete-event simulation core: a conservative-lookahead
+// engine that shards the simulated nodes across worker threads.
 //
-// A single-threaded event queue ordered by (time, insertion sequence). All of
-// Algorand's behaviour in this repository — gossip, timeouts, BA* steps,
-// recovery timers — runs as callbacks scheduled here, so a (seed, scenario)
-// pair replays identically every run.
+// All of Algorand's behaviour in this repository — gossip, timeouts, BA*
+// steps, recovery timers — runs as callbacks scheduled here, so a (seed,
+// scenario) pair replays identically every run, for any worker count.
 //
-// The queue is a 4-ary array heap of (when, seq, callback) events. Keying on
-// the insertion sequence makes the ordering total, so the heap pops events in
-// exactly the (time, insertion) order the reference std::map implementation
-// used — replays are bit-identical across both (QueueKind::kMap keeps the map
-// around for the determinism regression test and A/B benchmarking). The 4-ary
-// layout halves tree depth versus a binary heap and keeps the sift working
-// set in one or two cache lines; callbacks live in a small-buffer slot
-// (UniqueCallback) so sift moves shuffle 64-ish-byte events instead of
-// chasing per-node allocations.
+// Windows: every node-to-node message takes at least `lookahead` of simulated
+// time to arrive (uplink send overhead plus the latency-matrix floor), so all
+// events inside a window [T, T + lookahead) are causally independent across
+// nodes and may run concurrently. Cross-shard sends are buffered in
+// per-(src,dst) exchange queues and merged into the target shard's heap at
+// the window barrier — always before the window that contains their delivery
+// time. With one worker the single shard runs inline on the calling thread.
 //
-// ParallelSimulation (parallel_simulation.h) subclasses this interface with a
-// conservative-lookahead multi-worker engine; the virtual hooks below
-// (ScheduleAtForStream, SetExternalStream, EngineStats) are no-ops /
-// pass-throughs here so single-threaded callers pay nothing.
+// Determinism contract (the property sim_determinism_test pins): the result
+// of a run depends only on (seed, scenario), never on the worker count.
+// Mechanism: every event carries a key (when, key_stream, key_seq), where
+// key_stream is the *logical stream* — the node whose callback scheduled the
+// event — and key_seq a per-stream counter. A stream's events execute in key
+// order on exactly one shard; schedules during those executions increment the
+// stream's counter in a deterministic order; cross-shard deliveries are keyed
+// by their sender. Window boundaries are derived from the global minimum
+// event time and the lookahead only — quantities independent of the worker
+// count — so workers=1 and workers=N take byte-identical window sequences
+// and every per-stream execution order matches exactly.
+//
+// Events scheduled from outside event execution (harness probes, crash
+// schedules, stats reporters) belong to the distinguished kGlobalStream:
+// they run on the calling thread at window barriers, when every worker is
+// parked, and may therefore touch any node's state. They execute in (when,
+// insertion) order; at equal timestamps, node-stream events order before
+// global-stream events (kGlobalStream is the largest stream id).
+//
+// Each shard's queue is a 4-ary array heap: half the depth of a binary heap,
+// with the sift working set in one or two cache lines; callbacks live in a
+// small-buffer slot (UniqueCallback) so sift moves shuffle small events
+// instead of chasing per-node allocations.
 #ifndef ALGORAND_SRC_NETSIM_SIMULATION_H_
 #define ALGORAND_SRC_NETSIM_SIMULATION_H_
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -33,15 +54,17 @@
 
 namespace algorand {
 
-// Model-checker seam: when installed on a (sequential, heap-queue) Simulation,
-// the hook is consulted at every dequeue where more than one event is eligible
-// to run "next" under a weak-synchrony window. Events whose timestamps lie
-// within `Window()` of the earliest pending event are concurrent candidates
-// (capped at `MaxCandidates()`); `ChooseNext` picks which one runs. The chosen
-// event executes at max(now, event.when) — reordering is equivalent to an
+// Model-checker seam: when installed on a one-worker Simulation, the hook is
+// consulted at every shard dequeue where more than one event is eligible to
+// run "next" under a weak-synchrony window. Events whose timestamps lie
+// within `Window()` of the earliest pending event — and no later than the
+// current lookahead window's end — are concurrent candidates (capped at
+// `MaxCandidates()`); `ChooseNext` picks which one runs. The chosen event
+// executes at max(now, event.when) — reordering is equivalent to an
 // adversary delaying the passed-over deliveries, so the clock never regresses.
-// Unchosen events keep their original (when, seq) keys, so choosing index 0
-// everywhere reproduces the default FIFO schedule exactly.
+// Unchosen events keep their original keys, so choosing index 0 everywhere
+// reproduces the unhooked schedule exactly. Global-stream events run at
+// barriers and are never candidates.
 class ScheduleChoiceHook {
  public:
   virtual ~ScheduleChoiceHook() = default;
@@ -49,109 +72,163 @@ class ScheduleChoiceHook {
   virtual SimTime Window() const = 0;
   // Cap on candidates gathered per choice point (branching factor bound).
   virtual size_t MaxCandidates() const = 0;
-  // Picks which of `count` candidates (listed in default (when, seq) order)
-  // runs next. Called only when count > 1; must return a value in [0, count).
+  // Picks which of `count` candidates (listed in default key order) runs
+  // next. Called only when count > 1; must return a value in [0, count).
   virtual size_t ChooseNext(SimTime earliest, size_t count) = 0;
 };
 
-class Simulation : public Executor {
+class Simulation final : public Executor {
  public:
   using Callback = Executor::Callback;
 
-  enum class QueueKind {
-    kHeap,  // 4-ary array heap (default).
-    kMap,   // Reference node-based std::map; same ordering, kept for tests.
-  };
-
   // Stream id for events not owned by any simulated node (harness probes,
-  // crash schedules, reporters). The parallel engine runs them at window
-  // barriers, when every worker is parked.
+  // crash schedules, reporters). They run at window barriers, when every
+  // worker is parked.
   static constexpr uint32_t kGlobalStream = UINT32_MAX;
 
-  explicit Simulation(QueueKind queue = QueueKind::kHeap) : queue_kind_(queue) {}
+  // `workers`: shard/worker count (0 is treated as 1; 1 runs the single shard
+  // inline on the calling thread — same windows, no thread hand-off).
+  // `n_streams`: number of logical node streams (stream ids 0..n_streams-1;
+  // kGlobalStream is implicit). A one-worker engine adds streams on first
+  // use; with more workers every stream must be declared here.
+  // `lookahead`: minimum cross-node delivery delay in simulated time (values
+  // below 1 are treated as 1).
+  explicit Simulation(size_t workers = 1, size_t n_streams = 0, SimTime lookahead = 1);
+  ~Simulation() override;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
-  SimTime now() const override { return now_; }
-  QueueKind queue_kind() const { return queue_kind_; }
+  // Inside an event: the executing shard's clock. Outside: the barrier clock.
+  SimTime now() const override;
 
   // Schedules `fn` to run `delay` from now (negative delays clamp to now).
   void Schedule(SimTime delay, Callback fn) override;
-  // Schedules at an absolute time (times in the past clamp to now).
+  // Schedules at an absolute time (times in the past clamp to now). The event
+  // acts on its scheduler's own stream (timers).
   void ScheduleAt(SimTime when, Callback fn) override;
-
   // Schedules an event that acts on `stream`'s state (a delivery to node
-  // `stream`). The sequential engine ignores the stream; the parallel engine
-  // routes the event to the stream's shard and runs it with that stream
+  // `stream`): it is routed to the stream's shard and runs with that stream
   // current, which is what keeps cross-shard sends deterministic.
-  virtual void ScheduleAtForStream(SimTime when, uint32_t stream, Callback fn) {
-    (void)stream;
-    ScheduleAt(when, std::move(fn));
-  }
+  void ScheduleAtForStream(SimTime when, uint32_t stream, Callback fn);
 
   // Declares which stream subsequent Schedule* calls from *outside* event
-  // execution belong to (harness setup, node restarts). No-op here; the
-  // parallel engine keys those events to the stream so their ordering is
-  // independent of worker count. Pass kGlobalStream to revert to
-  // barrier-executed global events.
-  virtual void SetExternalStream(uint32_t stream) { (void)stream; }
+  // execution belong to (harness setup, node restarts), so those events are
+  // ordered independently of the worker count. Pass kGlobalStream to revert
+  // to barrier-executed global events.
+  void SetExternalStream(uint32_t stream);
 
-  // Runs events until the queue drains or `Stop()` is called.
-  virtual void Run();
+  // Runs windows until the queue drains or `Stop()` is called.
+  void Run();
   // Runs events with time <= deadline; leaves later events queued. The clock
   // advances to the deadline.
-  virtual void RunUntil(SimTime deadline);
-  // Runs at most one event; returns false if the queue was empty. (On the
-  // parallel engine: runs one conservative window.)
-  virtual bool Step();
+  void RunUntil(SimTime deadline);
+  // Runs one conservative window; returns false if the queue was empty.
+  bool Step();
 
-  virtual void Stop() { stopped_ = true; }
-  virtual bool stopped() const { return stopped_; }
-  virtual size_t pending_events() const {
-    return queue_kind_ == QueueKind::kHeap ? heap_.size() : map_queue_.size();
-  }
-  virtual uint64_t executed_events() const { return executed_; }
+  // Takes effect at the next window barrier.
+  void Stop() { stopped_.store(true, std::memory_order_relaxed); }
+  bool stopped() const { return stopped_.load(std::memory_order_relaxed); }
+  size_t pending_events() const;
+  uint64_t executed_events() const;
 
-  // Engine-specific counters folded into metrics snapshots ("sim.windows",
-  // per-worker event counts). Empty for the sequential engine.
-  virtual std::vector<std::pair<std::string, uint64_t>> EngineStats() const { return {}; }
+  // Counters folded into metrics snapshots ("sim.windows", per-worker event
+  // counts and peak queue sizes).
+  std::vector<std::pair<std::string, uint64_t>> EngineStats() const;
 
   // Installs (or clears, with nullptr) the model checker's scheduling hook.
-  // Supported only on the sequential heap engine; the parallel engine and the
-  // reference map queue ignore it. Not owned.
-  void set_choice_hook(ScheduleChoiceHook* hook) { choice_hook_ = hook; }
+  // Throws std::logic_error on an engine with more than one worker: choices
+  // are answered in one global order, which only a single shard has. Not
+  // owned.
+  void set_choice_hook(ScheduleChoiceHook* hook);
   ScheduleChoiceHook* choice_hook() const { return choice_hook_; }
 
- protected:
-  void set_now(SimTime t) { now_ = t; }
+  size_t workers() const { return workers_; }
+  SimTime lookahead() const { return lookahead_; }
+  uint64_t windows() const { return windows_; }
+  uint64_t cross_shard_events() const { return exchanged_; }
 
  private:
   struct Event {
     SimTime when;
-    uint64_t seq;  // Insertion order: ties on `when` run FIFO.
+    uint32_t key_stream;   // Stream whose callback scheduled the event.
+    uint64_t key_seq;      // Per-key_stream counter: makes the key total.
+    uint32_t exec_stream;  // Stream whose state the event touches.
     Callback fn;
   };
 
-  // True if `a` runs before `b` under the (time, insertion) total order.
   static bool Before(const Event& a, const Event& b) {
-    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+    if (a.when != b.when) {
+      return a.when < b.when;
+    }
+    if (a.key_stream != b.key_stream) {
+      return a.key_stream < b.key_stream;
+    }
+    return a.key_seq < b.key_seq;
   }
 
-  void HeapPush(Event ev);
-  Event HeapPop();
-  // Step() body when a choice hook is installed and >1 event is pending.
-  void StepWithChoice();
+  struct Shard {
+    std::vector<Event> heap;  // 4-ary array heap ordered by Before().
+    SimTime local_now = 0;
+    uint32_t current_stream = kGlobalStream;
+    uint64_t executed = 0;
+    uint64_t peak_queue = 0;
+  };
 
-  using Key = std::pair<SimTime, uint64_t>;  // (when, sequence): total order.
+  size_t ShardOf(uint32_t stream) const { return static_cast<size_t>(stream) % workers_; }
+  // The stream on whose behalf the calling thread is scheduling right now.
+  uint32_t ContextStream() const;
+  // Makes `stream` a known node stream (grows the counters on a one-worker
+  // engine; throws std::out_of_range for an undeclared stream otherwise).
+  void RequireStream(uint32_t stream);
 
-  SimTime now_ = 0;
-  uint64_t next_seq_ = 0;
-  uint64_t executed_ = 0;
-  bool stopped_ = false;
-  QueueKind queue_kind_;
+  void PushEvent(size_t shard, Event ev);
+  static void HeapPush(std::vector<Event>* heap, Event ev);
+  static Event HeapPop(std::vector<Event>* heap);
+  // Pops the event the choice hook picks among the candidates no later than
+  // `window_end`; the others go back with their keys unchanged.
+  Event PopChosen(std::vector<Event>* heap, SimTime window_end);
+
+  // Runs every event with when <= window_end on shard `s`. Sets the calling
+  // thread's worker context for the duration.
+  void ProcessShardWindow(size_t s, SimTime window_end);
+  // Runs one window across all shards (threads or inline). Returns false if
+  // there was nothing to run at or before `deadline`.
+  bool Advance(SimTime deadline);
+  void DrainExchanges();
+  SimTime MinShardTime() const;
+  void WorkerLoop(size_t shard_index);
+
+  const size_t workers_;
+  const SimTime lookahead_;
+  std::vector<Shard> shards_;
+  // Per-node-stream schedule counters, and kGlobalStream's.
+  std::vector<uint64_t> stream_seq_;
+  uint64_t global_seq_ = 0;
+
+  // Cross-shard exchange buffers: exchange_[src][dst] is written only by
+  // src's worker during a window and drained only at barriers.
+  std::vector<std::vector<std::vector<Event>>> exchange_;
+
+  // Global-stream events, run at barriers on the calling thread.
+  std::map<std::pair<SimTime, uint64_t>, Callback> global_;
+  uint64_t global_executed_ = 0;
+
+  SimTime now_ = 0;  // Barrier clock.
+  uint32_t external_stream_ = kGlobalStream;
   ScheduleChoiceHook* choice_hook_ = nullptr;
-  std::vector<Event> heap_;
-  std::map<Key, Callback> map_queue_;
+  std::atomic<bool> stopped_{false};
+  uint64_t windows_ = 0;
+  uint64_t exchanged_ = 0;
+
+  // Worker pool synchronization (unused when workers_ == 1).
+  std::vector<std::thread> pool_;
+  std::mutex mu_;
+  std::condition_variable cv_workers_;
+  std::condition_variable cv_done_;
+  uint64_t epoch_ = 0;
+  SimTime window_end_ = 0;
+  size_t workers_done_ = 0;
+  bool exit_ = false;
 };
 
 }  // namespace algorand

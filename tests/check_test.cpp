@@ -272,7 +272,6 @@ TEST(GrindingProposerTest, SeedRefreshBoundsGrinderAdvantage) {
   cfg.params.recovery_interval = Minutes(10);
   cfg.latency = HarnessConfig::Latency::kUniform;
   cfg.use_sim_crypto = true;
-  cfg.sim_workers = 0;
   cfg.verify_workers = 0;
   cfg.grinding_count = 1;
   cfg.grind_candidates = 8;
@@ -306,7 +305,6 @@ TEST(PartitionHealTest, TentativeRoundsUpgradeToFinalAcrossHeal) {
   cfg.params.recovery_interval = Minutes(10);
   cfg.latency = HarnessConfig::Latency::kUniform;
   cfg.use_sim_crypto = true;
-  cfg.sim_workers = 0;
   cfg.verify_workers = 0;
   SimHarness h(cfg);
 

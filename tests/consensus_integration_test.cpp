@@ -146,7 +146,7 @@ TEST(ConsensusIntegrationTest, SurvivesSilentCommitteeMembers) {
 TEST(ConsensusIntegrationTest, SurvivesPacketLoss) {
   HarnessConfig cfg = SmallConfig(8);
   SimHarness h(cfg);
-  h.SetNetworkAdversary(std::make_unique<LossyAdversary>(0.05, 99));
+  h.SetNetworkAdversary(std::make_unique<LossyAdversary>(0.05, 99, cfg.n_nodes));
   h.Start();
   ASSERT_TRUE(h.RunRounds(2, Hours(3)));
   auto safety = h.CheckSafety();

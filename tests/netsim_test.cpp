@@ -2,8 +2,13 @@
 // adversary tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
+#include <map>
 #include <memory>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "src/common/serialize.h"
@@ -62,36 +67,98 @@ TEST(SimulationTest, SameTimeEventsRunFifo) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-// Runs a randomized schedule — duplicate timestamps, nested re-scheduling,
-// a mid-run RunUntil boundary — and records the execution order.
-std::vector<int> RunMixedScheduleOn(Simulation::QueueKind kind) {
-  Simulation sim(kind);
+// Reference queue for the engine's ordering contract, kept here as test code:
+// a std::map keyed by (when, global?, key_stream, key_seq) with the engine's
+// clamping and per-stream counters. Node-stream events are keyed by the
+// stream that scheduled them; global-stream events (scheduled from outside
+// any node) run after every node-stream event at their timestamp. A
+// one-worker Simulation must execute exactly this total order.
+class MapOracle {
+ public:
+  SimTime now() const { return now_; }
+  void SetExternalStream(uint32_t stream) { external_ = stream; }
+  void Schedule(SimTime delay, std::function<void()> fn) {
+    ScheduleAt(now_ + delay, std::move(fn));
+  }
+  void ScheduleAt(SimTime when, std::function<void()> fn) {
+    ScheduleAtForStream(when, running_ ? current_ : external_, std::move(fn));
+  }
+  void ScheduleAtForStream(SimTime when, uint32_t stream, std::function<void()> fn) {
+    const uint32_t src = running_ ? current_ : external_;
+    const bool global = stream == Simulation::kGlobalStream;
+    const uint64_t seq = global || src == Simulation::kGlobalStream ? global_seq_++
+                                                                    : stream_seq_[src]++;
+    queue_.emplace(Key{std::max(when, now_), global, global ? stream : src, seq},
+                   Item{stream, std::move(fn)});
+  }
+  void RunUntil(SimTime deadline) {
+    while (!queue_.empty() && std::get<0>(queue_.begin()->first) <= deadline) {
+      auto node = queue_.extract(queue_.begin());
+      now_ = std::get<0>(node.key());
+      running_ = node.mapped().stream != Simulation::kGlobalStream;
+      current_ = node.mapped().stream;
+      node.mapped().fn();
+      running_ = false;
+    }
+    now_ = std::max(now_, deadline);
+  }
+  void Run() { RunUntil(std::numeric_limits<SimTime>::max() - 1); }
+
+ private:
+  using Key = std::tuple<SimTime, bool, uint32_t, uint64_t>;
+  struct Item {
+    uint32_t stream;
+    std::function<void()> fn;
+  };
+  SimTime now_ = 0;
+  bool running_ = false;  // Inside a node-stream event.
+  uint32_t current_ = 0;
+  uint32_t external_ = Simulation::kGlobalStream;
+  std::map<uint32_t, uint64_t> stream_seq_;
+  uint64_t global_seq_ = 0;
+  std::map<Key, Item> queue_;
+};
+
+// Runs a randomized schedule on `sim` — duplicate timestamps, three node
+// streams plus global events, nested timers, cross-stream sends, a mid-run
+// RunUntil boundary — and records the execution order.
+template <typename Sim>
+std::vector<int> RunMixedScheduleOn(Sim& sim) {
   std::vector<int> order;
   DeterministicRng rng(17);
   for (int i = 0; i < 300; ++i) {
     SimTime t = static_cast<SimTime>(rng.NextU64() % static_cast<uint64_t>(Seconds(5)));
-    sim.Schedule(t, [&sim, &order, &rng, i] {
+    const uint32_t stream = i % 4 == 3 ? Simulation::kGlobalStream : static_cast<uint32_t>(i % 4);
+    sim.SetExternalStream(stream);
+    sim.ScheduleAt(t, [&sim, &order, &rng, i] {
       order.push_back(i);
+      // Children land on coarse times so many collide, exercising key ties.
+      SimTime d = static_cast<SimTime>(rng.NextU64() % 4) * Millis(250);
       if (i % 3 == 0) {
-        // Children land on coarse times so many collide, exercising seq ties.
-        SimTime d = static_cast<SimTime>(rng.NextU64() % 4) * Millis(250);
         sim.Schedule(d, [&order, i] { order.push_back(1000 + i); });
+      }
+      if (i % 5 == 0) {
+        sim.ScheduleAtForStream(sim.now() + d, static_cast<uint32_t>(i % 3),
+                                [&order, i] { order.push_back(2000 + i); });
       }
     });
   }
+  sim.SetExternalStream(Simulation::kGlobalStream);
   sim.RunUntil(Seconds(2));
   sim.Run();
   return order;
 }
 
-TEST(SimulationTest, HeapAndMapQueuesExecuteIdentically) {
-  // The 4-ary heap must preserve the exact (time, insertion) total order the
-  // reference std::map queue defines — this is what keeps replays
-  // bit-identical across the two implementations.
-  std::vector<int> heap_order = RunMixedScheduleOn(Simulation::QueueKind::kHeap);
-  std::vector<int> map_order = RunMixedScheduleOn(Simulation::QueueKind::kMap);
-  ASSERT_EQ(heap_order.size(), map_order.size());
-  EXPECT_EQ(heap_order, map_order);
+TEST(SimulationTest, ExecutesInReferenceMapKeyOrder) {
+  // The 4-ary shard heaps, the window barriers and the global-event map must
+  // together preserve the exact total order the reference std::map defines —
+  // this is what keeps replays bit-identical.
+  Simulation sim(/*workers=*/1, /*n_streams=*/3, /*lookahead=*/Millis(300));
+  MapOracle oracle;
+  std::vector<int> engine_order = RunMixedScheduleOn(sim);
+  std::vector<int> oracle_order = RunMixedScheduleOn(oracle);
+  ASSERT_EQ(engine_order.size(), oracle_order.size());
+  EXPECT_EQ(engine_order, oracle_order);
 }
 
 TEST(SimulationTest, NestedScheduling) {
@@ -143,7 +210,7 @@ TEST(SimulationTest, PastSchedulingClampsToNow) {
 }
 
 TEST(UniformLatencyTest, WithinBounds) {
-  UniformLatencyModel model(Millis(50), Millis(10), 1);
+  UniformLatencyModel model(Millis(50), Millis(10), 1, /*n_senders=*/1);
   for (int i = 0; i < 100; ++i) {
     SimTime s = model.Sample(0, 1);
     EXPECT_GE(s, Millis(50));
@@ -184,7 +251,7 @@ TEST(CityLatencyTest, JitterIsNonNegative) {
 
 struct NetFixture {
   NetFixture(size_t n, NetworkConfig cfg = {})
-      : latency(Millis(10), 0, 1), network(&sim, &latency, cfg, n) {
+      : latency(Millis(10), 0, 1, n), network(&sim, &latency, cfg, n) {
     network.set_delivery_handler([this](NodeId to, NodeId from, const MessagePtr& msg) {
       deliveries.push_back({to, from, std::static_pointer_cast<const TestMessage>(msg)->id(),
                             sim.now()});
@@ -285,7 +352,7 @@ TEST(AdversaryTest, TargetedDosSilencesVictim) {
 
 TEST(AdversaryTest, LossyDropsApproximatelyAtRate) {
   NetFixture f(2);
-  LossyAdversary adversary(0.3, 99);
+  LossyAdversary adversary(0.3, 99, /*n_senders=*/2);
   f.network.set_adversary(&adversary);
   const int n = 2000;
   for (int i = 0; i < n; ++i) {
@@ -353,7 +420,7 @@ TEST(TopologyTest, TinyNetworks) {
 
 struct GossipFixture {
   explicit GossipFixture(size_t n, uint64_t seed = 11)
-      : rng(seed), latency(Millis(10), Millis(2), seed), network(&sim, &latency, {}, n),
+      : rng(seed), latency(Millis(10), Millis(2), seed, n), network(&sim, &latency, {}, n),
         topology(n, 4, &rng) {
     agents.reserve(n);
     received.resize(n);

@@ -1,19 +1,22 @@
-// Unit tests for the conservative-lookahead parallel engine
-// (src/netsim/parallel_simulation.h), the aggregate-user model's
+// Unit tests for the conservative-lookahead engine's windows, workers and
+// model-checker choice hook (src/netsim/simulation.h), the aggregate-user model's
 // distributional fidelity (src/core/user_group.h), and the mutex-striped
 // sortition CDF cache. sim_determinism_test covers the end-to-end
 // workers=1-vs-N contract on full consensus runs; this file pins the
 // engine-level mechanics those runs rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <functional>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/sortition.h"
-#include "src/netsim/parallel_simulation.h"
+#include "src/netsim/simulation.h"
 
 namespace algorand {
 namespace {
@@ -22,7 +25,7 @@ namespace {
 // Engine mechanics.
 
 TEST(ParallelSimTest, ExecutesInTimestampOrderWithinStream) {
-  ParallelSimulation sim(/*workers=*/1, /*n_streams=*/1, /*lookahead=*/100);
+  Simulation sim(/*workers=*/1, /*n_streams=*/1, /*lookahead=*/100);
   std::vector<std::pair<SimTime, int>> log;
   sim.SetExternalStream(0);
   sim.ScheduleAtForStream(50, 0, [&] { log.emplace_back(sim.now(), 3); });
@@ -38,7 +41,7 @@ TEST(ParallelSimTest, ExecutesInTimestampOrderWithinStream) {
 }
 
 TEST(ParallelSimTest, PastSchedulesClampToNow) {
-  ParallelSimulation sim(1, 1, 100);
+  Simulation sim(1, 1, 100);
   sim.SetExternalStream(0);
   SimTime seen = -1;
   sim.ScheduleAtForStream(500, 0, [&] {
@@ -50,7 +53,7 @@ TEST(ParallelSimTest, PastSchedulesClampToNow) {
 }
 
 TEST(ParallelSimTest, RunUntilLeavesLaterEventsAndAdvancesClock) {
-  ParallelSimulation sim(1, 1, 100);
+  Simulation sim(1, 1, 100);
   sim.SetExternalStream(0);
   int ran = 0;
   sim.ScheduleAtForStream(500, 0, [&] { ++ran; });
@@ -65,9 +68,11 @@ TEST(ParallelSimTest, RunUntilLeavesLaterEventsAndAdvancesClock) {
 
 TEST(ParallelSimTest, StepRunsOneConservativeWindow) {
   constexpr SimTime kLook = 100;
-  ParallelSimulation sim(/*workers=*/2, /*n_streams=*/2, kLook);
-  int first_window = 0;
-  int second_window = 0;
+  Simulation sim(/*workers=*/2, /*n_streams=*/2, kLook);
+  // The two shards run the first window concurrently and both count into
+  // first_window.
+  std::atomic<int> first_window{0};
+  std::atomic<int> second_window{0};
   sim.SetExternalStream(0);
   sim.ScheduleAtForStream(10, 0, [&] { ++first_window; });
   sim.SetExternalStream(1);
@@ -76,18 +81,18 @@ TEST(ParallelSimTest, StepRunsOneConservativeWindow) {
   sim.SetExternalStream(Simulation::kGlobalStream);
 
   EXPECT_TRUE(sim.Step());
-  EXPECT_EQ(first_window, 2);
-  EXPECT_EQ(second_window, 0);
+  EXPECT_EQ(first_window.load(), 2);
+  EXPECT_EQ(second_window.load(), 0);
   EXPECT_EQ(sim.windows(), 1u);
   EXPECT_TRUE(sim.Step());
-  EXPECT_EQ(second_window, 1);
+  EXPECT_EQ(second_window.load(), 1);
   EXPECT_FALSE(sim.Step());  // Drained.
   EXPECT_EQ(sim.executed_events(), 3u);
 }
 
 TEST(ParallelSimTest, StopHaltsAtTheNextBarrier) {
   constexpr SimTime kLook = 100;
-  ParallelSimulation sim(1, 1, kLook);
+  Simulation sim(1, 1, kLook);
   sim.SetExternalStream(0);
   int ran = 0;
   sim.ScheduleAtForStream(10, 0, [&] {
@@ -110,7 +115,7 @@ TEST(ParallelSimTest, GlobalEventsRunAtBarriersBetweenStreamEvents) {
   // each writes only its own flag; the barrier's synchronization makes both
   // flags visible to the coordinator-run global event.
   constexpr SimTime kLook = 100;
-  ParallelSimulation sim(/*workers=*/2, /*n_streams=*/2, kLook);
+  Simulation sim(/*workers=*/2, /*n_streams=*/2, kLook);
   bool done0 = false;
   bool done1 = false;
   sim.SetExternalStream(0);
@@ -147,7 +152,7 @@ struct PingRun {
 PingRun RunPingWorkload(size_t workers) {
   constexpr uint32_t kStreams = 6;
   constexpr SimTime kLook = 100;
-  ParallelSimulation sim(workers, kStreams, kLook);
+  Simulation sim(workers, kStreams, kLook);
   PingRun out;
   out.logs.resize(kStreams);
   std::function<void(uint32_t, uint32_t, int)> hop = [&](uint32_t at, uint32_t from, int hops) {
@@ -209,6 +214,122 @@ TEST(ParallelSimTest, EngineStatsAccountForEveryEvent) {
   EXPECT_EQ(worker_rows, 4u);  // One ".events" row per shard.
   // Per-worker counters plus barrier-run globals account for every event.
   EXPECT_EQ(worker_events + globals, r.executed);
+}
+
+// ---------------------------------------------------------------------------
+// Model-checker choice hook.
+
+// Answers every choice point from a fixed rule and records what it was
+// offered.
+class ScriptedHook : public ScheduleChoiceHook {
+ public:
+  enum class Pick { kFirst, kLastOnce };
+
+  ScriptedHook(SimTime window, size_t max_candidates, Pick pick)
+      : window_(window), max_candidates_(max_candidates), pick_(pick) {}
+
+  SimTime Window() const override { return window_; }
+  size_t MaxCandidates() const override { return max_candidates_; }
+  size_t ChooseNext(SimTime earliest, size_t count) override {
+    offers.emplace_back(earliest, count);
+    if (pick_ == Pick::kLastOnce && offers.size() == 1) {
+      return count - 1;
+    }
+    return 0;
+  }
+
+  std::vector<std::pair<SimTime, size_t>> offers;  // (earliest, count).
+
+ private:
+  SimTime window_;
+  size_t max_candidates_;
+  Pick pick_;
+};
+
+// A dense four-stream workload on one worker: close timestamps, nested
+// same-stream timers, and cross-stream sends, so most dequeues have several
+// events inside any hook window. Returns the (now, id) execution log.
+std::vector<std::pair<SimTime, int>> RunDenseWorkload(ScheduleChoiceHook* hook,
+                                                      uint64_t* executed) {
+  constexpr uint32_t kStreams = 4;
+  Simulation sim(/*workers=*/1, kStreams, /*lookahead=*/100);
+  sim.set_choice_hook(hook);
+  std::vector<std::pair<SimTime, int>> log;
+  DeterministicRng rng(3);
+  std::function<void(int, uint32_t, int)> fire = [&](int id, uint32_t at, int depth) {
+    log.emplace_back(sim.now(), id);
+    if (depth == 0) {
+      return;
+    }
+    const SimTime d = static_cast<SimTime>(rng.NextU64() % 40);
+    sim.Schedule(d, [&fire, id, at, depth] { fire(id * 10 + 1, at, depth - 1); });
+    const uint32_t to = (at + 1) % kStreams;
+    sim.ScheduleAtForStream(sim.now() + 100 + d, to,
+                            [&fire, id, to, depth] { fire(id * 10 + 2, to, depth - 1); });
+  };
+  for (uint32_t i = 0; i < 24; ++i) {
+    const uint32_t stream = i % kStreams;
+    sim.SetExternalStream(stream);
+    sim.ScheduleAtForStream(static_cast<SimTime>(rng.NextU64() % 60), stream,
+                            [&fire, i, stream] { fire(static_cast<int>(i) + 1, stream, 3); });
+  }
+  sim.SetExternalStream(Simulation::kGlobalStream);
+  sim.Run();
+  *executed = sim.executed_events();
+  return log;
+}
+
+TEST(ParallelSimTest, ChoiceHookPickingFirstReplaysUnhookedOrder) {
+  uint64_t plain_executed = 0;
+  const auto plain = RunDenseWorkload(nullptr, &plain_executed);
+  ScriptedHook hook(/*window=*/30, /*max_candidates=*/4, ScriptedHook::Pick::kFirst);
+  uint64_t hooked_executed = 0;
+  const auto hooked = RunDenseWorkload(&hook, &hooked_executed);
+  ASSERT_FALSE(hook.offers.empty());  // The hook really was consulted.
+  EXPECT_EQ(plain, hooked);
+  EXPECT_EQ(plain_executed, hooked_executed);
+}
+
+TEST(ParallelSimTest, ChoiceHookRunsPickFirstWithoutClockRegressOrPastWindowEnd) {
+  // Window [10, 109]: the events at 10, 20 and 30 race; the one at 150 lies
+  // inside the hook's (huge) concurrency window but past the lookahead
+  // window's end, so it must never be offered alongside them.
+  Simulation sim(/*workers=*/1, /*n_streams=*/1, /*lookahead=*/100);
+  ScriptedHook hook(/*window=*/1000, /*max_candidates=*/8, ScriptedHook::Pick::kLastOnce);
+  sim.set_choice_hook(&hook);
+  std::vector<std::pair<SimTime, int>> log;
+  sim.SetExternalStream(0);
+  for (const auto& [when, id] : std::vector<std::pair<SimTime, int>>{
+           {10, 1}, {20, 2}, {30, 3}, {150, 4}}) {
+    sim.ScheduleAtForStream(when, 0, [&sim, &log, id = id] { log.emplace_back(sim.now(), id); });
+  }
+  sim.SetExternalStream(Simulation::kGlobalStream);
+  sim.Run();
+
+  ASSERT_EQ(log.size(), 4u);
+  EXPECT_EQ(log[0], (std::pair<SimTime, int>{30, 3}));  // The last candidate ran first...
+  EXPECT_EQ(log[1], (std::pair<SimTime, int>{30, 1}));  // ...and the others at its time,
+  EXPECT_EQ(log[2], (std::pair<SimTime, int>{30, 2}));  // in their unchanged key order.
+  EXPECT_EQ(log[3], (std::pair<SimTime, int>{150, 4}));
+  for (size_t i = 1; i < log.size(); ++i) {
+    EXPECT_GE(log[i].first, log[i - 1].first);
+  }
+  ASSERT_FALSE(hook.offers.empty());
+  EXPECT_EQ(hook.offers[0], (std::pair<SimTime, size_t>{10, 3}));
+  for (const auto& [earliest, count] : hook.offers) {
+    EXPECT_LE(count, 3u) << "earliest=" << earliest;
+  }
+}
+
+TEST(ParallelSimTest, ChoiceHookNeedsOneWorker) {
+  ScriptedHook hook(/*window=*/10, /*max_candidates=*/2, ScriptedHook::Pick::kFirst);
+  Simulation many(/*workers=*/2, /*n_streams=*/2, /*lookahead=*/100);
+  EXPECT_THROW(many.set_choice_hook(&hook), std::logic_error);
+  EXPECT_EQ(many.choice_hook(), nullptr);
+  many.set_choice_hook(nullptr);  // Clearing is always allowed.
+  Simulation one(/*workers=*/1, /*n_streams=*/2, /*lookahead=*/100);
+  one.set_choice_hook(&hook);
+  EXPECT_EQ(one.choice_hook(), &hook);
 }
 
 // ---------------------------------------------------------------------------

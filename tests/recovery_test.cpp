@@ -414,7 +414,7 @@ TEST(CrashRestartTest, ChaosTwentyNodesCrashesAndLossStillAgree) {
     cfg.crash_schedule.push_back(ev);
   }
   SimHarness h(cfg);
-  h.SetNetworkAdversary(std::make_unique<LossyAdversary>(0.2, 77));
+  h.SetNetworkAdversary(std::make_unique<LossyAdversary>(0.2, 77, cfg.n_nodes));
   h.Start();
   ASSERT_TRUE(h.RunRounds(12, Hours(4)));
   auto safety = h.CheckSafety();

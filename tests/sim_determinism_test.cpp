@@ -1,9 +1,9 @@
 // Determinism regression: a (seed, scenario) pair must replay identically —
-// same per-node chains, same executed-event count — on both event-queue
-// implementations (reference std::map and the 4-ary heap), across repeat
-// runs, and across parallel-engine worker counts (workers=4 must be
-// bit-identical to workers=1). This is the contract that makes every other
-// test in the suite reproducible, so it gets its own canary.
+// same per-node chains, same executed-event count — across repeat runs and
+// across engine worker counts (workers=3 and workers=4 must be bit-identical
+// to workers=1). This is the contract that makes every other test in the
+// suite reproducible, so it gets its own canary. The engine's event order
+// itself is pinned against a reference std::map queue in netsim_test.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -24,9 +24,7 @@ struct RunOutcome {
   }
 };
 
-// sim_workers: -1 = sequential engine (map_queue selects its queue); >= 1 =
-// the conservative-lookahead parallel engine with that many shard workers.
-RunOutcome RunOnce(uint64_t seed, bool map_queue, double malicious = 0.0, int sim_workers = -1) {
+RunOutcome RunOnce(uint64_t seed, double malicious = 0.0, size_t sim_workers = 1) {
   HarnessConfig cfg;
   cfg.n_nodes = 20;
   cfg.rng_seed = seed;
@@ -35,15 +33,12 @@ RunOutcome RunOnce(uint64_t seed, bool map_queue, double malicious = 0.0, int si
   // (the pipeline never changes decisions, but this test compares exact event
   // counts, which prewarming does perturb).
   cfg.verify_workers = 0;
-  cfg.use_map_event_queue = map_queue;
   cfg.malicious_fraction = malicious;
-  if (sim_workers >= 1) {
-    cfg.sim_workers = static_cast<size_t>(sim_workers);
-  }
+  cfg.sim_workers = sim_workers;
   SimHarness h(cfg);
 
-  // The online safety auditor must stay silent regardless of engine: a
-  // violation under one worker count but not another would mean the parallel
+  // The online safety auditor must stay silent for every worker count: a
+  // violation under one worker count but not another would mean the window
   // barriers leaked a torn protocol state.
   SafetyAuditorConfig audit_cfg;
   audit_cfg.step_threshold = cfg.params.StepThreshold();
@@ -63,38 +58,38 @@ RunOutcome RunOnce(uint64_t seed, bool map_queue, double malicious = 0.0, int si
   return out;
 }
 
-TEST(SimDeterminismTest, HeapAndMapQueuesProduceIdenticalRuns) {
-  for (uint64_t seed : {1u, 7u}) {
-    RunOutcome heap = RunOnce(seed, /*map_queue=*/false);
-    RunOutcome map = RunOnce(seed, /*map_queue=*/true);
-    EXPECT_EQ(heap.executed_events, map.executed_events) << "seed=" << seed;
-    EXPECT_TRUE(heap == map) << "seed=" << seed;
-  }
-}
-
 TEST(SimDeterminismTest, RepeatRunsAreBitIdentical) {
-  RunOutcome a = RunOnce(42, /*map_queue=*/false);
-  RunOutcome b = RunOnce(42, /*map_queue=*/false);
+  RunOutcome a = RunOnce(42);
+  RunOutcome b = RunOnce(42);
   EXPECT_TRUE(a == b);
 }
 
 TEST(SimDeterminismTest, HoldsUnderAdversarialTraffic) {
   // Equivocating nodes stress duplicate/relay paths where the memoized
   // DedupId and the seen-window pruning do the most work.
-  RunOutcome heap = RunOnce(5, /*map_queue=*/false, /*malicious=*/0.2);
-  RunOutcome map = RunOnce(5, /*map_queue=*/true, /*malicious=*/0.2);
-  EXPECT_TRUE(heap == map);
+  RunOutcome a = RunOnce(5, /*malicious=*/0.2);
+  RunOutcome b = RunOnce(5, /*malicious=*/0.2);
+  EXPECT_TRUE(a == b);
 }
 
-// The parallel-engine contract: the conservative-lookahead windows and
-// per-stream event keys make the execution order a pure function of the
-// scenario, never of how streams are sharded across workers. workers=4 must
+// The engine contract: the conservative-lookahead windows and per-stream
+// event keys make the execution order a pure function of the scenario, never
+// of how streams are sharded across workers. workers=3 and workers=4 must
 // replay workers=1 bit-for-bit — same tips, same chain lengths, same
 // executed-event count.
+TEST(SimDeterminismTest, ThreeWorkersReplayOneWorker) {
+  for (uint64_t seed : {1u, 7u}) {
+    RunOutcome one = RunOnce(seed);
+    RunOutcome three = RunOnce(seed, /*malicious=*/0.0, /*sim_workers=*/3);
+    EXPECT_EQ(one.executed_events, three.executed_events) << "seed=" << seed;
+    EXPECT_TRUE(one == three) << "seed=" << seed;
+  }
+}
+
 TEST(SimDeterminismTest, ParallelWorkersProduceIdenticalRuns) {
   for (uint64_t seed : {1u, 7u, 42u}) {
-    RunOutcome one = RunOnce(seed, /*map_queue=*/false, /*malicious=*/0.0, /*sim_workers=*/1);
-    RunOutcome four = RunOnce(seed, /*map_queue=*/false, /*malicious=*/0.0, /*sim_workers=*/4);
+    RunOutcome one = RunOnce(seed);
+    RunOutcome four = RunOnce(seed, /*malicious=*/0.0, /*sim_workers=*/4);
     EXPECT_EQ(one.executed_events, four.executed_events) << "seed=" << seed;
     EXPECT_TRUE(one == four) << "seed=" << seed;
   }
@@ -103,15 +98,15 @@ TEST(SimDeterminismTest, ParallelWorkersProduceIdenticalRuns) {
 TEST(SimDeterminismTest, ParallelHoldsUnderAdversarialTraffic) {
   // Equivocators plus cross-shard relay storms: the worst case for the
   // exchange queues, since most duplicate traffic crosses shard boundaries.
-  RunOutcome one = RunOnce(5, /*map_queue=*/false, /*malicious=*/0.2, /*sim_workers=*/1);
-  RunOutcome four = RunOnce(5, /*map_queue=*/false, /*malicious=*/0.2, /*sim_workers=*/4);
+  RunOutcome one = RunOnce(5, /*malicious=*/0.2);
+  RunOutcome four = RunOnce(5, /*malicious=*/0.2, /*sim_workers=*/4);
   EXPECT_EQ(one.executed_events, four.executed_events);
   EXPECT_TRUE(one == four);
 }
 
 TEST(SimDeterminismTest, ParallelRepeatRunsAreBitIdentical) {
-  RunOutcome a = RunOnce(42, /*map_queue=*/false, /*malicious=*/0.0, /*sim_workers=*/3);
-  RunOutcome b = RunOnce(42, /*map_queue=*/false, /*malicious=*/0.0, /*sim_workers=*/3);
+  RunOutcome a = RunOnce(42, /*malicious=*/0.0, /*sim_workers=*/3);
+  RunOutcome b = RunOnce(42, /*malicious=*/0.0, /*sim_workers=*/3);
   EXPECT_TRUE(a == b);
 }
 
