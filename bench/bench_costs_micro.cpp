@@ -15,6 +15,7 @@
 #include "src/core/sortition.h"
 #include "src/core/tx_verifier.h"
 #include "src/ledger/account_table.h"
+#include "src/ledger/transaction.h"
 #include "src/netsim/simulation.h"
 #include "src/crypto/ed25519.h"
 #include "src/crypto/internal/ge25519.h"
@@ -51,6 +52,29 @@ void BM_Sha256_1MB(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * (1 << 20));
 }
 BENCHMARK(BM_Sha256_1MB);
+
+// One compression: block hashes, seeds and priorities hash inputs this short.
+void BM_Sha256_64B(benchmark::State& state) {
+  std::vector<uint8_t> data(64, 0xab);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Sha256::Hash(data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 64);
+}
+BENCHMARK(BM_Sha256_64B);
+
+// A transaction id: encode the 152-byte wire image and hash it (3 blocks).
+void BM_TransactionId(benchmark::State& state) {
+  DeterministicRng rng(5);
+  FixedBytes<32> to;
+  rng.FillBytes(to.data(), to.size());
+  Transaction tx = MakeTransaction(BenchKey(), to, 100, 7, Ed25519Signer(), 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tx.Id());
+    ++tx.nonce;  // A fresh id each iteration, as in a mempool.
+  }
+}
+BENCHMARK(BM_TransactionId);
 
 void BM_Sha512_1KB(benchmark::State& state) {
   std::vector<uint8_t> data(1024, 0xcd);

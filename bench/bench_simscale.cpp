@@ -5,7 +5,7 @@
 // protocol, so regressions in the event queue, message memoization, the
 // window barriers, or the sortition cache show up here first.
 //
-//   $ ./bench/bench_simscale --nodes=100,200,500 --rounds=3 --workers=1,2,4 \
+//   $ ./bench/bench_simscale --nodes=100,200,500 --rounds=3 --workers=1,2,4
 //         --users-per-group=500 --out=BENCH_sim.json [--seed=N]
 //
 // --workers sweeps ENGINE shard-worker counts of the conservative-lookahead

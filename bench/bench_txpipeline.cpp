@@ -3,7 +3,7 @@
 // table of millions of entries and 1 MB blocks (§10.2 measures committed
 // throughput of exactly such blocks).
 //
-//   $ ./bench/bench_txpipeline --accounts=1000000 --workers=0,2,4 --rounds=3 \
+//   $ ./bench/bench_txpipeline --accounts=1000000 --workers=0,2,4 --rounds=3
 //         --out=BENCH_txn.json [--real-crypto] [--seed=N]
 //
 // --workers sweeps EXEC worker counts for the block applier (ledger/exec.h):

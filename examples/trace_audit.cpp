@@ -2,7 +2,7 @@
 // JSONL dump — the post-run CI gate behind the live SafetyAuditor.
 //
 //   $ ./examples/trace_audit run.trace.jsonl
-//   $ ./examples/trace_audit --step-threshold=68.5 --final-threshold=222 \
+//   $ ./examples/trace_audit --step-threshold=68.5 --final-threshold=222
 //         --expect-equivocation run.trace.jsonl
 //
 // Exit codes: 0 = clean (and expectations met), 1 = safety violation (or an

@@ -2,6 +2,8 @@
 //
 // The paper uses SHA-256 as its hash function H for block hashes, priorities,
 // seeds, and the common coin. Incremental interface plus one-shot helpers.
+// Compression runs on the x86 SHA extensions where the CPU has them and on a
+// portable scalar body otherwise (src/crypto/internal/sha256_compress.h).
 #ifndef ALGORAND_SRC_CRYPTO_SHA256_H_
 #define ALGORAND_SRC_CRYPTO_SHA256_H_
 
@@ -28,7 +30,8 @@ class Sha256 {
   static Hash256 Hash(std::string_view s);
 
  private:
-  void Compress(const uint8_t block[64]);
+  // Absorbs n whole 64-byte blocks with the body chosen for this CPU.
+  void Compress(const uint8_t* blocks, size_t n);
 
   uint32_t state_[8];
   uint64_t length_ = 0;  // Total bytes absorbed.

@@ -1,24 +1,33 @@
 #include "src/ledger/transaction.h"
 
+#include <cstring>
+
 #include "src/crypto/sha256.h"
 
 namespace algorand {
 
+void Transaction::Encode(uint8_t out[kWireSize]) const {
+  std::memcpy(out, from.data(), 32);
+  std::memcpy(out + 32, to.data(), 32);
+  uint8_t* p = out + 64;
+  for (uint64_t v : {amount, fee, nonce}) {
+    for (int i = 0; i < 8; ++i) {
+      *p++ = static_cast<uint8_t>(v >> (8 * i));
+    }
+  }
+  std::memcpy(p, signature.data(), 64);
+}
+
 std::vector<uint8_t> Transaction::SerializeBody() const {
-  Writer w;
-  w.Fixed(from);
-  w.Fixed(to);
-  w.U64(amount);
-  w.U64(fee);
-  w.U64(nonce);
-  return w.Take();
+  uint8_t image[kWireSize];
+  Encode(image);
+  return std::vector<uint8_t>(image, image + kBodySize);
 }
 
 std::vector<uint8_t> Transaction::Serialize() const {
-  Writer w;
-  w.Raw(SerializeBody());
-  w.Fixed(signature);
-  return w.Take();
+  std::vector<uint8_t> out(kWireSize);
+  Encode(out.data());
+  return out;
 }
 
 std::optional<Transaction> Transaction::Deserialize(Reader* r) {
@@ -35,7 +44,11 @@ std::optional<Transaction> Transaction::Deserialize(Reader* r) {
   return tx;
 }
 
-Hash256 Transaction::Id() const { return Sha256::Hash(Serialize()); }
+Hash256 Transaction::Id() const {
+  uint8_t image[kWireSize];
+  Encode(image);
+  return Sha256::Hash(std::span<const uint8_t>(image, kWireSize));
+}
 
 Transaction MakeTransaction(const Ed25519KeyPair& sender, const PublicKey& to, uint64_t amount,
                             uint64_t nonce, const SignerBackend& signer, uint64_t fee) {

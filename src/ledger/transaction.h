@@ -28,11 +28,20 @@ struct Transaction {
   std::vector<uint8_t> Serialize() const;
   static std::optional<Transaction> Deserialize(Reader* r);
 
-  // SHA-256 of the full serialization: the transaction id.
+  // SHA-256 of the full serialization: the transaction id. Hashes a stack
+  // copy of the wire image, so it allocates nothing.
   Hash256 Id() const;
 
   // Serialized size in bytes (fixed for this format).
   static constexpr size_t kWireSize = 32 + 32 + 8 + 8 + 8 + 64;
+
+ private:
+  // Size of the signed prefix of the wire image.
+  static constexpr size_t kBodySize = kWireSize - 64;
+
+  // The one definition of the wire format: writes the kWireSize-byte image
+  // (from, to, then amount, fee and nonce little-endian, then the signature).
+  void Encode(uint8_t out[kWireSize]) const;
 };
 
 // Builds and signs a payment.

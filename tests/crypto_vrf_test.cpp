@@ -9,6 +9,12 @@
 #include "src/crypto/vrf.h"
 
 namespace algorand {
+
+// Prints a backend parameter by name rather than by address, so the
+// discovered test names do not change from one build to the next.
+// Found by argument-dependent lookup, hence outside the unnamed namespace.
+static void PrintTo(const VrfBackend* backend, std::ostream* os) { *os << backend->name(); }
+
 namespace {
 
 Ed25519KeyPair KeyFromRng(DeterministicRng* rng) {

@@ -2,7 +2,9 @@
 // schedule, look-back weights, fork switching.
 #include <gtest/gtest.h>
 
+#include "src/common/hex.h"
 #include "src/common/rng.h"
+#include "src/crypto/sha256.h"
 #include "src/ledger/ledger.h"
 
 namespace algorand {
@@ -60,6 +62,36 @@ TEST(TransactionTest, DeserializeRejectsTruncation) {
   bytes.pop_back();
   Reader r(bytes);
   EXPECT_FALSE(Transaction::Deserialize(&r).has_value());
+}
+
+// The wire image and id of one fixed transaction, pinned so that a change to
+// the encoder cannot silently change ids, signatures or block hashes.
+TEST(TransactionTest, GoldenWireImageAndId) {
+  Transaction tx;
+  for (size_t i = 0; i < 32; ++i) {
+    tx.from[i] = static_cast<uint8_t>(i);
+    tx.to[i] = static_cast<uint8_t>(0xa0 + i);
+  }
+  for (size_t i = 0; i < 64; ++i) {
+    tx.signature[i] = static_cast<uint8_t>(0xff - 3 * i);
+  }
+  tx.amount = 0x0102030405060708ULL;
+  tx.fee = 1000;
+  tx.nonce = 0xfedcba9876543210ULL;
+
+  const std::string golden =
+      "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
+      "a0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebf"
+      "0807060504030201"
+      "e803000000000000"
+      "1032547698badcfe"
+      "fffcf9f6f3f0edeae7e4e1dedbd8d5d2cfccc9c6c3c0bdbab7b4b1aeaba8a5a2"
+      "9f9c999693908d8a8784817e7b7875726f6c696663605d5a5754514e4b484542";
+  const std::vector<uint8_t> wire = tx.Serialize();
+  EXPECT_EQ(HexEncode(wire), golden);
+  EXPECT_EQ(HexEncode(tx.SerializeBody()), golden.substr(0, 2 * 88));
+  EXPECT_EQ(tx.Id(), Sha256::Hash(wire));
+  EXPECT_EQ(tx.Id().ToHex(), "d1042e3162802e6d014c1c32d12670f1c9c46d363fc0ef9e8e79ac55ed6c6d16");
 }
 
 TEST(AccountTableTest, CreditAndBalances) {
