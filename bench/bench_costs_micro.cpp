@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/flat_set.h"
 #include "src/common/rng.h"
 #include "src/common/verify_pool.h"
 #include "src/core/messages.h"
@@ -289,14 +290,15 @@ BENCHMARK(BM_Sortition_CdfUncached);
 // --- Simulation engine ---
 
 void BM_Simulation_ScheduleStep(benchmark::State& state) {
-  // Steady-state queue of 4096 pending node-stream events, randomized
+  // Steady-state queue of range(0) pending node-stream events, randomized
   // delays: each iteration schedules one event and runs one window (lookahead
-  // 1, so one timestamp), the simulator's hot loop.
+  // 1, so one timestamp), the simulator's hot loop. 4096 stays in cache; 2^19
+  // is the deep-heap regime of the 500-node Figure 5 run.
   Simulation sim(/*workers=*/1, /*n_streams=*/1, /*lookahead=*/1);
   sim.SetExternalStream(0);
   DeterministicRng rng(7);
   uint64_t x = 0;
-  for (int i = 0; i < 4096; ++i) {
+  for (int64_t i = 0; i < state.range(0); ++i) {
     sim.Schedule(static_cast<SimTime>(rng.NextU64() % Seconds(10)), [&x] { ++x; });
   }
   for (auto _ : state) {
@@ -305,7 +307,35 @@ void BM_Simulation_ScheduleStep(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(x);
 }
-BENCHMARK(BM_Simulation_ScheduleStep);
+BENCHMARK(BM_Simulation_ScheduleStep)->Arg(4096)->Arg(1 << 19);
+
+void BM_GossipSeenSet(benchmark::State& state) {
+  // GossipAgent's two-generation dedup memory under gossip traffic: every
+  // message id arrives 6 times, its copies 97 messages apart (the first
+  // inserts, the rest are dropped duplicates, as on the Figure 5 run), and
+  // every range(0) unique ids the window advances (swap the generations,
+  // clear the new current one).
+  const size_t window = static_cast<size_t>(state.range(0));
+  DeterministicRng rng(11);
+  std::vector<Hash256> ids(window * 4);
+  for (auto& id : ids) {
+    rng.FillBytes(id.data(), id.size());
+  }
+  FlatSet<Hash256> current;
+  FlatSet<Hash256> prev;
+  size_t n = 0;
+  size_t fresh = 0;
+  for (auto _ : state) {
+    const Hash256& id = ids[(n / 6 + ids.size() - (n % 6) * 97) % ids.size()];
+    ++n;
+    if (!prev.contains(id) && current.insert(id) && ++fresh % window == 0) {
+      std::swap(prev, current);
+      current.clear();
+    }
+  }
+  benchmark::DoNotOptimize(current.size());
+}
+BENCHMARK(BM_GossipSeenSet)->Arg(4096)->Arg(1 << 16);
 
 void BM_DedupId_Cached_vs_Uncached(benchmark::State& state) {
   const bool fresh_each_time = state.range(0) != 0;

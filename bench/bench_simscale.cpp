@@ -6,7 +6,7 @@
 // window barriers, or the sortition cache show up here first.
 //
 //   $ ./bench/bench_simscale --nodes=100,200,500 --rounds=3 --workers=1,2,4
-//         --users-per-group=500 --out=BENCH_sim.json [--seed=N]
+//         --users-per-group=500 --out=scaling.json [--seed=N]
 //
 // --workers sweeps ENGINE shard-worker counts of the conservative-lookahead
 // engine (every N produces bit-identical executed_events — the report calls
@@ -44,7 +44,7 @@ struct Options {
   uint64_t seed = 1;
   bool help = false;
   bool bad_value = false;  // A malformed number: usage error, exit 2.
-  std::string out = "BENCH_sim.json";
+  std::string out = "scaling.json";
   // Durable-store A/B: every node writes its disk log under DIR/n<count>/.
   std::string data_dir;
   FsyncPolicy fsync = FsyncPolicy::kBatched;
@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
         "  --data-dir=DIR       durable block store per node under DIR (A/B\n"
         "                       the cost of disk logging on the sim hot path)\n"
         "  --fsync=POLICY       store fsync policy: every_round, batched, off\n"
-        "  --out=FILE           JSON report path (default BENCH_sim.json)\n");
+        "  --out=FILE           JSON report path (default scaling.json)\n");
     return opt.bad_value ? 2 : opt.help ? 1 : 0;
   }
 

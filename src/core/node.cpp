@@ -1,5 +1,7 @@
 #include "src/core/node.h"
 
+#include <cstring>
+
 #include "src/common/serialize.h"
 #include "src/common/verify_pool.h"
 #include "src/crypto/sha256.h"
@@ -9,15 +11,24 @@
 namespace algorand {
 namespace {
 
+// SHA-256 of Writer's image of Fixed(a), Fixed(b), U64(n), built on the stack:
+// the cache keys below are hashed on every vote and proposal lookup.
+template <size_t A, size_t B>
+Hash256 HashImage(const FixedBytes<A>& a, const FixedBytes<B>& b, uint64_t n) {
+  uint8_t image[A + B + 8];
+  std::memcpy(image, a.data(), A);
+  std::memcpy(image + A, b.data(), B);
+  for (size_t i = 0; i < 8; ++i) {
+    image[A + B + i] = static_cast<uint8_t>(n >> (8 * i));
+  }
+  return Sha256::Hash(image);
+}
+
 // Verification-cache key: the message id salted with the verification
 // context, so nodes on different forks (different seed/weights) never share
 // a cache entry that would not be identical anyway.
 Hash256 ContextKey(const Hash256& dedup_id, const SeedBytes& seed, uint64_t total_weight) {
-  Writer w;
-  w.Fixed(dedup_id);
-  w.Fixed(seed);
-  w.U64(total_weight);
-  return Sha256::Hash(w.buffer());
+  return HashImage(dedup_id, seed, total_weight);
 }
 
 // First 8 bytes of a hash, big-endian — enough identity for a trace line.
@@ -229,8 +240,7 @@ void Node::StartRound(uint64_t round) {
   proposal_ = ProposalState{};
   round_votes_.clear();
   // Prune relay bookkeeping for finished rounds.
-  relayed_votes_.erase(relayed_votes_.begin(),
-                       relayed_votes_.lower_bound(std::make_tuple(round, 0u, PublicKey())));
+  relayed_votes_.erase(relayed_votes_.begin(), relayed_votes_.lower_bound(round));
   if (gossip_ != nullptr) {
     gossip_->AdvanceSeenWindow(round);  // Round-windowed dedup pruning.
   }
@@ -577,12 +587,8 @@ uint64_t Node::VerifyProposerSortition(const PublicKey& pk, const VrfOutput& sor
                            Role::kProposer, ctx.round, 0, ctx.weight_of(pk), ctx.total_weight);
   };
   if (crypto_.cache != nullptr) {
-    Writer w;
-    w.Fixed(pk);
-    w.Fixed(sorthash);
-    w.U64(ctx.round);
     return crypto_.cache->GetOrCompute(
-        ContextKey(Sha256::Hash(w.buffer()), ctx.seed, ctx.total_weight), compute);
+        ContextKey(HashImage(pk, sorthash, ctx.round), ctx.seed, ctx.total_weight), compute);
   }
   return compute();
 }
@@ -663,11 +669,7 @@ void Node::PrewarmMessage(const MessagePtr& msg, VerifyPool* pool) {
   const uint64_t total = ctx_.total_weight;
   const uint64_t round = ctx_.round;
   const double tau = params_.tau_proposer;
-  Writer w;
-  w.Fixed(pk);
-  w.Fixed(sorthash);
-  w.U64(round);
-  const Hash256 key = ContextKey(Sha256::Hash(w.buffer()), seed, total);
+  const Hash256 key = ContextKey(HashImage(pk, sorthash, round), seed, total);
   if (cache->Contains(key)) {
     return;
   }
@@ -736,8 +738,7 @@ GossipVerdict Node::ValidateForRelay(const MessagePtr& msg) {
       if (VerifyVote(*vote, recovery_ctx_) == 0) {
         return GossipVerdict::kReject;
       }
-      auto key = std::make_tuple(vote->round, vote->step, vote->pk);
-      if (relayed_votes_[key]++ > 0) {
+      if (!relayed_votes_[vote->round].insert({vote->pk, vote->step})) {
         return GossipVerdict::kDeliverOnly;
       }
       return GossipVerdict::kRelay;
@@ -755,8 +756,7 @@ GossipVerdict Node::ValidateForRelay(const MessagePtr& msg) {
       return GossipVerdict::kReject;
     }
     // Relay at most one message per (round, step, pk) (§8.4).
-    auto key = std::make_tuple(vote->round, vote->step, vote->pk);
-    if (relayed_votes_[key]++ > 0) {
+    if (!relayed_votes_[vote->round].insert({vote->pk, vote->step})) {
       return GossipVerdict::kDeliverOnly;
     }
     return GossipVerdict::kRelay;

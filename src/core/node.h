@@ -19,6 +19,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/common/flat_set.h"
 #include "src/common/rng.h"
 #include "src/core/ba_star.h"
 #include "src/core/catchup.h"
@@ -118,6 +119,8 @@ class Node : public BaEnvironment {
   uint64_t recoveries_completed() const { return recoveries_completed_; }
   uint64_t current_round() const { return current_round_; }
   size_t pending_txn_count() const { return mempool_.size(); }
+  // Vote rounds (including recovery sessions) the §8.4 relay table holds.
+  size_t relay_table_rounds() const { return relayed_votes_.size(); }
   const Mempool& mempool() const { return mempool_; }
   Mempool* mutable_mempool() { return &mempool_; }
   bool in_catchup() const { return catchup_.active; }
@@ -451,8 +454,15 @@ class Node : public BaEnvironment {
 
   ForkMonitor fork_monitor_;
 
-  // Relay bookkeeping: one vote relayed per (round, step, pk) (§8.4).
-  std::map<std::tuple<uint64_t, uint32_t, PublicKey>, int> relayed_votes_;
+  // Relay bookkeeping: one vote relayed per (round, step, pk) (§8.4). One
+  // (step, pk) set per vote round; StartRound drops the finished rounds'.
+  struct StepVoter {
+    PublicKey pk;
+    uint32_t step = 0;
+    bool operator==(const StepVoter&) const = default;
+    uint64_t prefix_u64() const { return pk.prefix_u64() ^ step; }  // FlatSet's hash.
+  };
+  std::map<uint64_t, FlatSet<StepVoter>> relayed_votes_;
 
   // Scheduling epoch: bumped on round changes and recovery transitions so
   // timers scheduled for a dead state never fire into it.

@@ -7,11 +7,10 @@ namespace algorand {
 
 bool StepTally::AddVote(const PublicKey& pk, uint64_t weight, const Hash256& value,
                         const VrfOutput& sorthash) {
-  if (weight == 0 || !voters_.insert(pk).second) {
+  if (weight == 0 || !voters_.insert(pk)) {
     return false;
   }
-  counts_[value] += weight;
-  entries_.push_back(Entry{pk, weight, value, sorthash});
+  entries_.push_back(Entry{pk, weight, value, sorthash, counts_[value] += weight});
   total_weight_ += weight;
   return true;
 }
@@ -22,15 +21,19 @@ uint64_t StepTally::CountFor(const Hash256& value) const {
 }
 
 std::optional<Hash256> StepTally::Leader(double threshold) const {
-  // Replay arrival order so the result matches the streaming CountVotes loop.
-  std::unordered_map<Hash256, uint64_t, FixedBytesHasher> running;
-  for (const Entry& e : entries_) {
-    uint64_t c = (running[e.value] += e.weight);
-    if (static_cast<double>(c) > threshold) {
-      return e.value;
-    }
+  // Replay arrival order so the result matches the streaming CountVotes loop,
+  // resuming where the last call with this threshold stopped.
+  if (threshold != scan_threshold_) {
+    scan_threshold_ = threshold;
+    scan_pos_ = 0;
   }
-  return std::nullopt;
+  while (scan_pos_ < entries_.size() && entries_[scan_pos_].running <= threshold) {
+    ++scan_pos_;
+  }
+  if (scan_pos_ == entries_.size()) {
+    return std::nullopt;
+  }
+  return entries_[scan_pos_].value;
 }
 
 int StepTally::CommonCoin() const {

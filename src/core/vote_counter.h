@@ -9,10 +9,10 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/flat_set.h"
 #include "src/crypto/vrf.h"
 
 namespace algorand {
@@ -24,6 +24,7 @@ class StepTally {
     uint64_t weight = 0;
     Hash256 value;
     VrfOutput sorthash;
+    uint64_t running = 0;  // The value's count once this vote is in (Leader's scan).
   };
 
   // Records a vote; returns false if this pk already voted in the step.
@@ -48,10 +49,13 @@ class StepTally {
   uint64_t total_weight() const { return total_weight_; }
 
  private:
-  std::unordered_set<PublicKey, FixedBytesHasher> voters_;
+  FlatSet<PublicKey> voters_;
   std::unordered_map<Hash256, uint64_t, FixedBytesHasher> counts_;
   std::vector<Entry> entries_;  // Arrival order, for certificates and coin.
   uint64_t total_weight_ = 0;
+  // Leader()'s scan: no entry before scan_pos_ crosses scan_threshold_.
+  mutable double scan_threshold_ = 0;
+  mutable size_t scan_pos_ = 0;
 };
 
 }  // namespace algorand

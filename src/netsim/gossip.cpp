@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <unordered_set>
 
 namespace algorand {
 
@@ -91,18 +92,19 @@ void GossipAgent::AttachMetrics(MetricsRegistry* registry) {
   bytes_out_ = &registry->GetCounter("gossip.bytes_out");
 }
 
-Counter* GossipAgent::TypeCounter(std::unordered_map<const char*, Counter*>* cache,
-                                  const char* direction, const MessagePtr& msg) {
+Counter* GossipAgent::TypeCounter(TypeCache* cache, const char* direction,
+                                  const MessagePtr& msg) {
   if (metrics_ == nullptr) {
     return nullptr;
   }
   const char* type = msg->TypeName();
-  auto it = cache->find(type);
-  if (it != cache->end()) {
-    return it->second;
+  for (const auto& [seen_type, counter] : *cache) {
+    if (seen_type == type) {
+      return counter;
+    }
   }
   Counter* counter = &metrics_->GetCounter(std::string("gossip.") + direction + "." + type);
-  cache->emplace(type, counter);
+  cache->emplace_back(type, counter);
   return counter;
 }
 
@@ -115,10 +117,10 @@ void GossipAgent::CountSend(const MessagePtr& msg, size_t copies) {
 }
 
 bool GossipAgent::MarkSeen(const Hash256& id) {
-  if (seen_prev_.count(id) != 0) {
+  if (seen_prev_.contains(id)) {
     return false;
   }
-  bool inserted = seen_current_.insert(id).second;
+  bool inserted = seen_current_.insert(id);
   if (inserted) {
     seen_size_gauge_->Set(static_cast<int64_t>(seen_size()));
   }
@@ -130,7 +132,7 @@ void GossipAgent::AdvanceSeenWindow(uint64_t window) {
     return;
   }
   if (window == seen_window_ + 1) {
-    seen_prev_ = std::move(seen_current_);
+    std::swap(seen_prev_, seen_current_);
     seen_current_.clear();
   } else {
     seen_prev_.clear();

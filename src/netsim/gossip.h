@@ -12,11 +12,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/common/executor.h"
+#include "src/common/flat_set.h"
 #include "src/common/rng.h"
 #include "src/netsim/network.h"
 #include "src/obs/metrics.h"
@@ -105,13 +105,13 @@ class GossipAgent {
  private:
   void Forward(const MessagePtr& msg, NodeId except);
   void CountSend(const MessagePtr& msg, size_t copies);
-  // Per-message-type counter, cached by TypeName()'s (static) pointer so the
-  // hot path does one hash-map probe instead of a string concatenation.
-  Counter* TypeCounter(std::unordered_map<const char*, Counter*>* cache,
-                       const char* direction, const MessagePtr& msg);
+  // Per-message-type counter, resolved once per type: later messages find it
+  // by comparing TypeName()'s static pointer with the few types seen so far.
+  using TypeCache = std::vector<std::pair<const char*, Counter*>>;
+  Counter* TypeCounter(TypeCache* cache, const char* direction, const MessagePtr& msg);
 
   bool SeenBefore(const Hash256& id) const {
-    return seen_current_.count(id) != 0 || seen_prev_.count(id) != 0;
+    return seen_current_.contains(id) || seen_prev_.contains(id);
   }
   // Returns false if `id` was already known.
   bool MarkSeen(const Hash256& id);
@@ -131,8 +131,8 @@ class GossipAgent {
   Handler handler_;
   // Two-generation dedup memory (see AdvanceSeenWindow).
   uint64_t seen_window_ = 0;
-  std::unordered_set<Hash256, FixedBytesHasher> seen_current_;
-  std::unordered_set<Hash256, FixedBytesHasher> seen_prev_;
+  FlatSet<Hash256> seen_current_;
+  FlatSet<Hash256> seen_prev_;
 
   // Metrics: pointers target the attached registry, or the private fallback
   // instruments when none is attached (one observability path either way).
@@ -147,8 +147,8 @@ class GossipAgent {
   Counter* relayed_ = nullptr;
   Counter* bytes_in_ = nullptr;
   Counter* bytes_out_ = nullptr;
-  std::unordered_map<const char*, Counter*> msgs_in_by_type_;
-  std::unordered_map<const char*, Counter*> msgs_out_by_type_;
+  TypeCache msgs_in_by_type_;
+  TypeCache msgs_out_by_type_;
 };
 
 }  // namespace algorand

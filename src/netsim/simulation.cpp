@@ -8,7 +8,6 @@ namespace algorand {
 
 namespace {
 
-constexpr size_t kArity = 4;
 constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 
 // Identifies the shard (and owning engine) the calling thread is currently
@@ -98,61 +97,49 @@ void Simulation::set_choice_hook(ScheduleChoiceHook* hook) {
   choice_hook_ = hook;
 }
 
-void Simulation::HeapPush(std::vector<Event>* heap, Event ev) {
-  // Sift up with a hole: parents shift down into the gap and `ev` moves once.
-  size_t i = heap->size();
-  heap->emplace_back();
-  while (i > 0) {
-    size_t parent = (i - 1) / kArity;
-    if (!Before(ev, (*heap)[parent])) {
-      break;
-    }
-    (*heap)[i] = std::move((*heap)[parent]);
-    i = parent;
+void Simulation::KeyQueue::push(const Key& key) {
+  const uint64_t bucket = BucketOf(key);
+  if (bucket <= cur_) {
+    near_.insert(std::upper_bound(near_.begin(), near_.end(), key, After), key);
+  } else if (bucket < cur_ + kBuckets) {
+    ring_[bucket % kBuckets].push_back(key);
+    ++in_ring_;
+  } else {
+    far_.push_back(key);
+    std::push_heap(far_.begin(), far_.end(), After);
   }
-  (*heap)[i] = std::move(ev);
 }
 
-Simulation::Event Simulation::HeapPop(std::vector<Event>* heap) {
-  Event top = std::move(heap->front());
-  Event last = std::move(heap->back());
-  heap->pop_back();
-  if (!heap->empty()) {
-    // Sift `last` down from the root: pull the smallest child up into the
-    // hole until `last` fits.
-    size_t i = 0;
-    const size_t n = heap->size();
-    for (;;) {
-      size_t first_child = i * kArity + 1;
-      if (first_child >= n) {
-        break;
-      }
-      size_t best = first_child;
-      size_t end = first_child + kArity < n ? first_child + kArity : n;
-      for (size_t c = first_child + 1; c < end; ++c) {
-        if (Before((*heap)[c], (*heap)[best])) {
-          best = c;
-        }
-      }
-      if (!Before((*heap)[best], last)) {
-        break;
-      }
-      (*heap)[i] = std::move((*heap)[best]);
-      i = best;
+const Simulation::Key& Simulation::KeyQueue::Refill() {
+  while (near_.empty()) {
+    if (in_ring_ == 0) {
+      cur_ = BucketOf(far_.front()) - 1;  // Skip the empty buckets.
     }
-    (*heap)[i] = std::move(last);
+    ++cur_;
+    // Far keys whose bucket entered the ring's span move into it.
+    while (!far_.empty() && BucketOf(far_.front()) < cur_ + kBuckets) {
+      ring_[BucketOf(far_.front()) % kBuckets].push_back(far_.front());
+      ++in_ring_;
+      std::pop_heap(far_.begin(), far_.end(), After);
+      far_.pop_back();
+    }
+    std::vector<Key>& bucket = ring_[cur_ % kBuckets];
+    in_ring_ -= bucket.size();
+    near_.swap(bucket);
+    std::vector<Key>().swap(bucket);  // A bucket holds memory only while it holds keys.
+    std::sort(near_.begin(), near_.end(), After);
   }
-  return top;
+  return near_.back();
 }
 
-Simulation::Event Simulation::PopChosen(std::vector<Event>* heap, SimTime window_end) {
-  const SimTime earliest = heap->front().when;
+Simulation::Key Simulation::PopChosen(KeyQueue* queue, SimTime window_end) {
+  const SimTime earliest = queue->front().when;
   const SimTime horizon =
       std::min(SaturatingAdd(earliest, choice_hook_->Window()), window_end);
   const size_t cap = std::max<size_t>(1, choice_hook_->MaxCandidates());
-  std::vector<Event> candidates;
-  while (!heap->empty() && candidates.size() < cap && heap->front().when <= horizon) {
-    candidates.push_back(HeapPop(heap));
+  std::vector<Key> candidates;
+  while (!queue->empty() && candidates.size() < cap && queue->front().when <= horizon) {
+    candidates.push_back(queue->pop());
   }
   size_t pick = 0;
   if (candidates.size() > 1) {
@@ -166,17 +153,24 @@ Simulation::Event Simulation::PopChosen(std::vector<Event>* heap, SimTime window
   // unhooked schedule bit-for-bit.
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (i != pick) {
-      HeapPush(heap, std::move(candidates[i]));
+      queue->push(candidates[i]);
     }
   }
-  return std::move(candidates[pick]);
+  return candidates[pick];
 }
 
-void Simulation::PushEvent(size_t shard, Event ev) {
+void Simulation::PushEvent(size_t shard, Key key, Slot&& slot) {
   Shard& sh = shards_[shard];
-  HeapPush(&sh.heap, std::move(ev));
-  if (sh.heap.size() > sh.peak_queue) {
-    sh.peak_queue = sh.heap.size();
+  if (sh.free_slots.empty()) {
+    sh.free_slots.push_back(static_cast<uint32_t>(sh.slab.size()));
+    sh.slab.emplace_back();
+  }
+  key.slot = sh.free_slots.back();
+  sh.free_slots.pop_back();
+  sh.slab[key.slot] = std::move(slot);
+  sh.queue.push(key);
+  if (sh.queue.size() > sh.peak_queue) {
+    sh.peak_queue = sh.queue.size();
   }
 }
 
@@ -202,28 +196,23 @@ void Simulation::ScheduleAtForStream(SimTime when, uint32_t stream, Callback fn)
   }
   RequireStream(stream);
   const uint32_t src = ContextStream();
-  Event ev;
-  ev.when = when;
-  ev.key_stream = src;
-  ev.key_seq = src == kGlobalStream ? global_seq_++ : stream_seq_[src]++;
-  ev.exec_stream = stream;
-  ev.fn = std::move(fn);
+  const Key key{when, src == kGlobalStream ? global_seq_++ : stream_seq_[src]++, src, 0};
   const size_t dst = ShardOf(stream);
   if (tls_worker.owner == this && dst != tls_worker.shard) {
     // Cross-shard send from inside a window: buffer for the barrier merge.
-    exchange_[tls_worker.shard][dst].push_back(std::move(ev));
+    exchange_[tls_worker.shard][dst].emplace_back(key, Slot{std::move(fn), stream});
     return;
   }
   // Same-shard send, or an external/barrier-context schedule while every
-  // worker is parked: push straight into the target heap.
-  PushEvent(dst, std::move(ev));
+  // worker is parked: push straight into the target queue.
+  PushEvent(dst, key, Slot{std::move(fn), stream});
 }
 
-SimTime Simulation::MinShardTime() const {
+SimTime Simulation::MinShardTime() {
   SimTime t = kNever;
-  for (const Shard& sh : shards_) {
-    if (!sh.heap.empty() && sh.heap.front().when < t) {
-      t = sh.heap.front().when;
+  for (Shard& sh : shards_) {
+    if (!sh.queue.empty() && sh.queue.front().when < t) {
+      t = sh.queue.front().when;
     }
   }
   return t;
@@ -232,13 +221,13 @@ SimTime Simulation::MinShardTime() const {
 void Simulation::DrainExchanges() {
   for (size_t src = 0; src < workers_; ++src) {
     for (size_t dst = 0; dst < workers_; ++dst) {
-      std::vector<Event>& q = exchange_[src][dst];
+      std::vector<std::pair<Key, Slot>>& q = exchange_[src][dst];
       if (q.empty()) {
         continue;
       }
       exchanged_ += q.size();
-      for (Event& ev : q) {
-        PushEvent(dst, std::move(ev));
+      for (auto& [key, slot] : q) {
+        PushEvent(dst, key, std::move(slot));
       }
       q.clear();
     }
@@ -250,14 +239,17 @@ void Simulation::ProcessShardWindow(size_t s, SimTime window_end) {
   tls_worker.owner = this;
   tls_worker.shard = s;
   Shard& sh = shards_[s];
-  while (!sh.heap.empty() && sh.heap.front().when <= window_end) {
-    Event ev = choice_hook_ != nullptr ? PopChosen(&sh.heap, window_end) : HeapPop(&sh.heap);
+  while (!sh.queue.empty() && sh.queue.front().when <= window_end) {
+    const Key key = choice_hook_ != nullptr ? PopChosen(&sh.queue, window_end) : sh.queue.pop();
+    // Out of the slab before it runs: what it schedules may reuse the slot.
+    Callback fn = std::move(sh.slab[key.slot].fn);
+    sh.current_stream = sh.slab[key.slot].exec_stream;
+    sh.free_slots.push_back(key.slot);
     // A hook may run a later candidate first; the passed-over ones then run
     // at the advanced clock, which never regresses.
-    sh.local_now = std::max(sh.local_now, ev.when);
-    sh.current_stream = ev.exec_stream;
+    sh.local_now = std::max(sh.local_now, key.when);
     ++sh.executed;
-    ev.fn();
+    fn();
   }
   tls_worker = saved;
 }
@@ -357,7 +349,7 @@ bool Simulation::Step() { return Advance(kNever - 1); }
 size_t Simulation::pending_events() const {
   size_t n = global_.size();
   for (const Shard& sh : shards_) {
-    n += sh.heap.size();
+    n += sh.queue.size();
   }
   for (const auto& row : exchange_) {
     for (const auto& q : row) {

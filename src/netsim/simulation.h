@@ -9,7 +9,7 @@
 // time to arrive (uplink send overhead plus the latency-matrix floor), so all
 // events inside a window [T, T + lookahead) are causally independent across
 // nodes and may run concurrently. Cross-shard sends are buffered in
-// per-(src,dst) exchange queues and merged into the target shard's heap at
+// per-(src,dst) exchange queues and merged into the target shard's queue at
 // the window barrier — always before the window that contains their delivery
 // time. With one worker the single shard runs inline on the calling thread.
 //
@@ -32,10 +32,9 @@
 // insertion) order; at equal timestamps, node-stream events order before
 // global-stream events (kGlobalStream is the largest stream id).
 //
-// Each shard's queue is a 4-ary array heap: half the depth of a binary heap,
-// with the sift working set in one or two cache lines; callbacks live in a
-// small-buffer slot (UniqueCallback) so sift moves shuffle small events
-// instead of chasing per-node allocations.
+// Each shard queues 24-byte keys (when, key_stream, key_seq, slot) in a
+// calendar of ~1 ms buckets (KeyQueue); callbacks wait in a per-shard slab
+// with a free list, at the key's slot, and move once, when their event pops.
 #ifndef ALGORAND_SRC_NETSIM_SIMULATION_H_
 #define ALGORAND_SRC_NETSIM_SIMULATION_H_
 
@@ -148,15 +147,14 @@ class Simulation final : public Executor {
   uint64_t cross_shard_events() const { return exchanged_; }
 
  private:
-  struct Event {
+  struct Key {
     SimTime when;
-    uint32_t key_stream;   // Stream whose callback scheduled the event.
-    uint64_t key_seq;      // Per-key_stream counter: makes the key total.
-    uint32_t exec_stream;  // Stream whose state the event touches.
-    Callback fn;
+    uint64_t key_seq;     // Per-key_stream counter: makes the key total.
+    uint32_t key_stream;  // Stream whose callback scheduled the event.
+    uint32_t slot;        // Index of the event's Slot in the shard's slab.
   };
 
-  static bool Before(const Event& a, const Event& b) {
+  static bool Before(const Key& a, const Key& b) {
     if (a.when != b.when) {
       return a.when < b.when;
     }
@@ -165,9 +163,45 @@ class Simulation final : public Executor {
     }
     return a.key_seq < b.key_seq;
   }
+  static bool After(const Key& a, const Key& b) { return Before(b, a); }
+
+  struct Slot {
+    Callback fn;
+    uint32_t exec_stream;  // Stream whose state the event touches.
+  };
+
+  // A shard's keys in Before() order: a calendar. Keys in buckets (of 2^20
+  // ns) up to cur_ are sorted in near_, minimum last; the next kBuckets
+  // buckets (~4.3 s) are unsorted vectors, each sorted when cur_ reaches it;
+  // later keys (long timers) wait in a heap. front() and pop() need !empty().
+  class KeyQueue {
+   public:
+    size_t size() const { return near_.size() + in_ring_ + far_.size(); }
+    bool empty() const { return size() == 0; }
+    void push(const Key& key);
+    const Key& front() { return near_.empty() ? Refill() : near_.back(); }
+    Key pop() {
+      const Key key = front();
+      near_.pop_back();
+      return key;
+    }
+
+   private:
+    static constexpr uint64_t kBuckets = 4096;
+    static uint64_t BucketOf(const Key& key) { return static_cast<uint64_t>(key.when) >> 20; }
+    const Key& Refill();  // Moves the next non-empty bucket into near_.
+
+    std::vector<Key> near_;
+    std::vector<std::vector<Key>> ring_ = std::vector<std::vector<Key>>(kBuckets);
+    std::vector<Key> far_;  // Min-heap under After.
+    uint64_t cur_ = 0;
+    size_t in_ring_ = 0;
+  };
 
   struct Shard {
-    std::vector<Event> heap;  // 4-ary array heap ordered by Before().
+    KeyQueue queue;
+    std::vector<Slot> slab;
+    std::vector<uint32_t> free_slots;
     SimTime local_now = 0;
     uint32_t current_stream = kGlobalStream;
     uint64_t executed = 0;
@@ -181,12 +215,10 @@ class Simulation final : public Executor {
   // engine; throws std::out_of_range for an undeclared stream otherwise).
   void RequireStream(uint32_t stream);
 
-  void PushEvent(size_t shard, Event ev);
-  static void HeapPush(std::vector<Event>* heap, Event ev);
-  static Event HeapPop(std::vector<Event>* heap);
-  // Pops the event the choice hook picks among the candidates no later than
-  // `window_end`; the others go back with their keys unchanged.
-  Event PopChosen(std::vector<Event>* heap, SimTime window_end);
+  void PushEvent(size_t shard, Key key, Slot&& slot);
+  // Pops the key the choice hook picks among the candidates no later than
+  // `window_end`; the others go back unchanged.
+  Key PopChosen(KeyQueue* queue, SimTime window_end);
 
   // Runs every event with when <= window_end on shard `s`. Sets the calling
   // thread's worker context for the duration.
@@ -195,7 +227,7 @@ class Simulation final : public Executor {
   // there was nothing to run at or before `deadline`.
   bool Advance(SimTime deadline);
   void DrainExchanges();
-  SimTime MinShardTime() const;
+  SimTime MinShardTime();
   void WorkerLoop(size_t shard_index);
 
   const size_t workers_;
@@ -207,7 +239,7 @@ class Simulation final : public Executor {
 
   // Cross-shard exchange buffers: exchange_[src][dst] is written only by
   // src's worker during a window and drained only at barriers.
-  std::vector<std::vector<std::vector<Event>>> exchange_;
+  std::vector<std::vector<std::vector<std::pair<Key, Slot>>>> exchange_;
 
   // Global-stream events, run at barriers on the calling thread.
   std::map<std::pair<SimTime, uint64_t>, Callback> global_;

@@ -1,10 +1,14 @@
-// Unit tests for src/common: byte types, hex, serialization, RNG, stats.
+// Unit tests for src/common: byte types, flat set, hex, serialization, RNG,
+// stats.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/flat_set.h"
 #include "src/common/hex.h"
 #include "src/common/rng.h"
 #include "src/common/serialize.h"
@@ -59,6 +63,105 @@ TEST(FixedBytesTest, UsableAsUnorderedKey) {
   s.insert(a);
   s.insert(Hash256());
   EXPECT_EQ(s.size(), 2u);
+}
+
+// Keys that share their first 8 bytes hash identically (FixedBytesHasher
+// reads only the prefix), so they pile into one probe chain.
+Hash256 SharedPrefixKey(uint32_t i) {
+  Hash256 k;
+  k[0] = 0xab;
+  k[28] = static_cast<uint8_t>(i >> 24);
+  k[29] = static_cast<uint8_t>(i >> 16);
+  k[30] = static_cast<uint8_t>(i >> 8);
+  k[31] = static_cast<uint8_t>(i);
+  return k;
+}
+
+TEST(FlatSetTest, CollidingPrefixesProbeAndCompareFullKeys) {
+  FlatSet<Hash256> set;
+  for (uint32_t i = 0; i < 200; ++i) {
+    ASSERT_EQ(SharedPrefixKey(i).prefix_u64(), SharedPrefixKey(0).prefix_u64());
+    EXPECT_TRUE(set.insert(SharedPrefixKey(i)));
+  }
+  EXPECT_EQ(set.size(), 200u);
+  for (uint32_t i = 0; i < 200; ++i) {
+    EXPECT_TRUE(set.contains(SharedPrefixKey(i)));
+    EXPECT_FALSE(set.insert(SharedPrefixKey(i)));  // Already present.
+  }
+  // Same prefix, never inserted: walks the whole chain and misses.
+  EXPECT_FALSE(set.contains(SharedPrefixKey(200)));
+  EXPECT_FALSE(set.contains(SharedPrefixKey(1u << 20)));
+  EXPECT_EQ(set.size(), 200u);
+}
+
+TEST(FlatSetTest, GrowthKeepsEveryKeyAndMatchesReference) {
+  DeterministicRng rng(41);
+  FlatSet<Hash256> set;
+  std::set<Hash256> reference;
+  std::vector<Hash256> inserted;
+  size_t last_capacity = set.capacity();
+  size_t growths = 0;
+  for (int i = 0; i < 20000; ++i) {
+    Hash256 k;
+    if (!inserted.empty() && rng.UniformU64(4) == 0) {
+      k = inserted[rng.UniformU64(inserted.size())];  // A repeat.
+    } else {
+      rng.FillBytes(k.data(), 2);  // Narrow keys: plenty of repeats too.
+      rng.FillBytes(k.data() + 30, 2);
+    }
+    EXPECT_EQ(set.insert(k), reference.insert(k).second);
+    inserted.push_back(k);
+    if (set.capacity() != last_capacity) {
+      ++growths;
+      last_capacity = set.capacity();
+    }
+    ASSERT_LE(set.size() * 4, set.capacity() * 3);  // Load stays <= 3/4.
+  }
+  EXPECT_GT(growths, 5u);
+  EXPECT_EQ(set.size(), reference.size());
+  for (const Hash256& k : reference) {
+    EXPECT_TRUE(set.contains(k));
+  }
+  for (int i = 0; i < 1000; ++i) {
+    Hash256 k;
+    rng.FillBytes(k.data(), k.size());
+    EXPECT_EQ(set.contains(k), reference.count(k) != 0);
+  }
+}
+
+TEST(FlatSetTest, ClearKeepsCapacity) {
+  FlatSet<Hash256> set;
+  EXPECT_FALSE(set.contains(SharedPrefixKey(1)));  // Empty, no storage yet.
+  for (uint32_t i = 0; i < 1000; ++i) {
+    set.insert(SharedPrefixKey(i));
+  }
+  const size_t capacity = set.capacity();
+  ASSERT_GE(capacity, 1000u);
+  set.clear();
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_EQ(set.capacity(), capacity);
+  EXPECT_FALSE(set.contains(SharedPrefixKey(7)));
+  // The next generation refills without growing.
+  for (uint32_t i = 5000; i < 6000; ++i) {
+    EXPECT_TRUE(set.insert(SharedPrefixKey(i)));
+  }
+  EXPECT_EQ(set.capacity(), capacity);
+  EXPECT_FALSE(set.contains(SharedPrefixKey(7)));
+  EXPECT_TRUE(set.contains(SharedPrefixKey(5500)));
+}
+
+TEST(FlatSetTest, SwapExchangesGenerations) {
+  FlatSet<Hash256> a;
+  FlatSet<Hash256> b;
+  a.insert(SharedPrefixKey(1));
+  a.insert(SharedPrefixKey(2));
+  b.insert(SharedPrefixKey(3));
+  std::swap(a, b);
+  EXPECT_EQ(a.size(), 1u);
+  EXPECT_EQ(b.size(), 2u);
+  EXPECT_TRUE(a.contains(SharedPrefixKey(3)));
+  EXPECT_TRUE(b.contains(SharedPrefixKey(1)));
+  EXPECT_FALSE(a.contains(SharedPrefixKey(1)));
 }
 
 TEST(HexTest, EncodeKnown) {

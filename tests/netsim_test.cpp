@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <limits>
 #include <map>
@@ -121,19 +122,21 @@ class MapOracle {
 
 // Runs a randomized schedule on `sim` — duplicate timestamps, three node
 // streams plus global events, nested timers, cross-stream sends, a mid-run
-// RunUntil boundary — and records the execution order.
+// RunUntil boundary — and records the execution order. Top-level events land
+// in [0, horizon), nested ones 0-3 `child_step`s after their parent.
 template <typename Sim>
-std::vector<int> RunMixedScheduleOn(Sim& sim) {
+std::vector<int> RunMixedScheduleOn(Sim& sim, SimTime horizon = Seconds(5),
+                                    SimTime child_step = Millis(250)) {
   std::vector<int> order;
   DeterministicRng rng(17);
   for (int i = 0; i < 300; ++i) {
-    SimTime t = static_cast<SimTime>(rng.NextU64() % static_cast<uint64_t>(Seconds(5)));
+    SimTime t = static_cast<SimTime>(rng.NextU64() % static_cast<uint64_t>(horizon));
     const uint32_t stream = i % 4 == 3 ? Simulation::kGlobalStream : static_cast<uint32_t>(i % 4);
     sim.SetExternalStream(stream);
-    sim.ScheduleAt(t, [&sim, &order, &rng, i] {
+    sim.ScheduleAt(t, [&sim, &order, &rng, i, child_step] {
       order.push_back(i);
       // Children land on coarse times so many collide, exercising key ties.
-      SimTime d = static_cast<SimTime>(rng.NextU64() % 4) * Millis(250);
+      SimTime d = static_cast<SimTime>(rng.NextU64() % 4) * child_step;
       if (i % 3 == 0) {
         sim.Schedule(d, [&order, i] { order.push_back(1000 + i); });
       }
@@ -150,15 +153,98 @@ std::vector<int> RunMixedScheduleOn(Sim& sim) {
 }
 
 TEST(SimulationTest, ExecutesInReferenceMapKeyOrder) {
-  // The 4-ary shard heaps, the window barriers and the global-event map must
-  // together preserve the exact total order the reference std::map defines —
-  // this is what keeps replays bit-identical.
+  // The shard key calendars, the window barriers and the global-event map
+  // must together preserve the exact total order the reference std::map
+  // defines — this is what keeps replays bit-identical.
   Simulation sim(/*workers=*/1, /*n_streams=*/3, /*lookahead=*/Millis(300));
   MapOracle oracle;
   std::vector<int> engine_order = RunMixedScheduleOn(sim);
   std::vector<int> oracle_order = RunMixedScheduleOn(oracle);
   ASSERT_EQ(engine_order.size(), oracle_order.size());
   EXPECT_EQ(engine_order, oracle_order);
+}
+
+// Sparse timers with minutes-long gaps, ties and nested far timers: the
+// calendar must jump over empty stretches straight to its far heap.
+template <typename Sim>
+std::vector<int> RunSparseScheduleOn(Sim& sim) {
+  std::vector<int> order;
+  const SimTime times[] = {Seconds(300), 0, Millis(1), Seconds(30), Seconds(30), Seconds(90),
+                           Seconds(90) + 1, Seconds(30) + 1, Seconds(700)};
+  for (int i = 0; i < 9; ++i) {
+    sim.SetExternalStream(static_cast<uint32_t>(i % 3));
+    sim.ScheduleAt(times[i], [&sim, &order, i] {
+      order.push_back(i);
+      sim.Schedule(Seconds(45) * (i % 3), [&order, i] { order.push_back(100 + i); });
+    });
+  }
+  sim.SetExternalStream(Simulation::kGlobalStream);
+  sim.Run();
+  return order;
+}
+
+TEST(SimulationTest, CalendarKeepsReferenceOrderAcrossFarTimers) {
+  // The mixed schedule stretched over two minutes, with nested timers up to
+  // 27 s out (beyond the calendar's ~17 s ring, so they wait in its far
+  // heap), and a sparse one whose gaps leave the ring empty.
+  Simulation sim(/*workers=*/1, /*n_streams=*/3, /*lookahead=*/Millis(300));
+  MapOracle oracle;
+  std::vector<int> engine_order = RunMixedScheduleOn(sim, Seconds(120), Seconds(9));
+  std::vector<int> oracle_order = RunMixedScheduleOn(oracle, Seconds(120), Seconds(9));
+  ASSERT_EQ(engine_order.size(), oracle_order.size());
+  EXPECT_EQ(engine_order, oracle_order);
+  Simulation sparse(/*workers=*/1, /*n_streams=*/3, /*lookahead=*/Millis(300));
+  MapOracle sparse_oracle;
+  EXPECT_EQ(RunSparseScheduleOn(sparse), RunSparseScheduleOn(sparse_oracle));
+  EXPECT_EQ(sparse.executed_events(), 18u);
+}
+
+// Counts destructions of live (not moved-from) instances, so a callback
+// destroyed twice or never shows up in the count.
+struct DestroyProbe {
+  explicit DestroyProbe(int* destroyed) : destroyed(destroyed) {}
+  DestroyProbe(DestroyProbe&& other) noexcept : destroyed(other.destroyed) {
+    other.destroyed = nullptr;
+  }
+  DestroyProbe(const DestroyProbe&) = delete;
+  ~DestroyProbe() {
+    if (destroyed != nullptr) {
+      ++*destroyed;
+    }
+  }
+  int* destroyed;
+};
+
+TEST(SimulationTest, DestroysPendingCallbacksExactlyOnce) {
+  // Inline callbacks and heap-spilled ones (captures above the 48-byte inline
+  // buffer), some run and some still pending, with freed slab slots reused:
+  // every callback is destroyed exactly once, by the run or by ~Simulation.
+  int destroyed = 0;
+  int ran = 0;
+  const int kEach = 64;
+  {
+    Simulation sim;
+    sim.SetExternalStream(0);
+    for (int i = 0; i < kEach; ++i) {
+      sim.Schedule(Millis(i), [p = DestroyProbe(&destroyed), &ran] { ++ran; });
+      std::array<uint64_t, 8> spill{};
+      sim.Schedule(Millis(i), [p = DestroyProbe(&destroyed), spill, &ran] {
+        ran += 1 + static_cast<int>(spill[0]);
+      });
+    }
+    sim.RunUntil(Millis(kEach / 2));
+    const int ran_first = ran;
+    EXPECT_GT(ran_first, 0);
+    EXPECT_EQ(destroyed, ran_first);  // Run callbacks are gone already.
+    // Reuse the freed slots for new pending events, then drop the engine.
+    sim.SetExternalStream(0);
+    for (int i = 0; i < kEach / 2; ++i) {
+      sim.Schedule(Seconds(1), [p = DestroyProbe(&destroyed), &ran] { ++ran; });
+    }
+    EXPECT_EQ(sim.pending_events(), static_cast<size_t>(2 * kEach - ran_first + kEach / 2));
+  }
+  EXPECT_EQ(destroyed, 2 * kEach + kEach / 2);
+  EXPECT_LT(ran, 2 * kEach);
 }
 
 TEST(SimulationTest, NestedScheduling) {
@@ -484,6 +570,30 @@ TEST(GossipTest, SeenWindowJumpClearsBothGenerations) {
   // Moving backwards is a no-op.
   f.agents[3]->AdvanceSeenWindow(3);
   EXPECT_EQ(f.agents[3]->seen_window(), 7u);
+}
+
+TEST(GossipTest, SeenWindowJumpForgetsIdsOfBothGenerations) {
+  GossipFixture f(10);
+  for (auto& agent : f.agents) {
+    agent->set_validator([](const MessagePtr&) { return GossipVerdict::kDeliverOnly; });
+  }
+  f.agents[1]->SendTo(2, Msg(4));  // Window 0: lands in the previous generation.
+  f.sim.Run();
+  f.agents[2]->AdvanceSeenWindow(1);
+  f.agents[1]->SendTo(2, Msg(5));  // Window 1: the current generation.
+  f.sim.Run();
+  const uint64_t dupes = f.agents[2]->duplicates_dropped();
+  ASSERT_EQ(f.received[2].size(), 2u);
+  // A two-window jump forgets both generations: each id is first-seen again.
+  f.agents[2]->AdvanceSeenWindow(3);
+  EXPECT_EQ(f.agents[2]->seen_size(), 0u);
+  f.received[2].clear();
+  f.agents[1]->SendTo(2, Msg(4));
+  f.agents[1]->SendTo(2, Msg(5));
+  f.sim.Run();
+  EXPECT_EQ(f.received[2], (std::set<uint64_t>{4, 5}));
+  EXPECT_EQ(f.agents[2]->duplicates_dropped(), dupes);
+  EXPECT_EQ(f.agents[2]->seen_size(), 2u);
 }
 
 TEST(GossipTest, PrunedIdsAreFirstSeenAgain) {

@@ -2,6 +2,11 @@
 // relay rate limiting (§8.4), the block-fetch path, and ablation switches.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <tuple>
+
+#include "src/core/messages.h"
 #include "src/core/sim_harness.h"
 
 namespace algorand {
@@ -66,6 +71,56 @@ TEST(NodeTest, DoubleVotesAreRelayedAtMostOnce) {
   }
   EXPECT_GE(total_rounds, 2u);
   EXPECT_GE(final_rounds, 1u);
+}
+
+// Delivers everything and records, per (sender, round, step, voter), the
+// distinct vote messages each node put on the wire.
+class VoteRelayObserver : public NetworkAdversary {
+ public:
+  AdversaryAction OnTransmit(NodeId from, NodeId, const MessagePtr& msg, SimTime) override {
+    if (auto vote = std::dynamic_pointer_cast<const VoteMessage>(msg)) {
+      sent_[{from, vote->round, vote->step, vote->pk}].insert(vote->DedupId());
+      by_voter_[{vote->round, vote->step, vote->pk}].insert(vote->DedupId());
+    }
+    return AdversaryAction::Deliver();
+  }
+  std::map<std::tuple<NodeId, uint64_t, uint32_t, PublicKey>, std::set<Hash256>> sent_;
+  std::map<std::tuple<uint64_t, uint32_t, PublicKey>, std::set<Hash256>> by_voter_;
+};
+
+TEST(NodeTest, VotesRelayOncePerRoundStepAndKeyAndTheTableIsPruned) {
+  // Equivocators put two votes per (round, step, pk) on the wire; an honest
+  // node forwards at most one of them (§8.4), and its relay table holds only
+  // the round it is in: StartRound drops the finished rounds.
+  HarnessConfig cfg = BaseConfig(33);  // A seed whose rounds include equivocation.
+  cfg.n_nodes = 25;
+  cfg.params = ProtocolParams::ScaledCommittees(0.1);
+  cfg.malicious_fraction = 0.20;
+  SimHarness h(cfg);
+  auto observer = std::make_unique<VoteRelayObserver>();
+  VoteRelayObserver* seen = observer.get();
+  h.SetNetworkAdversary(std::move(observer));
+  h.Start();
+  for (uint64_t round = 1; round <= 3; ++round) {
+    ASSERT_TRUE(h.RunRounds(round, Hours(round)));
+    for (size_t i = h.malicious_count(); i < h.node_count(); ++i) {
+      EXPECT_LE(h.node(i).relay_table_rounds(), 1u) << "node " << i << " round " << round;
+    }
+  }
+  size_t equivocations = 0;
+  for (const auto& [voter, ids] : seen->by_voter_) {
+    equivocations += ids.size() > 1;
+  }
+  ASSERT_GT(equivocations, 0u);  // The rule was exercised.
+  size_t honest_relays = 0;
+  for (const auto& [key, ids] : seen->sent_) {
+    if (!h.is_malicious(std::get<0>(key))) {
+      ++honest_relays;
+      EXPECT_EQ(ids.size(), 1u) << "node " << std::get<0>(key) << " round " << std::get<1>(key)
+                                << " step " << std::get<2>(key);
+    }
+  }
+  EXPECT_GT(honest_relays, 0u);
 }
 
 // An adversary that drops every full block destined for one victim, while

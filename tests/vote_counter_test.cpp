@@ -2,6 +2,11 @@
 // semantics, and the common coin.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/core/vote_counter.h"
 
 namespace algorand {
@@ -72,6 +77,42 @@ TEST(StepTallyTest, LeaderFollowsArrivalOrderOnAdversarialTies) {
   auto leader = t.Leader(3.5);
   ASSERT_TRUE(leader.has_value());
   EXPECT_EQ(*leader, Value(2));
+}
+
+// The streaming CountVotes definition, replayed from scratch.
+std::optional<Hash256> ReplayLeader(const std::vector<StepTally::Entry>& entries,
+                                    double threshold) {
+  std::map<Hash256, uint64_t> running;
+  for (const StepTally::Entry& e : entries) {
+    if (static_cast<double>(running[e.value] += e.weight) > threshold) {
+      return e.value;
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(StepTallyTest, ResumedLeaderMatchesReplayAtEveryPrefix) {
+  // Randomized vote streams (repeat voters, zero weights, competing values),
+  // with Leader() asked after every vote under a threshold that sometimes
+  // changes and sometimes returns to an earlier value: the resumed scan must
+  // equal a from-scratch replay of the prefix every time.
+  DeterministicRng rng(23);
+  const double thresholds[] = {2.5, 6.0, 9.0, 14.0};
+  for (int trial = 0; trial < 200; ++trial) {
+    StepTally t;
+    double threshold = thresholds[rng.UniformU64(4)];
+    for (int i = 0; i < 40; ++i) {
+      t.AddVote(Pk(static_cast<int>(rng.UniformU64(30))), rng.UniformU64(4),
+                Value(static_cast<int>(rng.UniformU64(3))), Sorthash(i));
+      if (rng.UniformU64(5) == 0) {
+        threshold = thresholds[rng.UniformU64(4)];
+      }
+      ASSERT_EQ(t.Leader(threshold), ReplayLeader(t.entries(), threshold))
+          << "trial " << trial << " vote " << i << " threshold " << threshold;
+      // Asking again (a repeat call) changes nothing.
+      ASSERT_EQ(t.Leader(threshold), ReplayLeader(t.entries(), threshold));
+    }
+  }
 }
 
 TEST(StepTallyTest, EmptyTallyHasNoLeaderAndCoinZero) {
