@@ -511,7 +511,7 @@ void Node::MaybePropose() {
     GossipMessage(priority_msg);
   }
   GossipMessage(block_msg);
-  Trace(TraceKind::kProposalGossiped, 0, sort.votes, 0, HashPrefix(block.Hash()));
+  Trace(TraceKind::kProposalGossiped, 0, sort.votes, 0, HashPrefix(block_msg->DedupId()));
 }
 
 void Node::GossipMessage(const MessagePtr& msg) {
@@ -657,7 +657,8 @@ void Node::PrewarmMessage(const MessagePtr& msg, VerifyPool* pool) {
     msg_round = blk->block.round;
     // Transaction signatures are context-free: start them regardless of the
     // round check below so ValidateBlockContents' batch verify hits the cache.
-    tx_verifier_.Prewarm(blk->block.txns);
+    // Payments this node's mempool holds were verified at admission.
+    tx_verifier_.Prewarm(mempool_.NotResident(blk->block.txns));
   } else {
     return;
   }
@@ -709,10 +710,11 @@ bool Node::ValidateBlockContents(const Block& block) const {
       SeedBytes::FromSpan(std::span<const uint8_t>(seed_out->data(), 32)) != block.next_seed) {
     return false;
   }
-  // Transactions: batch signature verification (fanned across the verify
-  // pool, free for gossip-prewarmed entries) plus applicability via the
-  // conflict-partitioned checker. Both verdicts are worker-count independent.
-  if (!tx_verifier_.VerifyBatch(block.txns)) {
+  // Transactions: batch signature verification of the payments this node's
+  // mempool does not hold (admission verified those bytes), plus
+  // applicability via the conflict-partitioned checker. Both verdicts are
+  // worker-count independent.
+  if (!tx_verifier_.VerifyBatch(mempool_.NotResident(block.txns))) {
     return false;
   }
   if (!applier_.CheckBlock(block.txns, ledger_.accounts())) {
@@ -787,6 +789,7 @@ GossipVerdict Node::ValidateForRelay(const MessagePtr& msg) {
     if (!ValidateBlockContents(blk->block)) {
       return GossipVerdict::kReject;
     }
+    relay_validated_ = {blk->DedupId(), current_round_, ledger_.tip_hash()};
     uint64_t votes =
         VerifyProposerSortition(blk->block.proposer, blk->block.proposer_vrf,
                                 blk->block.proposer_proof, ctx_);
@@ -963,7 +966,9 @@ void Node::HandleBlock(const std::shared_ptr<const BlockMessage>& msg) {
     return;
   }
   const Block& block = msg->block;
-  if (!ValidateBlockContents(block)) {
+  const Hash256 hash = msg->DedupId();
+  if (relay_validated_ != std::tuple(hash, current_round_, ledger_.tip_hash()) &&
+      !ValidateBlockContents(block)) {
     return;
   }
   uint64_t votes = VerifyProposerSortition(block.proposer, block.proposer_vrf,
@@ -971,7 +976,6 @@ void Node::HandleBlock(const std::shared_ptr<const BlockMessage>& msg) {
   if (votes == 0) {
     return;
   }
-  Hash256 hash = block.Hash();
   Hash256 priority = ProposalPriority(block.proposer_vrf, votes);
   if (obs_.blocks_validated != nullptr) {
     obs_.blocks_validated->Increment();

@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -122,7 +123,6 @@ class Node : public BaEnvironment {
   // Vote rounds (including recovery sessions) the §8.4 relay table holds.
   size_t relay_table_rounds() const { return relayed_votes_.size(); }
   const Mempool& mempool() const { return mempool_; }
-  Mempool* mutable_mempool() { return &mempool_; }
   bool in_catchup() const { return catchup_.active; }
   uint64_t catchups_completed() const { return catchups_completed_; }
   bool in_fastsync() const { return fastsync_.active; }
@@ -428,6 +428,9 @@ class Node : public BaEnvironment {
     std::unordered_set<PublicKey, FixedBytesHasher> banned_proposers;
   };
   ProposalState proposal_;
+  // (DedupId, round, tip) of the block ValidateForRelay last accepted:
+  // HandleBlock reuses that verdict, so a gossiped block is validated once.
+  std::tuple<Hash256, uint64_t, Hash256> relay_validated_;
 
   // Verified votes stored for certificate assembly: (step, pk) -> message.
   std::map<std::pair<uint32_t, PublicKey>, VoteMessage> round_votes_;

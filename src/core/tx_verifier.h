@@ -1,11 +1,12 @@
 // Batch transaction-signature verification.
 //
 // A 1 MB block carries ~6,900 Ed25519 signatures — §10.1 identifies exactly
-// this as the dominant CPU cost of a node. TxSigVerifier fans a block's
-// signature checks out across the shared VerifyPool and memoizes verdicts in
-// the round-pruned VerificationCache keyed by transaction id: a transaction
-// prewarmed at gossip receipt (Node::PrewarmMessage) or verified once at
-// submit time is never re-verified when the block containing it arrives.
+// this as the dominant CPU cost of a node. TxSigVerifier fans signature
+// checks out across the shared VerifyPool and memoizes verdicts in the
+// round-pruned VerificationCache keyed by transaction id. A node checks a
+// payment once, at mempool admission (Node::SubmitTransaction); block
+// validation verifies only the payments its mempool does not hold, so it
+// does not rely on the gossip-receipt prewarm to skip repeat checks.
 // Signature validity is a pure function of the transaction bytes (no round
 // context), so cached verdicts need no ContextKey salt and worker count can
 // never change a protocol decision — with zero workers everything runs

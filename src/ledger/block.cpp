@@ -19,7 +19,7 @@ std::vector<uint8_t> Block::Serialize() const {
   w.Fixed(padding_digest);
   w.U32(static_cast<uint32_t>(txns.size()));
   for (const Transaction& tx : txns) {
-    w.Raw(tx.Serialize());
+    tx.SerializeTo(&w);
   }
   return w.Take();
 }

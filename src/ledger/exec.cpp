@@ -49,8 +49,8 @@ std::vector<std::vector<uint32_t>> PartitionByAccount(const std::vector<Transact
   std::unordered_map<PublicKey, uint32_t, FixedBytesHasher> first_touch;
   first_touch.reserve(2 * n);
   for (uint32_t i = 0; i < n; ++i) {
-    for (const PublicKey* pk : {&txns[i].from, &txns[i].to}) {
-      auto [it, inserted] = first_touch.try_emplace(*pk, i);
+    for (const PublicKey& pk : {txns[i].from, txns[i].to}) {
+      auto [it, inserted] = first_touch.try_emplace(pk, i);
       if (!inserted) {
         unite(it->second, i);
       }

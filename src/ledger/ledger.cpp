@@ -60,9 +60,6 @@ bool Ledger::Append(const Block& block, ConsensusKind kind) {
   if (!applier->ApplyBlock(block.txns, &accounts_, &last_exec_stats_)) {
     return false;
   }
-  for (const Transaction& tx : block.txns) {
-    txn_round_[tx.Id()] = block.round;
-  }
   chain_.push_back(block);
   kinds_.push_back(kind);
   seeds_.push_back(block.next_seed);
@@ -117,7 +114,6 @@ bool Ledger::ReplaceSuffix(uint64_t from_round, const std::vector<Block>& blocks
 void Ledger::RebuildState() {
   seeds_ = base_seeds_;  // Seeds of [seed_base_ .. base_round_].
   round_by_hash_.clear();
-  txn_round_.clear();
   snapshots_.clear();
   replay_ok_ = true;
 
@@ -140,7 +136,6 @@ void Ledger::RebuildState() {
         if (!accounts_.ApplyTransaction(tx)) {
           replay_ok_ = false;
         }
-        txn_round_[tx.Id()] = b.round;
       }
     }
     if (lookback_rounds_ > 0) {
@@ -210,15 +205,15 @@ uint64_t Ledger::total_weight() const {
 }
 
 bool Ledger::IsConfirmed(const Hash256& txn_id) const {
-  auto it = txn_round_.find(txn_id);
-  if (it == txn_round_.end()) {
-    return false;
-  }
-  uint64_t round = it->second;
-  // Confirmed if this block or any successor is final.
-  for (size_t i = round - base_round_; i < kinds_.size(); ++i) {
-    if (kinds_[i] == ConsensusKind::kFinal) {
-      return true;
+  // Newest block carrying the id decides: confirmed if it or any successor is
+  // final. chain_[0] (genesis or the checkpoint block) is never searched.
+  bool final_at_or_after = false;
+  for (size_t i = chain_.size(); i-- > 1;) {
+    final_at_or_after = final_at_or_after || kinds_[i] == ConsensusKind::kFinal;
+    for (const Transaction& tx : chain_[i].txns) {
+      if (tx.Id() == txn_id) {
+        return final_at_or_after;
+      }
     }
   }
   return false;

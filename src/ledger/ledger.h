@@ -124,7 +124,7 @@ class Ledger {
   }
 
   // A transaction is confirmed once it appears in a block that is final or
-  // has a final successor (§4, §8.2).
+  // has a final successor (§4, §8.2). Scans the retained blocks newest-first.
   bool IsConfirmed(const Hash256& txn_id) const;
 
   // Rounds of the highest final block, if any beyond genesis.
@@ -159,7 +159,6 @@ class Ledger {
   const BlockApplier* applier_ = nullptr;
   ExecStats last_exec_stats_;
   std::unordered_map<Hash256, uint64_t, FixedBytesHasher> round_by_hash_;
-  std::unordered_map<Hash256, uint64_t, FixedBytesHasher> txn_round_;  // txn id -> round.
   std::deque<AccountTable> snapshots_;  // Most recent last; only if lookback.
 };
 

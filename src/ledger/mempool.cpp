@@ -1,6 +1,7 @@
 #include "src/ledger/mempool.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace algorand {
 
@@ -56,7 +57,7 @@ Mempool::AddResult Mempool::Add(const Transaction& tx, uint64_t ledger_next_nonc
     stale_->Increment();
     return AddResult::kStale;
   }
-  const Hash256 id = tx.Id();
+  const Hash256& id = tx.Id();
   if (ids_.find(id) != ids_.end()) {
     duplicates_->Increment();
     return AddResult::kDuplicate;
@@ -99,6 +100,14 @@ Mempool::AddResult Mempool::Add(const Transaction& tx, uint64_t ledger_next_nonc
 bool Mempool::Contains(const Hash256& id) const {
   std::lock_guard<std::mutex> lock(mu_);
   return ids_.find(id) != ids_.end();
+}
+
+std::vector<Transaction> Mempool::NotResident(const std::vector<Transaction>& txns) const {
+  std::vector<Transaction> out;
+  std::lock_guard<std::mutex> lock(mu_);
+  std::copy_if(txns.begin(), txns.end(), std::back_inserter(out),
+               [&](const Transaction& tx) { return !ids_.contains(tx.Id()); });
+  return out;
 }
 
 size_t Mempool::size() const {

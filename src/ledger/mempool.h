@@ -67,6 +67,10 @@ class Mempool {
   AddResult Add(const Transaction& tx, uint64_t ledger_next_nonce);
 
   bool Contains(const Hash256& id) const;
+  // The transactions of `txns` whose ids are not resident, in order, taken in
+  // one locked pass. A resident id means Add's caller already verified those
+  // exact bytes, so block validation only needs to verify what this returns.
+  std::vector<Transaction> NotResident(const std::vector<Transaction>& txns) const;
   size_t size() const;
 
   // Assembles the fee-priority, nonce-sequenced transaction list for a block

@@ -6,60 +6,60 @@
 
 namespace algorand {
 
-void Transaction::Encode(uint8_t out[kWireSize]) const {
-  std::memcpy(out, from.data(), 32);
-  std::memcpy(out + 32, to.data(), 32);
+void Transaction::Encode(const Fields& f, uint8_t out[kWireSize]) {
+  std::memcpy(out, f.from.data(), 32);
+  std::memcpy(out + 32, f.to.data(), 32);
   uint8_t* p = out + 64;
-  for (uint64_t v : {amount, fee, nonce}) {
+  for (uint64_t v : {f.amount, f.fee, f.nonce}) {
     for (int i = 0; i < 8; ++i) {
       *p++ = static_cast<uint8_t>(v >> (8 * i));
     }
   }
-  std::memcpy(p, signature.data(), 64);
+  std::memcpy(p, f.signature.data(), 64);
+}
+
+Transaction::Transaction(const Fields& f)
+    : from(f.from), to(f.to), amount(f.amount), fee(f.fee), nonce(f.nonce),
+      signature(f.signature) {
+  uint8_t image[kWireSize];
+  Encode(f, image);
+  id_ = Sha256::Hash(std::span<const uint8_t>(image, kWireSize));
 }
 
 std::vector<uint8_t> Transaction::SerializeBody() const {
   uint8_t image[kWireSize];
-  Encode(image);
+  Encode(fields(), image);
   return std::vector<uint8_t>(image, image + kBodySize);
 }
 
 std::vector<uint8_t> Transaction::Serialize() const {
   std::vector<uint8_t> out(kWireSize);
-  Encode(out.data());
+  Encode(fields(), out.data());
   return out;
 }
 
+void Transaction::SerializeTo(Writer* w) const {
+  uint8_t image[kWireSize];
+  Encode(fields(), image);
+  w->Raw(std::span<const uint8_t>(image, kWireSize));
+}
+
 std::optional<Transaction> Transaction::Deserialize(Reader* r) {
-  Transaction tx;
-  tx.from = r->Fixed<32>();
-  tx.to = r->Fixed<32>();
-  tx.amount = r->U64();
-  tx.fee = r->U64();
-  tx.nonce = r->U64();
-  tx.signature = r->Fixed<64>();
+  // Braced initializers are evaluated in order: the fields read in wire order.
+  Fields f{r->Fixed<32>(), r->Fixed<32>(), r->U64(), r->U64(), r->U64(), r->Fixed<64>()};
   if (!r->ok()) {
     return std::nullopt;
   }
-  return tx;
-}
-
-Hash256 Transaction::Id() const {
-  uint8_t image[kWireSize];
-  Encode(image);
-  return Sha256::Hash(std::span<const uint8_t>(image, kWireSize));
+  return Transaction(f);
 }
 
 Transaction MakeTransaction(const Ed25519KeyPair& sender, const PublicKey& to, uint64_t amount,
                             uint64_t nonce, const SignerBackend& signer, uint64_t fee) {
-  Transaction tx;
-  tx.from = sender.public_key;
-  tx.to = to;
-  tx.amount = amount;
-  tx.fee = fee;
-  tx.nonce = nonce;
-  tx.signature = signer.Sign(sender, tx.SerializeBody());
-  return tx;
+  Transaction::Fields f{sender.public_key, to, amount, fee, nonce, Signature()};
+  uint8_t image[Transaction::kWireSize];
+  Transaction::Encode(f, image);
+  f.signature = signer.Sign(sender, std::span<const uint8_t>(image, Transaction::kBodySize));
+  return Transaction(f);
 }
 
 bool VerifyTransactionSignature(const Transaction& tx, const SignerBackend& signer) {

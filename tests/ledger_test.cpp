@@ -2,6 +2,8 @@
 // schedule, look-back weights, fork switching.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "src/common/hex.h"
 #include "src/common/rng.h"
 #include "src/crypto/sha256.h"
@@ -35,7 +37,7 @@ TEST(TransactionTest, SignAndVerify) {
   Ed25519KeyPair receiver = Ed25519KeyFromSeed(s);
   Transaction tx = MakeTransaction(sender, receiver.public_key, 100, 0, kSigner);
   EXPECT_TRUE(VerifyTransactionSignature(tx, kSigner));
-  tx.amount = 200;
+  tx = Transaction::Edited(tx, [](auto& f) { f.amount = 200; });
   EXPECT_FALSE(VerifyTransactionSignature(tx, kSigner));
 }
 
@@ -67,17 +69,18 @@ TEST(TransactionTest, DeserializeRejectsTruncation) {
 // The wire image and id of one fixed transaction, pinned so that a change to
 // the encoder cannot silently change ids, signatures or block hashes.
 TEST(TransactionTest, GoldenWireImageAndId) {
-  Transaction tx;
-  for (size_t i = 0; i < 32; ++i) {
-    tx.from[i] = static_cast<uint8_t>(i);
-    tx.to[i] = static_cast<uint8_t>(0xa0 + i);
-  }
-  for (size_t i = 0; i < 64; ++i) {
-    tx.signature[i] = static_cast<uint8_t>(0xff - 3 * i);
-  }
-  tx.amount = 0x0102030405060708ULL;
-  tx.fee = 1000;
-  tx.nonce = 0xfedcba9876543210ULL;
+  const Transaction tx = Transaction::Edited(Transaction(), [](auto& f) {
+    for (size_t i = 0; i < 32; ++i) {
+      f.from[i] = static_cast<uint8_t>(i);
+      f.to[i] = static_cast<uint8_t>(0xa0 + i);
+    }
+    for (size_t i = 0; i < 64; ++i) {
+      f.signature[i] = static_cast<uint8_t>(0xff - 3 * i);
+    }
+    f.amount = 0x0102030405060708ULL;
+    f.fee = 1000;
+    f.nonce = 0xfedcba9876543210ULL;
+  });
 
   const std::string golden =
       "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
@@ -92,6 +95,48 @@ TEST(TransactionTest, GoldenWireImageAndId) {
   EXPECT_EQ(HexEncode(tx.SerializeBody()), golden.substr(0, 2 * 88));
   EXPECT_EQ(tx.Id(), Sha256::Hash(wire));
   EXPECT_EQ(tx.Id().ToHex(), "d1042e3162802e6d014c1c32d12670f1c9c46d363fc0ef9e8e79ac55ed6c6d16");
+}
+
+// Fields are read-only outside Transaction; whole transactions still copy
+// and assign, so containers of them work as before.
+static_assert(!std::is_assignable_v<decltype((std::declval<Transaction&>().amount)), uint64_t>);
+static_assert(!std::is_assignable_v<decltype((std::declval<Transaction&>().nonce)),
+                                    decltype(std::declval<Transaction&>().nonce)>);
+static_assert(!std::is_assignable_v<decltype((std::declval<Transaction&>().from)), PublicKey>);
+static_assert(
+    !std::is_assignable_v<decltype((std::declval<Transaction&>().signature)), Signature>);
+static_assert(std::is_copy_assignable_v<Transaction>);
+static_assert(std::is_copy_constructible_v<Transaction>);
+
+// The carried id is SHA-256 of the wire image however the transaction was
+// built.
+TEST(TransactionTest, IdIsHashOfWireImageForEveryConstructor) {
+  DeterministicRng rng(3);
+  FixedBytes<32> s;
+  rng.FillBytes(s.data(), 32);
+  Ed25519KeyPair sender = Ed25519KeyFromSeed(s);
+  const Transaction made = MakeTransaction(sender, sender.public_key, 7, 2, kSigner, 3);
+  EXPECT_EQ(made.Id(), Sha256::Hash(made.Serialize()));
+
+  const std::vector<uint8_t> bytes = made.Serialize();
+  Reader r(bytes);
+  const auto decoded = Transaction::Deserialize(&r);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->Id(), Sha256::Hash(decoded->Serialize()));
+  EXPECT_EQ(decoded->Id(), made.Id());
+
+  const Transaction zero;
+  EXPECT_EQ(zero.Id(), Sha256::Hash(zero.Serialize()));
+  EXPECT_EQ(zero.Id(), Sha256::Hash(std::vector<uint8_t>(Transaction::kWireSize, 0)));
+
+  // An edited copy carries its own id; the original keeps its own.
+  const Transaction edited = Transaction::Edited(made, [](auto& f) { f.amount = 8; });
+  EXPECT_EQ(edited.Id(), Sha256::Hash(edited.Serialize()));
+  EXPECT_NE(edited.Id(), made.Id());
+  Transaction assigned;
+  assigned = edited;
+  EXPECT_EQ(assigned.Id(), edited.Id());
+  EXPECT_EQ(assigned.amount, 8u);
 }
 
 TEST(AccountTableTest, CreditAndBalances) {
@@ -114,11 +159,12 @@ TEST(AccountTableTest, ApplyTransfersValue) {
   a[0] = 1;
   b[0] = 2;
   t.Credit(a, 100);
-  Transaction tx;
-  tx.from = a;
-  tx.to = b;
-  tx.amount = 30;
-  tx.nonce = 0;
+  const Transaction tx = Transaction::Edited(Transaction(), [&](auto& f) {
+    f.from = a;
+    f.to = b;
+    f.amount = 30;
+    f.nonce = 0;
+  });
   EXPECT_TRUE(t.ApplyTransaction(tx));
   EXPECT_EQ(t.BalanceOf(a), 70u);
   EXPECT_EQ(t.BalanceOf(b), 30u);
@@ -131,11 +177,12 @@ TEST(AccountTableTest, RejectsWrongNonce) {
   a[0] = 1;
   b[0] = 2;
   t.Credit(a, 100);
-  Transaction tx;
-  tx.from = a;
-  tx.to = b;
-  tx.amount = 10;
-  tx.nonce = 5;
+  const Transaction tx = Transaction::Edited(Transaction(), [&](auto& f) {
+    f.from = a;
+    f.to = b;
+    f.amount = 10;
+    f.nonce = 5;
+  });
   EXPECT_FALSE(t.ApplyTransaction(tx));
   EXPECT_EQ(t.BalanceOf(a), 100u);
 }
@@ -146,11 +193,12 @@ TEST(AccountTableTest, RejectsOverdraft) {
   a[0] = 1;
   b[0] = 2;
   t.Credit(a, 100);
-  Transaction tx;
-  tx.from = a;
-  tx.to = b;
-  tx.amount = 101;
-  tx.nonce = 0;
+  const Transaction tx = Transaction::Edited(Transaction(), [&](auto& f) {
+    f.from = a;
+    f.to = b;
+    f.amount = 101;
+    f.nonce = 0;
+  });
   EXPECT_FALSE(t.ApplyTransaction(tx));
 }
 
@@ -160,12 +208,13 @@ TEST(AccountTableTest, RejectsOverdraftViaFee) {
   a[0] = 1;
   b[0] = 2;
   t.Credit(a, 100);
-  Transaction tx;
-  tx.from = a;
-  tx.to = b;
-  tx.amount = 95;
-  tx.fee = 10;
-  tx.nonce = 0;
+  const Transaction tx = Transaction::Edited(Transaction(), [&](auto& f) {
+    f.from = a;
+    f.to = b;
+    f.amount = 95;
+    f.fee = 10;
+    f.nonce = 0;
+  });
   EXPECT_FALSE(t.ApplyTransaction(tx));
 }
 
@@ -175,12 +224,13 @@ TEST(AccountTableTest, FeesAreBurned) {
   a[0] = 1;
   b[0] = 2;
   t.Credit(a, 100);
-  Transaction tx;
-  tx.from = a;
-  tx.to = b;
-  tx.amount = 40;
-  tx.fee = 5;
-  tx.nonce = 0;
+  const Transaction tx = Transaction::Edited(Transaction(), [&](auto& f) {
+    f.from = a;
+    f.to = b;
+    f.amount = 40;
+    f.fee = 5;
+    f.nonce = 0;
+  });
   EXPECT_TRUE(t.ApplyTransaction(tx));
   EXPECT_EQ(t.total_weight(), 95u);
 }
@@ -191,11 +241,12 @@ TEST(AccountTableTest, NoncePreventsDoubleSpendReplay) {
   a[0] = 1;
   b[0] = 2;
   t.Credit(a, 100);
-  Transaction tx;
-  tx.from = a;
-  tx.to = b;
-  tx.amount = 60;
-  tx.nonce = 0;
+  const Transaction tx = Transaction::Edited(Transaction(), [&](auto& f) {
+    f.from = a;
+    f.to = b;
+    f.amount = 60;
+    f.nonce = 0;
+  });
   EXPECT_TRUE(t.ApplyTransaction(tx));
   EXPECT_FALSE(t.ApplyTransaction(tx));  // Same nonce again: rejected.
 }
@@ -205,10 +256,11 @@ TEST(AccountTableTest, UnknownSenderRejected) {
   PublicKey a, b;
   a[0] = 1;
   b[0] = 2;
-  Transaction tx;
-  tx.from = a;
-  tx.to = b;
-  tx.amount = 0;
+  const Transaction tx = Transaction::Edited(Transaction(), [&](auto& f) {
+    f.from = a;
+    f.to = b;
+    f.amount = 0;
+  });
   EXPECT_FALSE(t.CheckTransaction(tx));
 }
 
@@ -366,6 +418,44 @@ TEST(LedgerTest, ConfirmationSemantics) {
   Block next = Block::MakeEmpty(2, f.ledger.tip_hash(), f.ledger.SeedForRound(2));
   ASSERT_TRUE(f.ledger.Append(next, ConsensusKind::kFinal));
   EXPECT_TRUE(f.ledger.IsConfirmed(tx.Id()));
+}
+
+// On a ledger started from a checkpoint, payments in the checkpoint block
+// and below are not found (their blocks are not retained as searchable
+// history); payments appended after it follow the usual rule.
+TEST(LedgerTest, ConfirmationOnCompactedLedger) {
+  Fixture f;
+  std::vector<Transaction> paid;
+  for (uint64_t r = 1; r <= 3; ++r) {
+    Block b = Block::MakeEmpty(r, f.ledger.tip_hash(), f.ledger.SeedForRound(r));
+    b.is_empty = false;
+    paid.push_back(MakeTransaction(f.key(0), f.pk(1), 5, r - 1, kSigner));
+    b.txns.push_back(paid.back());
+    ASSERT_TRUE(f.ledger.Append(b, ConsensusKind::kFinal));
+  }
+  std::vector<SeedBytes> seeds;
+  for (uint64_t r = 0; r <= 2; ++r) {
+    seeds.push_back(f.ledger.SeedForRound(r));
+  }
+  Ledger compacted(f.bundle.config);
+  ASSERT_TRUE(compacted.InstallCheckpoint(f.ledger.BlockAtRound(2), f.ledger.AccountsAtRound(2),
+                                          0, seeds));
+  ASSERT_EQ(compacted.base_round(), 2u);
+  EXPECT_FALSE(compacted.IsConfirmed(paid[0].Id()));  // Compacted away.
+  EXPECT_FALSE(compacted.IsConfirmed(paid[1].Id()));  // In the checkpoint block.
+  EXPECT_FALSE(compacted.IsConfirmed(paid[2].Id()));  // Not appended yet.
+
+  ASSERT_TRUE(compacted.Append(f.ledger.BlockAtRound(3), ConsensusKind::kTentative));
+  EXPECT_FALSE(compacted.IsConfirmed(paid[1].Id()));
+  EXPECT_FALSE(compacted.IsConfirmed(paid[2].Id()));  // Tentative.
+  Block next = Block::MakeEmpty(4, compacted.tip_hash(), compacted.SeedForRound(4));
+  ASSERT_TRUE(compacted.Append(next, ConsensusKind::kFinal));
+  EXPECT_TRUE(compacted.IsConfirmed(paid[2].Id()));
+  EXPECT_FALSE(compacted.IsConfirmed(paid[1].Id()));
+  // The full-history ledger confirms all three.
+  for (const Transaction& tx : paid) {
+    EXPECT_TRUE(f.ledger.IsConfirmed(tx.Id()));
+  }
 }
 
 TEST(LedgerTest, FinalBlockConfirmsPredecessors) {

@@ -2,9 +2,13 @@
 // relay rate limiting (§8.4), the block-fetch path, and ablation switches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "src/core/messages.h"
 #include "src/core/sim_harness.h"
@@ -209,9 +213,10 @@ TEST(NodeTest, GossipedTransactionReachesEveryPoolAndConfirms) {
 TEST(NodeTest, InvalidGossipedTransactionsAreNotRelayed) {
   SimHarness h(BaseConfig(41));
   h.Start();
-  Transaction bad = MakeTransaction(h.genesis().keys[4], h.genesis().keys[6].public_key, 1, 0,
-                                    h.signer());
-  bad.amount = 999;  // Break the signature after signing.
+  // Break the signature after signing.
+  const Transaction bad = Transaction::Edited(
+      MakeTransaction(h.genesis().keys[4], h.genesis().keys[6].public_key, 1, 0, h.signer()),
+      [](auto& f) { f.amount = 999; });
   h.node(4).GossipTransaction(bad);
   ASSERT_TRUE(h.RunRounds(1, Hours(1)));
   EXPECT_FALSE(h.node(0).ledger().IsConfirmed(bad.Id()));
@@ -273,6 +278,231 @@ TEST(NodeTest, EmptyVotersAloneProduceEmptyButConsistentRounds) {
   ASSERT_TRUE(h.RunRounds(1, Hours(1)));
   EXPECT_TRUE(h.node(5).ledger().BlockAtRound(1).is_empty);
   EXPECT_TRUE(h.ChainsConsistent());
+}
+
+// A node whose block proposal and gossip endpoint a test drives by hand.
+class ProbeNode : public Node {
+ public:
+  using Node::Node;
+
+  // This round's block, built as MaybePropose builds it; null if proposer
+  // sortition does not select this node.
+  std::shared_ptr<BlockMessage> Proposal() {
+    SortitionResult sort =
+        RunSortition(*crypto().vrf, key(), MakeContext().seed, params().tau_proposer,
+                     Role::kProposer, current_round(), 0, SelfWeight(), ledger().total_weight());
+    if (sort.votes == 0) {
+      return nullptr;
+    }
+    auto msg = std::make_shared<BlockMessage>();
+    msg->block = BuildBlockProposal();
+    msg->block.proposer_vrf = sort.hash;
+    msg->block.proposer_proof = sort.proof;
+    return msg;
+  }
+
+  // Hands `msg` to this node's gossip agent as if `from` had sent it: relay
+  // validation, then delivery.
+  void Receive(NodeId from, const MessagePtr& msg) { gossip()->OnReceive(from, msg); }
+  // Gossips `msg` as its originator: delivered here without relay validation.
+  void Originate(const MessagePtr& msg) { GossipMessage(msg); }
+};
+
+// Logs every message it verifies, so a test can count how often one node
+// checked one payment's signature.
+class CountingSigner : public SignerBackend {
+ public:
+  Signature Sign(const Ed25519KeyPair& key, std::span<const uint8_t> message) const override {
+    return inner->Sign(key, message);
+  }
+  bool Verify(const PublicKey& pk, std::span<const uint8_t> message,
+              const Signature& sig) const override {
+    // A payment's signed body followed by its signature is its wire image.
+    verified.emplace_back(message.begin(), message.end());
+    verified.back().insert(verified.back().end(), sig.data(), sig.data() + sig.size());
+    return inner->Verify(pk, message, sig);
+  }
+  const char* name() const override { return "counting"; }
+
+  size_t Checks(const Transaction& tx) const {
+    return static_cast<size_t>(std::count(verified.begin(), verified.end(), tx.Serialize()));
+  }
+
+  const SignerBackend* inner = nullptr;
+  mutable std::vector<std::vector<uint8_t>> verified;
+};
+
+// Every node is a ProbeNode. Node kCounted verifies through `signer` and has
+// no verification cache, so each signature check it makes is logged.
+struct ProbeNet {
+  static constexpr NodeId kCounted = 1;
+
+  explicit ProbeNet(uint64_t seed) {
+    HarnessConfig cfg = BaseConfig(seed);
+    cfg.verify_workers = 0;
+    cfg.node_factory = [this](NodeId id, Simulation* sim, GossipAgent* gossip,
+                              const Ed25519KeyPair& key, const GenesisConfig& genesis,
+                              const ProtocolParams& params, CryptoSuite crypto,
+                              AdversaryCoordinator*) -> std::unique_ptr<Node> {
+      if (id == kCounted) {
+        signer.inner = crypto.signer;
+        crypto.signer = &signer;
+        crypto.cache = nullptr;
+      }
+      return std::make_unique<ProbeNode>(id, sim, gossip, key, genesis, params, crypto);
+    };
+    h = std::make_unique<SimHarness>(cfg);
+  }
+
+  ProbeNode& node(size_t i) { return static_cast<ProbeNode&>(h->node(i)); }
+
+  // This round's proposals of every selected node but kCounted.
+  std::vector<std::pair<NodeId, std::shared_ptr<BlockMessage>>> Proposals() {
+    std::vector<std::pair<NodeId, std::shared_ptr<BlockMessage>>> out;
+    for (NodeId i = 0; i < h->node_count(); ++i) {
+      if (i == kCounted) {
+        continue;
+      }
+      if (auto msg = node(i).Proposal()) {
+        out.emplace_back(i, msg);
+      }
+    }
+    return out;
+  }
+
+  // A copy of `msg`'s block in a new message, with `edit` applied.
+  template <typename Edit>
+  static std::shared_ptr<BlockMessage> Variant(const BlockMessage& msg, Edit edit) {
+    auto out = std::make_shared<BlockMessage>();
+    out->block = msg.block;
+    edit(out->block);
+    return out;
+  }
+
+  // A valid payment from genesis user `from` that no mempool holds.
+  Transaction FreshPayment(size_t from) const {
+    return MakeTransaction(h->genesis().keys[from], h->genesis().keys[0].public_key, 10, 0,
+                           h->signer());
+  }
+
+  uint64_t Counter(size_t i, const char* name) { return h->node_metrics(i).GetCounter(name).Value(); }
+  uint64_t Validated(size_t i) { return Counter(i, "node.blocks.validated"); }
+
+  CountingSigner signer;
+  std::unique_ptr<SimHarness> h;
+};
+
+std::vector<Transaction> SubmitPayments(SimHarness* h, size_t count) {
+  std::vector<Transaction> paid;
+  for (size_t i = 0; i < count; ++i) {
+    paid.push_back(h->SubmitPayment(2 + i, 10 + i, 10, 0));
+  }
+  return paid;
+}
+
+TEST(BlockValidationTest, ResidentPaymentsAreAcceptedWithoutSignatureLookups) {
+  ProbeNet net(51);
+  const std::vector<Transaction> paid = SubmitPayments(net.h.get(), 5);
+  net.h->Start();
+  const auto proposals = net.Proposals();
+  ASSERT_FALSE(proposals.empty());
+  const auto& [proposer, msg] = proposals.front();
+  ASSERT_EQ(msg->block.txns.size(), paid.size());
+  for (const Transaction& tx : paid) {
+    EXPECT_EQ(net.signer.Checks(tx), 1u);  // Mempool admission.
+  }
+
+  const uint64_t before = net.Validated(ProbeNet::kCounted);
+  net.node(ProbeNet::kCounted).Receive(proposer, msg);
+  EXPECT_EQ(net.Validated(ProbeNet::kCounted), before + 1);
+  for (const Transaction& tx : paid) {
+    EXPECT_EQ(net.signer.Checks(tx), 1u);  // Not checked again.
+  }
+
+  // A node on the shared cache accepts it without looking a payment up (a
+  // lookup would re-create the cleared entry).
+  const NodeId other = proposer == 0 ? 2 : 0;
+  net.h->cache().Clear();
+  const uint64_t other_before = net.Validated(other);
+  net.node(other).Receive(proposer, msg);
+  EXPECT_EQ(net.Validated(other), other_before + 1);
+  for (const Transaction& tx : paid) {
+    EXPECT_FALSE(net.h->cache().Contains(tx.Id()));
+  }
+}
+
+TEST(BlockValidationTest, PaymentDifferingFromResidentOneIsVerifiedAndRejected) {
+  ProbeNet net(52);
+  const std::vector<Transaction> paid = SubmitPayments(net.h.get(), 3);
+  net.h->Start();
+  const auto proposals = net.Proposals();
+  ASSERT_FALSE(proposals.empty());
+  const auto& [proposer, msg] = proposals.front();
+  ASSERT_EQ(msg->block.txns.size(), paid.size());
+
+  // Same (sender, nonce) as a resident payment, different bytes.
+  const Transaction resident = msg->block.txns[1];
+  const std::vector<Transaction> forged = {
+      Transaction::Edited(resident, [](auto& f) { f.amount += 1; }),
+      Transaction::Edited(resident, [](auto& f) { f.signature[0] ^= 1; }),
+  };
+  ProbeNode& counted = net.node(ProbeNet::kCounted);
+  for (const Transaction& tx : forged) {
+    const uint64_t rejected = net.Counter(ProbeNet::kCounted, "gossip.rejected");
+    counted.Receive(proposer, ProbeNet::Variant(*msg, [&](Block& b) { b.txns[1] = tx; }));
+    EXPECT_EQ(net.Counter(ProbeNet::kCounted, "gossip.rejected"), rejected + 1);
+    EXPECT_EQ(net.signer.Checks(tx), 1u);
+  }
+  EXPECT_EQ(net.Validated(ProbeNet::kCounted), 0u);
+  // The untouched block is still accepted.
+  counted.Receive(proposer, msg);
+  EXPECT_EQ(net.Validated(ProbeNet::kCounted), 1u);
+}
+
+TEST(BlockValidationTest, GossipedBlockIsValidatedOncePerNode) {
+  ProbeNet net(53);
+  net.h->Start();
+  const auto proposals = net.Proposals();
+  ASSERT_GE(proposals.size(), 2u);
+  ProbeNode& counted = net.node(ProbeNet::kCounted);
+
+  // Relay validation checks the unknown payment; delivery reuses the verdict.
+  const Transaction fresh = net.FreshPayment(15);
+  auto add_fresh = [&](Block& b) { b.txns.push_back(fresh); };
+  counted.Receive(proposals[0].first, ProbeNet::Variant(*proposals[0].second, add_fresh));
+  EXPECT_EQ(net.Validated(ProbeNet::kCounted), 1u);
+  EXPECT_EQ(net.signer.Checks(fresh), 1u);
+
+  // A different message carrying the same payment is validated again.
+  counted.Receive(proposals[1].first, ProbeNet::Variant(*proposals[1].second, add_fresh));
+  EXPECT_EQ(net.Validated(ProbeNet::kCounted), 2u);
+  EXPECT_EQ(net.signer.Checks(fresh), 2u);
+
+  // A block delivered without relay validation is validated in full, not
+  // waved through on the last relay verdict.
+  const Transaction forged = Transaction::Edited(fresh, [](auto& f) { f.amount += 1; });
+  counted.Originate(ProbeNet::Variant(*proposals[0].second,
+                                      [&](Block& b) { b.txns.push_back(forged); }));
+  EXPECT_EQ(net.Validated(ProbeNet::kCounted), 2u);
+  EXPECT_EQ(net.signer.Checks(forged), 1u);
+
+  // After the tip moves, a new round's block is validated in full again.
+  ASSERT_TRUE(net.h->RunRounds(1, Hours(1)));
+  ASSERT_EQ(counted.current_round(), 2u);
+  const Transaction later = net.FreshPayment(16);
+  const uint64_t validated = net.Validated(ProbeNet::kCounted);
+  bool delivered = false;
+  for (const auto& [id, msg] : net.Proposals()) {
+    if (net.node(id).current_round() != 2) {
+      continue;
+    }
+    counted.Receive(id, ProbeNet::Variant(*msg, [&](Block& b) { b.txns.push_back(later); }));
+    delivered = true;
+    break;
+  }
+  ASSERT_TRUE(delivered);
+  EXPECT_EQ(net.Validated(ProbeNet::kCounted), validated + 1);
+  EXPECT_EQ(net.signer.Checks(later), 1u);
 }
 
 }  // namespace

@@ -31,13 +31,13 @@ PublicKey KeyFromIndex(uint64_t i) {
 // An unsigned payment — the applier checks applicability, not signatures.
 Transaction RawPay(uint64_t from, uint64_t to, uint64_t amount, uint64_t nonce,
                    uint64_t fee = 0) {
-  Transaction tx;
-  tx.from = KeyFromIndex(from);
-  tx.to = KeyFromIndex(to);
-  tx.amount = amount;
-  tx.nonce = nonce;
-  tx.fee = fee;
-  return tx;
+  return Transaction::Edited(Transaction(), [&](auto& f) {
+    f.from = KeyFromIndex(from);
+    f.to = KeyFromIndex(to);
+    f.amount = amount;
+    f.nonce = nonce;
+    f.fee = fee;
+  });
 }
 
 TEST(PartitionTest, DisjointTransactionsGetOwnPartitions) {
@@ -176,8 +176,10 @@ TEST(BlockApplierTest, RejectionIsAtomicOnBothPaths) {
   ApplierFixture seq_fx;
   ApplierFixture par_fx;
   // Poison one transaction deep in the block: nonce that can never match.
-  seq_fx.block[seq_fx.block.size() / 2].nonce = 999;
-  par_fx.block[par_fx.block.size() / 2].nonce = 999;
+  for (ApplierFixture* fx : {&seq_fx, &par_fx}) {
+    Transaction& tx = fx->block[fx->block.size() / 2];
+    tx = Transaction::Edited(tx, [](auto& f) { f.nonce = 999; });
+  }
   Hash256 seq_before = seq_fx.table.StateFingerprint();
 
   VerifyPool pool(4);
@@ -216,7 +218,7 @@ TEST(TxVerifierTest, BatchVerdictMatchesSequential) {
   EXPECT_TRUE(inline_verifier.VerifyBatch(txns));
 
   // One corrupted signature anywhere fails the batch on both paths.
-  txns[37].amount += 1;
+  txns[37] = Transaction::Edited(txns[37], [](auto& f) { f.amount += 1; });
   VerificationCache cache2;
   TxSigVerifier threaded2(&kSigner, &cache2, &pool);
   EXPECT_FALSE(threaded2.VerifyBatch(txns));
@@ -254,20 +256,25 @@ struct ExecRunOutcome {
   }
 };
 
-ExecRunOutcome RunWithExecWorkers(int exec_workers) {
+// A small payments deployment with inline (deterministic) verification.
+HarnessConfig PaymentsConfig(size_t tx_load_per_round, int exec_workers) {
   HarnessConfig cfg;
   cfg.n_nodes = 10;
   cfg.rng_seed = 5;
   cfg.use_sim_crypto = true;
-  cfg.verify_workers = 0;  // Pin: this test isolates the exec pipeline.
+  cfg.verify_workers = 0;
   cfg.exec_workers = exec_workers;
   // Consensus stake must stay with the nodes: clients fund fees only, at a
   // negligible weight fraction, or committees go empty and rounds stall.
   cfg.stake_per_user = 100'000;
   cfg.tx_clients = 6;
   cfg.client_stake = 2'000;
-  cfg.tx_load_per_round = 40;
-  SimHarness h(cfg);
+  cfg.tx_load_per_round = tx_load_per_round;
+  return cfg;
+}
+
+ExecRunOutcome RunWithExecWorkers(int exec_workers) {
+  SimHarness h(PaymentsConfig(40, exec_workers));
   h.Start();
   EXPECT_TRUE(h.RunRounds(3));
   EXPECT_TRUE(h.CheckSafety().ok);
@@ -285,6 +292,43 @@ TEST(TxPipelineTest, ExecWorkersAreBitIdenticalToSequential) {
   ExecRunOutcome par = RunWithExecWorkers(2);
   EXPECT_GT(seq.committed, 0u);
   EXPECT_TRUE(seq == par);
+}
+
+// Every verification-cache lookup of a small deterministic payments run.
+struct LookupCount {
+  uint64_t lookups = 0;     // Hits plus misses.
+  uint64_t admissions = 0;  // Mempool Add calls: one signature check each.
+  uint64_t committed = 0;
+};
+
+LookupCount CountLookups(size_t tx_load_per_round) {
+  SimHarness h(PaymentsConfig(tx_load_per_round, 0));
+  h.Start();
+  EXPECT_TRUE(h.RunRounds(3));
+  const MetricsSnapshot m = h.AggregateMetrics();
+  LookupCount out;
+  out.lookups = m.CounterValue("verify.cache_hits") + m.CounterValue("verify.cache_misses");
+  for (const char* outcome : {"added", "duplicates", "stale", "replaced", "underpriced"}) {
+    out.admissions += m.CounterValue(std::string("mempool.") + outcome);
+  }
+  out.committed = h.CommittedTxCount();
+  return out;
+}
+
+// Exact-count guard for one signature check per payment per node: mempool
+// admission is the only payment lookup. Blocks are padded to one wire size,
+// so the unloaded run schedules the same consensus traffic, and the loaded
+// run's extra lookups are exactly its admissions — block validation adds
+// none however many payments the blocks carry.
+TEST(TxPipelineTest, BlockValidationAddsNoPaymentLookups) {
+  const LookupCount idle = CountLookups(0);
+  const LookupCount loaded = CountLookups(40);
+  EXPECT_EQ(idle.admissions, 0u);
+  EXPECT_EQ(loaded.lookups - idle.lookups, loaded.admissions);
+  // Pinned: 10 nodes admit 5 batches of 40 payments; 120 of them commit.
+  EXPECT_EQ(loaded.admissions, 2000u);
+  EXPECT_EQ(loaded.committed, 120u);
+  EXPECT_EQ(loaded.lookups, 6007u);
 }
 
 }  // namespace
