@@ -16,6 +16,7 @@
 #include "src/core/sortition.h"
 #include "src/core/tx_verifier.h"
 #include "src/ledger/account_table.h"
+#include "src/ledger/ledger.h"
 #include "src/ledger/transaction.h"
 #include "src/netsim/simulation.h"
 #include "src/crypto/ed25519.h"
@@ -536,6 +537,27 @@ void BM_AccountTable_LookupUpdate_1M(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AccountTable_LookupUpdate_1M)->Arg(0)->Arg(1)->Unit(benchmark::kNanosecond);
+
+// A node's ledger at a 1M-account genesis: the table is minted once, and
+// each iteration constructs one Ledger from the config, i.e. copies it. This
+// is the per-node share of harness set-up on payments-1m.
+void BM_LedgerFromGenesis(benchmark::State& state) {
+  std::vector<std::pair<PublicKey, uint64_t>> allocations(1'000'000);
+  DeterministicRng rng(29);
+  for (auto& [pk, stake] : allocations) {
+    rng.FillBytes(pk.data(), pk.size());
+    stake = 1;
+  }
+  GenesisConfig genesis;
+  genesis.accounts = MintGenesis(allocations);
+  allocations = {};
+  for (auto _ : state) {
+    Ledger ledger(genesis);
+    benchmark::DoNotOptimize(ledger.total_weight());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LedgerFromGenesis)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace algorand

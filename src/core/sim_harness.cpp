@@ -11,21 +11,20 @@ namespace algorand {
 SimHarness::SimHarness(HarnessConfig config)
     : config_(std::move(config)),
       rng_(config_.rng_seed, "harness"),
-      genesis_(MakeTestGenesis(config_.n_nodes, config_.stake_per_user, config_.rng_seed)) {
-  if (config_.stake_of) {
-    for (size_t i = 0; i < genesis_.config.allocations.size(); ++i) {
-      genesis_.config.allocations[i].second = config_.stake_of(i);
+      genesis_(MakeTestGenesisKeys(config_.n_nodes, config_.rng_seed)) {
+  {
+    // The allocations live only until they are minted: every node's ledger
+    // copies the one table.
+    std::vector<std::pair<PublicKey, uint64_t>> allocations;
+    allocations.reserve(config_.n_nodes + config_.tx_clients + config_.filler_accounts);
+    for (size_t i = 0; i < config_.n_nodes; ++i) {
+      // Aggregate-user modeling: each node carries its whole group's stake.
+      // Binomial sortition over weight makes this statistically identical to
+      // users_per_group separate users of the original stake.
+      const uint64_t stake = config_.stake_of ? config_.stake_of(i) : config_.stake_per_user;
+      allocations.emplace_back(genesis_.keys[i].public_key,
+                               stake * std::max<uint64_t>(1, config_.users_per_group));
     }
-  }
-  if (config_.users_per_group > 1) {
-    // Aggregate-user modeling: each node carries its whole group's stake.
-    // Binomial sortition over weight makes this statistically identical to
-    // users_per_group separate users of the original stake.
-    for (auto& alloc : genesis_.config.allocations) {
-      alloc.second *= config_.users_per_group;
-    }
-  }
-  if (config_.tx_clients > 0) {
     // Client accounts ride after the node allocations: funded, with real
     // signing keys, but no stake scaling — they pay, they don't propose.
     DeterministicRng client_rng(config_.rng_seed, "tx-clients");
@@ -34,23 +33,19 @@ SimHarness::SimHarness(HarnessConfig config)
       FixedBytes<32> seed;
       client_rng.FillBytes(seed.data(), seed.size());
       client_keys_.push_back(Ed25519KeyFromSeed(seed));
-      genesis_.config.allocations.emplace_back(client_keys_.back().public_key,
-                                               config_.client_stake);
+      allocations.emplace_back(client_keys_.back().public_key, config_.client_stake);
     }
     client_nonces_.assign(config_.tx_clients, 0);
-  }
-  if (config_.filler_accounts > 0) {
     // Fillers scale the account table to millions of entries. They never
     // sign anything, so a raw random public key (no keypair derivation) is
     // enough; stake 1 keeps their sortition weight negligible.
     DeterministicRng filler_rng(config_.rng_seed, "tx-fillers");
-    genesis_.config.allocations.reserve(genesis_.config.allocations.size() +
-                                        config_.filler_accounts);
     for (size_t i = 0; i < config_.filler_accounts; ++i) {
       PublicKey pk;
       filler_rng.FillBytes(pk.data(), pk.size());
-      genesis_.config.allocations.emplace_back(pk, 1);
+      allocations.emplace_back(pk, 1);
     }
+    genesis_.config.accounts = MintGenesis(allocations);
   }
   genesis_.config.weight_lookback_rounds = config_.weight_lookback_rounds;
   vrf_ = config_.use_sim_crypto ? static_cast<const VrfBackend*>(&sim_vrf_) : &ec_vrf_;

@@ -15,6 +15,9 @@
 // Iteration order over an open-addressing table depends on insertion order,
 // which the parallel committer does not fix; every observable ordering
 // (snapshots, fingerprints, tests) therefore goes through SortedEntries().
+//
+// A copy duplicates the shard arrays as they are, with no rehash: ledgers start
+// from a copy of one shared, immutable genesis table (MintGenesis, ledger.h).
 #ifndef ALGORAND_SRC_LEDGER_ACCOUNT_TABLE_H_
 #define ALGORAND_SRC_LEDGER_ACCOUNT_TABLE_H_
 

@@ -4,14 +4,20 @@
 
 namespace algorand {
 
+std::shared_ptr<const AccountTable> MintGenesis(
+    const std::vector<std::pair<PublicKey, uint64_t>>& allocations) {
+  auto table = std::make_shared<AccountTable>();
+  table->Reserve(allocations.size());
+  for (const auto& [pk, amount] : allocations) {
+    table->Credit(pk, amount);
+  }
+  return table;
+}
+
 Ledger::Ledger(const GenesisConfig& config)
     : lookback_rounds_(config.weight_lookback_rounds),
-      genesis_allocations_(config.allocations),
-      seed0_(config.seed0) {
-  accounts_.Reserve(config.allocations.size());
-  for (const auto& [pk, amount] : config.allocations) {
-    accounts_.Credit(pk, amount);
-  }
+      base_(config.accounts),
+      accounts_(*base_) {
   Block genesis;
   genesis.round = 0;
   genesis.is_empty = true;
@@ -40,7 +46,7 @@ bool Ledger::InstallCheckpoint(const Block& tip_block, AccountTable accounts,
   base_round_ = tip_block.round;
   seed_base_ = seed_base;
   base_seeds_ = std::move(seeds);
-  base_accounts_ = std::move(accounts);
+  base_ = std::make_shared<const AccountTable>(std::move(accounts));
   chain_.assign(1, tip_block);
   kinds_.assign(1, ConsensusKind::kFinal);
   RebuildState();
@@ -116,16 +122,7 @@ void Ledger::RebuildState() {
   round_by_hash_.clear();
   snapshots_.clear();
   replay_ok_ = true;
-
-  if (base_round_ == 0) {
-    accounts_ = AccountTable();
-    accounts_.Reserve(genesis_allocations_.size());
-    for (const auto& [pk, amount] : genesis_allocations_) {
-      accounts_.Credit(pk, amount);
-    }
-  } else {
-    accounts_ = base_accounts_;  // State after rounds 1..base_round_.
-  }
+  accounts_ = *base_;  // State after rounds 1..base_round_.
   for (const Block& b : chain_) {
     seeds_.push_back(b.next_seed);
     round_by_hash_[b.Hash()] = b.round;
@@ -149,15 +146,7 @@ void Ledger::RebuildState() {
 }
 
 AccountTable Ledger::AccountsAtRound(uint64_t round) const {
-  AccountTable table;
-  if (base_round_ == 0) {
-    table.Reserve(genesis_allocations_.size());
-    for (const auto& [pk, amount] : genesis_allocations_) {
-      table.Credit(pk, amount);
-    }
-  } else {
-    table = base_accounts_;  // Rounds <= base_round_ resolve to the base state.
-  }
+  AccountTable table = *base_;  // Rounds <= base_round_ resolve to the base state.
   for (uint64_t r = base_round_ + 1; r <= round && r < chain_length(); ++r) {
     for (const Transaction& tx : chain_[r - base_round_].txns) {
       table.ApplyTransaction(tx);
@@ -233,7 +222,7 @@ std::optional<uint64_t> Ledger::HighestFinalRound() const {
   return std::nullopt;
 }
 
-GenesisBundle MakeTestGenesis(size_t n_users, uint64_t stake_per_user, uint64_t rng_seed) {
+GenesisBundle MakeTestGenesisKeys(size_t n_users, uint64_t rng_seed) {
   GenesisBundle bundle;
   DeterministicRng rng(rng_seed, "genesis-keys");
   bundle.keys.reserve(n_users);
@@ -241,10 +230,19 @@ GenesisBundle MakeTestGenesis(size_t n_users, uint64_t stake_per_user, uint64_t 
     FixedBytes<32> seed;
     rng.FillBytes(seed.data(), seed.size());
     bundle.keys.push_back(Ed25519KeyFromSeed(seed));
-    bundle.config.allocations.emplace_back(bundle.keys.back().public_key, stake_per_user);
   }
   DeterministicRng seed_rng(rng_seed, "genesis-seed0");
   seed_rng.FillBytes(bundle.config.seed0.data(), bundle.config.seed0.size());
+  return bundle;
+}
+
+GenesisBundle MakeTestGenesis(size_t n_users, uint64_t stake_per_user, uint64_t rng_seed) {
+  GenesisBundle bundle = MakeTestGenesisKeys(n_users, rng_seed);
+  std::vector<std::pair<PublicKey, uint64_t>> allocations;
+  for (const Ed25519KeyPair& key : bundle.keys) {
+    allocations.emplace_back(key.public_key, stake_per_user);
+  }
+  bundle.config.accounts = MintGenesis(allocations);
   return bundle;
 }
 

@@ -1,11 +1,16 @@
 // Per-node ledger state: the chain of agreed blocks, the account table they
 // imply, the per-round seed schedule (§5.2), and optional historical weight
 // snapshots for the look-back rule (§5.3).
+//
+// Every account state a ledger derives starts from one base table: a
+// checkpoint's state, or the genesis table, which is minted once per
+// GenesisConfig, shared immutable by its ledgers, and copied, not re-derived.
 #ifndef ALGORAND_SRC_LEDGER_LEDGER_H_
 #define ALGORAND_SRC_LEDGER_LEDGER_H_
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -25,13 +30,20 @@ enum class ConsensusKind : uint8_t {
 };
 
 struct GenesisConfig {
-  std::vector<std::pair<PublicKey, uint64_t>> allocations;
+  // The genesis accounts, minted by MintGenesis. Immutable, so configs and
+  // their ledgers share it: copying a config copies a pointer.
+  std::shared_ptr<const AccountTable> accounts = std::make_shared<const AccountTable>();
   SeedBytes seed0;
 
   // If > 0, the ledger keeps account-table snapshots for this many recent
   // rounds so sortition can use look-back weights (§5.3).
   uint64_t weight_lookback_rounds = 0;
 };
+
+// The genesis table of `allocations`, credited in order. Configs keep no
+// allocation list, so no later edit can put one out of step with the table.
+std::shared_ptr<const AccountTable> MintGenesis(
+    const std::vector<std::pair<PublicKey, uint64_t>>& allocations);
 
 class Ledger {
  public:
@@ -92,6 +104,9 @@ class Ledger {
   SeedBytes SortitionSeed(uint64_t round, uint64_t refresh_interval) const;
 
   const AccountTable& accounts() const { return accounts_; }
+  // Account state at base_round(): the genesis table (the same object for
+  // every ledger of one GenesisConfig), or the installed checkpoint's state.
+  const AccountTable& base_accounts() const { return *base_; }
 
   // Routes Append's transaction execution through `applier` (the pipelined
   // verify → partition → apply path of ledger/exec.h). Null restores the
@@ -132,24 +147,21 @@ class Ledger {
 
  private:
   // Recomputes accounts/seeds/indexes by replaying chain_ from the base
-  // (genesis allocations, or the installed checkpoint state). Sets
-  // replay_ok_ false if any transaction fails to apply.
+  // state. Sets replay_ok_ false if any transaction fails to apply.
   void RebuildState();
 
   uint64_t lookback_rounds_;
-  std::vector<std::pair<PublicKey, uint64_t>> genesis_allocations_;
-  SeedBytes seed0_;
   bool replay_ok_ = true;
 
   // Compacted-prefix mode (InstallCheckpoint). base_round_ == 0 means full
-  // history; then base_seeds_ == {seed0_} and base_accounts_ is unused.
+  // history; then base_seeds_ == {seed0} and base_ is the genesis table.
   uint64_t base_round_ = 0;
   uint64_t seed_base_ = 0;
   // Seeds of rounds [seed_base_ .. base_round_]; chain_[0]'s next_seed (the
   // round base_round_+1 seed) is appended by RebuildState, keeping the replay
   // loop uniform across both modes.
   std::vector<SeedBytes> base_seeds_;
-  AccountTable base_accounts_;  // State after rounds 1..base_round_.
+  std::shared_ptr<const AccountTable> base_;  // State after rounds 1..base_round_.
 
   std::vector<Block> chain_;          // chain_[i] is the round base_round_+i block.
   std::vector<ConsensusKind> kinds_;  // Parallel to chain_.
@@ -169,6 +181,9 @@ struct GenesisBundle {
   std::vector<Ed25519KeyPair> keys;
 };
 GenesisBundle MakeTestGenesis(size_t n_users, uint64_t stake_per_user, uint64_t rng_seed);
+// MakeTestGenesis's keys and seed0 with an empty table, for callers that
+// mint their own allocations (SimHarness: stake shapes, clients, fillers).
+GenesisBundle MakeTestGenesisKeys(size_t n_users, uint64_t rng_seed);
 
 }  // namespace algorand
 

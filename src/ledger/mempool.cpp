@@ -62,23 +62,25 @@ Mempool::AddResult Mempool::Add(const Transaction& tx, uint64_t ledger_next_nonc
     duplicates_->Increment();
     return AddResult::kDuplicate;
   }
-  auto& queue = senders_[tx.from];
-  auto slot = queue.find(tx.nonce);
-  if (slot != queue.end()) {
-    // A different transaction already claims this (sender, nonce): only a
-    // strictly higher fee may replace it.
-    if (tx.fee <= slot->second.fee) {
-      duplicates_->Increment();
-      return AddResult::kDuplicate;
+  auto queue = senders_.find(tx.from);
+  if (queue != senders_.end()) {
+    auto slot = queue->second.find(tx.nonce);
+    if (slot != queue->second.end()) {
+      // A different transaction already claims this (sender, nonce): only a
+      // strictly higher fee may replace it.
+      if (tx.fee <= slot->second.fee) {
+        duplicates_->Increment();
+        return AddResult::kDuplicate;
+      }
+      ids_.erase(slot->second.Id());
+      eviction_index_.erase({slot->second.fee, tx.from, tx.nonce});
+      slot->second = tx;
+      ids_.emplace(id, std::make_pair(tx.from, tx.nonce));
+      eviction_index_.insert({tx.fee, tx.from, tx.nonce});
+      replaced_->Increment();
+      UpdateSizeGauge();
+      return AddResult::kReplaced;
     }
-    ids_.erase(slot->second.Id());
-    eviction_index_.erase({slot->second.fee, tx.from, tx.nonce});
-    slot->second = tx;
-    ids_.emplace(id, std::make_pair(tx.from, tx.nonce));
-    eviction_index_.insert({tx.fee, tx.from, tx.nonce});
-    replaced_->Increment();
-    UpdateSizeGauge();
-    return AddResult::kReplaced;
   }
   if (SizeLocked() >= config_.capacity) {
     const auto victim = *eviction_index_.begin();  // Lowest fee, tail-most.
@@ -88,8 +90,14 @@ Mempool::AddResult Mempool::Add(const Transaction& tx, uint64_t ledger_next_nonc
     }
     RemoveLocked(std::get<1>(victim), std::get<2>(victim));
     evicted_->Increment();
+    queue = senders_.find(tx.from);  // The victim may have emptied this queue.
   }
-  senders_[tx.from].emplace(tx.nonce, tx);
+  // The sender's queue is created only now, on admission: a rejected first
+  // arrival leaves no empty queue behind.
+  if (queue == senders_.end()) {
+    queue = senders_.try_emplace(tx.from).first;
+  }
+  queue->second.emplace(tx.nonce, tx);
   ids_.emplace(id, std::make_pair(tx.from, tx.nonce));
   eviction_index_.insert({tx.fee, tx.from, tx.nonce});
   added_->Increment();
@@ -113,6 +121,11 @@ std::vector<Transaction> Mempool::NotResident(const std::vector<Transaction>& tx
 size_t Mempool::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return ids_.size();
+}
+
+size_t Mempool::sender_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return senders_.size();
 }
 
 std::vector<Transaction> Mempool::BuildBlock(const AccountTable& accounts,

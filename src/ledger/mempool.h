@@ -72,6 +72,8 @@ class Mempool {
   // exact bytes, so block validation only needs to verify what this returns.
   std::vector<Transaction> NotResident(const std::vector<Transaction>& txns) const;
   size_t size() const;
+  // Senders with at least one resident transaction.
+  size_t sender_count() const;
 
   // Assembles the fee-priority, nonce-sequenced transaction list for a block
   // proposal: highest head-fee sender queues first, each drained in nonce

@@ -94,7 +94,7 @@ TEST(ConsensusIntegrationTest, CertificatesValidateForOutsiders) {
   ctx.round = 1;
   ctx.seed = node.ledger().SortitionSeed(1, node.params().seed_refresh_interval);
   ctx.prev_hash = node.ledger().genesis().Hash();
-  ctx.total_weight = h.genesis().config.allocations.size() * 1000;
+  ctx.total_weight = h.genesis().config.accounts->account_count() * 1000;
   ctx.weight_of = [](const PublicKey&) { return 1000u; };
   EXPECT_TRUE(ValidateCertificate(cert, ctx, node.params(), h.vrf(), h.signer()));
 

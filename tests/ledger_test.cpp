@@ -616,5 +616,85 @@ TEST(LedgerTest, MakeTestGenesisIsDeterministic) {
   EXPECT_NE(a.keys[0].public_key, c.keys[0].public_key);
 }
 
+// MakeTestGenesis(8, 1000, 42)'s users, then 200 stake-1 fillers drawn the
+// way SimHarness draws them (harness seed 42, filler_accounts = 200).
+std::vector<std::pair<PublicKey, uint64_t>> SmallGenesisWithFillers() {
+  std::vector<std::pair<PublicKey, uint64_t>> allocations;
+  for (const Ed25519KeyPair& key : MakeTestGenesisKeys(8, 42).keys) {
+    allocations.emplace_back(key.public_key, 1000);
+  }
+  DeterministicRng rng(42, "tx-fillers");
+  for (int i = 0; i < 200; ++i) {
+    PublicKey pk;
+    rng.FillBytes(pk.data(), pk.size());
+    allocations.emplace_back(pk, 1);
+  }
+  return allocations;
+}
+
+// Fingerprints of the genesis tables above, as the per-ledger credit loop
+// derived them before the table was minted once and shared.
+constexpr char kGoldenWithFillers[] =
+    "97ab367eee09a3dcab18f577b506fcb899a51f055deb9ba5a44bb4f8b5389f74";
+constexpr char kGoldenTestGenesis8[] =
+    "2d7d0449db3a54d160877bc90fd51c3d1d8b00254c50890f54c35743fbe4dffe";
+
+TEST(GenesisTest, MintedTableMatchesCreditLoopGolden) {
+  EXPECT_EQ(MintGenesis(SmallGenesisWithFillers())->StateFingerprint().ToHex(),
+            kGoldenWithFillers);
+  EXPECT_EQ(MakeTestGenesis(8, 1000, 42).config.accounts->StateFingerprint().ToHex(),
+            kGoldenTestGenesis8);
+  // A default config is the empty genesis.
+  EXPECT_EQ(Ledger(GenesisConfig{}).accounts().account_count(), 0u);
+}
+
+TEST(GenesisTest, LedgersFromOneConfigAreIndependent) {
+  Fixture f;
+  Ledger other(f.bundle.config);
+  const AccountTable& shared = *f.bundle.config.accounts;
+  EXPECT_EQ(&f.ledger.base_accounts(), &shared);
+  EXPECT_EQ(&other.base_accounts(), &shared);
+  const Hash256 genesis_state = shared.StateFingerprint();
+
+  Block b = f.NextEmptyBlock();
+  b.is_empty = false;
+  b.txns.push_back(MakeTransaction(f.key(0), f.pk(1), 100, 0, kSigner, /*fee=*/5));
+  ASSERT_TRUE(f.ledger.Append(b, ConsensusKind::kFinal));
+  EXPECT_EQ(f.ledger.accounts().BalanceOf(f.pk(0)), 895u);
+  EXPECT_EQ(f.ledger.total_weight(), 3995u);
+
+  // Neither the sibling ledger nor the shared table saw the payment.
+  EXPECT_EQ(other.accounts().BalanceOf(f.pk(0)), 1000u);
+  EXPECT_EQ(other.accounts().StateFingerprint(), genesis_state);
+  EXPECT_EQ(shared.StateFingerprint(), genesis_state);
+  EXPECT_EQ(shared.BalanceOf(f.pk(0)), 1000u);
+  EXPECT_EQ(shared.total_weight(), 4000u);
+  // And a ledger built after the append still starts at genesis.
+  EXPECT_EQ(Ledger(f.bundle.config).accounts().StateFingerprint(), genesis_state);
+}
+
+TEST(GenesisTest, EveryReplayFromGenesisStartsAtTheMintedTable) {
+  GenesisBundle g = MakeTestGenesisKeys(8, 42);
+  g.config.accounts = MintGenesis(SmallGenesisWithFillers());
+  Ledger ledger(g.config);
+  EXPECT_EQ(ledger.accounts().StateFingerprint().ToHex(), kGoldenWithFillers);
+
+  for (uint64_t nonce = 0; nonce < 2; ++nonce) {
+    Block b = Block::MakeEmpty(ledger.next_round(), ledger.tip_hash(),
+                               ledger.SeedForRound(ledger.next_round() - 1));
+    b.is_empty = false;
+    b.txns.push_back(MakeTransaction(g.keys[0], g.keys[1].public_key, 10, nonce, kSigner));
+    ASSERT_TRUE(ledger.Append(b, ConsensusKind::kTentative));
+  }
+  EXPECT_NE(ledger.accounts().StateFingerprint().ToHex(), kGoldenWithFillers);
+  EXPECT_EQ(ledger.AccountsAtRound(0).StateFingerprint().ToHex(), kGoldenWithFillers);
+
+  // Switching to an empty suffix replays back to genesis.
+  ASSERT_TRUE(ledger.ReplaceSuffix(1, {}));
+  EXPECT_EQ(ledger.chain_length(), 1u);
+  EXPECT_EQ(ledger.accounts().StateFingerprint().ToHex(), kGoldenWithFillers);
+  EXPECT_EQ(g.config.accounts->StateFingerprint().ToHex(), kGoldenWithFillers);
+}
+
 }  // namespace
 }  // namespace algorand

@@ -108,6 +108,49 @@ TEST(MempoolTest, EvictionTakesQueueTailSoNoGapOpens) {
   ASSERT_EQ(block.size(), 4u);  // Every resident transaction is proposable.
 }
 
+TEST(MempoolTest, RejectedArrivalsLeaveNoSenderQueue) {
+  Fixture f;
+  MempoolConfig cfg;
+  cfg.capacity = 2;
+  Mempool pool(cfg);
+  EXPECT_EQ(pool.Add(f.Pay(0, 7, 10, 0, /*fee=*/5), f.NextNonce(0)), Mempool::AddResult::kAdded);
+  EXPECT_EQ(pool.Add(f.Pay(1, 7, 10, 0, /*fee=*/5), f.NextNonce(1)), Mempool::AddResult::kAdded);
+  const std::vector<Transaction> before = pool.BuildBlock(f.ledger.accounts(), 1 << 20);
+  ASSERT_EQ(before.size(), 2u);
+
+  // First arrivals from senders the pool has never seen: underpriced at
+  // capacity, or stale against the ledger nonce passed in.
+  for (size_t s = 2; s < 7; ++s) {
+    EXPECT_EQ(pool.Add(f.Pay(s, 7, 10, 0, /*fee=*/1), f.NextNonce(s)),
+              Mempool::AddResult::kUnderpriced);
+    EXPECT_EQ(pool.Add(f.Pay(s, 7, 10, 0, /*fee=*/9), /*ledger_next_nonce=*/1),
+              Mempool::AddResult::kStale);
+  }
+  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool.sender_count(), 2u);
+  const std::vector<Transaction> after = pool.BuildBlock(f.ledger.accounts(), 1 << 20);
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].Id(), before[i].Id());
+  }
+}
+
+TEST(MempoolTest, EvictingTheSendersOnlyTransactionStillAdmits) {
+  Fixture f;
+  MempoolConfig cfg;
+  cfg.capacity = 2;
+  Mempool pool(cfg);
+  EXPECT_EQ(pool.Add(f.Pay(0, 7, 10, 0, /*fee=*/1), f.NextNonce(0)), Mempool::AddResult::kAdded);
+  EXPECT_EQ(pool.Add(f.Pay(1, 7, 10, 0, /*fee=*/5), f.NextNonce(1)), Mempool::AddResult::kAdded);
+  // The victim is sender 0's one resident transaction: its queue is emptied
+  // and erased before sender 0's new arrival is queued.
+  Transaction next = f.Pay(0, 7, 10, 1, /*fee=*/9);
+  EXPECT_EQ(pool.Add(next, f.NextNonce(0)), Mempool::AddResult::kAdded);
+  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool.sender_count(), 2u);
+  EXPECT_TRUE(pool.Contains(next.Id()));
+}
+
 TEST(MempoolTest, DuplicateIdAcrossRelayCopies) {
   Fixture f;
   Mempool pool;

@@ -310,6 +310,34 @@ TEST(CrashRestartTest, CrashedNodeCatchesUpAfterRestartFromSnapshot) {
   EXPECT_GE(h.node(5).ledger().chain_length() + 1, max_len);
 }
 
+TEST(GenesisTest, HarnessMintsOneTableThatEveryLedgerStartsFrom) {
+  // Eight users at stake 1000 plus 200 fillers: the genesis whose credit-loop
+  // fingerprint ledger_test pins.
+  const std::string golden = "97ab367eee09a3dcab18f577b506fcb899a51f055deb9ba5a44bb4f8b5389f74";
+  HarnessConfig cfg = RecoveryConfig(42);
+  cfg.n_nodes = 8;
+  cfg.filler_accounts = 200;
+  SimHarness h(cfg);
+  const GenesisConfig& genesis = h.genesis().config;
+  EXPECT_EQ(genesis.accounts->StateFingerprint().ToHex(), golden);
+  for (size_t i = 0; i < h.node_count(); ++i) {
+    EXPECT_EQ(&h.node(i).ledger().base_accounts(), genesis.accounts.get());
+  }
+
+  CatchupResult catchup = CatchupFromGenesis(genesis, cfg.params, {}, {}, h.vrf(), h.signer());
+  ASSERT_TRUE(catchup.ok) << catchup.error;
+  EXPECT_EQ(&catchup.ledger->base_accounts(), genesis.accounts.get());
+  EXPECT_EQ(catchup.ledger->accounts().StateFingerprint().ToHex(), golden);
+
+  h.Start();
+  ASSERT_TRUE(h.RunRounds(2, Hours(1)));
+  h.KillNode(3);
+  h.RestartNode(3, /*from_snapshot=*/false);
+  EXPECT_EQ(&h.node(3).ledger().base_accounts(), genesis.accounts.get());
+  EXPECT_EQ(h.node(3).ledger().accounts().StateFingerprint().ToHex(), golden);
+  EXPECT_EQ(genesis.accounts->StateFingerprint().ToHex(), golden);
+}
+
 TEST(CrashRestartTest, FreshRestartRejoinsFromGenesis) {
   // from_snapshot=false models losing the disk: the node rejoins with an
   // empty ledger and must re-fetch the whole chain.
