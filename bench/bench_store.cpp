@@ -183,7 +183,7 @@ SideResult RunSide(const Options& opt, const std::string& dir, bool checkpoints)
   // Node::RestoreFromStore.
   h.KillNode(0);
   auto r0 = std::chrono::steady_clock::now();
-  h.RestartNode(0, /*from_snapshot=*/true);
+  h.RestartNode(0, /*keep_disk=*/true);
   auto r1 = std::chrono::steady_clock::now();
   res.restart_seconds = std::chrono::duration<double>(r1 - r0).count();
   res.restart_base_round = h.node(0).ledger().base_round();
@@ -194,7 +194,7 @@ SideResult RunSide(const Options& opt, const std::string& dir, bool checkpoints)
   h.KillNode(1);
   auto j0 = std::chrono::steady_clock::now();
   SimTime sim0 = h.sim().now();
-  h.RestartNode(1, /*from_snapshot=*/false);
+  h.RestartNode(1, /*keep_disk=*/false);
   SimTime deadline = h.sim().now() + Hours(4);
   while (h.node(1).ledger().chain_length() < target && h.sim().now() < deadline) {
     h.sim().RunUntil(h.sim().now() + Seconds(2));

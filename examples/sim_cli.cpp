@@ -79,8 +79,8 @@ struct CliOptions {
   bool fast_sync = false;
 };
 
-// "3:20:50" -> node 3 crashes at t=20s, restarts (from snapshot) at t=50s.
-// "3:20:50:fresh" restarts with durable state wiped (fresh join);
+// "3:20:50" -> node 3 crashes at t=20s, restarts from its disk log at t=50s.
+// "3:20:50:fresh" restarts with its data dir wiped (fresh join);
 // "3:20:0" never restarts. Returns false on malformed input.
 bool ParseCrashSchedule(const std::string& spec,
                         std::vector<HarnessConfig::CrashEvent>* out) {
@@ -104,7 +104,7 @@ bool ParseCrashSchedule(const std::string& spec,
     ev.node = static_cast<size_t>(node);
     ev.crash_at = Seconds(crash_s);
     ev.restart_at = Seconds(restart_s);
-    ev.from_snapshot = !(matched == 4 && strcmp(tail, "fresh") == 0);
+    ev.keep_disk = !(matched == 4 && strcmp(tail, "fresh") == 0);
     out->push_back(ev);
   }
   return true;
@@ -263,7 +263,8 @@ void PrintHelp() {
       "                      cross-node trace events (Fig-5 phase breakdown)\n"
       "  --waterfall-json=FILE  write the waterfall as JSON\n"
       "  --crash-schedule=S  chaos: node:crash_s:restart_s[:fresh][,...]\n"
-      "                      (restart_s <= crash_s = never restarts)\n"
+      "                      (restart_s <= crash_s = never restarts); restarts\n"
+      "                      that keep their disk need --data-dir\n"
       "  --loss-rate=F       chaos: drop each transmission with prob. F\n"
       "  --partition=S:D     chaos: split the first n/2 nodes from the rest at\n"
       "                      t=S seconds for D seconds, then heal; implies\n"
@@ -333,6 +334,15 @@ int main(int argc, char** argv) {
     return 2;
   }
   cfg.params.checkpoint_interval = opt.checkpoint_interval;
+  for (const HarnessConfig::CrashEvent& ev : cfg.crash_schedule) {
+    if (ev.keep_disk && ev.restart_at > ev.crash_at && opt.data_dir.empty()) {
+      fprintf(stderr,
+              "--crash-schedule restarts node %zu from disk, which needs --data-dir "
+              "(or mark it :fresh)\n",
+              ev.node);
+      return 2;
+    }
+  }
   cfg.params.fastsync_enabled = opt.fast_sync;
 
   const std::string engine = std::to_string(std::max<size_t>(1, cfg.sim_workers)) + "-worker";
@@ -490,8 +500,8 @@ int main(int argc, char** argv) {
     }
     MetricsSnapshot chaos = h.AggregateMetrics();
     if (!opt.data_dir.empty()) {
-      // Restarts went through the disk log, not the in-memory snapshot; a
-      // crash-restart run that never replayed a round did not exercise it.
+      // Restarts went through the disk log; a crash-restart run that never
+      // replayed a round did not exercise it.
       printf("store: fsync=%s | %llu records, %llu fsyncs, %llu replayed rounds\n",
              FsyncPolicyName(opt.fsync),
              static_cast<unsigned long long>(chaos.counters["store.records_written"]),

@@ -2,6 +2,8 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -101,8 +103,8 @@ void ScheduleCrashProbe(CrashProbeState* st) {
     std::vector<size_t> kills;
     if (st->budget > 0 && st->down.empty()) {
       for (size_t i = 0; i < h.node_count(); ++i) {
-        // Malicious subclasses are not reconstructed by RestartNode; only
-        // honest nodes are crash candidates.
+        // Only honest nodes are crash candidates: the invariants judge
+        // honest chains, and a crashed adversary is merely a silent one.
         if (h.node_alive(i) && !h.is_malicious(i)) {
           kills.push_back(i);
         }
@@ -158,6 +160,28 @@ std::string ScheduleOutcome::Fingerprint() const {
   return out.str();
 }
 
+ModelChecker::ModelChecker(CheckConfig config) : config_(config) {
+  if (config_.max_crash_events == 0) {
+    return;
+  }
+  // One directory per checker, so checkers running side by side (ctest -j)
+  // never share a store.
+  std::error_code ec;
+  std::string dir = (std::filesystem::temp_directory_path(ec) / "algorand-check-XXXXXX").string();
+  if (mkdtemp(dir.data()) != nullptr) {
+    store_dir_ = dir;
+  } else {
+    fprintf(stderr, "model_checker: mkdtemp failed; crashed nodes restart from genesis\n");
+  }
+}
+
+ModelChecker::~ModelChecker() {
+  if (!store_dir_.empty()) {
+    std::error_code ec;
+    std::filesystem::remove_all(store_dir_, ec);
+  }
+}
+
 ScheduleOutcome ModelChecker::RunOne(const ChoiceTrace& prefix) {
   PrefixStrategy strategy(prefix, config_.max_choice_points);
   ScheduleOutcome out = RunWithStrategy(&strategy);
@@ -166,7 +190,17 @@ ScheduleOutcome ModelChecker::RunOne(const ChoiceTrace& prefix) {
 }
 
 ScheduleOutcome ModelChecker::RunWithStrategy(Strategy* strategy) {
-  const HarnessConfig hc = MakeHarnessConfig(config_);
+  HarnessConfig hc = MakeHarnessConfig(config_);
+  if (!store_dir_.empty()) {
+    // Every schedule starts from empty disks: a replay must see the same
+    // bytes the recorded run saw.
+    hc.data_dir = store_dir_ + "/run";
+    std::error_code ec;
+    std::filesystem::remove_all(hc.data_dir, ec);
+    std::filesystem::create_directory(hc.data_dir, ec);
+    hc.store_fsync = FsyncPolicy::kOff;
+    hc.store_background_writer = false;
+  }
   ScheduleOutcome out;
 
   size_t adversary_budget = config_.adversary_max_decisions;

@@ -54,8 +54,12 @@ struct CheckConfig {
   SimTime adversary_delay = Millis(250);
 
   // Crash/restart choice points: every `crash_probe_interval` a probe may
-  // kill an alive node or restart a killed one, at most `max_crash_events`
-  // times per schedule (0 = disabled).
+  // kill an alive honest node or restart a killed one, at most
+  // `max_crash_events` times per schedule (0 = disabled). A restart replays
+  // the node's block store, the same recovery code a deployment runs: the
+  // checker then gives its harness a private temporary data dir (synchronous
+  // writer, fsync off), wiped before every schedule so replays stay
+  // bit-identical and removed with the checker.
   size_t max_crash_events = 0;
   SimTime crash_probe_interval = Seconds(5);
 
@@ -94,7 +98,10 @@ struct ScheduleOutcome {
 
 class ModelChecker {
  public:
-  explicit ModelChecker(CheckConfig config) : config_(config) {}
+  explicit ModelChecker(CheckConfig config);
+  ~ModelChecker();
+  ModelChecker(const ModelChecker&) = delete;
+  ModelChecker& operator=(const ModelChecker&) = delete;
 
   const CheckConfig& config() const { return config_; }
 
@@ -141,6 +148,9 @@ class ModelChecker {
 
  private:
   CheckConfig config_;
+  // mkdtemp directory holding the per-schedule stores; empty when crash
+  // injection is off (or the directory could not be created).
+  std::string store_dir_;
 };
 
 }  // namespace algorand

@@ -29,7 +29,6 @@
 #include "src/core/fastsync.h"
 #include "src/core/fork_monitor.h"
 #include "src/core/params.h"
-#include "src/core/snapshot.h"
 #include "src/core/sortition.h"
 #include "src/core/tx_verifier.h"
 #include "src/core/verification_cache.h"
@@ -130,32 +129,23 @@ class Node : public BaEnvironment {
   bool halted() const { return halted_; }
 
   // --- Durable storage (src/store) ---
-  // Routes this node's committed rounds through `store`: every append,
-  // catch-up application, finality upgrade and fork switch is streamed to
-  // the log. The caller owns the store (one per node directory). Call before
-  // Start(); pass nullptr to detach.
-  void AttachStore(BlockStore* store) { store_ = store; }
+  // Attaches `store` (owned by the caller, one per node directory) and
+  // rebuilds chain + certificate maps by replaying it into this
+  // genesis-fresh node, validating each round's certificate against the
+  // reconstructed chain (§8.3: bootstrapping from stored certificates). An
+  // empty store restores trivially. Stops at the first record that fails
+  // validation and truncates the store back to the valid prefix, so disk and
+  // memory agree afterwards. From then on every append, catch-up
+  // application, finality upgrade and fork switch is streamed to the log.
+  // This is the node's only restart path: volatile state (BA* progress,
+  // buffered messages, the transaction pool) is never persisted, so a crash
+  // loses it. Call after ConfigureCertificateSharding, before Start().
+  // Returns false if the node already made progress past genesis or the log
+  // is compacted below every loadable checkpoint.
+  bool RestoreFromStore(BlockStore* store);
   BlockStore* store() const { return store_; }
 
-  // Rebuilds chain + certificate maps by replaying `store` into a
-  // genesis-fresh node, validating each round's certificate against the
-  // reconstructed chain (§8.3: bootstrapping from stored certificates).
-  // Stops at the first record that fails validation and truncates the store
-  // back to the valid prefix, so disk and memory agree afterwards. Attaches
-  // the store. Call after ConfigureCertificateSharding, before Start().
-  // Returns false if the node already made progress past genesis.
-  bool RestoreFromStore(BlockStore* store);
-
   // --- Crash/restart (fault injection) ---
-  // Serializes the node's durable state: chain, consensus kinds, stored
-  // certificates and the shard configuration. Volatile state (BA* progress,
-  // buffered messages, the transaction pool) is deliberately excluded — a
-  // crash loses it.
-  NodeSnapshot Snapshot() const;
-  // Loads a snapshot into a freshly constructed node (chain still at
-  // genesis). Returns false if the node already made progress or the
-  // snapshot's chain does not apply.
-  bool RestoreSnapshot(const NodeSnapshot& snapshot);
   // Permanently stops this node: kills all pending timers via the scheduling
   // epoch and makes every handler a no-op. Used by the harness to park a
   // "crashed" node whose callbacks may still sit in the event queue.

@@ -84,60 +84,21 @@ SimHarness::SimHarness(HarnessConfig config)
     exec_pool_->AttachMetrics(&global_metrics_, "exec");
   }
 
-  CryptoSuite crypto{vrf_, signer_, &cache_, pool_.get(), exec_pool_.get()};
   agents_.reserve(config_.n_nodes);
-  nodes_.reserve(config_.n_nodes);
   metrics_.reserve(config_.n_nodes);
   for (NodeId i = 0; i < config_.n_nodes; ++i) {
     metrics_.push_back(std::make_unique<MetricsRegistry>());
     agents_.push_back(std::make_unique<GossipAgent>(i, network_.get(), topology_.get()));
     agents_.back()->AttachMetrics(metrics_.back().get());
     agents_.back()->set_clock(sim_.get());
-    std::unique_ptr<Node> node;
-    if (config_.node_factory) {
-      node = config_.node_factory(i, sim_.get(), agents_.back().get(), genesis_.keys[i],
-                                  genesis_.config, config_.params, crypto, &coordinator_);
-    }
-    if (!node) {
-      if (i < malicious_count_) {
-        node = std::make_unique<EquivocatingNode>(i, sim_.get(), agents_.back().get(),
-                                                  genesis_.keys[i], genesis_.config,
-                                                  config_.params, crypto, &coordinator_);
-      } else if (i < malicious_count_ + config_.grinding_count) {
-        node = std::make_unique<GrindingProposerNode>(
-            i, sim_.get(), agents_.back().get(), genesis_.keys[i], genesis_.config,
-            config_.params, crypto, config_.grind_candidates, config_.grind_withhold);
-      } else if (config_.users_per_group > 1) {
-        node = std::make_unique<UserGroupNode>(i, sim_.get(), agents_.back().get(),
-                                               genesis_.keys[i], genesis_.config, config_.params,
-                                               crypto, config_.users_per_group);
-      } else {
-        node = std::make_unique<Node>(i, sim_.get(), agents_.back().get(), genesis_.keys[i],
-                                      genesis_.config, config_.params, crypto);
-      }
-    }
-    node->AttachObservability(metrics_.back().get(), &tracer_);
-    nodes_.push_back(std::move(node));
   }
-  alive_.assign(config_.n_nodes, true);
-  snapshots_.resize(config_.n_nodes);
+  nodes_.resize(config_.n_nodes);
   stores_.resize(config_.n_nodes);
-  if (!config_.data_dir.empty()) {
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      auto store = OpenStoreFor(i);
-      if (store == nullptr) {
-        continue;
-      }
-      store->AttachMetrics(metrics_[i].get());
-      if (store->max_round() > 0) {
-        // The directory already holds a log (process-level restart): replay
-        // it into the fresh node before it starts.
-        nodes_[i]->RestoreFromStore(store.get());
-      } else {
-        nodes_[i]->AttachStore(store.get());
-      }
-      stores_[i] = std::move(store);
-    }
+  alive_.assign(config_.n_nodes, true);
+  for (size_t i = 0; i < config_.n_nodes; ++i) {
+    // A directory that already holds a log (process-level restart) replays
+    // into the fresh node before it starts.
+    BringUpNode(i);
   }
   network_->set_delivery_handler([this](NodeId to, NodeId from, const MessagePtr& msg) {
     if (!alive_[to]) {
@@ -180,22 +141,64 @@ void SimHarness::Start() {
     }
     sim_->ScheduleAt(ev.crash_at, [this, ev] { KillNode(ev.node); });
     if (ev.restart_at > ev.crash_at) {
-      sim_->ScheduleAt(ev.restart_at, [this, ev] { RestartNode(ev.node, ev.from_snapshot); });
+      sim_->ScheduleAt(ev.restart_at, [this, ev] { RestartNode(ev.node, ev.keep_disk); });
     }
   }
 }
 
-std::unique_ptr<BlockStore> SimHarness::OpenStoreFor(size_t i) {
-  StoreOptions opts;
-  opts.dir = config_.data_dir + "/node-" + std::to_string(i);
-  opts.fsync = config_.store_fsync;
-  opts.background_writer = config_.store_background_writer;
-  std::string error;
-  auto store = BlockStore::Open(opts, &error);
-  if (store == nullptr) {
-    fprintf(stderr, "sim_harness: cannot open store for node %zu: %s\n", i, error.c_str());
+std::unique_ptr<Node> SimHarness::MakeNode(size_t i) {
+  const NodeId id = static_cast<NodeId>(i);
+  CryptoSuite crypto{vrf_, signer_, &cache_, pool_.get(), exec_pool_.get()};
+  if (config_.node_factory) {
+    if (auto node = config_.node_factory(id, sim_.get(), agents_[i].get(), genesis_.keys[i],
+                                         genesis_.config, config_.params, crypto,
+                                         &coordinator_)) {
+      return node;
+    }
   }
-  return store;
+  if (i < malicious_count_) {
+    return std::make_unique<EquivocatingNode>(id, sim_.get(), agents_[i].get(),
+                                              genesis_.keys[i], genesis_.config,
+                                              config_.params, crypto, &coordinator_);
+  }
+  if (i < malicious_count_ + config_.grinding_count) {
+    return std::make_unique<GrindingProposerNode>(
+        id, sim_.get(), agents_[i].get(), genesis_.keys[i], genesis_.config, config_.params,
+        crypto, config_.grind_candidates, config_.grind_withhold);
+  }
+  if (config_.users_per_group > 1) {
+    return std::make_unique<UserGroupNode>(id, sim_.get(), agents_[i].get(), genesis_.keys[i],
+                                           genesis_.config, config_.params, crypto,
+                                           config_.users_per_group);
+  }
+  return std::make_unique<Node>(id, sim_.get(), agents_[i].get(), genesis_.keys[i],
+                                genesis_.config, config_.params, crypto);
+}
+
+bool SimHarness::BringUpNode(size_t i) {
+  std::unique_ptr<Node> node = MakeNode(i);
+  bool restored = false;
+  if (!config_.data_dir.empty()) {
+    StoreOptions opts;
+    opts.dir = NodeDir(i);
+    opts.fsync = config_.store_fsync;
+    opts.background_writer = config_.store_background_writer;
+    std::string error;
+    stores_[i] = BlockStore::Open(opts, &error);
+    if (stores_[i] == nullptr) {
+      fprintf(stderr, "sim_harness: cannot open store for node %zu: %s\n", i, error.c_str());
+    } else {
+      stores_[i]->AttachMetrics(metrics_[i].get());
+      restored = node->RestoreFromStore(stores_[i].get()) && stores_[i]->max_round() > 0;
+    }
+  }
+  node->AttachObservability(metrics_[i].get(), &tracer_);
+  nodes_[i] = std::move(node);
+  return restored;
+}
+
+std::string SimHarness::NodeDir(size_t i) const {
+  return config_.data_dir + "/node-" + std::to_string(i);
 }
 
 void SimHarness::KillNode(size_t i) {
@@ -204,13 +207,9 @@ void SimHarness::KillNode(size_t i) {
   }
   if (stores_[i] != nullptr) {
     // SIGKILL semantics: queued-but-unwritten log operations die with the
-    // process; whatever was write()n is what restart will find. No snapshot
-    // — the on-disk log is the durable state under test.
+    // process; whatever was write()n is what restart will find.
     stores_[i]->Crash();
     store_graveyard_.push_back(std::move(stores_[i]));
-  } else {
-    // Durable state survives the crash; everything in-memory is lost.
-    snapshots_[i] = nodes_[i]->Snapshot().Serialize();
   }
   TraceEvent ev;
   ev.at = sim_->now();
@@ -223,64 +222,29 @@ void SimHarness::KillNode(size_t i) {
   global_metrics_.GetCounter("restart.kills").Increment();
 }
 
-void SimHarness::RestartNode(size_t i, bool from_snapshot) {
+void SimHarness::RestartNode(size_t i, bool keep_disk) {
   if (i >= nodes_.size() || alive_[i]) {
     return;
   }
   // The old node may still be referenced by queued simulator lambdas; park it
   // (halted) instead of destroying it.
   graveyard_.push_back(std::move(nodes_[i]));
-  CryptoSuite crypto{vrf_, signer_, &cache_, pool_.get(), exec_pool_.get()};
-  // Reproduce the node's original configuration (sharding, subclass hooks):
-  // a restart changes state, not deployment shape.
-  std::unique_ptr<Node> node;
-  if (config_.node_factory) {
-    node = config_.node_factory(static_cast<NodeId>(i), sim_.get(), agents_[i].get(),
-                                genesis_.keys[i], genesis_.config, config_.params, crypto,
-                                &coordinator_);
+  if (!config_.data_dir.empty() && !keep_disk) {
+    // Fresh rejoin: the node lost its disk too. Wipe the directory so the
+    // reopened store starts empty.
+    std::error_code ec;
+    std::filesystem::remove_all(NodeDir(i), ec);
   }
-  if (!node) {
-    if (i >= malicious_count_ && i < malicious_count_ + config_.grinding_count) {
-      node = std::make_unique<GrindingProposerNode>(
-          static_cast<NodeId>(i), sim_.get(), agents_[i].get(), genesis_.keys[i],
-          genesis_.config, config_.params, crypto, config_.grind_candidates,
-          config_.grind_withhold);
-    } else if (config_.users_per_group > 1 && i >= malicious_count_) {
-      node = std::make_unique<UserGroupNode>(static_cast<NodeId>(i), sim_.get(),
-                                             agents_[i].get(), genesis_.keys[i], genesis_.config,
-                                             config_.params, crypto, config_.users_per_group);
-    } else {
-      node = std::make_unique<Node>(static_cast<NodeId>(i), sim_.get(), agents_[i].get(),
-                                    genesis_.keys[i], genesis_.config, config_.params, crypto);
-    }
-  }
-  bool restored = false;
-  if (!config_.data_dir.empty()) {
-    if (!from_snapshot) {
-      // Fresh rejoin: the node lost its disk too. Wipe the directory so the
-      // reopened store starts empty.
-      std::error_code ec;
-      std::filesystem::remove_all(config_.data_dir + "/node-" + std::to_string(i), ec);
-    }
-    auto store = OpenStoreFor(i);
-    if (store != nullptr) {
-      store->AttachMetrics(metrics_[i].get());
-      restored = node->RestoreFromStore(store.get()) && store->max_round() > 0;
-      stores_[i] = std::move(store);
-    }
-  } else if (from_snapshot && !snapshots_[i].empty()) {
-    auto snap = NodeSnapshot::Deserialize(snapshots_[i]);
-    restored = snap.has_value() && node->RestoreSnapshot(*snap);
-  }
-  node->AttachObservability(metrics_[i].get(), &tracer_);
+  // Same construction as at deployment: a restart changes state, not
+  // deployment shape.
+  const bool restored = BringUpNode(i);
   TraceEvent ev;
   ev.at = sim_->now();
   ev.node = static_cast<uint32_t>(i);
-  ev.round = node->ledger().chain_length();
+  ev.round = nodes_[i]->ledger().chain_length();
   ev.kind = TraceKind::kRestart;
   ev.flag = restored ? 1 : 0;
   tracer_.Record(ev);
-  nodes_[i] = std::move(node);
   alive_[i] = true;
   global_metrics_.GetCounter("restart.restarts").Increment();
   sim_->SetExternalStream(static_cast<uint32_t>(i));

@@ -106,9 +106,9 @@ struct HarnessConfig {
   // BlockStore at <data_dir>/node-<i> and streams its committed rounds
   // there. KillNode then Crash()es the store (queued writes are lost, like a
   // SIGKILL) and RestartNode rebuilds the node by replaying the on-disk log
-  // (Node::RestoreFromStore) — the in-memory snapshot path is bypassed, so
-  // disk is the durable state under test. A dir that already holds a log is
-  // replayed at construction (process-level restarts).
+  // (Node::RestoreFromStore). A dir that already holds a log is replayed at
+  // construction (process-level restarts). The store is a node's only
+  // durable state: without a data_dir every restart is a genesis-fresh join.
   std::string data_dir;
   FsyncPolicy store_fsync = FsyncPolicy::kBatched;
   // false = synchronous writes on the protocol thread (deterministic I/O
@@ -117,13 +117,14 @@ struct HarnessConfig {
 
   // Fault injection: declarative crash/restart schedule, applied at Start().
   // A crashed node stops processing and receiving; at restart_at it comes
-  // back from its snapshotted durable state (or empty, simulating a fresh
-  // join) and catches up to the live chain via the peer catch-up protocol.
+  // back by replaying its disk log (or empty, when there is no data_dir or
+  // the disk is lost) and catches up to the live chain via the peer
+  // catch-up protocol.
   struct CrashEvent {
     size_t node = 0;
     SimTime crash_at = 0;
-    SimTime restart_at = 0;     // 0 (or <= crash_at) = never restarts.
-    bool from_snapshot = true;  // false = lose durable state, rejoin fresh.
+    SimTime restart_at = 0;  // 0 (or <= crash_at) = never restarts.
+    bool keep_disk = true;   // false = wipe the node's data dir, rejoin fresh.
   };
   std::vector<CrashEvent> crash_schedule;
 
@@ -220,12 +221,14 @@ class SimHarness {
   uint64_t CommittedTxCount(size_t i = 0) const;
 
   // Fault injection (usable directly or via config.crash_schedule).
-  // KillNode snapshots the node's durable state, halts it and stops
-  // delivering to it. RestartNode replaces it with a fresh Node — restored
-  // from the snapshot taken at kill time, or genesis-fresh — and starts it;
-  // the catch-up protocol brings it to the live tip.
+  // KillNode crashes the node's store (SIGKILL semantics), halts the node and
+  // stops delivering to it. RestartNode builds node i again exactly as the
+  // deployment did (node_factory, adversary type, user group), replays its
+  // disk log — unless `keep_disk` is false, which wipes the directory first —
+  // and starts it; the catch-up protocol brings it to the live tip. Without
+  // a data_dir the restarted node starts from genesis.
   void KillNode(size_t i);
-  void RestartNode(size_t i, bool from_snapshot = true);
+  void RestartNode(size_t i, bool keep_disk = true);
   bool node_alive(size_t i) const { return alive_[i]; }
 
   // Node i's durable store; null when config.data_dir is empty (or the node
@@ -233,8 +236,15 @@ class SimHarness {
   BlockStore* node_store(size_t i) const { return stores_[i].get(); }
 
  private:
-  // Opens (or reopens) node i's store at <data_dir>/node-<i>.
-  std::unique_ptr<BlockStore> OpenStoreFor(size_t i);
+  // Node i as the deployment shape configures it: node_factory first, then
+  // equivocator, grinder, user group or plain honest node by id.
+  std::unique_ptr<Node> MakeNode(size_t i);
+  // The one bring-up sequence for construction and restarts: MakeNode, open
+  // node i's store (when data_dir is set), RestoreFromStore, then
+  // AttachObservability — so replayed rounds are not counted as live work.
+  // Installs the node in nodes_[i]; returns true if it replayed any round.
+  bool BringUpNode(size_t i);
+  std::string NodeDir(size_t i) const;
   // The synthetic-load probe: tops the mempools up once per round the honest
   // chain advanced, then reschedules itself a second later.
   void TxLoadProbe();
@@ -253,7 +263,6 @@ class SimHarness {
   // being destroyed: the simulator's event queue may still hold lambdas that
   // capture their raw `this`.
   std::vector<bool> alive_;
-  std::vector<std::vector<uint8_t>> snapshots_;
   std::vector<std::unique_ptr<Node>> graveyard_;
   std::unique_ptr<NetworkAdversary> net_adversary_;
   std::vector<std::unique_ptr<MetricsRegistry>> metrics_;

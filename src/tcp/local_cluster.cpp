@@ -32,7 +32,6 @@ LocalCluster::LocalCluster(const LocalClusterConfig& config)
   agents_.resize(config_.n_nodes);
   nodes_.resize(config_.n_nodes);
   alive_.assign(config_.n_nodes, true);
-  snapshots_.resize(config_.n_nodes);
   stores_.resize(config_.n_nodes);
   for (NodeId i = 0; i < config_.n_nodes; ++i) {
     metrics_.push_back(std::make_unique<MetricsRegistry>());
@@ -60,17 +59,19 @@ void LocalCluster::WireSlot(size_t i) {
   nodes_[i] = std::make_unique<Node>(id, &loop_, agents_[i].get(), genesis_.keys[i],
                                      genesis_.config, config_.params, crypto);
   if (!config_.data_dir.empty()) {
-    auto store = OpenStoreFor(i);
-    if (store != nullptr) {
-      store->AttachMetrics(metrics_[i].get());
-      if (store->max_round() > 0) {
-        // The directory already holds a log (restart, or a reused dir from a
-        // previous process): replay it before the node starts.
-        nodes_[i]->RestoreFromStore(store.get());
-      } else {
-        nodes_[i]->AttachStore(store.get());
-      }
-      stores_[i] = std::move(store);
+    // A directory that already holds a log (restart, or a reused dir from a
+    // previous process) replays before the node starts.
+    StoreOptions opts;
+    opts.dir = NodeDir(i);
+    opts.fsync = config_.store_fsync;
+    opts.background_writer = config_.store_background_writer;
+    std::string error;
+    stores_[i] = BlockStore::Open(opts, &error);
+    if (stores_[i] == nullptr) {
+      fprintf(stderr, "local_cluster: cannot open store for node %zu: %s\n", i, error.c_str());
+    } else {
+      stores_[i]->AttachMetrics(metrics_[i].get());
+      nodes_[i]->RestoreFromStore(stores_[i].get());
     }
   }
   nodes_[i]->AttachObservability(metrics_[i].get(), &tracer_);
@@ -89,17 +90,8 @@ void LocalCluster::WireSlot(size_t i) {
   });
 }
 
-std::unique_ptr<BlockStore> LocalCluster::OpenStoreFor(size_t i) {
-  StoreOptions opts;
-  opts.dir = config_.data_dir + "/node-" + std::to_string(i);
-  opts.fsync = config_.store_fsync;
-  opts.background_writer = config_.store_background_writer;
-  std::string error;
-  auto store = BlockStore::Open(opts, &error);
-  if (store == nullptr) {
-    fprintf(stderr, "local_cluster: cannot open store for node %zu: %s\n", i, error.c_str());
-  }
-  return store;
+std::string LocalCluster::NodeDir(size_t i) const {
+  return config_.data_dir + "/node-" + std::to_string(i);
 }
 
 void LocalCluster::KillNode(size_t i) {
@@ -108,12 +100,9 @@ void LocalCluster::KillNode(size_t i) {
   }
   if (stores_[i] != nullptr) {
     // SIGKILL semantics: queued log writes die, files close without flush;
-    // restart finds exactly what the OS already had. No snapshot — the disk
-    // log is the durable state.
+    // restart finds exactly what the OS already had.
     stores_[i]->Crash();
     store_graveyard_.push_back(std::move(stores_[i]));
-  } else {
-    snapshots_[i] = nodes_[i]->Snapshot().Serialize();
   }
   TraceEvent ev;
   ev.at = loop_.now();
@@ -129,7 +118,7 @@ void LocalCluster::KillNode(size_t i) {
   cluster_metrics_.GetCounter("restart.kills").Increment();
 }
 
-void LocalCluster::RestartNode(size_t i, bool from_snapshot) {
+void LocalCluster::RestartNode(size_t i, bool keep_disk) {
   if (i >= nodes_.size() || alive_[i]) {
     return;
   }
@@ -140,19 +129,13 @@ void LocalCluster::RestartNode(size_t i, bool from_snapshot) {
   // Rebind the same port so every other node's address book stays valid.
   endpoints_[i] = std::make_unique<TcpEndpoint>(&loop_, static_cast<NodeId>(i),
                                                 address_book_.at(static_cast<NodeId>(i)));
-  if (!config_.data_dir.empty() && !from_snapshot) {
+  if (!config_.data_dir.empty() && !keep_disk) {
     // Fresh rejoin: the disk is gone too. WireSlot reopens an empty store.
     std::error_code ec;
-    std::filesystem::remove_all(config_.data_dir + "/node-" + std::to_string(i), ec);
+    std::filesystem::remove_all(NodeDir(i), ec);
   }
   WireSlot(i);  // With data_dir set, this reopens and replays the disk log.
-  bool restored = false;
-  if (!config_.data_dir.empty()) {
-    restored = nodes_[i]->ledger().chain_length() > 1;
-  } else if (from_snapshot && !snapshots_[i].empty()) {
-    auto snap = NodeSnapshot::Deserialize(snapshots_[i]);
-    restored = snap.has_value() && nodes_[i]->RestoreSnapshot(*snap);
-  }
+  const bool restored = nodes_[i]->ledger().chain_length() > 1;
   TraceEvent ev;
   ev.at = loop_.now();
   ev.node = static_cast<uint32_t>(i);

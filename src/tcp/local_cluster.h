@@ -34,8 +34,8 @@ struct LocalClusterConfig {
   bool enable_reconnect = false;
   // Durable storage: when non-empty, node i keeps a BlockStore at
   // <data_dir>/node-<i>. KillNode Crash()es the store and RestartNode
-  // reopens it from disk (Node::RestoreFromStore) instead of using the
-  // in-memory snapshot.
+  // reopens it from disk (Node::RestoreFromStore). Without a data_dir a node
+  // has no durable state and every restart is a genesis-fresh join.
   std::string data_dir;
   FsyncPolicy store_fsync = FsyncPolicy::kBatched;
   bool store_background_writer = true;
@@ -62,13 +62,14 @@ class LocalCluster {
   // True if every pair of nodes agrees on all common rounds.
   bool ChainsConsistent() const;
 
-  // Fault injection: KillNode snapshots durable state, halts the node and
-  // tears down its sockets (peers see EOF and begin reconnect-with-backoff).
-  // RestartNode rebinds the same port, rebuilds endpoint/agent/node —
-  // restored from the snapshot or genesis-fresh — and starts it; catch-up
-  // brings it to the live tip.
+  // Fault injection: KillNode crashes the node's store (SIGKILL semantics),
+  // halts the node and tears down its sockets (peers see EOF and begin
+  // reconnect-with-backoff). RestartNode rebinds the same port, rebuilds
+  // endpoint/agent/node — replaying the disk log, or genesis-fresh when
+  // `keep_disk` is false (the directory is wiped) or there is no data_dir —
+  // and starts it; catch-up brings it to the live tip.
   void KillNode(size_t i);
-  void RestartNode(size_t i, bool from_snapshot = true);
+  void RestartNode(size_t i, bool keep_disk = true);
   bool node_alive(size_t i) const { return alive_[i]; }
 
   // Node i's durable store; null when config.data_dir is empty or the node
@@ -84,11 +85,11 @@ class LocalCluster {
 
  private:
   // Wires slot `i` around the already-bound endpoints_[i]: address book,
-  // metrics, reconnect policy, a fresh agent + node, and the receiver chain.
+  // metrics, reconnect policy, a fresh agent + node (open store →
+  // RestoreFromStore → AttachObservability), and the receiver chain.
   // Initial construction and RestartNode share this.
   void WireSlot(size_t i);
-  // Opens (or reopens) node i's store at <data_dir>/node-<i>.
-  std::unique_ptr<BlockStore> OpenStoreFor(size_t i);
+  std::string NodeDir(size_t i) const;
 
   LocalClusterConfig config_;
   GenesisBundle genesis_;
@@ -101,7 +102,6 @@ class LocalCluster {
   // Crash/restart bookkeeping: halted nodes (and their agents) are parked,
   // not destroyed — event-loop timers may still hold their raw pointers.
   std::vector<bool> alive_;
-  std::vector<std::vector<uint8_t>> snapshots_;
   std::vector<std::unique_ptr<Node>> node_graveyard_;
   std::vector<std::unique_ptr<GossipAgent>> agent_graveyard_;
   EcVrf ec_vrf_;

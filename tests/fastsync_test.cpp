@@ -71,7 +71,7 @@ TEST(FastSyncTest, ColdRestartFromCheckpointMatchesFullReplay) {
   ASSERT_TRUE(h.RunRounds(10, Hours(2)));
 
   h.KillNode(5);
-  h.RestartNode(5, /*from_snapshot=*/true);
+  h.RestartNode(5, /*keep_disk=*/true);
   // The restart restored from the checkpoint ladder, not by replaying the
   // whole WAL: the ledger runs in compacted-prefix mode.
   uint64_t base = h.node(5).ledger().base_round();
@@ -98,7 +98,7 @@ TEST(FastSyncTest, FreshNodeFastSyncJoinMatchesFullCatchupState) {
 
   h.KillNode(5);
   ASSERT_TRUE(h.RunRounds(20, Hours(2)));  // Build a gap worth fast-syncing.
-  h.RestartNode(5, /*from_snapshot=*/false);  // Disk wiped: genesis-fresh join.
+  h.RestartNode(5, /*keep_disk=*/false);  // Disk wiped: genesis-fresh join.
   ASSERT_TRUE(h.RunRounds(28, Hours(2)));
 
   // The rejoin went through certificate-chain fast-sync, not block replay.
@@ -125,7 +125,7 @@ TEST(FastSyncTest, FreshNodeFastSyncJoinMatchesFullCatchupState) {
   ASSERT_NE(h.node_store(5), nullptr);
   EXPECT_FALSE(h.node_store(5)->checkpoints().empty());
   h.KillNode(5);
-  h.RestartNode(5, /*from_snapshot=*/true);
+  h.RestartNode(5, /*keep_disk=*/true);
   EXPECT_GE(h.node(5).ledger().base_round(), base);
   ExpectStateMatches(h, 5, 1);
 }
@@ -142,7 +142,7 @@ TEST(FastSyncTest, CorruptCheckpointFallsBackToWalReplayWithIdenticalState) {
 
   // Control: with pristine files the restart uses the checkpoint.
   h.KillNode(5);
-  h.RestartNode(5, /*from_snapshot=*/true);
+  h.RestartNode(5, /*keep_disk=*/true);
   ASSERT_GT(h.node(5).ledger().base_round(), 0u);
   ASSERT_TRUE(h.RunRounds(14, Hours(2)));
 
@@ -179,7 +179,7 @@ TEST(FastSyncTest, CorruptCheckpointFallsBackToWalReplayWithIdenticalState) {
     SCOPED_TRACE("corruption mode " + std::to_string(mode));
     h.KillNode(5);
     corrupt_all(mode);
-    h.RestartNode(5, /*from_snapshot=*/true);
+    h.RestartNode(5, /*keep_disk=*/true);
     // Fallback: no usable checkpoint, so the ledger was rebuilt by full WAL
     // replay from genesis — and lands on the same state as the live nodes.
     EXPECT_EQ(h.node(5).ledger().base_round(), 0u);

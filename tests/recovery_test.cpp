@@ -41,6 +41,14 @@ HarnessConfig RecoveryConfig(uint64_t seed) {
   return cfg;
 }
 
+// Gives `cfg` a wiped per-test data dir with a synchronous store writer
+// (deterministic I/O interleaving): restarts that keep their disk replay it.
+void UseDataDir(HarnessConfig* cfg, const std::string& name) {
+  cfg->data_dir = ::testing::TempDir() + "algorand_recovery_" + name;
+  cfg->store_background_writer = false;
+  std::filesystem::remove_all(cfg->data_dir);
+}
+
 TEST(RecoveryTest, NodesHangDuringLongPartition) {
   SimHarness h(RecoveryConfig(1));
   std::set<NodeId> group_a;
@@ -277,8 +285,10 @@ TEST(CatchupTest, ShardedStorageKeepsOnlyOwnRounds) {
 
 // --- Crash/restart fault injection + live catch-up ---
 
-TEST(CrashRestartTest, CrashedNodeCatchesUpAfterRestartFromSnapshot) {
-  SimHarness h(RecoveryConfig(10));
+TEST(CrashRestartTest, CrashedNodeCatchesUpAfterRestartFromDisk) {
+  HarnessConfig cfg = RecoveryConfig(10);
+  UseDataDir(&cfg, "catchup_after_restart");
+  SimHarness h(cfg);
   h.Start();
   ASSERT_TRUE(h.RunRounds(2, Hours(1)));
 
@@ -289,9 +299,9 @@ TEST(CrashRestartTest, CrashedNodeCatchesUpAfterRestartFromSnapshot) {
   // The network keeps agreeing without the crashed node.
   ASSERT_TRUE(h.RunRounds(5, Hours(1)));
 
-  h.RestartNode(5, /*from_snapshot=*/true);
+  h.RestartNode(5, /*keep_disk=*/true);
   EXPECT_TRUE(h.node_alive(5));
-  // Durable state survived: the restarted ledger resumes from the snapshot.
+  // Durable state survived: the restarted ledger resumes from the disk log.
   EXPECT_GE(h.node(5).ledger().chain_length(), len_at_crash);
 
   // RunRounds waits on every live node, so this passing means node 5 caught
@@ -308,6 +318,7 @@ TEST(CrashRestartTest, CrashedNodeCatchesUpAfterRestartFromSnapshot) {
     max_len = std::max<uint64_t>(max_len, h.node(i).ledger().chain_length());
   }
   EXPECT_GE(h.node(5).ledger().chain_length() + 1, max_len);
+  std::filesystem::remove_all(cfg.data_dir);
 }
 
 TEST(GenesisTest, HarnessMintsOneTableThatEveryLedgerStartsFrom) {
@@ -332,21 +343,21 @@ TEST(GenesisTest, HarnessMintsOneTableThatEveryLedgerStartsFrom) {
   h.Start();
   ASSERT_TRUE(h.RunRounds(2, Hours(1)));
   h.KillNode(3);
-  h.RestartNode(3, /*from_snapshot=*/false);
+  h.RestartNode(3, /*keep_disk=*/false);
   EXPECT_EQ(&h.node(3).ledger().base_accounts(), genesis.accounts.get());
   EXPECT_EQ(h.node(3).ledger().accounts().StateFingerprint().ToHex(), golden);
   EXPECT_EQ(genesis.accounts->StateFingerprint().ToHex(), golden);
 }
 
 TEST(CrashRestartTest, FreshRestartRejoinsFromGenesis) {
-  // from_snapshot=false models losing the disk: the node rejoins with an
-  // empty ledger and must re-fetch the whole chain.
+  // keep_disk=false models losing the disk: the node rejoins with an empty
+  // ledger and must re-fetch the whole chain.
   SimHarness h(RecoveryConfig(11));
   h.Start();
   ASSERT_TRUE(h.RunRounds(3, Hours(1)));
   h.KillNode(7);
   ASSERT_TRUE(h.RunRounds(5, Hours(1)));
-  h.RestartNode(7, /*from_snapshot=*/false);
+  h.RestartNode(7, /*keep_disk=*/false);
   EXPECT_EQ(h.node(7).ledger().chain_length(), 1u);
   ASSERT_TRUE(h.RunRounds(9, Hours(2)));
   EXPECT_GE(h.node(7).catchups_completed(), 1u);
@@ -355,17 +366,39 @@ TEST(CrashRestartTest, FreshRestartRejoinsFromGenesis) {
   EXPECT_TRUE(h.ChainsConsistent());
 }
 
+TEST(CrashRestartTest, RestartKeepsTheDeploymentShape) {
+  // A restart changes state, not deployment shape: an equivocator comes back
+  // as an equivocator and a seed grinder as a grinder, built by the same
+  // code that built them at construction.
+  HarnessConfig cfg = RecoveryConfig(17);
+  cfg.malicious_fraction = 0.1;  // Nodes 0 and 1 equivocate.
+  cfg.grinding_count = 1;        // Node 2 grinds.
+  SimHarness h(cfg);
+  h.Start();
+  ASSERT_TRUE(h.RunRounds(2, Hours(1)));
+  for (size_t i : {0, 2}) {
+    h.KillNode(i);
+    h.RestartNode(i);
+  }
+  EXPECT_NE(dynamic_cast<EquivocatingNode*>(&h.node(0)), nullptr);
+  EXPECT_NE(dynamic_cast<GrindingProposerNode*>(&h.node(2)), nullptr);
+  ASSERT_TRUE(h.RunRounds(4, Hours(1)));
+  auto safety = h.CheckSafety();
+  EXPECT_TRUE(safety.ok) << safety.violation;
+}
+
 TEST(CrashRestartTest, RollingChurnTwentyPercentConverges) {
   // 4 of 20 nodes (20%) crash on a staggered schedule and restart ~60
   // simulated seconds later — a rolling membership churn. Everyone must end
   // on one chain with zero safety violations.
   HarnessConfig cfg = RecoveryConfig(12);
+  UseDataDir(&cfg, "rolling_churn");
   for (size_t i = 0; i < 4; ++i) {
     HarnessConfig::CrashEvent ev;
     ev.node = 4 + i;  // Staggered: one down at a time.
     ev.crash_at = Seconds(40 + 40 * static_cast<double>(i));
     ev.restart_at = Seconds(100 + 40 * static_cast<double>(i));
-    ev.from_snapshot = (i % 2 == 0);  // Mix snapshot and fresh rejoins.
+    ev.keep_disk = (i % 2 == 0);  // Mix disk replays and fresh rejoins.
     cfg.crash_schedule.push_back(ev);
   }
   SimHarness h(cfg);
@@ -391,6 +424,7 @@ TEST(CrashRestartTest, RollingChurnTwentyPercentConverges) {
           << "node " << i << " round " << r;
     }
   }
+  std::filesystem::remove_all(cfg.data_dir);
 }
 
 TEST(CrashRestartTest, CatchupFillsGapsAcrossShardedCertificateStorage) {
@@ -411,7 +445,7 @@ TEST(CrashRestartTest, CatchupFillsGapsAcrossShardedCertificateStorage) {
   ASSERT_TRUE(h.RunRounds(2, Hours(1)));
   h.KillNode(6);
   ASSERT_TRUE(h.RunRounds(6, Hours(1)));
-  h.RestartNode(6, /*from_snapshot=*/false);
+  h.RestartNode(6, /*keep_disk=*/false);
   bool ok = h.RunRounds(10, Hours(3));
   if (!ok) {
     DumpCatchupDiagnostics(h);
@@ -433,12 +467,13 @@ TEST(CrashRestartTest, ChaosTwentyNodesCrashesAndLossStillAgree) {
   // nodes converge to within one round of the tip, zero safety violations,
   // byte-identical chains at equal rounds.
   HarnessConfig cfg = RecoveryConfig(14);
+  UseDataDir(&cfg, "chaos_twenty");
   for (size_t i = 0; i < 4; ++i) {
     HarnessConfig::CrashEvent ev;
     ev.node = 3 + 4 * i;
     ev.crash_at = Seconds(30 + 35 * static_cast<double>(i));
     ev.restart_at = Seconds(95 + 35 * static_cast<double>(i));
-    ev.from_snapshot = (i != 1);
+    ev.keep_disk = (i != 1);
     cfg.crash_schedule.push_back(ev);
   }
   SimHarness h(cfg);
@@ -470,6 +505,7 @@ TEST(CrashRestartTest, ChaosTwentyNodesCrashesAndLossStillAgree) {
   EXPECT_EQ(m.counters["restart.kills"], 4u);
   EXPECT_EQ(m.counters["restart.restarts"], 4u);
   EXPECT_GE(m.counters["catchup.sessions"], 4u);
+  std::filesystem::remove_all(cfg.data_dir);
 }
 
 TEST(ChurnAdversaryTest, NetworkChurnTriggersLiveCatchup) {
@@ -493,9 +529,8 @@ TEST(ChurnAdversaryTest, NetworkChurnTriggersLiveCatchup) {
 }
 
 TEST(CrashRestartTest, RestartFromDiskReplaysLogThenCatchesUp) {
-  // With data_dir set, KillNode crashes the disk log (SIGKILL semantics) and
-  // RestartNode rebuilds the node by replaying it — the snapshot path is
-  // bypassed, so the disk is the durable state under test.
+  // KillNode crashes the disk log (SIGKILL semantics) and RestartNode
+  // rebuilds the node by replaying it; here under fsync=every_round.
   HarnessConfig cfg = RecoveryConfig(30);
   cfg.data_dir = ::testing::TempDir() + "algorand_recovery_disk";
   cfg.store_fsync = FsyncPolicy::kEveryRound;
@@ -511,7 +546,7 @@ TEST(CrashRestartTest, RestartFromDiskReplaysLogThenCatchesUp) {
   EXPECT_EQ(h.node_store(5), nullptr);  // Crashed store parks with the node.
   ASSERT_TRUE(h.RunRounds(6, Hours(1)));
 
-  h.RestartNode(5, /*from_snapshot=*/true);
+  h.RestartNode(5, /*keep_disk=*/true);
   ASSERT_NE(h.node_store(5), nullptr);
   // The ledger was rebuilt from disk before catch-up ran: every round that
   // was durable at kill time is back, certificate-validated.
@@ -540,9 +575,9 @@ TEST(CrashRestartTest, FreshDiskRestartWipesLogAndRejoins) {
   ASSERT_TRUE(h.RunRounds(3, Hours(1)));
   h.KillNode(7);
   ASSERT_TRUE(h.RunRounds(5, Hours(1)));
-  // from_snapshot=false models losing the disk: the log is wiped and the
+  // keep_disk=false models losing the disk: the log is wiped and the
   // node rejoins from genesis, re-fetching the chain via catch-up.
-  h.RestartNode(7, /*from_snapshot=*/false);
+  h.RestartNode(7, /*keep_disk=*/false);
   EXPECT_EQ(h.node(7).ledger().chain_length(), 1u);
   ASSERT_TRUE(h.RunRounds(9, Hours(2)));
   EXPECT_GE(h.node(7).catchups_completed(), 1u);
@@ -565,7 +600,7 @@ TEST(CrashRestartTest, DiskChaosScheduleConvergesWithRealCertValidation) {
     ev.node = 4 + i;
     ev.crash_at = Seconds(40 + 40 * static_cast<double>(i));
     ev.restart_at = Seconds(100 + 40 * static_cast<double>(i));
-    ev.from_snapshot = (i % 2 == 0);  // Mix disk replays and fresh rejoins.
+    ev.keep_disk = (i % 2 == 0);  // Mix disk replays and fresh rejoins.
     cfg.crash_schedule.push_back(ev);
   }
   SimHarness h(cfg);
@@ -605,35 +640,13 @@ TEST(RecoveryTest, DiskLogFollowsForkRecoveryAndReplaysAfterRestart) {
   }
   h.KillNode(3);
   ASSERT_TRUE(h.RunRounds(tip + 1, Hours(1)));
-  h.RestartNode(3, /*from_snapshot=*/true);
+  h.RestartNode(3, /*keep_disk=*/true);
   EXPECT_GT(h.node_store(3)->replayed_rounds(), 0u);
   ASSERT_TRUE(h.RunRounds(tip + 4, Hours(1)));
   EXPECT_TRUE(h.ChainsConsistent());
   auto safety2 = h.CheckSafety();
   EXPECT_TRUE(safety2.ok) << safety2.violation;
   std::filesystem::remove_all(cfg.data_dir);
-}
-
-TEST(SnapshotTest, RoundTripsThroughSerialization) {
-  SimHarness h(RecoveryConfig(16));
-  h.Start();
-  ASSERT_TRUE(h.RunRounds(3, Hours(1)));
-  NodeSnapshot snap = h.node(2).Snapshot();
-  ASSERT_FALSE(snap.blocks.empty());
-  std::vector<uint8_t> bytes = snap.Serialize();
-  auto back = NodeSnapshot::Deserialize(bytes);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->shard_count, snap.shard_count);
-  ASSERT_EQ(back->blocks.size(), snap.blocks.size());
-  for (size_t i = 0; i < snap.blocks.size(); ++i) {
-    EXPECT_EQ(back->blocks[i].Hash(), snap.blocks[i].Hash());
-  }
-  EXPECT_EQ(back->kinds, snap.kinds);
-  ASSERT_EQ(back->certificates.size(), snap.certificates.size());
-  for (size_t i = 0; i < snap.certificates.size(); ++i) {
-    EXPECT_EQ(back->certificates[i].Serialize(), snap.certificates[i].Serialize());
-  }
-  ASSERT_EQ(back->final_certificates.size(), snap.final_certificates.size());
 }
 
 }  // namespace

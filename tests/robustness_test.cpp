@@ -4,15 +4,21 @@
 // consensus; fixed seeds must reproduce identical chains (golden test).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+
 #include "src/common/rng.h"
 #include "src/core/ba_star.h"
 #include "src/core/sim_harness.h"
-#include "src/core/snapshot.h"
 #include "src/core/wire_codec.h"
 #include "src/netsim/simulation.h"
 
 namespace algorand {
 namespace {
+
+namespace fs = std::filesystem;
 
 // --- Deserializer fuzzing (deterministic) ---
 
@@ -32,7 +38,6 @@ TEST(FuzzTest, RandomBytesNeverCrashDecoders) {
     (void)CatchupRequestMessage::Deserialize(junk);
     (void)CatchupResponseMessage::Deserialize(junk);
     (void)Certificate::Deserialize(junk);
-    (void)NodeSnapshot::Deserialize(junk);
     Reader r(junk);
     (void)Transaction::Deserialize(&r);
   }
@@ -142,34 +147,100 @@ TEST(FuzzTest, MutatedCatchupResponsesParseOrReject) {
   }
 }
 
-TEST(FuzzTest, MutatedSnapshotsParseOrReject) {
-  NodeSnapshot snap;
-  snap.shard_count = 2;
-  for (uint64_t r = 1; r <= 3; ++r) {
-    Block block;
-    block.round = r;
-    block.padding_bytes = 32;
-    snap.blocks.push_back(block);
-    snap.kinds.push_back(r == 1 ? 1 : 0);
-    Certificate cert;
-    cert.round = r;
-    cert.block_hash = block.Hash();
-    snap.certificates.push_back(cert);
+TEST(FuzzTest, MutatedStoreFilesRestorePrefixOrReject) {
+  // A small durable chain: a few rounds and a checkpoint, written
+  // synchronously by node 0 of a live deployment.
+  HarnessConfig cfg;
+  cfg.n_nodes = 8;
+  cfg.rng_seed = 5;
+  cfg.params = ProtocolParams::ScaledCommittees(0.02);
+  cfg.params.block_size_bytes = 2 * 1024;
+  cfg.params.checkpoint_interval = 2;
+  cfg.latency = HarnessConfig::Latency::kUniform;
+  cfg.use_sim_crypto = true;
+  cfg.data_dir = ::testing::TempDir() + "algorand_fuzz_store";
+  cfg.store_fsync = FsyncPolicy::kOff;
+  cfg.store_background_writer = false;
+  fs::remove_all(cfg.data_dir);
+  SimHarness h(cfg);
+  h.Start();
+  ASSERT_TRUE(h.RunRounds(5, Hours(1)));
+  h.KillNode(0);  // Closes node 0's files: its directory is the pristine store.
+  const std::string pristine = cfg.data_dir + "/node-0";
+  const Ledger& reference = h.node(0).ledger();
+
+  std::vector<std::string> targets;  // Segment and checkpoint files.
+  for (const auto& entry : fs::directory_iterator(pristine)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("seg-", 0) == 0 || entry.path().extension() == ".ckpt") {
+      targets.push_back(name);
+    }
   }
-  std::vector<uint8_t> encoded = snap.Serialize();
-  ASSERT_TRUE(NodeSnapshot::Deserialize(encoded).has_value());
+  std::sort(targets.begin(), targets.end());  // Iteration order is unspecified.
+  ASSERT_TRUE(std::any_of(targets.begin(), targets.end(),
+                          [](const std::string& n) { return n.ends_with(".ckpt"); }))
+      << "no checkpoint written";
+
+  // Restores `dir` into a genesis-fresh node 0 and checks the result is a
+  // prefix of the reference chain. Returns the restored chain length, or 0
+  // when the store refuses to open.
+  DeterministicRng topo_rng(1);
+  GossipTopology topology(cfg.n_nodes, cfg.gossip_out_degree, &topo_rng);
+  auto restore_prefix = [&](const std::string& dir) -> uint64_t {
+    StoreOptions opts;
+    opts.dir = dir;
+    opts.fsync = FsyncPolicy::kOff;
+    opts.background_writer = false;
+    std::string error;
+    std::unique_ptr<BlockStore> store = BlockStore::Open(opts, &error);
+    if (store == nullptr) {
+      return 0;
+    }
+    GossipAgent agent(0, &h.network(), &topology);
+    Node node(0, &h.sim(), &agent, h.genesis().keys[0], h.genesis().config, cfg.params,
+              CryptoSuite{&h.vrf(), &h.signer()});
+    (void)node.RestoreFromStore(store.get());
+    const Ledger& got = node.ledger();
+    EXPECT_LE(got.chain_length(), reference.chain_length());
+    for (uint64_t r = got.base_round(); r < got.chain_length(); ++r) {
+      EXPECT_EQ(got.BlockAtRound(r).Hash(), reference.BlockAtRound(r).Hash()) << "round " << r;
+    }
+    if (got.chain_length() == reference.chain_length()) {
+      EXPECT_EQ(got.accounts().StateFingerprint(), reference.accounts().StateFingerprint());
+    }
+    return got.chain_length();
+  };
+  ASSERT_EQ(restore_prefix(pristine), reference.chain_length());
+
+  const std::string work = ::testing::TempDir() + "algorand_fuzz_store_work";
   DeterministicRng rng(5);
   for (int i = 0; i < 2000; ++i) {
-    std::vector<uint8_t> mutated = encoded;
-    mutated[rng.UniformU64(mutated.size())] ^= static_cast<uint8_t>(1 + rng.UniformU64(255));
-    if (rng.UniformU64(4) == 0) {
-      mutated.resize(rng.UniformU64(mutated.size()));
+    fs::remove_all(work);
+    fs::copy(pristine, work);
+    const std::string path = work + "/" + targets[rng.UniformU64(targets.size())];
+    std::vector<char> bytes;
+    {
+      std::ifstream in(path, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
     }
-    auto back = NodeSnapshot::Deserialize(mutated);
-    if (back) {
-      (void)back->Serialize();
+    if (bytes.empty()) {
+      continue;
+    }
+    if (rng.UniformU64(4) == 0) {
+      bytes.resize(rng.UniformU64(bytes.size()));
+    } else {
+      bytes[rng.UniformU64(bytes.size())] ^= static_cast<char>(1 + rng.UniformU64(255));
+    }
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    SCOPED_TRACE("mutation " + std::to_string(i) + " of " + path);
+    (void)restore_prefix(work);
+    if (::testing::Test::HasFailure()) {
+      break;  // One mutation's diagnostics is enough.
     }
   }
+  fs::remove_all(work);
+  fs::remove_all(cfg.data_dir);
 }
 
 TEST(FuzzTest, MutatedBlocksParseOrReject) {
@@ -227,7 +298,8 @@ class TamperingNode : public Node {
 TEST(CatchupRobustnessTest, TamperedCertificatesNeverAppendAndRotatePeers) {
   // Every peer tampers with catch-up responses. The restarted node must
   // reject each batch, rotate through peers with backoff, and never append a
-  // single tampered block — its chain stays frozen at the snapshot.
+  // single tampered block — its chain stays frozen at what it replayed from
+  // disk.
   HarnessConfig cfg;
   cfg.n_nodes = 20;
   cfg.rng_seed = 21;
@@ -235,6 +307,9 @@ TEST(CatchupRobustnessTest, TamperedCertificatesNeverAppendAndRotatePeers) {
   cfg.params.block_size_bytes = 32 * 1024;
   cfg.latency = HarnessConfig::Latency::kUniform;
   cfg.use_sim_crypto = true;
+  cfg.data_dir = ::testing::TempDir() + "algorand_tampered_catchup";
+  cfg.store_background_writer = false;
+  fs::remove_all(cfg.data_dir);
   cfg.node_factory = [](NodeId id, Simulation* sim, GossipAgent* gossip,
                         const Ed25519KeyPair& key, const GenesisConfig& genesis,
                         const ProtocolParams& params, CryptoSuite crypto,
@@ -246,9 +321,10 @@ TEST(CatchupRobustnessTest, TamperedCertificatesNeverAppendAndRotatePeers) {
   ASSERT_TRUE(h.RunRounds(3, Hours(1)));
   h.KillNode(9);
   ASSERT_TRUE(h.RunRounds(7, Hours(1)));
-  // Restart from snapshot; RestartNode builds a plain (honest) Node, so node
-  // 9 is the only honest participant in its own catch-up.
-  h.RestartNode(9, /*from_snapshot=*/true);
+  // Restart from disk. node_factory rebuilds node 9 as a TamperingNode too;
+  // tampering only touches the responses it serves, so as a requester it is
+  // honest, and every peer it asks tampers.
+  h.RestartNode(9, /*keep_disk=*/true);
   uint64_t len_at_restart = h.node(9).ledger().chain_length();
   h.sim().RunUntil(h.sim().now() + Minutes(12));
 
@@ -262,6 +338,7 @@ TEST(CatchupRobustnessTest, TamperedCertificatesNeverAppendAndRotatePeers) {
   // The rest of the network is unaffected.
   auto safety = h.CheckSafety();
   EXPECT_TRUE(safety.ok) << safety.violation;
+  fs::remove_all(cfg.data_dir);
 }
 
 // --- Randomized BA* schedules ---

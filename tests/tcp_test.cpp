@@ -344,6 +344,9 @@ TEST(TcpClusterTest, KilledNodeRejoinsViaCatchupOverTcp) {
   cfg.params.catchup_timeout = Seconds(2);
   cfg.params.catchup_backoff_base = Millis(200);
   cfg.params.catchup_backoff_max = Seconds(2);
+  cfg.data_dir = ::testing::TempDir() + "algorand_tcp_rejoin";
+  cfg.store_background_writer = false;
+  std::filesystem::remove_all(cfg.data_dir);
 
   LocalCluster cluster(cfg);
   cluster.Start();
@@ -353,7 +356,7 @@ TEST(TcpClusterTest, KilledNodeRejoinsViaCatchupOverTcp) {
   // Survivors keep agreeing while node 2's port is dark (peers redial it
   // with backoff the whole time).
   ASSERT_TRUE(cluster.RunRounds(6, Seconds(60)));
-  cluster.RestartNode(2, /*from_snapshot=*/true);
+  cluster.RestartNode(2, /*keep_disk=*/true);
   EXPECT_TRUE(cluster.node_alive(2));
   // RunRounds counts node 2 again, so success implies it caught up.
   ASSERT_TRUE(cluster.RunRounds(8, Seconds(90)));
@@ -371,6 +374,7 @@ TEST(TcpClusterTest, KilledNodeRejoinsViaCatchupOverTcp) {
   EXPECT_EQ(m.counters["restart.restarts"], 1u);
   EXPECT_GE(m.counters["catchup.completed"], 1u);
   EXPECT_GE(m.counters["catchup.blocks_applied"], 1u);
+  std::filesystem::remove_all(cfg.data_dir);
 }
 
 TEST(TcpClusterTest, KilledNodeRestartsFromDiskLog) {
@@ -405,9 +409,9 @@ TEST(TcpClusterTest, KilledNodeRestartsFromDiskLog) {
   cluster.KillNode(2);
   EXPECT_EQ(cluster.node_store(2), nullptr);  // Parked with the dead node.
   ASSERT_TRUE(cluster.RunRounds(5, Seconds(60)));
-  cluster.RestartNode(2, /*from_snapshot=*/true);
-  // The restart replayed the disk log (not the in-memory snapshot): the
-  // rebuilt ledger already holds the pre-crash rounds before catch-up runs.
+  cluster.RestartNode(2, /*keep_disk=*/true);
+  // The restart replayed the disk log: the rebuilt ledger already holds the
+  // pre-crash rounds before catch-up runs.
   ASSERT_NE(cluster.node_store(2), nullptr);
   EXPECT_GE(cluster.node_store(2)->replayed_rounds(), 2u);
   EXPECT_GE(cluster.node(2).ledger().chain_length(), 3u);

@@ -4,6 +4,7 @@
 // honest and adversarial runs, and the periodic stats reporter's JSON-lines
 // output.
 #include <cmath>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -530,6 +531,9 @@ TEST(SafetyAuditorSimTest, SilentOnHonestChaosRun) {
   cfg.n_nodes = 50;
   cfg.use_sim_crypto = true;
   cfg.params = ProtocolParams::ScaledCommittees(0.5);
+  cfg.data_dir = ::testing::TempDir() + "algorand_auditor_chaos";
+  cfg.store_background_writer = false;
+  std::filesystem::remove_all(cfg.data_dir);
   cfg.crash_schedule.push_back({3, Seconds(10), Seconds(30), true});
   cfg.crash_schedule.push_back({7, Seconds(15), Seconds(40), false});
   SimHarness h(cfg);
@@ -543,6 +547,7 @@ TEST(SafetyAuditorSimTest, SilentOnHonestChaosRun) {
   EXPECT_TRUE(auditor.ok()) << auditor.Report();
   EXPECT_EQ(auditor.equivocations(), 0u);
   EXPECT_TRUE(h.CheckSafety().ok);
+  std::filesystem::remove_all(cfg.data_dir);
 }
 
 // ---------------------------------------------------------------------------
