@@ -317,13 +317,8 @@ ScheduleOutcome ModelChecker::RunWithStrategy(Strategy* strategy) {
         if (cert.block_hash != l.BlockAtRound(r).Hash()) {
           continue;  // Stale fork certificate; backs no chain block.
         }
-        RoundContext ctx;
-        ctx.round = r;
-        ctx.seed = l.SortitionSeed(r, hc.params.seed_refresh_interval);
-        ctx.prev_hash = l.BlockAtRound(r - 1).Hash();
-        ctx.total_weight = l.total_weight();
-        ctx.weight_of = [&l](const PublicKey& pk) { return l.WeightOf(pk); };
-        if (!ValidateCertificate(cert, ctx, hc.params, h.vrf(), h.signer())) {
+        if (!ValidateCertificate(cert, ContextAt(l, hc.params, r), hc.params, h.vrf(),
+                                 h.signer())) {
           out.violations.push_back("certificate: node " + std::to_string(i) + " round " +
                                    std::to_string(r) + " " + label +
                                    " certificate fails quorum validation");

@@ -3,20 +3,86 @@
 #include "src/crypto/sha256.h"
 
 namespace algorand {
-namespace {
 
-// The context pointer must outlive the returned RoundContext's use.
-RoundContext ContextFor(const Ledger* ledger, const ProtocolParams& params, uint64_t round) {
+RoundContext ContextAt(const Ledger& ledger, const ProtocolParams& params, uint64_t round) {
   RoundContext ctx;
   ctx.round = round;
-  ctx.seed = ledger->SortitionSeed(round, params.seed_refresh_interval);
-  ctx.prev_hash = ledger->tip_hash();
-  ctx.total_weight = ledger->total_weight();
-  ctx.weight_of = [ledger](const PublicKey& pk) { return ledger->WeightOf(pk); };
+  ctx.seed = ledger.SortitionSeed(round, params.seed_refresh_interval);
+  ctx.prev_hash =
+      round == ledger.next_round() ? ledger.tip_hash() : ledger.BlockAtRound(round).prev_hash;
+  ctx.total_weight = ledger.total_weight();
+  const Ledger* l = &ledger;
+  ctx.weight_of = [l](const PublicKey& pk) { return l->WeightOf(pk); };
   return ctx;
 }
 
+namespace {
+
+// `cert` certifies `hash` at `ctx.round` (with the final step when `is_final`).
+RoundCheck CheckCertificate(const Certificate& cert, const Hash256& hash, bool is_final,
+                            const RoundContext& ctx, const ProtocolParams& params,
+                            const VrfBackend& vrf, const SignerBackend& signer) {
+  if (cert.round != ctx.round || cert.block_hash != hash ||
+      (is_final && cert.step != kStepFinal)) {
+    return RoundCheck::kCertMismatch;
+  }
+  if (!ValidateCertificate(cert, ctx, params, vrf, signer)) {
+    return RoundCheck::kInvalidCert;
+  }
+  return RoundCheck::kOk;
+}
+
 }  // namespace
+
+RoundCheck AppendCertifiedRound(Ledger* ledger, const ProtocolParams& params,
+                                const VrfBackend& vrf, const SignerBackend& signer,
+                                const Block& block, const Certificate* cert,
+                                const Certificate* final_cert, const CertifiedRoundRules& rules) {
+  const uint64_t round = ledger->next_round();
+  if (block.round != round) {
+    return RoundCheck::kWrongRound;
+  }
+  if (cert == nullptr && !rules.allow_uncertified) {
+    return RoundCheck::kUncertified;
+  }
+  const RoundContext ctx = ContextAt(*ledger, params, round);
+  const Hash256 hash = block.Hash();
+  for (auto [c, is_final] : {std::pair{cert, false}, std::pair{final_cert, true}}) {
+    if (c == nullptr) {
+      continue;
+    }
+    if (RoundCheck check = CheckCertificate(*c, hash, is_final, ctx, params, vrf, signer);
+        check != RoundCheck::kOk) {
+      return check;
+    }
+  }
+  ConsensusKind kind = rules.kind.value_or(cert != nullptr && cert->step == kStepFinal
+                                               ? ConsensusKind::kFinal
+                                               : ConsensusKind::kTentative);
+  if (!ledger->Append(block, kind)) {
+    return RoundCheck::kDoesNotApply;
+  }
+  if (final_cert != nullptr) {
+    ledger->MarkFinalThrough(round);
+  }
+  return RoundCheck::kOk;
+}
+
+RoundCheck MarkCertifiedFinal(Ledger* ledger, const ProtocolParams& params,
+                              const VrfBackend& vrf, const SignerBackend& signer,
+                              const Certificate& final_cert) {
+  const uint64_t round = final_cert.round;
+  if (round <= ledger->base_round() || round >= ledger->next_round()) {
+    return RoundCheck::kOutsideChain;
+  }
+  RoundCheck check =
+      CheckCertificate(final_cert, ledger->BlockAtRound(round).Hash(), /*final=*/true,
+                       ContextAt(*ledger, params, round), params, vrf, signer);
+  if (check == RoundCheck::kOk) {
+    ledger->MarkFinalThrough(round);
+  }
+  return check;
+}
 
 CatchupResult CatchupFromGenesis(const GenesisConfig& genesis, const ProtocolParams& params,
                                  const std::vector<Block>& blocks,
@@ -28,61 +94,28 @@ CatchupResult CatchupFromGenesis(const GenesisConfig& genesis, const ProtocolPar
     result.error = "blocks/certificates length mismatch";
     return result;
   }
+  static constexpr const char* kWhy[] = {
+      "", "block round mismatch", "missing certificate", "certificate does not cover block",
+      "invalid certificate", "block does not apply", "certificate outside chain"};
+  // Finality comes only from the trailing final certificate.
+  const CertifiedRoundRules rules{.kind = ConsensusKind::kTentative};
   for (size_t i = 0; i < blocks.size(); ++i) {
-    const Block& block = blocks[i];
-    const Certificate& cert = certs[i];
-    const uint64_t round = result.ledger->next_round();
-    if (block.round != round) {
-      result.error = "block round mismatch at round " + std::to_string(round);
-      return result;
-    }
-    if (cert.block_hash != block.Hash()) {
-      result.error = "certificate does not cover block at round " + std::to_string(round);
-      return result;
-    }
-    RoundContext ctx = ContextFor(result.ledger.get(), params, round);
-    if (!ValidateCertificate(cert, ctx, params, vrf, signer)) {
-      result.error = "invalid certificate at round " + std::to_string(round);
-      return result;
-    }
-    if (!result.ledger->Append(block, ConsensusKind::kTentative)) {
-      result.error = "block does not apply at round " + std::to_string(round);
+    RoundCheck check = AppendCertifiedRound(result.ledger.get(), params, vrf, signer, blocks[i],
+                                            &certs[i], nullptr, rules);
+    if (check != RoundCheck::kOk) {
+      result.error = std::string(kWhy[static_cast<int>(check)]) + " at round " +
+                     std::to_string(result.ledger->next_round());
       return result;
     }
     ++result.verified_rounds;
   }
+  // Final blocks are totally ordered, so the most recent final certificate
+  // proves every round up to it (§8.3).
   if (final_cert != nullptr) {
-    // The final-step certificate proves safety of its round; since final
-    // blocks are totally ordered, checking the most recent one suffices
-    // (§8.3). Its round must be within the replayed chain.
-    if (final_cert->round >= result.ledger->next_round()) {
-      result.error = "final certificate beyond chain";
+    RoundCheck check = MarkCertifiedFinal(result.ledger.get(), params, vrf, signer, *final_cert);
+    if (check != RoundCheck::kOk) {
+      result.error = std::string("final ") + kWhy[static_cast<int>(check)];
       return result;
-    }
-    const Block& covered = result.ledger->BlockAtRound(final_cert->round);
-    if (final_cert->block_hash != covered.Hash() || final_cert->step != kStepFinal) {
-      result.error = "final certificate mismatch";
-      return result;
-    }
-    // Rebuild the context of that round: seeds and weights as of its start.
-    // Weights may have shifted since; for equal-stake simulations the current
-    // table matches. A production implementation would keep per-round weight
-    // snapshots; here we validate against the ledger's weight history if
-    // configured, else the current table.
-    RoundContext ctx;
-    ctx.round = final_cert->round;
-    ctx.seed = result.ledger->SortitionSeed(final_cert->round, params.seed_refresh_interval);
-    ctx.prev_hash = covered.prev_hash;
-    ctx.total_weight = result.ledger->total_weight();
-    const Ledger* l = result.ledger.get();
-    ctx.weight_of = [l](const PublicKey& pk) { return l->WeightOf(pk); };
-    if (!ValidateCertificate(*final_cert, ctx, params, vrf, signer)) {
-      result.error = "invalid final certificate";
-      return result;
-    }
-    result.ledger->MarkFinal(final_cert->round);
-    for (uint64_t r = 1; r < final_cert->round; ++r) {
-      result.ledger->MarkFinal(r);
     }
   }
   result.ok = true;

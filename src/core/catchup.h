@@ -1,7 +1,7 @@
-// Bootstrapping new users (§8.3): a joining user downloads the block history
-// with the per-round certificates and validates them in order from genesis,
-// so it always knows the correct weights for checking the next round's
-// sortition proofs.
+// Verified history (§8.3): a joining, lagging or restarting user checks each
+// round it did not agree on itself against the chain rebuilt so far, so it
+// always knows the correct weights for the next round's sortition proofs.
+// Live catch-up, disk restore and CatchupFromGenesis share the checks here.
 #ifndef ALGORAND_SRC_CORE_CATCHUP_H_
 #define ALGORAND_SRC_CORE_CATCHUP_H_
 
@@ -16,6 +16,46 @@
 
 namespace algorand {
 
+// The round-`round` context from `ledger` (which it reads, so must outlive):
+// prev_hash is the tip for the next round, the block's parent for a past
+// round; weights are the current ones.
+RoundContext ContextAt(const Ledger& ledger, const ProtocolParams& params, uint64_t round);
+
+enum class RoundCheck : uint8_t {
+  kOk,
+  kWrongRound,    // The block is not the next round.
+  kUncertified,   // No deciding certificate, and the caller requires one.
+  kCertMismatch,  // A certificate names another round or block (or, final, step).
+  kInvalidCert,   // A certificate's votes fail signature, sortition or quorum.
+  kDoesNotApply,  // Ledger::Append refused the block.
+  kOutsideChain,  // A final certificate's round is not a retained chain round.
+};
+
+// Where the callers of AppendCertifiedRound differ.
+struct CertifiedRoundRules {
+  // The appended round's consensus kind; nullopt derives it from the
+  // deciding certificate's step (final iff kStepFinal).
+  std::optional<ConsensusKind> kind;
+  // Accepts a round without a deciding certificate on chain structure alone.
+  bool allow_uncertified = false;
+};
+
+// Checks `block` as the ledger's next round, with its deciding and final
+// certificates (either may be null) against ContextAt(next round), then
+// appends it; a final certificate marks the prefix final. Leaves the ledger
+// untouched unless it returns kOk.
+RoundCheck AppendCertifiedRound(Ledger* ledger, const ProtocolParams& params,
+                                const VrfBackend& vrf, const SignerBackend& signer,
+                                const Block& block, const Certificate* cert,
+                                const Certificate* final_cert, const CertifiedRoundRules& rules);
+
+// Checks a final certificate for a past round against ContextAt(its round),
+// then marks that prefix final. A round at or below the compacted base, or
+// beyond the tip, is kOutsideChain and changes nothing.
+RoundCheck MarkCertifiedFinal(Ledger* ledger, const ProtocolParams& params,
+                              const VrfBackend& vrf, const SignerBackend& signer,
+                              const Certificate& final_cert);
+
 struct CatchupResult {
   bool ok = false;
   std::string error;
@@ -24,10 +64,10 @@ struct CatchupResult {
 };
 
 // Validates `blocks[i]`/`certs[i]` (round i+1) in order starting from
-// genesis. Stops with an error at the first certificate or chain-linkage
-// failure. If `final_cert` is provided it is checked against the last block
-// (the "certificate proving safety" of §8.3); only then are all rounds
-// marked final.
+// genesis, appending each as tentative. Stops with an error at the first
+// certificate or chain-linkage failure. If `final_cert` is provided it must
+// cover a replayed round (the "certificate proving safety" of §8.3); only
+// then are that round and its prefix marked final.
 CatchupResult CatchupFromGenesis(const GenesisConfig& genesis, const ProtocolParams& params,
                                  const std::vector<Block>& blocks,
                                  const std::vector<Certificate>& certs, const VrfBackend& vrf,
@@ -37,10 +77,9 @@ CatchupResult CatchupFromGenesis(const GenesisConfig& genesis, const ProtocolPar
 // --- Live catch-up wire protocol (§8.3) ---
 //
 // A lagging node that sees votes for rounds ahead of its tip asks a random
-// peer for a batch of blocks + certificates starting at `from_round`. The
-// response is verified through ValidateCertificate before any block is
-// appended; a tampered batch costs the peer its turn (rotation) but can
-// never corrupt the requester's chain.
+// peer for a batch of blocks + certificates starting at `from_round`, and
+// appends it through AppendCertifiedRound: a tampered batch costs the peer
+// its turn (rotation) but can never corrupt the requester's chain.
 
 class CatchupRequestMessage : public SimMessage {
  public:

@@ -1,9 +1,72 @@
 #include "src/core/fastsync.h"
 
 #include "src/common/serialize.h"
+#include "src/core/certificate.h"
 #include "src/crypto/sha256.h"
 
 namespace algorand {
+
+std::optional<VerifiedCheckpoint> VerifyCheckpoint(std::span<const uint8_t> payload,
+                                                   uint64_t round, const Hash256& genesis_hash,
+                                                   const CheckpointManifest* head) {
+  std::optional<CheckpointData> data = CheckpointData::Deserialize(payload);
+  if (!data.has_value() || data->manifest.round != round ||
+      data->manifest.genesis_hash != genesis_hash ||
+      (head != nullptr && data->manifest != *head) || data->seed_base > round) {
+    return std::nullopt;
+  }
+  std::optional<Block> tip = Block::Deserialize(data->tip_block);
+  if (!tip.has_value() || tip->round != round || tip->Hash() != data->manifest.tip_hash) {
+    return std::nullopt;
+  }
+  VerifiedCheckpoint checkpoint;
+  checkpoint.manifest = data->manifest;
+  checkpoint.tip = std::move(*tip);
+  checkpoint.seed_base = data->seed_base;
+  checkpoint.seeds = std::move(data->seeds);
+  Reader ar(data->accounts);
+  if (!checkpoint.accounts.DeserializeFrom(&ar) || !ar.AtEnd() ||
+      checkpoint.accounts.StateFingerprint() != data->manifest.fingerprint) {
+    return std::nullopt;  // The state does not hash to what the manifest promised.
+  }
+  return checkpoint;
+}
+
+bool SeedsMatchLinks(const VerifiedCheckpoint& checkpoint, const std::vector<ChainLink>& links,
+                     const Ledger& genesis) {
+  const uint64_t b = checkpoint.manifest.round;
+  if (links.size() < b) {
+    return false;
+  }
+  for (size_t i = 0; i < checkpoint.seeds.size(); ++i) {
+    uint64_t r = checkpoint.seed_base + i;
+    // Link r-1 carries seed_r; rounds 0 and 1 are the genesis window.
+    SeedBytes expected = r <= 1 ? genesis.SeedForRound(r) : links[r - 2].next_seed;
+    if (checkpoint.seeds[i] != expected) {
+      return false;
+    }
+  }
+  return checkpoint.tip.next_seed == links[b - 1].next_seed;
+}
+
+bool VerifyChainLink(const ChainLink& link, uint64_t round, const Hash256& prev_hash,
+                     const SignerBackend& signer) {
+  if (link.round != round || link.cert.empty()) {
+    return false;
+  }
+  std::optional<Certificate> cert = Certificate::Deserialize(link.cert);
+  if (!cert.has_value() || cert->round != link.round || cert->block_hash != link.hash ||
+      cert->votes.empty()) {
+    return false;
+  }
+  for (const VoteMessage& v : cert->votes) {
+    if (v.round != link.round || v.value != link.hash || v.prev_hash != prev_hash ||
+        v.step != cert->step || !signer.Verify(v.pk, v.SignedBody(), v.signature)) {
+      return false;
+    }
+  }
+  return true;
+}
 
 std::vector<uint8_t> FastSyncManifestRequest::Serialize() const {
   Writer w;

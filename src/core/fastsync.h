@@ -6,15 +6,10 @@
 // against the manifest, installs the state, and rejoins normal catch-up for
 // the suffix past B.
 //
-// Trust argument (DESIGN.md §13): each link's certificate is checked for
-// vote signatures and structural binding (votes name this round, this block
-// hash, and the previous link's hash), so the chain of hashes from the known
-// genesis to the manifest tip is vouched for at every hop. Sortition weights
-// at historical rounds are not reconstructible without the very replay
-// fast-sync avoids, so quorum weight is not re-counted per link; the
-// implicit anchor is the first post-checkpoint certificate, which normal
-// catch-up validates in full against the installed state — a wrong state
-// fails there and the node never advances on it.
+// Trust argument (DESIGN.md §13): links are checked for vote signatures and
+// binding (VerifyChainLink), not for historical quorum weight; the first
+// post-checkpoint certificate, which catch-up validates in full against the
+// installed state, anchors it.
 //
 // All six messages are point-to-point (requester/responder addressed), never
 // relayed, mirroring the catch-up protocol's shape.
@@ -26,9 +21,44 @@
 #include <span>
 #include <vector>
 
+#include "src/crypto/signer.h"
+#include "src/ledger/ledger.h"
 #include "src/netsim/message.h"
+#include "src/store/block_store.h"
+#include "src/store/checkpoint.h"
 
 namespace algorand {
+
+// A checkpoint payload that passed VerifyCheckpoint, ready for
+// Ledger::InstallCheckpoint.
+struct VerifiedCheckpoint {
+  CheckpointManifest manifest;
+  Block tip;
+  AccountTable accounts;
+  uint64_t seed_base = 0;
+  std::vector<SeedBytes> seeds;  // Rounds [seed_base .. manifest.round].
+};
+
+// The one checkpoint check of disk restore and fast-sync: the payload decodes,
+// its manifest head names `round` and `genesis_hash` (and equals `*head`, the
+// manifest fast-sync's link chain vouched for, when given), and its tip block
+// and account table hash to the manifest's tip hash and fingerprint.
+std::optional<VerifiedCheckpoint> VerifyCheckpoint(std::span<const uint8_t> payload,
+                                                   uint64_t round, const Hash256& genesis_hash,
+                                                   const CheckpointManifest* head = nullptr);
+
+// Fast-sync's extra check: every seed in the window and the tip's next_seed
+// match the verified links (links[j] is round j+1 and carries seed_{j+2}), so
+// a certificate pins each one. `genesis` supplies the seeds of rounds 0, 1.
+bool SeedsMatchLinks(const VerifiedCheckpoint& checkpoint, const std::vector<ChainLink>& links,
+                     const Ledger& genesis);
+
+// `link` is round `round` of the certificate chain after `prev_hash`: its
+// certificate names this round and hash, and every vote is validly signed and
+// binds to `prev_hash`, so forging a link means forging signatures. Rounds
+// without a certificate (fork-recovery suffixes) cannot be vouched for.
+bool VerifyChainLink(const ChainLink& link, uint64_t round, const Hash256& prev_hash,
+                     const SignerBackend& signer);
 
 // "What is your newest durable checkpoint?" Answered with the manifest.
 class FastSyncManifestRequest : public SimMessage {

@@ -1,6 +1,7 @@
 #include "src/core/node.h"
 
 #include <cstring>
+#include <iterator>
 
 #include "src/common/serialize.h"
 #include "src/common/verify_pool.h"
@@ -213,17 +214,6 @@ void Node::ScheduleAfter(SimTime delay, std::function<void()> fn) {
   });
 }
 
-RoundContext Node::MakeContext() const {
-  RoundContext ctx;
-  ctx.round = current_round_;
-  ctx.seed = ledger_.SortitionSeed(current_round_, params_.seed_refresh_interval);
-  ctx.prev_hash = ledger_.tip_hash();
-  ctx.total_weight = ledger_.total_weight();
-  const Ledger* ledger = &ledger_;
-  ctx.weight_of = [ledger](const PublicKey& pk) { return ledger->WeightOf(pk); };
-  return ctx;
-}
-
 // ---------------------------------------------------------------------------
 // Round lifecycle
 // ---------------------------------------------------------------------------
@@ -378,33 +368,35 @@ void Node::AppendAgreedBlock(const Block& block) {
 
   // Certificate: votes of the deciding step (§8.3), sharded if configured.
   Certificate cert = BuildCertificateForStep(ba_result_.deciding_step, params_.StepThreshold());
-  if (shard_count_ <= 1 || (cert.round % shard_count_) == (id_ % shard_count_)) {
+  if (KeepsCertificate(cert.round)) {
     certificates_[cert.round] = cert;
   }
   std::optional<Certificate> final_cert;
   if (ba_result_.final) {
     final_cert = BuildCertificateForStep(kStepFinal, params_.FinalThreshold());
-    final_certificates_[cert.round] = *final_cert;
+    if (KeepsCertificate(cert.round)) {
+      final_certificates_[cert.round] = *final_cert;
+    }
     // Finality supersedes fork suspicions up to this round.
     fork_monitor_.Prune(ledger_.HighestFinalRound().value_or(0));
   }
   // Disk gets the certificate unconditionally (no shard filter): the log is
   // this node's history of record, and catch-up serves from it beyond the
   // in-memory shard window.
-  StreamRoundToStore(cert.round, kind, &cert, final_cert ? &*final_cert : nullptr);
+  StreamRoundToStore(cert.round, &cert, final_cert ? &*final_cert : nullptr);
   MaybeCheckpoint();
 
   StartRound(current_round_ + 1);
 }
 
-void Node::StreamRoundToStore(uint64_t round, ConsensusKind kind, const Certificate* cert,
+void Node::StreamRoundToStore(uint64_t round, const Certificate* cert,
                               const Certificate* final_cert) {
   if (store_ == nullptr) {
     return;
   }
   StoredRound sr;
   sr.round = round;
-  sr.kind = static_cast<uint8_t>(kind);
+  sr.kind = static_cast<uint8_t>(ledger_.ConsensusAtRound(round));
   // Serialize the ledger's copy, not the caller's candidate: Append may have
   // fallen back to the empty block.
   const Block& block = ledger_.BlockAtRound(round);
@@ -982,15 +974,24 @@ void Node::HandleBlock(const std::shared_ptr<const BlockMessage>& msg) {
   }
 
   if (proposal_.banned_proposers.count(block.proposer)) {
-    return;  // Known equivocator this round.
+    // Known equivocator this round: never a candidate, but BA* may already
+    // have agreed on this body (Algorithm 3's BlockOfHash), so the one we
+    // are fetching is kept. Other bodies are dropped: memory stays at one
+    // body per proposer plus the fetch target.
+    if (phase_ == Phase::kFetchBlock && hash == ba_result_.value) {
+      proposal_.blocks_by_hash.emplace(hash, block);
+      TryFinishRound();
+    }
+    return;
   }
   // An equivocating proposer sends different blocks to different peers. If we
-  // see two distinct blocks from one proposer before agreement starts, we
-  // discard both and proceed with the empty block right away rather than
-  // waiting out lambda_block (§10.4's optimization).
+  // see two distinct blocks from one proposer, we ban it from candidacy and,
+  // before agreement starts, proceed with the empty block right away rather
+  // than waiting out lambda_block (§10.4's optimization). The first body
+  // stays stored: agreement may already be under way on it, and peers that
+  // fetch it must find it here.
   auto existing = proposal_.block_hash_by_proposer.find(block.proposer);
   if (existing != proposal_.block_hash_by_proposer.end() && existing->second != hash) {
-    proposal_.blocks_by_hash.erase(existing->second);
     proposal_.block_hash_by_proposer.erase(existing);
     proposal_.banned_proposers.insert(block.proposer);
     bool was_best = proposal_.have_best && proposal_.best_pk == block.proposer;
@@ -1095,16 +1096,10 @@ void Node::StartCatchup(uint64_t target_round) {
   // must not lock the node out of catch-up forever.
   in_recovery_ = false;
   phase_ = Phase::kCatchup;
+  catchup_ = CatchupState{};
   catchup_.active = true;
   catchup_.target_round = target_round;
   catchup_.started_at_round = ledger_.next_round() - 1;
-  catchup_.attempt = 0;
-  catchup_.empty_streak = 0;
-  catchup_.blocked_until = 0;
-  catchup_.peers.clear();
-  catchup_.peer_cursor = 0;
-  catchup_.inflight.clear();
-  catchup_.ready.clear();
   if (obs_.catchup_sessions != nullptr) {
     obs_.catchup_sessions->Increment();
   }
@@ -1304,43 +1299,33 @@ std::shared_ptr<CatchupResponseMessage> Node::BuildCatchupResponse(
   uint64_t last_served = 0;
   const uint64_t base = ledger_.base_round();
   while (r < ledger_.chain_length() && resp->entries.size() < limit) {
-    auto it = certificates_.find(r);
-    if (it != certificates_.end() && r > base) {
-      resp->entries.push_back(
-          CatchupResponseMessage::Entry{ledger_.BlockAtRound(r), it->second});
-      last_served = r;
-      ++r;
-      continue;
-    }
-    // Shard gap in memory — or a round at/below our compacted base, whose
-    // block the ledger no longer holds: fall through to the durable log,
+    // A shard gap in memory — or a round at/below our compacted base, whose
+    // block the ledger no longer holds — falls through to the durable log,
     // which keeps block and certificate for every retained round (the index
     // makes this an O(1) seek, not a segment scan). Rounds compaction pruned
     // come back empty, so the batch honestly ends where our history does.
-    std::optional<CatchupResponseMessage::Entry> from_disk;
-    if (store_ != nullptr) {
+    std::optional<CatchupResponseMessage::Entry> entry;
+    if (auto it = certificates_.find(r); it != certificates_.end() && r > base) {
+      entry = CatchupResponseMessage::Entry{ledger_.BlockAtRound(r), it->second};
+    } else if (store_ != nullptr) {
       if (auto stored = store_->ReadRound(r); stored.has_value() && !stored->cert.empty()) {
         auto cert = Certificate::Deserialize(stored->cert);
         auto block = Block::Deserialize(stored->block);
         if (cert.has_value() && block.has_value()) {
-          from_disk = CatchupResponseMessage::Entry{std::move(*block), std::move(*cert)};
+          entry = CatchupResponseMessage::Entry{std::move(*block), std::move(*cert)};
         }
       }
     }
-    if (!from_disk.has_value()) {
+    if (!entry.has_value()) {
       break;  // Sharded/pruned storage: serve the prefix we hold (partial batch).
     }
-    resp->entries.push_back(std::move(*from_disk));
-    last_served = r;
-    ++r;
+    resp->entries.push_back(std::move(*entry));
+    last_served = r++;
   }
   // Attach the highest final-step certificate covering the served prefix so
   // the requester can mark finality (final blocks are totally ordered, §8.3).
-  for (auto it = final_certificates_.rbegin(); it != final_certificates_.rend(); ++it) {
-    if (it->first <= last_served) {
-      resp->final_cert = it->second;
-      break;
-    }
+  if (auto it = final_certificates_.upper_bound(last_served); it != final_certificates_.begin()) {
+    resp->final_cert = std::prev(it)->second;
   }
   return resp;
 }
@@ -1380,34 +1365,22 @@ void Node::HandleCatchupResponse(const std::shared_ptr<const CatchupResponseMess
 
 bool Node::ApplyCatchupResponse(const CatchupResponseMessage& resp, uint64_t* applied) {
   for (const CatchupResponseMessage::Entry& e : resp.entries) {
-    uint64_t next = ledger_.next_round();
-    if (e.block.round < next) {
+    const uint64_t round = ledger_.next_round();
+    if (e.block.round < round) {
       continue;  // Overlap with already-applied rounds is harmless.
     }
-    if (e.block.round > next) {
+    if (e.block.round > round) {
       break;  // Gap inside the batch; stop at the contiguous prefix.
     }
-    if (e.cert.round != e.block.round || e.cert.block_hash != e.block.Hash()) {
+    // Default rules: a certificate is required, the kind is its step's.
+    if (AppendCertifiedRound(&ledger_, params_, *crypto_.vrf, *crypto_.signer, e.block, &e.cert,
+                             nullptr, {}) != RoundCheck::kOk) {
       return false;
     }
-    RoundContext ctx = CatchupContext(next);
-    if (!ValidateCertificate(e.cert, ctx, params_, *crypto_.vrf, *crypto_.signer)) {
-      return false;
+    if (KeepsCertificate(round)) {
+      certificates_[round] = e.cert;
     }
-    ConsensusKind kind =
-        e.cert.step == kStepFinal ? ConsensusKind::kFinal : ConsensusKind::kTentative;
-    if (!ledger_.Append(e.block, kind)) {
-      return false;
-    }
-    if (kind == ConsensusKind::kFinal) {
-      for (uint64_t r = 1; r < e.cert.round; ++r) {
-        ledger_.MarkFinal(r);
-      }
-    }
-    if (shard_count_ <= 1 || (e.cert.round % shard_count_) == (id_ % shard_count_)) {
-      certificates_[e.cert.round] = e.cert;
-    }
-    StreamRoundToStore(e.cert.round, kind, &e.cert, nullptr);
+    StreamRoundToStore(round, &e.cert, nullptr);
     mempool_.ObserveCommitted(e.block.txns, ledger_.accounts());
     ++*applied;
     if (obs_.catchup_blocks != nullptr) {
@@ -1416,36 +1389,18 @@ bool Node::ApplyCatchupResponse(const CatchupResponseMessage& resp, uint64_t* ap
   }
   if (resp.final_cert.has_value()) {
     const Certificate& fc = *resp.final_cert;
-    if (fc.round > ledger_.base_round() && fc.round >= 1 && fc.round < ledger_.next_round()) {
-      if (fc.step != kStepFinal) {
-        return false;
-      }
-      const Block& covered = ledger_.BlockAtRound(fc.round);
-      if (fc.block_hash != covered.Hash()) {
-        return false;
-      }
-      RoundContext ctx;
-      ctx.round = fc.round;
-      ctx.seed = ledger_.SortitionSeed(fc.round, params_.seed_refresh_interval);
-      ctx.prev_hash = covered.prev_hash;
-      ctx.total_weight = ledger_.total_weight();
-      const Ledger* ledger = &ledger_;
-      ctx.weight_of = [ledger](const PublicKey& pk) { return ledger->WeightOf(pk); };
-      if (!ValidateCertificate(fc, ctx, params_, *crypto_.vrf, *crypto_.signer)) {
-        return false;
-      }
-      for (uint64_t r = 1; r <= fc.round; ++r) {
-        ledger_.MarkFinal(r);
-      }
-      if (shard_count_ <= 1 || (fc.round % shard_count_) == (id_ % shard_count_)) {
-        final_certificates_[fc.round] = fc;
-      }
-      if (store_ != nullptr) {
-        store_->AppendFinalUpgrade(fc.round, fc.Serialize());
-      }
+    // One beyond what we applied is ignored, not an error: a partial batch
+    // legitimately undershoots the responder's final round.
+    RoundCheck check = MarkCertifiedFinal(&ledger_, params_, *crypto_.vrf, *crypto_.signer, fc);
+    if (check != RoundCheck::kOk && check != RoundCheck::kOutsideChain) {
+      return false;
     }
-    // A final cert beyond what we applied is simply ignored (not an error):
-    // a partial batch legitimately undershoots the responder's final round.
+    if (check == RoundCheck::kOk && KeepsCertificate(fc.round)) {
+      final_certificates_[fc.round] = fc;
+    }
+    if (check == RoundCheck::kOk && store_ != nullptr) {
+      store_->AppendFinalUpgrade(fc.round, fc.Serialize());
+    }
   }
   if (*applied > 0) {
     Trace(TraceKind::kCatchupBatch, 0, *applied, resp.responder);
@@ -1454,22 +1409,9 @@ bool Node::ApplyCatchupResponse(const CatchupResponseMessage& resp, uint64_t* ap
   return true;
 }
 
-RoundContext Node::CatchupContext(uint64_t round) const {
-  RoundContext ctx;
-  ctx.round = round;
-  ctx.seed = ledger_.SortitionSeed(round, params_.seed_refresh_interval);
-  ctx.prev_hash = ledger_.tip_hash();
-  ctx.total_weight = ledger_.total_weight();
-  const Ledger* ledger = &ledger_;
-  ctx.weight_of = [ledger](const PublicKey& pk) { return ledger->WeightOf(pk); };
-  return ctx;
-}
-
 void Node::FinishCatchup() {
   uint64_t gained = ledger_.next_round() - 1 - catchup_.started_at_round;
-  catchup_.active = false;
-  catchup_.inflight.clear();
-  catchup_.ready.clear();
+  catchup_ = CatchupState{};
   ++catchup_session_;  // Orphans any pending timeout/backoff lambdas.
   ++catchups_completed_;
   hung_ = false;
@@ -1483,9 +1425,7 @@ void Node::FinishCatchup() {
 }
 
 void Node::AbortCatchup() {
-  catchup_.active = false;
-  catchup_.inflight.clear();
-  catchup_.ready.clear();
+  catchup_ = CatchupState{};
   ++catchup_session_;
   if (obs_.catchup_aborted != nullptr) {
     obs_.catchup_aborted->Increment();
@@ -1504,7 +1444,7 @@ bool Node::RestoreFromStore(BlockStore* store) {
   store_ = store;
   // Checkpoint ladder: restoring from the newest intact checkpoint skips the
   // replay of everything below it. A corrupt or mismatched checkpoint file is
-  // never loaded silently — each candidate is fully validated (tip hash,
+  // never loaded silently — each candidate is fully verified (tip hash,
   // fingerprint, genesis binding), and on failure we step down to the next
   // older one, bottoming out at plain WAL replay from genesis.
   uint64_t start = 1;
@@ -1515,28 +1455,13 @@ bool Node::RestoreFromStore(BlockStore* store) {
       if (payload == nullptr) {
         continue;
       }
-      std::optional<CheckpointData> data = CheckpointData::Deserialize(*payload);
-      if (!data.has_value() || data->manifest.round != it->round ||
-          data->manifest.genesis_hash != genesis_hash_) {
+      std::optional<VerifiedCheckpoint> cp = VerifyCheckpoint(*payload, it->round, genesis_hash_);
+      if (!cp.has_value() || !ledger_.InstallCheckpoint(cp->tip, std::move(cp->accounts),
+                                                        cp->seed_base, std::move(cp->seeds))) {
         continue;
       }
-      std::optional<Block> tip = Block::Deserialize(data->tip_block);
-      if (!tip.has_value() || tip->round != data->manifest.round ||
-          tip->Hash() != data->manifest.tip_hash) {
-        continue;
-      }
-      AccountTable table;
-      Reader ar(data->accounts);
-      if (!table.DeserializeFrom(&ar) || !ar.AtEnd() ||
-          table.StateFingerprint() != data->manifest.fingerprint) {
-        continue;
-      }
-      if (!ledger_.InstallCheckpoint(*tip, std::move(table), data->seed_base,
-                                     data->seeds)) {
-        continue;
-      }
-      start = data->manifest.round + 1;
-      last_checkpoint_round_ = data->manifest.round;
+      start = it->round + 1;
+      last_checkpoint_round_ = it->round;
       break;
     }
   }
@@ -1548,58 +1473,38 @@ bool Node::RestoreFromStore(BlockStore* store) {
   }
   uint64_t stop = 0;  // First round that failed validation (0 = none).
   for (uint64_t r = start; r < store->next_round(); ++r) {
+    // The log is not trusted blindly: a record only counts if its
+    // certificates prove the round the way a catch-up batch would (§8.3).
+    // Its logged kind stands, and rounds logged without a certificate
+    // (fork-recovery suffixes) are accepted on chain structure alone.
     std::optional<StoredRound> stored = store->ReadRound(r);
     if (!stored.has_value()) {
       stop = r;
       break;
     }
+    // An empty section means "none recorded"; a non-empty one must decode.
+    auto decode = [](const std::vector<uint8_t>& bytes, std::optional<Certificate>* out) {
+      return bytes.empty() || (*out = Certificate::Deserialize(bytes)).has_value();
+    };
     std::optional<Block> block = Block::Deserialize(stored->block);
-    if (!block.has_value() || block->round != r) {
-      stop = r;
-      break;
-    }
-    Hash256 hash = block->Hash();
-    // Validate certificates against the chain reconstructed so far — the
-    // log is not trusted blindly; a record only counts if its certificate
-    // proves the round the way a catch-up batch would (§8.3). Rounds logged
-    // without a certificate (recovery-adopted suffixes) are accepted on
-    // chain structure alone: Append still checks parent hash and round.
-    RoundContext ctx = CatchupContext(r);
     std::optional<Certificate> cert;
-    if (!stored->cert.empty()) {
-      cert = Certificate::Deserialize(stored->cert);
-      if (!cert.has_value() || cert->round != r || cert->block_hash != hash ||
-          !ValidateCertificate(*cert, ctx, params_, *crypto_.vrf, *crypto_.signer)) {
-        stop = r;
-        break;
-      }
-    }
     std::optional<Certificate> final_cert;
-    if (!stored->final_cert.empty()) {
-      final_cert = Certificate::Deserialize(stored->final_cert);
-      if (!final_cert.has_value() || final_cert->round != r ||
-          final_cert->step != kStepFinal || final_cert->block_hash != hash ||
-          !ValidateCertificate(*final_cert, ctx, params_, *crypto_.vrf, *crypto_.signer)) {
-        stop = r;
-        break;
-      }
-    }
-    ConsensusKind kind = static_cast<ConsensusKind>(stored->kind);
-    if (!ledger_.Append(*block, kind)) {
+    const CertifiedRoundRules rules{.kind = static_cast<ConsensusKind>(stored->kind),
+                                    .allow_uncertified = true};
+    if (!block.has_value() || !decode(stored->cert, &cert) ||
+        !decode(stored->final_cert, &final_cert) ||
+        AppendCertifiedRound(&ledger_, params_, *crypto_.vrf, *crypto_.signer, *block,
+                             cert.has_value() ? &*cert : nullptr,
+                             final_cert.has_value() ? &*final_cert : nullptr,
+                             rules) != RoundCheck::kOk) {
       stop = r;
       break;
     }
-    if (cert.has_value() &&
-        (shard_count_ <= 1 || (r % shard_count_) == (id_ % shard_count_))) {
-      certificates_[r] = *cert;
+    if (cert.has_value() && KeepsCertificate(r)) {
+      certificates_[r] = std::move(*cert);
     }
-    if (final_cert.has_value()) {
-      for (uint64_t f = 1; f <= r; ++f) {
-        ledger_.MarkFinal(f);
-      }
-      if (shard_count_ <= 1 || (r % shard_count_) == (id_ % shard_count_)) {
-        final_certificates_[r] = *final_cert;
-      }
+    if (final_cert.has_value() && KeepsCertificate(r)) {
+      final_certificates_[r] = std::move(*final_cert);
     }
   }
   if (stop != 0) {
@@ -1617,13 +1522,9 @@ void Node::Halt() {
   ++catchup_session_;  // ...or session, and the halted_ flag backstops both.
   phase_ = Phase::kIdle;
   in_recovery_ = false;
-  catchup_.active = false;
-  catchup_.inflight.clear();
-  catchup_.ready.clear();
+  catchup_ = CatchupState{};
   ++fastsync_session_;
-  fastsync_.active = false;
-  fastsync_.links.clear();
-  fastsync_.payload.clear();
+  fastsync_ = FastSyncState{};
 }
 
 // ---------------------------------------------------------------------------
@@ -1860,7 +1761,7 @@ void Node::OnRecoveryBaComplete(const BaResult& result) {
     // for them — so they are logged cert-less.
     store_->TruncateSuffix(recovery_final_round_ + 1);
     for (uint64_t r = recovery_final_round_ + 1; r < ledger_.next_round(); ++r) {
-      StreamRoundToStore(r, ledger_.ConsensusAtRound(r), nullptr, nullptr);
+      StreamRoundToStore(r, nullptr, nullptr);
     }
   }
   // Recovered: resume normal operation on the agreed fork.
@@ -1943,7 +1844,6 @@ void Node::StartFastSync(uint64_t target_round) {
   fastsync_.active = true;
   fastsync_.target_round = target_round;
   fastsync_.prev_hash = genesis_hash_;  // The cert chain starts at round 0.
-  fastsync_.next_link = 1;
   if (obs_.fastsync_sessions != nullptr) {
     obs_.fastsync_sessions->Increment();
   }
@@ -2033,32 +1933,6 @@ void Node::HandleFastSyncManifestResponse(
   SendFastSyncLinksRequest();
 }
 
-bool Node::VerifyFastSyncLink(const ChainLink& link) const {
-  if (link.round != fastsync_.next_link || link.cert.empty()) {
-    // Rounds without a certificate (recovery-adopted suffixes) cannot be
-    // vouched for by the chain; fast-sync fails over to full catch-up.
-    return false;
-  }
-  std::optional<Certificate> cert = Certificate::Deserialize(link.cert);
-  if (!cert.has_value() || cert->round != link.round ||
-      cert->block_hash != link.hash || cert->votes.empty()) {
-    return false;
-  }
-  for (const VoteMessage& v : cert->votes) {
-    // Structural binding: each vote names this round, this block hash, and
-    // the previous (already verified) link's hash — so forging any one link
-    // means forging signatures, not just splicing hashes.
-    if (v.round != link.round || v.value != link.hash ||
-        v.prev_hash != fastsync_.prev_hash || v.step != cert->step) {
-      return false;
-    }
-    if (!crypto_.signer->Verify(v.pk, v.SignedBody(), v.signature)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void Node::HandleFastSyncLinksResponse(
     const std::shared_ptr<const FastSyncLinksResponse>& msg) {
   if (halted_ || !fastsync_.active || fastsync_.stage != FastSyncState::Stage::kLinks ||
@@ -2071,7 +1945,8 @@ void Node::HandleFastSyncLinksResponse(
   }
   for (const std::vector<uint8_t>& payload : msg->links) {
     std::optional<ChainLink> link = ChainLink::DecodePayload(payload);
-    if (!link.has_value() || !VerifyFastSyncLink(*link)) {
+    if (!link.has_value() ||
+        !VerifyChainLink(*link, fastsync_.next_link, fastsync_.prev_hash, *crypto_.signer)) {
       FailFastSyncAttempt();
       return;
     }
@@ -2129,53 +2004,15 @@ void Node::HandleFastSyncChunkResponse(
 }
 
 bool Node::InstallFastSyncCheckpoint() {
-  std::optional<CheckpointData> data = CheckpointData::Deserialize(fastsync_.payload);
-  if (!data.has_value()) {
-    return false;
-  }
   const CheckpointManifest& m = fastsync_.manifest;
-  if (data->manifest.round != m.round || data->manifest.tip_hash != m.tip_hash ||
-      data->manifest.fingerprint != m.fingerprint ||
-      data->manifest.highest_final != m.highest_final ||
-      data->manifest.genesis_hash != m.genesis_hash) {
-    return false;  // Payload head must equal the manifest the chain vouched for.
-  }
-  std::optional<Block> tip = Block::Deserialize(data->tip_block);
-  if (!tip.has_value() || tip->round != m.round || tip->Hash() != m.tip_hash) {
+  std::optional<VerifiedCheckpoint> cp =
+      VerifyCheckpoint(fastsync_.payload, m.round, genesis_hash_, &m);
+  if (!cp.has_value() || !SeedsMatchLinks(*cp, fastsync_.links, ledger_) ||
+      !ledger_.InstallCheckpoint(cp->tip, std::move(cp->accounts), cp->seed_base,
+                                 std::move(cp->seeds))) {
     return false;
-  }
-  AccountTable table;
-  Reader ar(data->accounts);
-  if (!table.DeserializeFrom(&ar) || !ar.AtEnd() ||
-      table.StateFingerprint() != m.fingerprint) {
-    return false;  // The state does not hash to what the manifest promised.
   }
   const uint64_t b = m.round;
-  if (data->seed_base > b || data->seed_base + data->seeds.size() != b + 1) {
-    return false;
-  }
-  // Seed cross-check against the verified chain: link r carries next_seed =
-  // seed_{r+1} (links[j] is round j+1), so every seed in the window is pinned
-  // by a certificate, not taken on the responder's word.
-  for (size_t i = 0; i < data->seeds.size(); ++i) {
-    uint64_t r = data->seed_base + i;
-    SeedBytes expected;
-    if (r <= 1) {
-      expected = ledger_.SeedForRound(r);  // Genesis window: locally known.
-    } else {
-      expected = fastsync_.links[r - 2].next_seed;
-    }
-    if (data->seeds[i] != expected) {
-      return false;
-    }
-  }
-  if (tip->next_seed != fastsync_.links[b - 1].next_seed) {
-    return false;  // Round b's own link must agree with the tip block.
-  }
-  if (!ledger_.InstallCheckpoint(*tip, std::move(table), data->seed_base,
-                                 std::move(data->seeds))) {
-    return false;
-  }
   last_checkpoint_round_ = b;
   if (store_ != nullptr) {
     // Persist what we verified: the checkpoint payload (so a restart resumes
@@ -2217,9 +2054,7 @@ void Node::FailFastSyncAttempt() {
 
 void Node::FailFastSync() {
   uint64_t target = fastsync_.target_round;
-  fastsync_.active = false;
-  fastsync_.links.clear();
-  fastsync_.payload.clear();
+  fastsync_ = FastSyncState{};
   ++fastsync_session_;
   if (obs_.fastsync_failed != nullptr) {
     obs_.fastsync_failed->Increment();
@@ -2232,9 +2067,7 @@ void Node::FailFastSync() {
 void Node::FinishFastSync() {
   uint64_t target = fastsync_.target_round;
   uint64_t b = fastsync_.manifest.round;
-  fastsync_.active = false;
-  fastsync_.links.clear();
-  fastsync_.payload.clear();
+  fastsync_ = FastSyncState{};
   ++fastsync_session_;
   ++fastsyncs_completed_;
   hung_ = false;

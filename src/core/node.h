@@ -102,7 +102,6 @@ class Node : public BaEnvironment {
   void GossipTransaction(const Transaction& tx);
 
   const Ledger& ledger() const { return ledger_; }
-  Ledger* mutable_ledger() { return &ledger_; }
   NodeId id() const { return id_; }
   const Ed25519KeyPair& key() const { return key_; }
   const ProtocolParams& params() const { return params_; }
@@ -124,7 +123,6 @@ class Node : public BaEnvironment {
   const Mempool& mempool() const { return mempool_; }
   bool in_catchup() const { return catchup_.active; }
   uint64_t catchups_completed() const { return catchups_completed_; }
-  bool in_fastsync() const { return fastsync_.active; }
   uint64_t fastsyncs_completed() const { return fastsyncs_completed_; }
   bool halted() const { return halted_; }
 
@@ -143,7 +141,6 @@ class Node : public BaEnvironment {
   // Returns false if the node already made progress past genesis or the log
   // is compacted below every loadable checkpoint.
   bool RestoreFromStore(BlockStore* store);
-  BlockStore* store() const { return store_; }
 
   // --- Crash/restart (fault injection) ---
   // Permanently stops this node: kills all pending timers via the scheduling
@@ -161,8 +158,9 @@ class Node : public BaEnvironment {
   void PrewarmMessage(const MessagePtr& msg, VerifyPool* pool);
 
   // Serves block/certificate history to catching-up peers (§8.3). When
-  // sharding is configured (shard_count > 1) a node persists certificates
-  // only for rounds where round % shard_count == id % shard_count.
+  // sharding is configured (shard_count > 1) a node keeps certificates, both
+  // deciding and final, in memory only for rounds where
+  // round % shard_count == id % shard_count; the log keeps every one.
   void ConfigureCertificateSharding(uint32_t shard_count);
 
   // --- BaEnvironment ---
@@ -197,7 +195,7 @@ class Node : public BaEnvironment {
 
   // Shared helpers for subclasses.
   void GossipMessage(const MessagePtr& msg);
-  RoundContext MakeContext() const;
+  RoundContext MakeContext() const { return ContextAt(ledger_, params_, current_round_); }
   GossipAgent* gossip() { return gossip_; }
   Executor* sim() { return sim_; }
   const CryptoSuite& crypto() const { return crypto_; }
@@ -227,10 +225,9 @@ class Node : public BaEnvironment {
   // Gathers stored votes of `step` for the agreed value until their weight
   // exceeds `threshold`.
   Certificate BuildCertificateForStep(uint32_t step, double threshold) const;
-  // Streams the just-appended round `round` (the current ledger tip) to the
-  // attached store, if any. Null certificates mean "none recorded".
-  void StreamRoundToStore(uint64_t round, ConsensusKind kind, const Certificate* cert,
-                          const Certificate* final_cert);
+  // Streams ledger round `round`, with its consensus kind, to the attached
+  // store, if any. Null certificates mean "none recorded".
+  void StreamRoundToStore(uint64_t round, const Certificate* cert, const Certificate* final_cert);
 
   // Gossip plumbing.
   GossipVerdict ValidateForRelay(const MessagePtr& msg);
@@ -262,8 +259,11 @@ class Node : public BaEnvironment {
   // Validates and appends a response batch in round order. Returns false on
   // the first invalid entry (the whole batch is then charged to the peer).
   bool ApplyCatchupResponse(const CatchupResponseMessage& resp, uint64_t* applied);
-  // Context for validating the certificate of `round` == ledger_.next_round().
-  RoundContext CatchupContext(uint64_t round) const;
+  // Whether this node's certificate shard holds `round` (see
+  // ConfigureCertificateSharding); applies to both certificate maps.
+  bool KeepsCertificate(uint64_t round) const {
+    return shard_count_ <= 1 || round % shard_count_ == id_ % shard_count_;
+  }
 
   // --- Checkpoints + certificate-chain fast-sync (DESIGN.md §13) ---
   // After a final round crosses a checkpoint-interval boundary, captures the
@@ -280,13 +280,10 @@ class Node : public BaEnvironment {
   void SendFastSyncChunkRequest();
   // Arms the per-request timeout for the outstanding request `seq`.
   void ArmFastSyncTimeout(uint64_t seq);
-  // Verifies one chain link continues the verified prefix: consecutive
-  // round, certificate deserializes and names this round/hash, and every
-  // vote's signature checks out and binds to the previous link's hash.
-  bool VerifyFastSyncLink(const ChainLink& link) const;
-  // Full payload received: re-derives and cross-checks manifest, tip block,
-  // account fingerprint and seed window, installs into the ledger, persists
-  // checkpoint + links + log prime to the store. False = peer served junk.
+  // Full payload received: verifies it against the manifest and the link
+  // chain (VerifyCheckpoint, SeedsMatchLinks), installs it into the ledger,
+  // persists checkpoint + links + log prime to the store. False = peer
+  // served junk.
   bool InstallFastSyncCheckpoint();
   // Peer-scoped failure: rotate to another peer and restart the handshake,
   // or (after enough attempts) give up on fast-sync entirely.

@@ -67,15 +67,12 @@ bool Ledger::Append(const Block& block, ConsensusKind kind) {
     return false;
   }
   chain_.push_back(block);
-  kinds_.push_back(kind);
+  kinds_.push_back(ConsensusKind::kTentative);
   seeds_.push_back(block.next_seed);
   tip_hash_ = block.Hash();
   round_by_hash_[tip_hash_] = block.round;
   if (kind == ConsensusKind::kFinal) {
-    // A final block confirms every predecessor (§8.2: total order of finals).
-    for (auto& k : kinds_) {
-      k = ConsensusKind::kFinal;
-    }
+    MarkFinalThrough(block.round);
   }
   if (lookback_rounds_ > 0) {
     snapshots_.push_back(accounts_);
@@ -84,6 +81,16 @@ bool Ledger::Append(const Block& block, ConsensusKind kind) {
     }
   }
   return true;
+}
+
+void Ledger::MarkFinalThrough(uint64_t round) {
+  if (round < base_round_) {
+    return;
+  }
+  // kinds_[0] (genesis or the checkpoint block) is final, so the walk ends.
+  for (size_t i = round - base_round_; kinds_.at(i) != ConsensusKind::kFinal; --i) {
+    kinds_[i] = ConsensusKind::kFinal;
+  }
 }
 
 bool Ledger::ReplaceSuffix(uint64_t from_round, const std::vector<Block>& blocks) {

@@ -131,12 +131,10 @@ class Ledger {
   ConsensusKind ConsensusAtRound(uint64_t round) const {
     return round < base_round_ ? ConsensusKind::kFinal : kinds_.at(round - base_round_);
   }
-  // Marks a tentative round final (a later final block confirms predecessors).
-  void MarkFinal(uint64_t round) {
-    if (round >= base_round_) {
-      kinds_.at(round - base_round_) = ConsensusKind::kFinal;
-    }
-  }
+  // Marks `round` and every earlier round final: a final block confirms all
+  // its predecessors (§8.2). Finality is prefix-closed, so the walk back
+  // stops at the last round already final. No-op below the base.
+  void MarkFinalThrough(uint64_t round);
 
   // A transaction is confirmed once it appears in a block that is final or
   // has a final successor (§4, §8.2). Scans the retained blocks newest-first.

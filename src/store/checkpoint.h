@@ -37,6 +37,8 @@ struct CheckpointManifest {
   Hash256 fingerprint;       // AccountTable::StateFingerprint at B.
   uint64_t highest_final = 0;  // Highest final round when written (>= B).
   Hash256 genesis_hash;      // Round-0 block hash: refuses cross-chain installs.
+
+  bool operator==(const CheckpointManifest&) const = default;
 };
 
 struct CheckpointData {

@@ -14,17 +14,14 @@
 
 #include "src/store/block_store.h"
 #include "src/store/checkpoint.h"
+#include "tests/test_dirs.h"
 
 namespace algorand {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "algorand_ckpt_" + name;
-  fs::remove_all(dir);
-  return dir;
-}
+std::string FreshDir(const std::string& name) { return FreshTestDir("algorand_ckpt_" + name); }
 
 std::vector<uint8_t> PatternBytes(uint64_t seed, size_t n) {
   std::vector<uint8_t> out(n);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/core/sim_harness.h"
+#include "tests/test_dirs.h"
 
 namespace algorand {
 namespace {
@@ -20,9 +21,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string FreshDataDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "algorand_fastsync_" + name;
-  fs::remove_all(dir);
-  return dir;
+  return FreshTestDir("algorand_fastsync_" + name);
 }
 
 HarnessConfig FastSyncConfig(uint64_t seed, const std::string& dir) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <type_traits>
+#include <vector>
 
 #include "src/common/hex.h"
 #include "src/common/rng.h"
@@ -469,6 +470,39 @@ TEST(LedgerTest, FinalBlockConfirmsPredecessors) {
   EXPECT_EQ(f.ledger.ConsensusAtRound(1), ConsensusKind::kFinal);
   EXPECT_EQ(f.ledger.ConsensusAtRound(2), ConsensusKind::kFinal);
   EXPECT_EQ(f.ledger.HighestFinalRound(), 3u);
+}
+
+TEST(LedgerTest, MarkFinalThroughMatchesMarkingEveryEarlierRound) {
+  // The reference: the per-round loops MarkFinalThrough replaced, which set
+  // rounds 1..r final one by one (and Append(kFinal), which set them all).
+  auto reference = [](std::vector<ConsensusKind> kinds, uint64_t through) {
+    for (uint64_t r = 1; r <= through; ++r) {
+      kinds[r] = ConsensusKind::kFinal;
+    }
+    return kinds;
+  };
+  auto kinds_of = [](const Ledger& l) {
+    std::vector<ConsensusKind> kinds;
+    for (uint64_t r = 0; r < l.chain_length(); ++r) {
+      kinds.push_back(l.ConsensusAtRound(r));
+    }
+    return kinds;
+  };
+  Fixture f;
+  for (int r = 1; r <= 8; ++r) {
+    ASSERT_TRUE(f.ledger.Append(f.NextEmptyBlock(),
+                                r == 2 ? ConsensusKind::kFinal : ConsensusKind::kTentative));
+  }
+  EXPECT_EQ(f.ledger.HighestFinalRound(), 2u);
+  for (uint64_t through : {1u, 5u, 3u, 8u}) {
+    std::vector<ConsensusKind> want = reference(kinds_of(f.ledger), through);
+    f.ledger.MarkFinalThrough(through);
+    EXPECT_EQ(kinds_of(f.ledger), want) << "through " << through;
+  }
+  EXPECT_EQ(f.ledger.HighestFinalRound(), 8u);
+  ASSERT_TRUE(f.ledger.Append(f.NextEmptyBlock(), ConsensusKind::kTentative));
+  ASSERT_TRUE(f.ledger.Append(f.NextEmptyBlock(), ConsensusKind::kFinal));
+  EXPECT_EQ(kinds_of(f.ledger), std::vector<ConsensusKind>(11, ConsensusKind::kFinal));
 }
 
 TEST(LedgerTest, SeedScheduleAdvances) {

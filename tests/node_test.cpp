@@ -169,6 +169,81 @@ TEST(NodeTest, FetchesAgreedBlockItNeverReceived) {
   EXPECT_FALSE(h.node(3).ledger().BlockAtRound(1).is_empty);
 }
 
+// Proposes in round 1 like an honest node, then, once its peers are in
+// agreement on that block, gossips a second block for the same round.
+class LateEquivocatorNode : public Node {
+ public:
+  using Node::Node;
+  const Hash256& first_block() const { return first_block_; }
+
+ protected:
+  void MaybePropose() override {
+    if (current_round() != 1) {
+      Node::MaybePropose();
+      return;
+    }
+    SortitionResult sort =
+        RunSortition(*crypto().vrf, key(), MakeContext().seed, params().tau_proposer,
+                     Role::kProposer, current_round(), 0, SelfWeight(), ledger().total_weight());
+    if (sort.votes == 0) {
+      return;
+    }
+    auto a = std::make_shared<BlockMessage>();
+    a->block = BuildBlockProposal();
+    a->block.proposer_vrf = sort.hash;
+    a->block.proposer_proof = sort.proof;
+    auto b = std::make_shared<BlockMessage>();
+    b->block = a->block;
+    b->block.timestamp += 1;
+    first_block_ = a->block.Hash();
+    GossipMessage(std::make_shared<PriorityMessage>(MakePriorityMessage(
+        key(), current_round(), sort.hash, sort.proof, sort.votes, *crypto().signer)));
+    GossipMessage(a);
+    // Peers start agreement when their priority window closes.
+    ScheduleAfter(params().lambda_priority + params().lambda_stepvar + Millis(1),
+                  [this, b] { GossipMessage(b); });
+  }
+
+ private:
+  Hash256 first_block_;
+};
+
+class NonProposingNode : public Node {
+ public:
+  using Node::Node;
+
+ protected:
+  void MaybePropose() override {}
+};
+
+TEST(NodeTest, LateEquivocationKeepsTheAgreedBlockFetchable) {
+  // Node 0 is round 1's only proposer (a large tau_proposer makes its
+  // selection certain). Its second block reaches every node during
+  // agreement: each bans node 0 from candidacy, but BA* still agrees on the
+  // first block, which every node must still hold and append.
+  HarnessConfig cfg = BaseConfig(35);
+  cfg.params.tau_proposer = 2000;
+  cfg.node_factory = [](NodeId id, Simulation* sim, GossipAgent* gossip,
+                        const Ed25519KeyPair& key, const GenesisConfig& genesis,
+                        const ProtocolParams& params, CryptoSuite crypto,
+                        AdversaryCoordinator*) -> std::unique_ptr<Node> {
+    if (id == 0) {
+      return std::make_unique<LateEquivocatorNode>(id, sim, gossip, key, genesis, params, crypto);
+    }
+    return std::make_unique<NonProposingNode>(id, sim, gossip, key, genesis, params, crypto);
+  };
+  SimHarness h(cfg);
+  h.Start();
+  ASSERT_TRUE(h.RunRounds(3, Hours(1)));
+  const auto& equivocator = dynamic_cast<const LateEquivocatorNode&>(h.node(0));
+  ASSERT_NE(equivocator.first_block(), Hash256{});
+  for (size_t i = 0; i < h.node_count(); ++i) {
+    EXPECT_EQ(h.node(i).ledger().BlockAtRound(1).Hash(), equivocator.first_block())
+        << "node " << i;
+  }
+  EXPECT_TRUE(h.ChainsConsistent());
+}
+
 TEST(NodeTest, PriorityGossipDisabledStillConverges) {
   HarnessConfig cfg = BaseConfig(35);
   cfg.params.priority_gossip_enabled = false;

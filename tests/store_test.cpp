@@ -10,17 +10,14 @@
 #include <vector>
 
 #include "src/store/block_store.h"
+#include "tests/test_dirs.h"
 
 namespace algorand {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "algorand_store_" + name;
-  fs::remove_all(dir);
-  return dir;
-}
+std::string FreshDir(const std::string& name) { return FreshTestDir("algorand_store_" + name); }
 
 // Deterministic pseudo-random bytes (xorshift), so ReadRound results can be
 // compared against regenerated originals.
