@@ -40,12 +40,7 @@ Outcome Run(bool priority_gossip, uint64_t seed) {
   bool ok = h.RunRounds(kRounds, Hours(6));
   Outcome out;
   out.safety = ok && h.CheckSafety().ok;
-  uint64_t block_msgs = 0;
-  const auto by_type = h.network().message_counts_by_type();
-  auto it = by_type.find("block");
-  if (it != by_type.end()) {
-    block_msgs = it->second;
-  }
+  const uint64_t block_msgs = h.AggregateMetrics().CounterValue("net.msgs.block");
   out.block_mb_per_round = static_cast<double>(block_msgs) *
                            static_cast<double>(cfg.params.block_size_bytes) / 1e6 /
                            static_cast<double>(kRounds);

@@ -8,7 +8,6 @@
 #include <memory>
 #include <set>
 #include <sstream>
-#include <string_view>
 #include <tuple>
 
 #include "src/core/certificate.h"
@@ -235,7 +234,7 @@ ScheduleOutcome ModelChecker::RunWithStrategy(Strategy* strategy) {
           // decisions on round-opening votes or spreading them across
           // destinations dilutes the budget before anything interesting is
           // in flight.
-          if (to != 0 || std::string_view(msg->TypeName()) != "vote") {
+          if (to != 0 || KindOf(*msg) != MessageKind::kVote) {
             return AdversaryAction::Deliver();
           }
           const auto* vote = static_cast<const VoteMessage*>(msg.get());

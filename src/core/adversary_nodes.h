@@ -1,5 +1,5 @@
 // Adversarial node behaviours for the misbehaving-user experiments (§10.4)
-// and for safety/liveness tests.
+// and for safety/liveness tests, plus the vote-aware network adversary.
 //
 // The paper's attack: the highest-priority block proposer equivocates —
 // gossiping one version of its block to half its peers and a different
@@ -9,10 +9,12 @@
 #ifndef ALGORAND_SRC_CORE_ADVERSARY_NODES_H_
 #define ALGORAND_SRC_CORE_ADVERSARY_NODES_H_
 
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <unordered_set>
 #include <utility>
 
 #include "src/core/node.h"
@@ -127,6 +129,71 @@ class EmptyVoterNode : public Node {
   void EmitVotes(uint32_t step_code, const SortitionResult& sort, const Hash256&) override {
     Node::EmitVotes(step_code, sort, empty_hash());
   }
+};
+
+// The fully adaptive attacker of §2: watches the wire and, the moment a node
+// reveals itself by originating a vote, cuts that node off (drops all its
+// traffic) for `dos_duration`. Participant replacement is exactly the defence
+// against this adversary — by the time a committee member is identified, its
+// role is already over.
+class VoterDosAdversary : public NetworkAdversary {
+ public:
+  // `reaction_delay` models §8.4's practical bound: the attack lands only
+  // after the victim's current send burst has left its uplink (the paper
+  // argues a quicker adversary could stop all communication anyway).
+  VoterDosAdversary(SimTime dos_duration, size_t max_concurrent_victims,
+                    SimTime reaction_delay = Seconds(1))
+      : dos_duration_(dos_duration),
+        max_victims_(max_concurrent_victims),
+        reaction_delay_(reaction_delay) {}
+
+  AdversaryAction OnTransmit(NodeId from, NodeId to, const MessagePtr& msg,
+                             SimTime now) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Expire stale victims.
+    for (auto it = blocked_until_.begin(); it != blocked_until_.end();) {
+      it = it->second <= now ? blocked_until_.erase(it) : std::next(it);
+    }
+    auto blocked = [&](NodeId n) {
+      auto it = blocked_until_.find(n);
+      return it != blocked_until_.end() && now >= it->second - dos_duration_;
+    };
+    if (blocked(from) || blocked(to)) {
+      ++dropped_;
+      return AdversaryAction::Drop();
+    }
+    // The first transmission of a vote comes from its originator — the
+    // committee member revealing itself. Relays by others don't mark anyone.
+    if (KindOf(*msg) == MessageKind::kVote &&
+        seen_votes_.insert(msg->DedupId()).second && blocked_until_.size() < max_victims_ &&
+        !blocked_until_.count(from)) {
+      // Blocking begins after the reaction delay and lasts dos_duration.
+      blocked_until_[from] = now + reaction_delay_ + dos_duration_;
+      ++victims_targeted_;
+    }
+    return AdversaryAction::Deliver();
+  }
+
+  uint64_t victims_targeted() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return victims_targeted_;
+  }
+  uint64_t dropped() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return dropped_;
+  }
+
+ private:
+  SimTime dos_duration_;
+  size_t max_victims_;
+  SimTime reaction_delay_;
+  // Victim selection inspects every sender's traffic, so the state is shared
+  // and mutex-guarded; see the class-level note on order sensitivity.
+  mutable std::mutex mu_;
+  std::map<NodeId, SimTime> blocked_until_;
+  std::unordered_set<Hash256, FixedBytesHasher> seen_votes_;
+  uint64_t victims_targeted_ = 0;
+  uint64_t dropped_ = 0;
 };
 
 }  // namespace algorand

@@ -81,7 +81,7 @@ CatchupResult CatchupFromGenesis(const GenesisConfig& genesis, const ProtocolPar
 // appends it through AppendCertifiedRound: a tampered batch costs the peer
 // its turn (rotation) but can never corrupt the requester's chain.
 
-class CatchupRequestMessage : public SimMessage {
+class CatchupRequestMessage : public ProtocolMessage<MessageKind::kCatchupRequest> {
  public:
   uint32_t requester = 0;   // NodeId to answer to (point-to-point reply).
   uint64_t seq = 0;         // Per-requester nonce: retries defeat gossip dedup.
@@ -90,7 +90,7 @@ class CatchupRequestMessage : public SimMessage {
 
   static constexpr uint64_t kWireSize = 4 + 8 + 8 + 4;
 
-  std::vector<uint8_t> Serialize() const;
+  std::vector<uint8_t> Serialize() const override;
   static std::optional<CatchupRequestMessage> Deserialize(std::span<const uint8_t> data);
 
   const char* TypeName() const override { return "catchup_req"; }
@@ -100,7 +100,7 @@ class CatchupRequestMessage : public SimMessage {
   Hash256 ComputeDedupId() const override;
 };
 
-class CatchupResponseMessage : public SimMessage {
+class CatchupResponseMessage : public ProtocolMessage<MessageKind::kCatchupResponse> {
  public:
   struct Entry {
     Block block;
@@ -115,7 +115,7 @@ class CatchupResponseMessage : public SimMessage {
                                // when the responder's cert shard has gaps.
   std::optional<Certificate> final_cert;  // Highest final-step cert ≤ batch end.
 
-  std::vector<uint8_t> Serialize() const;
+  std::vector<uint8_t> Serialize() const override;
   static std::optional<CatchupResponseMessage> Deserialize(std::span<const uint8_t> data);
 
   const char* TypeName() const override { return "catchup_resp"; }

@@ -21,9 +21,9 @@
 #include <span>
 #include <vector>
 
+#include "src/core/messages.h"
 #include "src/crypto/signer.h"
 #include "src/ledger/ledger.h"
-#include "src/netsim/message.h"
 #include "src/store/block_store.h"
 #include "src/store/checkpoint.h"
 
@@ -61,14 +61,14 @@ bool VerifyChainLink(const ChainLink& link, uint64_t round, const Hash256& prev_
                      const SignerBackend& signer);
 
 // "What is your newest durable checkpoint?" Answered with the manifest.
-class FastSyncManifestRequest : public SimMessage {
+class FastSyncManifestRequest : public ProtocolMessage<MessageKind::kFastSyncManifestRequest> {
  public:
   uint32_t requester = 0;
   uint64_t seq = 0;  // Per-requester nonce; retries defeat gossip dedup.
 
   static constexpr uint64_t kWireSize = 4 + 8;
 
-  std::vector<uint8_t> Serialize() const;
+  std::vector<uint8_t> Serialize() const override;
   static std::optional<FastSyncManifestRequest> Deserialize(std::span<const uint8_t> data);
 
   const char* TypeName() const override { return "fastsync_manifest_req"; }
@@ -78,7 +78,7 @@ class FastSyncManifestRequest : public SimMessage {
   Hash256 ComputeDedupId() const override;
 };
 
-class FastSyncManifestResponse : public SimMessage {
+class FastSyncManifestResponse : public ProtocolMessage<MessageKind::kFastSyncManifestResponse> {
  public:
   uint32_t responder = 0;
   uint64_t seq = 0;  // Echo of the request nonce.
@@ -87,7 +87,7 @@ class FastSyncManifestResponse : public SimMessage {
   std::vector<uint8_t> manifest;
   uint64_t payload_bytes = 0;  // Full checkpoint payload size, for chunking.
 
-  std::vector<uint8_t> Serialize() const;
+  std::vector<uint8_t> Serialize() const override;
   static std::optional<FastSyncManifestResponse> Deserialize(std::span<const uint8_t> data);
 
   const char* TypeName() const override { return "fastsync_manifest_resp"; }
@@ -98,7 +98,7 @@ class FastSyncManifestResponse : public SimMessage {
 };
 
 // A window of certificate-chain links [from_round, from_round + limit).
-class FastSyncLinksRequest : public SimMessage {
+class FastSyncLinksRequest : public ProtocolMessage<MessageKind::kFastSyncLinksRequest> {
  public:
   uint32_t requester = 0;
   uint64_t seq = 0;
@@ -107,7 +107,7 @@ class FastSyncLinksRequest : public SimMessage {
 
   static constexpr uint64_t kWireSize = 4 + 8 + 8 + 4;
 
-  std::vector<uint8_t> Serialize() const;
+  std::vector<uint8_t> Serialize() const override;
   static std::optional<FastSyncLinksRequest> Deserialize(std::span<const uint8_t> data);
 
   const char* TypeName() const override { return "fastsync_links_req"; }
@@ -117,7 +117,7 @@ class FastSyncLinksRequest : public SimMessage {
   Hash256 ComputeDedupId() const override;
 };
 
-class FastSyncLinksResponse : public SimMessage {
+class FastSyncLinksResponse : public ProtocolMessage<MessageKind::kFastSyncLinksResponse> {
  public:
   uint32_t responder = 0;
   uint64_t seq = 0;
@@ -126,7 +126,7 @@ class FastSyncLinksResponse : public SimMessage {
   // from_round; may be a partial window (responder's history ends sooner).
   std::vector<std::vector<uint8_t>> links;
 
-  std::vector<uint8_t> Serialize() const;
+  std::vector<uint8_t> Serialize() const override;
   static std::optional<FastSyncLinksResponse> Deserialize(std::span<const uint8_t> data);
 
   const char* TypeName() const override { return "fastsync_links_resp"; }
@@ -137,7 +137,7 @@ class FastSyncLinksResponse : public SimMessage {
 };
 
 // A byte range of one checkpoint's payload.
-class FastSyncChunkRequest : public SimMessage {
+class FastSyncChunkRequest : public ProtocolMessage<MessageKind::kFastSyncChunkRequest> {
  public:
   uint32_t requester = 0;
   uint64_t seq = 0;
@@ -147,7 +147,7 @@ class FastSyncChunkRequest : public SimMessage {
 
   static constexpr uint64_t kWireSize = 4 + 8 + 8 + 8 + 4;
 
-  std::vector<uint8_t> Serialize() const;
+  std::vector<uint8_t> Serialize() const override;
   static std::optional<FastSyncChunkRequest> Deserialize(std::span<const uint8_t> data);
 
   const char* TypeName() const override { return "fastsync_chunk_req"; }
@@ -157,7 +157,7 @@ class FastSyncChunkRequest : public SimMessage {
   Hash256 ComputeDedupId() const override;
 };
 
-class FastSyncChunkResponse : public SimMessage {
+class FastSyncChunkResponse : public ProtocolMessage<MessageKind::kFastSyncChunkResponse> {
  public:
   uint32_t responder = 0;
   uint64_t seq = 0;
@@ -166,7 +166,7 @@ class FastSyncChunkResponse : public SimMessage {
   uint64_t total_bytes = 0;  // Full payload size (progress/termination check).
   std::vector<uint8_t> data;  // Empty = round unknown or offset out of range.
 
-  std::vector<uint8_t> Serialize() const;
+  std::vector<uint8_t> Serialize() const override;
   static std::optional<FastSyncChunkResponse> Deserialize(std::span<const uint8_t> data);
 
   const char* TypeName() const override { return "fastsync_chunk_resp"; }

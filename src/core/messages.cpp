@@ -76,6 +76,16 @@ std::optional<PriorityMessage> PriorityMessage::Deserialize(std::span<const uint
 
 Hash256 PriorityMessage::ComputeDedupId() const { return Sha256::Hash(Serialize()); }
 
+std::optional<BlockMessage> BlockMessage::Deserialize(std::span<const uint8_t> data) {
+  std::optional<Block> block = Block::Deserialize(data);
+  if (!block) {
+    return std::nullopt;
+  }
+  BlockMessage m;
+  m.block = std::move(*block);
+  return m;
+}
+
 std::vector<uint8_t> BlockRequestMessage::Serialize() const {
   Writer w;
   w.U64(round);

@@ -30,11 +30,44 @@ constexpr uint32_t kStepFinal = 0xffffffff;
 
 inline uint32_t BinaryStepCode(int step) { return kStepBinaryBase + static_cast<uint32_t>(step) - 1; }
 
+// Every protocol message kind: the classes below, plus the catch-up
+// (catchup.h) and fast-sync (fastsync.h) requests and responses. The value is
+// SimMessage::kind(), the wire codec's 1-byte frame tag and the index of the
+// gossip per-kind counters, so it is wire format: never renumber.
+enum class MessageKind : uint8_t {
+  kVote = 1,
+  kPriority = 2,
+  kBlock = 3,
+  kBlockRequest = 4,
+  kRecoveryProposal = 5,
+  kTransaction = 6,
+  kCatchupRequest = 7,
+  kCatchupResponse = 8,
+  kFastSyncManifestRequest = 9,
+  kFastSyncManifestResponse = 10,
+  kFastSyncLinksRequest = 11,
+  kFastSyncLinksResponse = 12,
+  kFastSyncChunkRequest = 13,
+  kFastSyncChunkResponse = 14,
+};
+
+inline MessageKind KindOf(const SimMessage& msg) { return static_cast<MessageKind>(msg.kind()); }
+
+// Base of every protocol message class: names the class's kind once, as
+// `kKind`, and hands it to SimMessage.
+template <MessageKind K>
+class ProtocolMessage : public SimMessage {
+ public:
+  static constexpr MessageKind kKind = K;
+
+  ProtocolMessage() : SimMessage(static_cast<uint8_t>(K)) {}
+};
+
 // Committee vote (Algorithm 4): the signed payload covers round, step, the
 // sortition credentials, the previous-block hash binding the vote to a chain,
 // and the value voted for. ~316 bytes on the wire, matching the paper's
 // "about 200 bytes" small-message claim.
-class VoteMessage : public SimMessage {
+class VoteMessage : public ProtocolMessage<MessageKind::kVote> {
  public:
   // Fixed layout: pk || round || step || sorthash || sort_proof || prev_hash
   // || value || signature. Tests assert this equals Serialize().size().
@@ -50,7 +83,7 @@ class VoteMessage : public SimMessage {
   Signature signature;
 
   std::vector<uint8_t> SignedBody() const;
-  std::vector<uint8_t> Serialize() const;
+  std::vector<uint8_t> Serialize() const override;
   static std::optional<VoteMessage> Deserialize(std::span<const uint8_t> data);
 
   const char* TypeName() const override { return "vote"; }
@@ -62,7 +95,7 @@ class VoteMessage : public SimMessage {
 
 // First proposal message (§6): small, carries only the proposer's priority
 // credentials so the network quickly learns who won.
-class PriorityMessage : public SimMessage {
+class PriorityMessage : public ProtocolMessage<MessageKind::kPriority> {
  public:
   // Fixed layout: pk || round || sorthash || sort_proof || sub_users || sig.
   static constexpr uint64_t kWireSize = 32 + 8 + 64 + 80 + 8 + 64;
@@ -75,7 +108,7 @@ class PriorityMessage : public SimMessage {
   Signature signature;
 
   std::vector<uint8_t> SignedBody() const;
-  std::vector<uint8_t> Serialize() const;
+  std::vector<uint8_t> Serialize() const override;
   static std::optional<PriorityMessage> Deserialize(std::span<const uint8_t> data);
 
   const char* TypeName() const override { return "priority"; }
@@ -87,9 +120,12 @@ class PriorityMessage : public SimMessage {
 
 // Second proposal message: the full block (§6). The block embeds the
 // proposer's sortition credentials.
-class BlockMessage : public SimMessage {
+class BlockMessage : public ProtocolMessage<MessageKind::kBlock> {
  public:
   Block block;
+
+  std::vector<uint8_t> Serialize() const override { return block.Serialize(); }
+  static std::optional<BlockMessage> Deserialize(std::span<const uint8_t> data);
 
   const char* TypeName() const override { return "block"; }
 
@@ -101,7 +137,7 @@ class BlockMessage : public SimMessage {
 // Request for a block pre-image after BA* agreed on a hash the node never
 // received (BlockOfHash in Algorithm 3). Answered point-to-point with a
 // BlockMessage.
-class BlockRequestMessage : public SimMessage {
+class BlockRequestMessage : public ProtocolMessage<MessageKind::kBlockRequest> {
  public:
   static constexpr uint64_t kWireSize = 8 + 32 + 4;
 
@@ -109,7 +145,7 @@ class BlockRequestMessage : public SimMessage {
   Hash256 block_hash;
   uint32_t requester = 0;  // NodeId to answer to.
 
-  std::vector<uint8_t> Serialize() const;
+  std::vector<uint8_t> Serialize() const override;
   static std::optional<BlockRequestMessage> Deserialize(std::span<const uint8_t> data);
 
   const char* TypeName() const override { return "block_req"; }
@@ -121,11 +157,11 @@ class BlockRequestMessage : public SimMessage {
 
 // A payment submitted by a client, gossiped to reach whoever proposes the
 // next block (Figure 1: "users submit new transactions" via gossip).
-class TransactionMessage : public SimMessage {
+class TransactionMessage : public ProtocolMessage<MessageKind::kTransaction> {
  public:
   Transaction tx;
 
-  std::vector<uint8_t> Serialize() const { return tx.Serialize(); }
+  std::vector<uint8_t> Serialize() const override { return tx.Serialize(); }
   static std::optional<TransactionMessage> Deserialize(std::span<const uint8_t> data);
 
   const char* TypeName() const override { return "txn"; }
@@ -139,7 +175,7 @@ class TransactionMessage : public SimMessage {
 // whose predecessor is the longest fork it observed, shipping the chain
 // suffix (blocks after the last common final round) so nodes on other forks
 // can validate its length and switch.
-class RecoveryProposalMessage : public SimMessage {
+class RecoveryProposalMessage : public ProtocolMessage<MessageKind::kRecoveryProposal> {
  public:
   PublicKey pk;
   uint64_t code = 0;  // Recovery session code (epoch/attempt derived).
@@ -150,7 +186,7 @@ class RecoveryProposalMessage : public SimMessage {
   Signature signature;
 
   std::vector<uint8_t> SignedBody() const;
-  std::vector<uint8_t> Serialize() const;
+  std::vector<uint8_t> Serialize() const override;
   static std::optional<RecoveryProposalMessage> Deserialize(std::span<const uint8_t> data);
   const char* TypeName() const override { return "recovery"; }
 

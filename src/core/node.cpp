@@ -32,6 +32,12 @@ Hash256 ContextKey(const Hash256& dedup_id, const SeedBytes& seed, uint64_t tota
   return HashImage(dedup_id, seed, total_weight);
 }
 
+// The typed message behind a MessagePtr whose kind() was just switched on.
+template <typename T>
+std::shared_ptr<const T> As(const MessagePtr& msg) {
+  return std::static_pointer_cast<const T>(msg);
+}
+
 // First 8 bytes of a hash, big-endian — enough identity for a trace line.
 uint64_t HashPrefix(const Hash256& h) {
   uint64_t v = 0;
@@ -553,125 +559,112 @@ void Node::EmitVotes(uint32_t step_code, const SortitionResult& sort, const Hash
 // Message verification
 // ---------------------------------------------------------------------------
 
-uint64_t Node::VerifyVote(const VoteMessage& vote, const RoundContext& ctx) const {
-  const bool final_step = vote.step == kStepFinal;
-  const double tau = final_step ? params_.tau_final : params_.tau_step;
-  const uint32_t sort_step = params_.participant_replacement_enabled ? vote.step : 0;
-  auto compute = [&]() -> uint64_t {
-    if (!crypto_.signer->Verify(vote.pk, vote.SignedBody(), vote.signature)) {
-      return 0;
-    }
-    return VerifySortition(*crypto_.vrf, vote.pk, vote.sorthash, vote.sort_proof, ctx.seed, tau,
-                           Role::kCommittee, vote.round, sort_step, ctx.weight_of(vote.pk),
-                           ctx.total_weight);
-  };
-  if (crypto_.cache != nullptr) {
-    return crypto_.cache->GetOrCompute(ContextKey(vote.DedupId(), ctx.seed, ctx.total_weight),
-                                       compute);
+uint64_t Node::SortitionCheck::Run(uint64_t weight) const {
+  if (vote != nullptr && !signer->Verify(vote->pk, vote->SignedBody(), vote->signature)) {
+    return 0;
   }
-  return compute();
+  return VerifySortition(*vrf, pk, sorthash, proof, seed, tau, role, round, step, weight,
+                         total_weight);
 }
 
-uint64_t Node::VerifyProposerSortition(const PublicKey& pk, const VrfOutput& sorthash,
-                                       const VrfProof& proof, const RoundContext& ctx) const {
-  auto compute = [&]() -> uint64_t {
-    return VerifySortition(*crypto_.vrf, pk, sorthash, proof, ctx.seed, params_.tau_proposer,
-                           Role::kProposer, ctx.round, 0, ctx.weight_of(pk), ctx.total_weight);
-  };
-  if (crypto_.cache != nullptr) {
-    return crypto_.cache->GetOrCompute(
-        ContextKey(HashImage(pk, sorthash, ctx.round), ctx.seed, ctx.total_weight), compute);
+Node::SortitionCheck Node::VoteCheck(const VoteMessage& vote, const RoundContext& ctx) const {
+  SortitionCheck check;
+  check.key = ContextKey(vote.DedupId(), ctx.seed, ctx.total_weight);
+  check.vrf = crypto_.vrf;
+  check.signer = crypto_.signer;
+  check.vote = &vote;
+  check.pk = vote.pk;
+  check.sorthash = vote.sorthash;
+  check.proof = vote.sort_proof;
+  check.role = Role::kCommittee;
+  check.round = vote.round;
+  // Participant replacement (ablation): with replacement off, one step-0
+  // committee serves the whole round.
+  check.step = params_.participant_replacement_enabled ? vote.step : 0;
+  check.tau = vote.step == kStepFinal ? params_.tau_final : params_.tau_step;
+  check.seed = ctx.seed;
+  check.total_weight = ctx.total_weight;
+  return check;
+}
+
+Node::SortitionCheck Node::ProposerCheck(const PublicKey& pk, const VrfOutput& sorthash,
+                                         const VrfProof& proof, const RoundContext& ctx) const {
+  SortitionCheck check;
+  check.key = ContextKey(HashImage(pk, sorthash, ctx.round), ctx.seed, ctx.total_weight);
+  check.vrf = crypto_.vrf;
+  check.pk = pk;
+  check.sorthash = sorthash;
+  check.proof = proof;
+  check.role = Role::kProposer;
+  check.round = ctx.round;
+  check.tau = params_.tau_proposer;
+  check.seed = ctx.seed;
+  check.total_weight = ctx.total_weight;
+  return check;
+}
+
+uint64_t Node::RunCached(const SortitionCheck& check, const RoundContext& ctx) const {
+  auto compute = [&] { return check.Run(ctx.weight_of(check.pk)); };
+  return crypto_.cache != nullptr ? crypto_.cache->GetOrCompute(check.key, compute) : compute();
+}
+
+void Node::PrewarmCheck(const SortitionCheck& check, const MessagePtr& msg, VerifyPool* pool) {
+  VerificationCache* cache = crypto_.cache;
+  if (cache->Contains(check.key)) {
+    return;
   }
-  return compute();
+  // Resolved on the protocol thread: the job must not touch the ledger.
+  const uint64_t weight = ctx_.weight_of(check.pk);
+  pool->Submit([cache, check, weight, msg] {
+    cache->Prewarm(check.key, [&] { return check.Run(weight); });
+  });
 }
 
 void Node::PrewarmMessage(const MessagePtr& msg, VerifyPool* pool) {
   if (pool == nullptr || pool->worker_count() == 0 || crypto_.cache == nullptr) {
     return;
   }
-  VerificationCache* cache = crypto_.cache;
-  const VrfBackend* vrf = crypto_.vrf;
-  const SignerBackend* signer = crypto_.signer;
-
-  if (auto txn = std::dynamic_pointer_cast<const TransactionMessage>(msg)) {
-    // Payment signatures are context-free, so they can always be prewarmed;
-    // the relay validator then hits the cache instead of verifying inline.
-    tx_verifier_.Prewarm({txn->tx});
-    return;
-  }
-
-  if (auto vote = std::dynamic_pointer_cast<const VoteMessage>(msg)) {
-    // Recovery votes need session context and future/stale votes are not
-    // verifiable yet (unknown seed) — both are skipped, exactly the cases the
-    // inline path also cannot cache usefully.
-    if ((vote->round & kRecoveryRoundBit) != 0 || vote->round != current_round_) {
+  switch (KindOf(*msg)) {
+    case MessageKind::kTransaction:
+      // Payment signatures are context-free, so they can always be prewarmed;
+      // the relay validator then hits the cache instead of verifying inline.
+      tx_verifier_.Prewarm({static_cast<const TransactionMessage&>(*msg).tx});
+      return;
+    case MessageKind::kVote: {
+      // Recovery votes need session context and future/stale votes are not
+      // verifiable yet (unknown seed) — both are skipped, exactly the cases
+      // the inline path also cannot cache usefully.
+      const auto& vote = static_cast<const VoteMessage&>(*msg);
+      if ((vote.round & kRecoveryRoundBit) == 0 && vote.round == current_round_) {
+        PrewarmCheck(VoteCheck(vote, ctx_), msg, pool);
+      }
       return;
     }
-    const bool final_step = vote->step == kStepFinal;
-    const double tau = final_step ? params_.tau_final : params_.tau_step;
-    const uint32_t sort_step = params_.participant_replacement_enabled ? vote->step : 0;
-    // Resolved on the protocol thread: the job must not touch the ledger.
-    const uint64_t weight = ctx_.weight_of(vote->pk);
-    const SeedBytes seed = ctx_.seed;
-    const uint64_t total = ctx_.total_weight;
-    const Hash256 key = ContextKey(vote->DedupId(), seed, total);
-    if (cache->Contains(key)) {
+    // Priority and block messages share the cached proposer-sortition check;
+    // the rest of block validation (contents, seed VRF) stays on the protocol
+    // thread, which is fine — the sortition proof is the expensive part.
+    case MessageKind::kPriority: {
+      const auto& pri = static_cast<const PriorityMessage&>(*msg);
+      if (pri.round == current_round_) {
+        PrewarmCheck(ProposerCheck(pri.pk, pri.sorthash, pri.sort_proof, ctx_), msg, pool);
+      }
       return;
     }
-    pool->Submit([cache, key, vote, vrf, signer, seed, tau, sort_step, weight, total] {
-      cache->Prewarm(key, [&]() -> uint64_t {
-        if (!signer->Verify(vote->pk, vote->SignedBody(), vote->signature)) {
-          return 0;
-        }
-        return VerifySortition(*vrf, vote->pk, vote->sorthash, vote->sort_proof, seed, tau,
-                               Role::kCommittee, vote->round, sort_step, weight, total);
-      });
-    });
-    return;
+    case MessageKind::kBlock: {
+      const Block& block = static_cast<const BlockMessage&>(*msg).block;
+      // Transaction signatures are context-free: start them regardless of
+      // the round check below so ValidateBlockContents' batch verify hits the
+      // cache. Payments this node's mempool holds were verified at admission.
+      tx_verifier_.Prewarm(mempool_.NotResident(block.txns));
+      if (block.round == current_round_) {
+        PrewarmCheck(ProposerCheck(block.proposer, block.proposer_vrf, block.proposer_proof, ctx_),
+                     msg, pool);
+      }
+      return;
+    }
+    default:
+      return;
   }
-
-  // Priority and block messages share the cached proposer-sortition check;
-  // the rest of block validation (contents, seed VRF) stays on the protocol
-  // thread, which is fine — the sortition proof is the expensive part.
-  PublicKey pk;
-  VrfOutput sorthash;
-  VrfProof proof;
-  uint64_t msg_round = 0;
-  if (auto pri = std::dynamic_pointer_cast<const PriorityMessage>(msg)) {
-    pk = pri->pk;
-    sorthash = pri->sorthash;
-    proof = pri->sort_proof;
-    msg_round = pri->round;
-  } else if (auto blk = std::dynamic_pointer_cast<const BlockMessage>(msg)) {
-    pk = blk->block.proposer;
-    sorthash = blk->block.proposer_vrf;
-    proof = blk->block.proposer_proof;
-    msg_round = blk->block.round;
-    // Transaction signatures are context-free: start them regardless of the
-    // round check below so ValidateBlockContents' batch verify hits the cache.
-    // Payments this node's mempool holds were verified at admission.
-    tx_verifier_.Prewarm(mempool_.NotResident(blk->block.txns));
-  } else {
-    return;
-  }
-  if (msg_round != current_round_) {
-    return;
-  }
-  const uint64_t weight = ctx_.weight_of(pk);
-  const SeedBytes seed = ctx_.seed;
-  const uint64_t total = ctx_.total_weight;
-  const uint64_t round = ctx_.round;
-  const double tau = params_.tau_proposer;
-  const Hash256 key = ContextKey(HashImage(pk, sorthash, round), seed, total);
-  if (cache->Contains(key)) {
-    return;
-  }
-  pool->Submit([cache, key, vrf, pk, sorthash, proof, seed, tau, round, weight, total] {
-    cache->Prewarm(key, [&]() -> uint64_t {
-      return VerifySortition(*vrf, pk, sorthash, proof, seed, tau, Role::kProposer, round, 0,
-                             weight, total);
-    });
-  });
 }
 
 bool Node::ValidateBlockContents(const Block& block) const {
@@ -720,182 +713,173 @@ bool Node::ValidateBlockContents(const Block& block) const {
 // ---------------------------------------------------------------------------
 
 GossipVerdict Node::ValidateForRelay(const MessagePtr& msg) {
-  if (auto rec = std::dynamic_pointer_cast<const RecoveryProposalMessage>(msg)) {
-    return ValidateRecoveryProposal(*rec);
-  }
-  if (auto vote = std::dynamic_pointer_cast<const VoteMessage>(msg)) {
-    if (vote->round & kRecoveryRoundBit) {
-      if (!in_recovery_ || vote->round != recovery_code_) {
-        // Cannot validate a recovery vote outside the matching session.
+  switch (KindOf(*msg)) {
+    case MessageKind::kRecoveryProposal:
+      return ValidateRecoveryProposal(static_cast<const RecoveryProposalMessage&>(*msg));
+    case MessageKind::kVote: {
+      const auto& vote = static_cast<const VoteMessage&>(*msg);
+      if (vote.round & kRecoveryRoundBit) {
+        if (!in_recovery_ || vote.round != recovery_code_) {
+          // Cannot validate a recovery vote outside the matching session.
+          return GossipVerdict::kDeliverOnly;
+        }
+        if (VerifyVote(vote, recovery_ctx_) == 0) {
+          return GossipVerdict::kReject;
+        }
+        if (!relayed_votes_[vote.round].insert({vote.pk, vote.step})) {
+          return GossipVerdict::kDeliverOnly;
+        }
+        return GossipVerdict::kRelay;
+      }
+      if (vote.round < current_round_) {
+        return GossipVerdict::kReject;  // Stale.
+      }
+      if (vote.round > current_round_) {
+        // Cannot verify sortition yet (unknown future seed); hold without
+        // relaying to bound adversarial amplification.
         return GossipVerdict::kDeliverOnly;
       }
-      if (VerifyVote(*vote, recovery_ctx_) == 0) {
+      uint64_t weight = VerifyVote(vote, ctx_);
+      if (weight == 0) {
         return GossipVerdict::kReject;
       }
-      if (!relayed_votes_[vote->round].insert({vote->pk, vote->step})) {
+      // Relay at most one message per (round, step, pk) (§8.4).
+      if (!relayed_votes_[vote.round].insert({vote.pk, vote.step})) {
         return GossipVerdict::kDeliverOnly;
       }
       return GossipVerdict::kRelay;
     }
-    if (vote->round < current_round_) {
-      return GossipVerdict::kReject;  // Stale.
+    case MessageKind::kPriority: {
+      const auto& pri = static_cast<const PriorityMessage&>(*msg);
+      if (pri.round != current_round_) {
+        return pri.round > current_round_ ? GossipVerdict::kDeliverOnly : GossipVerdict::kReject;
+      }
+      if (!crypto_.signer->Verify(pri.pk, pri.SignedBody(), pri.signature)) {
+        return GossipVerdict::kReject;
+      }
+      uint64_t votes = VerifyProposerSortition(pri.pk, pri.sorthash, pri.sort_proof, ctx_);
+      if (votes == 0) {
+        return GossipVerdict::kReject;
+      }
+      // Relay only if this is the best priority seen so far (§6).
+      Hash256 priority = ProposalPriority(pri.sorthash, votes);
+      if (proposal_.have_best && !PriorityBeats(priority, proposal_.best_priority)) {
+        return GossipVerdict::kDeliverOnly;
+      }
+      return GossipVerdict::kRelay;
     }
-    if (vote->round > current_round_) {
-      // Cannot verify sortition yet (unknown future seed); hold without
-      // relaying to bound adversarial amplification.
+    case MessageKind::kBlock: {
+      const Block& block = static_cast<const BlockMessage&>(*msg).block;
+      if (block.round != current_round_) {
+        return block.round > current_round_ ? GossipVerdict::kDeliverOnly
+                                            : GossipVerdict::kReject;
+      }
+      if (!ValidateBlockContents(block)) {
+        return GossipVerdict::kReject;
+      }
+      relay_validated_ = {msg->DedupId(), current_round_, ledger_.tip_hash()};
+      uint64_t votes = VerifyProposerSortition(block.proposer, block.proposer_vrf,
+                                               block.proposer_proof, ctx_);
+      if (votes == 0) {
+        return GossipVerdict::kReject;
+      }
+      Hash256 priority = ProposalPriority(block.proposer_vrf, votes);
+      if (params_.priority_gossip_enabled && proposal_.have_best &&
+          PriorityBeats(proposal_.best_priority, priority)) {
+        return GossipVerdict::kDeliverOnly;  // A better proposer is known.
+      }
+      return GossipVerdict::kRelay;
+    }
+    case MessageKind::kTransaction: {
+      // Relay payments with a valid signature and a nonce that is not already
+      // spent; full applicability is checked at proposal time. The cached
+      // verifier makes relay copies a lookup, not a signature check.
+      const Transaction& tx = static_cast<const TransactionMessage&>(*msg).tx;
+      if (!tx_verifier_.VerifyOne(tx)) {
+        return GossipVerdict::kReject;
+      }
+      if (tx.nonce < ledger_.accounts().NextNonceOf(tx.from)) {
+        return GossipVerdict::kReject;  // Stale or replayed.
+      }
+      return GossipVerdict::kRelay;
+    }
+    default:
+      // Block requests, catch-up and fast-sync traffic are point-to-point.
       return GossipVerdict::kDeliverOnly;
-    }
-    uint64_t weight = VerifyVote(*vote, ctx_);
-    if (weight == 0) {
-      return GossipVerdict::kReject;
-    }
-    // Relay at most one message per (round, step, pk) (§8.4).
-    if (!relayed_votes_[vote->round].insert({vote->pk, vote->step})) {
-      return GossipVerdict::kDeliverOnly;
-    }
-    return GossipVerdict::kRelay;
   }
-  if (auto pri = std::dynamic_pointer_cast<const PriorityMessage>(msg)) {
-    if (pri->round != current_round_) {
-      return pri->round > current_round_ ? GossipVerdict::kDeliverOnly : GossipVerdict::kReject;
-    }
-    if (!crypto_.signer->Verify(pri->pk, pri->SignedBody(), pri->signature)) {
-      return GossipVerdict::kReject;
-    }
-    uint64_t votes = VerifyProposerSortition(pri->pk, pri->sorthash, pri->sort_proof, ctx_);
-    if (votes == 0) {
-      return GossipVerdict::kReject;
-    }
-    // Relay only if this is the best priority seen so far (§6).
-    Hash256 priority = ProposalPriority(pri->sorthash, votes);
-    if (proposal_.have_best && !PriorityBeats(priority, proposal_.best_priority)) {
-      return GossipVerdict::kDeliverOnly;
-    }
-    return GossipVerdict::kRelay;
-  }
-  if (auto blk = std::dynamic_pointer_cast<const BlockMessage>(msg)) {
-    if (blk->block.round != current_round_) {
-      return blk->block.round > current_round_ ? GossipVerdict::kDeliverOnly
-                                               : GossipVerdict::kReject;
-    }
-    if (!ValidateBlockContents(blk->block)) {
-      return GossipVerdict::kReject;
-    }
-    relay_validated_ = {blk->DedupId(), current_round_, ledger_.tip_hash()};
-    uint64_t votes =
-        VerifyProposerSortition(blk->block.proposer, blk->block.proposer_vrf,
-                                blk->block.proposer_proof, ctx_);
-    if (votes == 0) {
-      return GossipVerdict::kReject;
-    }
-    Hash256 priority = ProposalPriority(blk->block.proposer_vrf, votes);
-    if (params_.priority_gossip_enabled && proposal_.have_best &&
-        PriorityBeats(proposal_.best_priority, priority)) {
-      return GossipVerdict::kDeliverOnly;  // A better proposer is known.
-    }
-    return GossipVerdict::kRelay;
-  }
-  if (auto txn = std::dynamic_pointer_cast<const TransactionMessage>(msg)) {
-    // Relay payments with a valid signature and a nonce that is not already
-    // spent; full applicability is checked at proposal time. The cached
-    // verifier makes relay copies a lookup, not a signature check.
-    if (!tx_verifier_.VerifyOne(txn->tx)) {
-      return GossipVerdict::kReject;
-    }
-    if (txn->tx.nonce < ledger_.accounts().NextNonceOf(txn->tx.from)) {
-      return GossipVerdict::kReject;  // Stale or replayed.
-    }
-    return GossipVerdict::kRelay;
-  }
-  // Block requests are point-to-point.
-  return GossipVerdict::kDeliverOnly;
 }
 
 void Node::HandleMessage(const MessagePtr& msg) {
   if (halted_) {
     return;  // A crashed node processes nothing.
   }
-  if (auto rec = std::dynamic_pointer_cast<const RecoveryProposalMessage>(msg)) {
-    HandleRecoveryProposal(rec);
-    return;
-  }
-  if (auto vote = std::dynamic_pointer_cast<const VoteMessage>(msg)) {
-    if (vote->round & kRecoveryRoundBit) {
-      MaybeJoinRecoverySession(vote->round);
-      HandleVote(vote);
+  // Votes, priorities and blocks for a future round wait in the
+  // future-message buffer (and hint that this node lags); stale ones drop.
+  auto current = [&](uint64_t round) {
+    if (round > current_round_) {
+      RememberFutureMessage(round, msg);
+      NoteCatchupEvidence(round);
+    }
+    return round == current_round_;
+  };
+  switch (KindOf(*msg)) {
+    case MessageKind::kRecoveryProposal:
+      HandleRecoveryProposal(As<RecoveryProposalMessage>(msg));
+      return;
+    case MessageKind::kVote: {
+      auto vote = As<VoteMessage>(msg);
+      if (vote->round & kRecoveryRoundBit) {
+        MaybeJoinRecoverySession(vote->round);
+        HandleVote(vote);
+      } else if (current(vote->round)) {
+        HandleVote(vote);
+      }
       return;
     }
-    if (vote->round > current_round_) {
-      RememberFutureMessage(vote->round, msg);
-      NoteCatchupEvidence(vote->round);
+    case MessageKind::kPriority: {
+      auto pri = As<PriorityMessage>(msg);
+      if (current(pri->round)) {
+        HandlePriority(pri);
+      }
       return;
     }
-    if (vote->round == current_round_) {
-      HandleVote(vote);
-    }
-    return;
-  }
-  if (auto pri = std::dynamic_pointer_cast<const PriorityMessage>(msg)) {
-    if (pri->round > current_round_) {
-      RememberFutureMessage(pri->round, msg);
-      NoteCatchupEvidence(pri->round);
+    case MessageKind::kBlock: {
+      auto blk = As<BlockMessage>(msg);
+      if (current(blk->block.round)) {
+        HandleBlock(blk);
+      }
       return;
     }
-    if (pri->round == current_round_) {
-      HandlePriority(pri);
-    }
-    return;
-  }
-  if (auto blk = std::dynamic_pointer_cast<const BlockMessage>(msg)) {
-    if (blk->block.round > current_round_) {
-      RememberFutureMessage(blk->block.round, msg);
-      NoteCatchupEvidence(blk->block.round);
+    case MessageKind::kBlockRequest:
+      HandleBlockRequest(As<BlockRequestMessage>(msg));
       return;
-    }
-    if (blk->block.round == current_round_) {
-      HandleBlock(blk);
-    }
-    return;
-  }
-  if (auto req = std::dynamic_pointer_cast<const BlockRequestMessage>(msg)) {
-    HandleBlockRequest(req);
-    return;
-  }
-  if (auto creq = std::dynamic_pointer_cast<const CatchupRequestMessage>(msg)) {
-    HandleCatchupRequest(creq);
-    return;
-  }
-  if (auto cresp = std::dynamic_pointer_cast<const CatchupResponseMessage>(msg)) {
-    HandleCatchupResponse(cresp);
-    return;
-  }
-  if (auto fmq = std::dynamic_pointer_cast<const FastSyncManifestRequest>(msg)) {
-    HandleFastSyncManifestRequest(fmq);
-    return;
-  }
-  if (auto fmr = std::dynamic_pointer_cast<const FastSyncManifestResponse>(msg)) {
-    HandleFastSyncManifestResponse(fmr);
-    return;
-  }
-  if (auto flq = std::dynamic_pointer_cast<const FastSyncLinksRequest>(msg)) {
-    HandleFastSyncLinksRequest(flq);
-    return;
-  }
-  if (auto flr = std::dynamic_pointer_cast<const FastSyncLinksResponse>(msg)) {
-    HandleFastSyncLinksResponse(flr);
-    return;
-  }
-  if (auto fcq = std::dynamic_pointer_cast<const FastSyncChunkRequest>(msg)) {
-    HandleFastSyncChunkRequest(fcq);
-    return;
-  }
-  if (auto fcr = std::dynamic_pointer_cast<const FastSyncChunkResponse>(msg)) {
-    HandleFastSyncChunkResponse(fcr);
-    return;
-  }
-  if (auto txn = std::dynamic_pointer_cast<const TransactionMessage>(msg)) {
-    SubmitTransaction(txn->tx);
-    return;
+    case MessageKind::kTransaction:
+      SubmitTransaction(static_cast<const TransactionMessage&>(*msg).tx);
+      return;
+    case MessageKind::kCatchupRequest:
+      HandleCatchupRequest(As<CatchupRequestMessage>(msg));
+      return;
+    case MessageKind::kCatchupResponse:
+      HandleCatchupResponse(As<CatchupResponseMessage>(msg));
+      return;
+    case MessageKind::kFastSyncManifestRequest:
+      HandleFastSyncManifestRequest(As<FastSyncManifestRequest>(msg));
+      return;
+    case MessageKind::kFastSyncManifestResponse:
+      HandleFastSyncManifestResponse(As<FastSyncManifestResponse>(msg));
+      return;
+    case MessageKind::kFastSyncLinksRequest:
+      HandleFastSyncLinksRequest(As<FastSyncLinksRequest>(msg));
+      return;
+    case MessageKind::kFastSyncLinksResponse:
+      HandleFastSyncLinksResponse(As<FastSyncLinksResponse>(msg));
+      return;
+    case MessageKind::kFastSyncChunkRequest:
+      HandleFastSyncChunkRequest(As<FastSyncChunkRequest>(msg));
+      return;
+    case MessageKind::kFastSyncChunkResponse:
+      HandleFastSyncChunkResponse(As<FastSyncChunkResponse>(msg));
+      return;
   }
 }
 

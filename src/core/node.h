@@ -300,11 +300,47 @@ class Node : public BaEnvironment {
   void HandleFastSyncChunkRequest(const std::shared_ptr<const FastSyncChunkRequest>& msg);
   void HandleFastSyncChunkResponse(const std::shared_ptr<const FastSyncChunkResponse>& msg);
 
+  // One cached sortition check, a vote's (signature first) or a proposer's,
+  // built once from a round context: the verification-cache key and the pure
+  // check it memoizes. The inline path (RunCached) and PrewarmMessage's
+  // worker job (PrewarmCheck) run the same value, so they cannot disagree on
+  // key or verdict. Run() reads no node state: the caller resolves the
+  // signer's weight on the protocol thread, and a vote check must not
+  // outlive its vote.
+  struct SortitionCheck {
+    Hash256 key;
+    const VrfBackend* vrf = nullptr;
+    const SignerBackend* signer = nullptr;
+    const VoteMessage* vote = nullptr;  // Set for votes only.
+    PublicKey pk;
+    VrfOutput sorthash;
+    VrfProof proof;
+    Role role = Role::kProposer;
+    uint64_t round = 0;
+    uint32_t step = 0;
+    double tau = 0;
+    SeedBytes seed;
+    uint64_t total_weight = 0;
+
+    uint64_t Run(uint64_t weight) const;
+  };
+  SortitionCheck VoteCheck(const VoteMessage& vote, const RoundContext& ctx) const;
+  SortitionCheck ProposerCheck(const PublicKey& pk, const VrfOutput& sorthash,
+                               const VrfProof& proof, const RoundContext& ctx) const;
+  uint64_t RunCached(const SortitionCheck& check, const RoundContext& ctx) const;
+  // Submits `check` to a verify worker unless the cache already holds it;
+  // `msg` keeps the checked message alive until the job has run.
+  void PrewarmCheck(const SortitionCheck& check, const MessagePtr& msg, VerifyPool* pool);
+
   // Verifies a vote's signature and sortition for the current round context;
   // returns the weighted vote count (0 = invalid). Uses the shared cache.
-  uint64_t VerifyVote(const VoteMessage& vote, const RoundContext& ctx) const;
+  uint64_t VerifyVote(const VoteMessage& vote, const RoundContext& ctx) const {
+    return RunCached(VoteCheck(vote, ctx), ctx);
+  }
   uint64_t VerifyProposerSortition(const PublicKey& pk, const VrfOutput& sorthash,
-                                   const VrfProof& proof, const RoundContext& ctx) const;
+                                   const VrfProof& proof, const RoundContext& ctx) const {
+    return RunCached(ProposerCheck(pk, sorthash, proof, ctx), ctx);
+  }
 
   // Validates a received block's contents (§8.1); on failure the block is
   // treated as garbage (never a candidate).

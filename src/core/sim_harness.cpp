@@ -404,8 +404,12 @@ MetricsSnapshot SimHarness::AggregateMetrics() const {
     merged.counters[name] += value;
   }
   merged.counters["net.bytes_sent"] += network_->total_bytes_sent();
-  for (const auto& [type, count] : network_->message_counts_by_type()) {
-    merged.counters["net.msgs." + type] += count;
+  // Every Network::Send comes from a GossipAgent counting into its node's
+  // registry, so the per-kind network sends are the merged gossip sends.
+  const std::string sent = "gossip.msgs_out.";
+  for (auto it = merged.counters.lower_bound(sent);
+       it != merged.counters.end() && it->first.starts_with(sent); ++it) {
+    merged.counters["net.msgs." + it->first.substr(sent.size())] += it->second;
   }
   merged.counters["trace.events_recorded"] += tracer_.recorded();
   merged.counters["trace.events_dropped"] += tracer_.dropped();

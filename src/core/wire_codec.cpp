@@ -33,65 +33,67 @@ uint64_t GetU64(std::span<const uint8_t> in) {
   return v;
 }
 
-std::vector<uint8_t> Tagged(WireType type, const SimMessage& msg, std::vector<uint8_t> body) {
-  // The envelope carries the originator's trace context so propagation
-  // latency can be joined across processes; UINT32_MAX origin = unstamped.
-  const TraceContext& tc = msg.trace_context();
-  std::vector<uint8_t> out;
-  out.reserve(body.size() + kEnvelopeSize);
-  out.push_back(static_cast<uint8_t>(type));
-  PutU32(&out, tc.origin);
-  PutU64(&out, tc.emitted_at);
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+// Decodes one kind's body through its class's Deserialize.
+template <typename T>
+MessagePtr Decode(std::span<const uint8_t> body) {
+  std::optional<T> m = T::Deserialize(body);
+  return m ? std::make_shared<T>(std::move(*m)) : nullptr;
+}
+
+// One validated case per tag; each case label is the class's own kind, so a
+// tag can never decode as another class. Unknown tags fall through to null.
+MessagePtr DecodeBody(MessageKind kind, std::span<const uint8_t> body) {
+  switch (kind) {
+    case VoteMessage::kKind:
+      return Decode<VoteMessage>(body);
+    case PriorityMessage::kKind:
+      return Decode<PriorityMessage>(body);
+    case BlockMessage::kKind:
+      return Decode<BlockMessage>(body);
+    case BlockRequestMessage::kKind:
+      return Decode<BlockRequestMessage>(body);
+    case RecoveryProposalMessage::kKind:
+      return Decode<RecoveryProposalMessage>(body);
+    case TransactionMessage::kKind:
+      return Decode<TransactionMessage>(body);
+    case CatchupRequestMessage::kKind:
+      return Decode<CatchupRequestMessage>(body);
+    case CatchupResponseMessage::kKind:
+      return Decode<CatchupResponseMessage>(body);
+    case FastSyncManifestRequest::kKind:
+      return Decode<FastSyncManifestRequest>(body);
+    case FastSyncManifestResponse::kKind:
+      return Decode<FastSyncManifestResponse>(body);
+    case FastSyncLinksRequest::kKind:
+      return Decode<FastSyncLinksRequest>(body);
+    case FastSyncLinksResponse::kKind:
+      return Decode<FastSyncLinksResponse>(body);
+    case FastSyncChunkRequest::kKind:
+      return Decode<FastSyncChunkRequest>(body);
+    case FastSyncChunkResponse::kKind:
+      return Decode<FastSyncChunkResponse>(body);
+  }
+  return nullptr;
 }
 
 }  // namespace
 
 std::vector<uint8_t> EncodeMessage(const SimMessage& msg) {
-  if (auto* v = dynamic_cast<const VoteMessage*>(&msg)) {
-    return Tagged(WireType::kVote, msg, v->Serialize());
+  if (msg.kind() < static_cast<uint8_t>(MessageKind::kVote) ||
+      msg.kind() > static_cast<uint8_t>(MessageKind::kFastSyncChunkResponse)) {
+    return {};
   }
-  if (auto* p = dynamic_cast<const PriorityMessage*>(&msg)) {
-    return Tagged(WireType::kPriority, msg, p->Serialize());
-  }
-  if (auto* b = dynamic_cast<const BlockMessage*>(&msg)) {
-    return Tagged(WireType::kBlock, msg, b->block.Serialize());
-  }
-  if (auto* r = dynamic_cast<const BlockRequestMessage*>(&msg)) {
-    return Tagged(WireType::kBlockRequest, msg, r->Serialize());
-  }
-  if (auto* rp = dynamic_cast<const RecoveryProposalMessage*>(&msg)) {
-    return Tagged(WireType::kRecoveryProposal, msg, rp->Serialize());
-  }
-  if (auto* t = dynamic_cast<const TransactionMessage*>(&msg)) {
-    return Tagged(WireType::kTransaction, msg, t->Serialize());
-  }
-  if (auto* cq = dynamic_cast<const CatchupRequestMessage*>(&msg)) {
-    return Tagged(WireType::kCatchupRequest, msg, cq->Serialize());
-  }
-  if (auto* cr = dynamic_cast<const CatchupResponseMessage*>(&msg)) {
-    return Tagged(WireType::kCatchupResponse, msg, cr->Serialize());
-  }
-  if (auto* fmq = dynamic_cast<const FastSyncManifestRequest*>(&msg)) {
-    return Tagged(WireType::kFastSyncManifestRequest, msg, fmq->Serialize());
-  }
-  if (auto* fmr = dynamic_cast<const FastSyncManifestResponse*>(&msg)) {
-    return Tagged(WireType::kFastSyncManifestResponse, msg, fmr->Serialize());
-  }
-  if (auto* flq = dynamic_cast<const FastSyncLinksRequest*>(&msg)) {
-    return Tagged(WireType::kFastSyncLinksRequest, msg, flq->Serialize());
-  }
-  if (auto* flr = dynamic_cast<const FastSyncLinksResponse*>(&msg)) {
-    return Tagged(WireType::kFastSyncLinksResponse, msg, flr->Serialize());
-  }
-  if (auto* fcq = dynamic_cast<const FastSyncChunkRequest*>(&msg)) {
-    return Tagged(WireType::kFastSyncChunkRequest, msg, fcq->Serialize());
-  }
-  if (auto* fcr = dynamic_cast<const FastSyncChunkResponse*>(&msg)) {
-    return Tagged(WireType::kFastSyncChunkResponse, msg, fcr->Serialize());
-  }
-  return {};
+  // The envelope carries the originator's trace context so propagation
+  // latency can be joined across processes; UINT32_MAX origin = unstamped.
+  const TraceContext& tc = msg.trace_context();
+  const std::vector<uint8_t> body = msg.Serialize();
+  std::vector<uint8_t> out;
+  out.reserve(body.size() + kEnvelopeSize);
+  out.push_back(msg.kind());
+  PutU32(&out, tc.origin);
+  PutU64(&out, tc.emitted_at);
+  out.insert(out.end(), body.begin(), body.end());
+  return out;
 }
 
 const std::vector<uint8_t>& EncodeMessageCached(const SimMessage& msg) {
@@ -104,80 +106,13 @@ MessagePtr DecodeMessage(std::span<const uint8_t> payload) {
   if (payload.size() < kEnvelopeSize) {
     return nullptr;
   }
-  auto type = static_cast<WireType>(payload[0]);
   uint32_t origin = GetU32(payload.subspan(1, 4));
   uint64_t emitted_at = GetU64(payload.subspan(5, 8));
-  auto body = payload.subspan(kEnvelopeSize);
-  auto stamped = [origin, emitted_at](MessagePtr msg) {
-    if (msg != nullptr && origin != UINT32_MAX) {
-      msg->StampTraceContext(origin, emitted_at);
-    }
-    return msg;
-  };
-  switch (type) {
-    case WireType::kVote: {
-      auto m = VoteMessage::Deserialize(body);
-      return stamped(m ? std::make_shared<VoteMessage>(std::move(*m)) : nullptr);
-    }
-    case WireType::kPriority: {
-      auto m = PriorityMessage::Deserialize(body);
-      return stamped(m ? std::make_shared<PriorityMessage>(std::move(*m)) : nullptr);
-    }
-    case WireType::kBlock: {
-      auto b = Block::Deserialize(body);
-      if (!b) {
-        return nullptr;
-      }
-      auto msg = std::make_shared<BlockMessage>();
-      msg->block = std::move(*b);
-      return stamped(std::move(msg));
-    }
-    case WireType::kBlockRequest: {
-      auto m = BlockRequestMessage::Deserialize(body);
-      return stamped(m ? std::make_shared<BlockRequestMessage>(std::move(*m)) : nullptr);
-    }
-    case WireType::kRecoveryProposal: {
-      auto m = RecoveryProposalMessage::Deserialize(body);
-      return stamped(m ? std::make_shared<RecoveryProposalMessage>(std::move(*m)) : nullptr);
-    }
-    case WireType::kTransaction: {
-      auto m = TransactionMessage::Deserialize(body);
-      return stamped(m ? std::make_shared<TransactionMessage>(std::move(*m)) : nullptr);
-    }
-    case WireType::kCatchupRequest: {
-      auto m = CatchupRequestMessage::Deserialize(body);
-      return stamped(m ? std::make_shared<CatchupRequestMessage>(std::move(*m)) : nullptr);
-    }
-    case WireType::kCatchupResponse: {
-      auto m = CatchupResponseMessage::Deserialize(body);
-      return stamped(m ? std::make_shared<CatchupResponseMessage>(std::move(*m)) : nullptr);
-    }
-    case WireType::kFastSyncManifestRequest: {
-      auto m = FastSyncManifestRequest::Deserialize(body);
-      return stamped(m ? std::make_shared<FastSyncManifestRequest>(std::move(*m)) : nullptr);
-    }
-    case WireType::kFastSyncManifestResponse: {
-      auto m = FastSyncManifestResponse::Deserialize(body);
-      return stamped(m ? std::make_shared<FastSyncManifestResponse>(std::move(*m)) : nullptr);
-    }
-    case WireType::kFastSyncLinksRequest: {
-      auto m = FastSyncLinksRequest::Deserialize(body);
-      return stamped(m ? std::make_shared<FastSyncLinksRequest>(std::move(*m)) : nullptr);
-    }
-    case WireType::kFastSyncLinksResponse: {
-      auto m = FastSyncLinksResponse::Deserialize(body);
-      return stamped(m ? std::make_shared<FastSyncLinksResponse>(std::move(*m)) : nullptr);
-    }
-    case WireType::kFastSyncChunkRequest: {
-      auto m = FastSyncChunkRequest::Deserialize(body);
-      return stamped(m ? std::make_shared<FastSyncChunkRequest>(std::move(*m)) : nullptr);
-    }
-    case WireType::kFastSyncChunkResponse: {
-      auto m = FastSyncChunkResponse::Deserialize(body);
-      return stamped(m ? std::make_shared<FastSyncChunkResponse>(std::move(*m)) : nullptr);
-    }
+  MessagePtr msg = DecodeBody(static_cast<MessageKind>(payload[0]), payload.subspan(kEnvelopeSize));
+  if (msg != nullptr && origin != UINT32_MAX) {
+    msg->StampTraceContext(origin, emitted_at);
   }
-  return nullptr;
+  return msg;
 }
 
 }  // namespace algorand

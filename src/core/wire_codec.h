@@ -3,11 +3,13 @@
 // never needs this; the TCP runtime round-trips every message through it.
 //
 // Frame payload layout:
-//   1-byte type tag || 4-byte LE trace origin || 8-byte LE trace emitted-at
+//   1-byte kind tag || 4-byte LE trace origin || 8-byte LE trace emitted-at
 //   || message serialization.
-// The 12-byte trace context is the message's causal origination stamp
-// (UINT32_MAX origin when unstamped); DecodeMessage re-stamps the decoded
-// message so receipt latency joins work across processes.
+// The kind tag is SimMessage::kind(); the list of kinds (MessageKind) lives
+// in messages.h next to the message classes. The 12-byte trace context is
+// the message's causal origination stamp (UINT32_MAX origin when unstamped);
+// DecodeMessage re-stamps the decoded message so receipt latency joins work
+// across processes.
 #ifndef ALGORAND_SRC_CORE_WIRE_CODEC_H_
 #define ALGORAND_SRC_CORE_WIRE_CODEC_H_
 
@@ -21,25 +23,8 @@
 
 namespace algorand {
 
-enum class WireType : uint8_t {
-  kVote = 1,
-  kPriority = 2,
-  kBlock = 3,
-  kBlockRequest = 4,
-  kRecoveryProposal = 5,
-  kTransaction = 6,
-  kCatchupRequest = 7,
-  kCatchupResponse = 8,
-  kFastSyncManifestRequest = 9,
-  kFastSyncManifestResponse = 10,
-  kFastSyncLinksRequest = 11,
-  kFastSyncLinksResponse = 12,
-  kFastSyncChunkRequest = 13,
-  kFastSyncChunkResponse = 14,
-};
-
-// Serializes a message with its type tag. Returns an empty vector for
-// message types the codec does not know (none exist in-tree).
+// Serializes a message with its kind tag. Returns an empty vector for a
+// kind outside MessageKind (none exist in-tree).
 std::vector<uint8_t> EncodeMessage(const SimMessage& msg);
 inline std::vector<uint8_t> EncodeMessage(const MessagePtr& msg) { return EncodeMessage(*msg); }
 
@@ -51,7 +36,8 @@ inline const std::vector<uint8_t>& EncodeMessageCached(const MessagePtr& msg) {
   return EncodeMessageCached(*msg);
 }
 
-// Parses a tagged payload back into a message; nullptr on malformed input.
+// Parses a tagged payload back into a message; nullptr on an unknown tag or
+// malformed input.
 MessagePtr DecodeMessage(std::span<const uint8_t> payload);
 
 }  // namespace algorand

@@ -10,12 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <mutex>
 #include <set>
-#include <string>
-#include <string_view>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -38,7 +33,7 @@ struct AdversaryAction {
 // OnTransmit is called from the sending node's execution context. With more
 // than one engine worker different senders call concurrently, so
 // implementations must be race-free; those whose *decisions* depend on
-// cross-sender mutable state (VoterDosAdversary) are additionally
+// cross-sender mutable state (src/core's VoterDosAdversary) are additionally
 // order-sensitive and only give reproducible drop patterns with workers=1.
 // Adversaries that sample randomness keep one stream per sender
 // (ForkPerSender) so concurrent transmissions stay deterministic.
@@ -119,71 +114,6 @@ class TargetedDosAdversary : public NetworkAdversary {
   std::set<NodeId> victims_;
   SimTime start_;
   SimTime end_;
-};
-
-// The fully adaptive attacker of §2: watches the wire and, the moment a node
-// reveals itself by originating a vote, cuts that node off (drops all its
-// traffic) for `dos_duration`. Participant replacement is exactly the defence
-// against this adversary — by the time a committee member is identified, its
-// role is already over.
-class VoterDosAdversary : public NetworkAdversary {
- public:
-  // `reaction_delay` models §8.4's practical bound: the attack lands only
-  // after the victim's current send burst has left its uplink (the paper
-  // argues a quicker adversary could stop all communication anyway).
-  VoterDosAdversary(SimTime dos_duration, size_t max_concurrent_victims,
-                    SimTime reaction_delay = Seconds(1))
-      : dos_duration_(dos_duration),
-        max_victims_(max_concurrent_victims),
-        reaction_delay_(reaction_delay) {}
-
-  AdversaryAction OnTransmit(NodeId from, NodeId to, const MessagePtr& msg,
-                             SimTime now) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Expire stale victims.
-    for (auto it = blocked_until_.begin(); it != blocked_until_.end();) {
-      it = it->second <= now ? blocked_until_.erase(it) : std::next(it);
-    }
-    auto blocked = [&](NodeId n) {
-      auto it = blocked_until_.find(n);
-      return it != blocked_until_.end() && now >= it->second - dos_duration_;
-    };
-    if (blocked(from) || blocked(to)) {
-      ++dropped_;
-      return AdversaryAction::Drop();
-    }
-    // The first transmission of a vote comes from its originator — the
-    // committee member revealing itself. Relays by others don't mark anyone.
-    if (std::string_view(msg->TypeName()) == "vote" &&
-        seen_votes_.insert(msg->DedupId()).second && blocked_until_.size() < max_victims_ &&
-        !blocked_until_.count(from)) {
-      // Blocking begins after the reaction delay and lasts dos_duration.
-      blocked_until_[from] = now + reaction_delay_ + dos_duration_;
-      ++victims_targeted_;
-    }
-    return AdversaryAction::Deliver();
-  }
-
-  uint64_t victims_targeted() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return victims_targeted_;
-  }
-  uint64_t dropped() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return dropped_;
-  }
-
- private:
-  SimTime dos_duration_;
-  size_t max_victims_;
-  SimTime reaction_delay_;
-  // Victim selection inspects every sender's traffic, so the state is shared
-  // and mutex-guarded; see the class-level note on order sensitivity.
-  mutable std::mutex mu_;
-  std::map<NodeId, SimTime> blocked_until_;
-  std::unordered_set<Hash256, FixedBytesHasher> seen_votes_;
-  uint64_t victims_targeted_ = 0;
-  uint64_t dropped_ = 0;
 };
 
 // Rolling churn: in every `period`-long window a different contiguous group

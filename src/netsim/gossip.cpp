@@ -74,8 +74,8 @@ GossipAgent::GossipAgent(NodeId self, Transport* network, const GossipTopology* 
 
 void GossipAgent::AttachMetrics(MetricsRegistry* registry) {
   metrics_ = registry;
-  msgs_in_by_type_.clear();
-  msgs_out_by_type_.clear();
+  msgs_in_by_kind_.clear();
+  msgs_out_by_kind_.clear();
   if (registry == nullptr) {
     duplicates_dropped_ = &fallback_duplicates_;
     rejected_ = &fallback_rejected_;
@@ -92,19 +92,15 @@ void GossipAgent::AttachMetrics(MetricsRegistry* registry) {
   bytes_out_ = &registry->GetCounter("gossip.bytes_out");
 }
 
-Counter* GossipAgent::TypeCounter(TypeCache* cache, const char* direction,
-                                  const MessagePtr& msg) {
-  if (metrics_ == nullptr) {
-    return nullptr;
+Counter* GossipAgent::KindCounter(KindCounters* counters, const char* direction,
+                                  const SimMessage& msg) {
+  if (msg.kind() >= counters->size()) {
+    counters->resize(msg.kind() + 1, nullptr);
   }
-  const char* type = msg->TypeName();
-  for (const auto& [seen_type, counter] : *cache) {
-    if (seen_type == type) {
-      return counter;
-    }
+  Counter*& counter = (*counters)[msg.kind()];
+  if (counter == nullptr) {
+    counter = &metrics_->GetCounter(std::string("gossip.") + direction + "." + msg.TypeName());
   }
-  Counter* counter = &metrics_->GetCounter(std::string("gossip.") + direction + "." + type);
-  cache->emplace_back(type, counter);
   return counter;
 }
 
@@ -112,7 +108,7 @@ void GossipAgent::CountSend(const MessagePtr& msg, size_t copies) {
   if (metrics_ == nullptr || copies == 0) {
     return;
   }
-  TypeCounter(&msgs_out_by_type_, "msgs_out", msg)->Increment(copies);
+  KindCounter(&msgs_out_by_kind_, "msgs_out", *msg)->Increment(copies);
   bytes_out_->Increment(msg->WireSize() * copies);
 }
 
@@ -168,7 +164,7 @@ void GossipAgent::SendTo(NodeId peer, const MessagePtr& msg) {
 
 void GossipAgent::OnReceive(NodeId from, const MessagePtr& msg) {
   if (metrics_ != nullptr) {
-    TypeCounter(&msgs_in_by_type_, "msgs_in", msg)->Increment();
+    KindCounter(&msgs_in_by_kind_, "msgs_in", *msg)->Increment();
     bytes_in_->Increment(msg->WireSize());
   }
   if (SeenBefore(msg->DedupId())) {

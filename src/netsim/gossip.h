@@ -61,7 +61,7 @@ class GossipAgent {
   void set_handler(Handler h) { handler_ = std::move(h); }
 
   // Routes this agent's relay counters through `registry` ("gossip.*"
-  // namespace, per-message-type ins/outs plus byte totals). Without a
+  // namespace, per-message-kind ins/outs plus byte totals). Without a
   // registry the agent still counts into private fallback instruments so the
   // accessors below always work. Call before traffic flows.
   void AttachMetrics(MetricsRegistry* registry);
@@ -105,10 +105,11 @@ class GossipAgent {
  private:
   void Forward(const MessagePtr& msg, NodeId except);
   void CountSend(const MessagePtr& msg, size_t copies);
-  // Per-message-type counter, resolved once per type: later messages find it
-  // by comparing TypeName()'s static pointer with the few types seen so far.
-  using TypeCache = std::vector<std::pair<const char*, Counter*>>;
-  Counter* TypeCounter(TypeCache* cache, const char* direction, const MessagePtr& msg);
+  // Per-kind counters indexed by SimMessage::kind(), grown to the largest
+  // kind seen. A kind's counter is named after its TypeName() when its first
+  // message passes; later messages find it by one array load.
+  using KindCounters = std::vector<Counter*>;
+  Counter* KindCounter(KindCounters* counters, const char* direction, const SimMessage& msg);
 
   bool SeenBefore(const Hash256& id) const {
     return seen_current_.contains(id) || seen_prev_.contains(id);
@@ -147,8 +148,8 @@ class GossipAgent {
   Counter* relayed_ = nullptr;
   Counter* bytes_in_ = nullptr;
   Counter* bytes_out_ = nullptr;
-  TypeCache msgs_in_by_type_;
-  TypeCache msgs_out_by_type_;
+  KindCounters msgs_in_by_kind_;
+  KindCounters msgs_out_by_kind_;
 };
 
 }  // namespace algorand

@@ -46,8 +46,13 @@ class SimMessage {
   // the encoder set is fixed at compile time.
   using WireEncoder = std::vector<uint8_t> (*)(const SimMessage&);
 
-  SimMessage() = default;
+  // `kind` is the message's kind tag: the consensus layer's MessageKind
+  // (src/core/messages.h), which is also its wire-codec frame tag. Receivers
+  // switch on it instead of probing types.
+  explicit SimMessage(uint8_t kind) : memo_(kind) {}
   virtual ~SimMessage() = default;
+
+  uint8_t kind() const { return memo_.kind; }
 
   // Bytes this message occupies on the wire. First call invokes
   // ComputeWireSize(); later calls return the frozen value.
@@ -71,8 +76,11 @@ class SimMessage {
   const TraceContext& trace_context() const;
   void StampTraceContext(uint32_t origin, uint64_t emitted_at) const;
 
-  // Short label for metrics ("vote", "block", ...).
+  // Short label for metrics ("vote", "block", ...): the name of kind().
   virtual const char* TypeName() const = 0;
+
+  // The message body the wire codec frames after its tag and trace envelope.
+  virtual std::vector<uint8_t> Serialize() const = 0;
 
  protected:
   // Compute hooks, invoked at most once each by the memoized accessors.
@@ -91,9 +99,12 @@ class SimMessage {
   // assigned-to messages start cold, because their content may (or did) just
   // change under the same object. Reset happens while the destination is
   // exclusively owned — sharing starts only once the message is frozen.
+  // The kind tag rides along in the padding after the state bytes, so tagging
+  // costs no space (certificates hold votes by value); it belongs to the
+  // class, not the content, so copies keep it and assignment leaves it.
   struct Memo {
-    Memo() = default;
-    Memo(const Memo&) noexcept {}
+    explicit Memo(uint8_t k) : kind(k) {}
+    Memo(const Memo& other) noexcept : kind(other.kind) {}
     Memo& operator=(const Memo&) noexcept {
       size_state.store(kEmpty, std::memory_order_relaxed);
       id_state.store(kEmpty, std::memory_order_relaxed);
@@ -108,6 +119,7 @@ class SimMessage {
     std::atomic<uint8_t> id_state{kEmpty};
     std::atomic<uint8_t> wire_state{kEmpty};
     std::atomic<uint8_t> trace_state{kEmpty};
+    uint8_t kind;
     uint64_t wire_size = 0;
     Hash256 dedup_id;
     std::vector<uint8_t> encoded;

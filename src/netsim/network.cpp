@@ -9,18 +9,7 @@ Network::Network(Simulation* sim, LatencyModel* latency, NetworkConfig config, s
       uplink_free_at_(n_nodes, 0),
       control_free_at_(n_nodes, 0),
       uplink_rate_(n_nodes, config.uplink_bytes_per_sec),
-      traffic_(n_nodes),
-      by_type_(n_nodes) {}
-
-std::map<std::string, uint64_t> Network::message_counts_by_type() const {
-  std::map<std::string, uint64_t> out;
-  for (const auto& per_sender : by_type_) {
-    for (const auto& [type, count] : per_sender) {
-      out[type] += count;
-    }
-  }
-  return out;
-}
+      traffic_(n_nodes) {}
 
 uint64_t Network::total_bytes_sent() const {
   uint64_t total = 0;
@@ -34,7 +23,6 @@ void Network::Send(NodeId from, NodeId to, const MessagePtr& msg) {
   const uint64_t size = msg->WireSize();
   traffic_[from].bytes_sent += size;
   traffic_[from].messages_sent += 1;
-  by_type_[from][msg->TypeName()] += 1;
 
   // Uplink serialization: bulk messages queue on the uplink; small control
   // messages (votes, priorities) interleave on the priority channel.

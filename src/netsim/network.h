@@ -12,8 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "src/netsim/adversary.h"
@@ -61,9 +59,6 @@ class Network : public Transport {
 
   size_t node_count() const { return traffic_.size(); }
   const NodeTraffic& traffic(NodeId n) const { return traffic_[n]; }
-  // Aggregated across per-sender shards; call from a quiescent simulation
-  // (between windows / after a run), not from inside node callbacks.
-  std::map<std::string, uint64_t> message_counts_by_type() const;
   uint64_t total_bytes_sent() const;
 
   // Overrides one node's uplink capacity (heterogeneous experiments).
@@ -80,9 +75,6 @@ class Network : public Transport {
   std::vector<SimTime> control_free_at_;  // Priority channel for small messages.
   std::vector<double> uplink_rate_;
   std::vector<NodeTraffic> traffic_;
-  // Per-sender message-type counters: each entry is only ever written by its
-  // sender's worker thread, so Send() needs no lock with several engine workers.
-  std::vector<std::map<std::string, uint64_t>> by_type_;
 };
 
 }  // namespace algorand

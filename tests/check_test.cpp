@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <set>
@@ -19,6 +20,7 @@
 #include "src/core/sim_harness.h"
 #include "src/netsim/adversary.h"
 #include "src/obs/safety_auditor.h"
+#include "tests/test_dirs.h"
 
 namespace algorand {
 namespace {
@@ -270,7 +272,9 @@ TEST(SeededBugTest, CounterexampleArtifactRoundTrips) {
   ModelChecker::ExploreResult res = checker.RunRandom(12, 1);
   ASSERT_TRUE(res.first_violation.has_value());
 
-  const std::string path = ::testing::TempDir() + "check_test_counterexample.txt";
+  const std::string dir = FreshTestDir("check_test_counterexample");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/counterexample.txt";
   ASSERT_TRUE(ModelChecker::WriteCounterexample(path, checker.config(), *res.first_violation));
   auto ce = ModelChecker::ReadCounterexample(path);
   ASSERT_TRUE(ce.has_value());

@@ -22,7 +22,7 @@ namespace {
 // and a visible wrong answer.
 class ScratchMessage : public SimMessage {
  public:
-  explicit ScratchMessage(uint64_t seed) : seed_(seed) {
+  explicit ScratchMessage(uint64_t seed) : SimMessage(0), seed_(seed) {
     payload_.resize(256);
     for (size_t i = 0; i < payload_.size(); ++i) {
       payload_[i] = static_cast<uint8_t>(seed >> (i % 8));
@@ -30,6 +30,7 @@ class ScratchMessage : public SimMessage {
   }
 
   const char* TypeName() const override { return "scratch"; }
+  std::vector<uint8_t> Serialize() const override { return {}; }
 
   static std::atomic<uint64_t> compute_calls;
 

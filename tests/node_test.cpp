@@ -134,7 +134,7 @@ class BlockStarver : public NetworkAdversary {
  public:
   explicit BlockStarver(NodeId victim) : victim_(victim) {}
   AdversaryAction OnTransmit(NodeId, NodeId to, const MessagePtr& msg, SimTime) override {
-    if (to == victim_ && std::string(msg->TypeName()) == "block") {
+    if (to == victim_ && KindOf(*msg) == MessageKind::kBlock) {
       if (++dropped_ > 0 && allow_after_ > 0 && dropped_ > allow_after_) {
         return AdversaryAction::Deliver();
       }
@@ -253,7 +253,7 @@ TEST(NodeTest, PriorityGossipDisabledStillConverges) {
   EXPECT_TRUE(h.CheckSafety().ok);
   EXPECT_TRUE(h.ChainsConsistent());
   // No priority messages were sent at all.
-  EXPECT_EQ(h.network().message_counts_by_type().count("priority"), 0u);
+  EXPECT_EQ(h.AggregateMetrics().counters.count("net.msgs.priority"), 0u);
 }
 
 TEST(NodeTest, FinalStepDisabledYieldsTentativeOnly) {
