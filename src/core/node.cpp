@@ -429,16 +429,24 @@ Certificate Node::BuildCertificateForStep(uint32_t step, double needed) const {
   if (tally == nullptr) {
     return cert;
   }
+  // Each voter's first stored vote of the step is the one the tally counted.
+  std::unordered_map<PublicKey, const VoteMessage*, FixedBytesHasher> counted;
+  counted.reserve(tally->voter_count());
+  for (const auto& vote : round_votes_) {
+    if (vote->step == step) {
+      counted.try_emplace(vote->pk, vote.get());
+    }
+  }
   double total = 0;
   for (const StepTally::Entry& e : tally->entries()) {
     if (e.value != cert.block_hash) {
       continue;
     }
-    auto it = round_votes_.find({step, e.pk});
-    if (it == round_votes_.end()) {
+    auto it = counted.find(e.pk);
+    if (it == counted.end()) {
       continue;  // Own vote stored at emission; should always be present.
     }
-    cert.votes.push_back(it->second);
+    cert.votes.push_back(*it->second);
     total += static_cast<double>(e.weight);
     if (total > needed) {
       break;
@@ -743,6 +751,8 @@ GossipVerdict Node::ValidateForRelay(const MessagePtr& msg) {
       if (weight == 0) {
         return GossipVerdict::kReject;
       }
+      relay_vote_ = {msg->DedupId(), current_round_, ctx_.prev_hash};
+      relay_vote_weight_ = weight;
       // Relay at most one message per (round, step, pk) (§8.4).
       if (!relayed_votes_[vote.round].insert({vote.pk, vote.step})) {
         return GossipVerdict::kDeliverOnly;
@@ -903,14 +913,16 @@ void Node::HandleVote(const std::shared_ptr<const VoteMessage>& vote) {
     fork_monitor_.RecordAlienVote(vote->round, vote->prev_hash);
     return;
   }
-  uint64_t weight = VerifyVote(*vote, ctx_);
+  const uint64_t weight = relay_vote_ == std::tuple(vote->DedupId(), current_round_, ctx_.prev_hash)
+                              ? relay_vote_weight_
+                              : VerifyVote(*vote, ctx_);
   if (weight == 0) {
     return;
   }
   if (obs_.votes_counted != nullptr) {
     obs_.votes_counted->Increment();
   }
-  round_votes_.emplace(std::make_pair(vote->step, vote->pk), *vote);
+  round_votes_.push_back(vote);
   ba_->OnVote(vote->step, vote->pk, weight, vote->value, vote->sorthash);
 }
 

@@ -454,9 +454,16 @@ class Node : public BaEnvironment {
   // (DedupId, round, tip) of the block ValidateForRelay last accepted:
   // HandleBlock reuses that verdict, so a gossiped block is validated once.
   std::tuple<Hash256, uint64_t, Hash256> relay_validated_;
+  // The same hand-off for votes: (DedupId, round, prev hash) of the vote
+  // ValidateForRelay last verified, and its weight. Own and buffered votes
+  // skip the validator and are verified in HandleVote.
+  std::tuple<Hash256, uint64_t, Hash256> relay_vote_;
+  uint64_t relay_vote_weight_ = 0;
 
-  // Verified votes stored for certificate assembly: (step, pk) -> message.
-  std::map<std::pair<uint32_t, PublicKey>, VoteMessage> round_votes_;
+  // Verified votes of the current round in arrival order, for certificate
+  // assembly. Held by pointer: a message is immutable once sent, so the
+  // shared message serves every node without a per-vote copy or allocation.
+  std::vector<std::shared_ptr<const VoteMessage>> round_votes_;
 
   // Messages for rounds we have not reached yet.
   std::map<uint64_t, std::vector<MessagePtr>> future_messages_;

@@ -257,6 +257,10 @@ class SimHarness {
   std::unique_ptr<LatencyModel> latency_;
   std::unique_ptr<Network> network_;
   std::unique_ptr<GossipTopology> topology_;
+  // Declared before agents_: an agent folds its last counts into its
+  // registry when destroyed.
+  std::vector<std::unique_ptr<MetricsRegistry>> metrics_;
+  MetricsRegistry global_metrics_;
   std::vector<std::unique_ptr<GossipAgent>> agents_;
   std::vector<std::unique_ptr<Node>> nodes_;
   // Crash/restart bookkeeping. Halted nodes move to the graveyard instead of
@@ -265,8 +269,6 @@ class SimHarness {
   std::vector<bool> alive_;
   std::vector<std::unique_ptr<Node>> graveyard_;
   std::unique_ptr<NetworkAdversary> net_adversary_;
-  std::vector<std::unique_ptr<MetricsRegistry>> metrics_;
-  MetricsRegistry global_metrics_;
   RoundTracer tracer_;
   // Per-node durable stores (empty unique_ptrs when data_dir is unset).
   // Crashed stores are parked like crashed nodes: the graveyarded node still

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <string>
 #include <unordered_set>
 
 namespace algorand {
@@ -72,15 +73,21 @@ size_t GossipTopology::LargestComponentLowerBound() const {
 GossipAgent::GossipAgent(NodeId self, Transport* network, const GossipTopology* topology)
     : self_(self), network_(network), topology_(topology) {}
 
+GossipAgent::~GossipAgent() { AttachMetrics(nullptr); }
+
 void GossipAgent::AttachMetrics(MetricsRegistry* registry) {
+  if (metrics_ != nullptr) {
+    FoldMetrics();
+    metrics_->RemoveCollector(collector_);
+  }
   metrics_ = registry;
+  counts_ = Counts{};
   msgs_in_by_kind_.clear();
   msgs_out_by_kind_.clear();
   if (registry == nullptr) {
-    duplicates_dropped_ = &fallback_duplicates_;
     rejected_ = &fallback_rejected_;
-    seen_size_gauge_ = &fallback_seen_size_;
-    delivered_ = relayed_ = bytes_in_ = bytes_out_ = nullptr;
+    delivered_ = relayed_ = duplicates_dropped_ = bytes_in_ = bytes_out_ = nullptr;
+    seen_size_gauge_ = nullptr;
     return;
   }
   duplicates_dropped_ = &registry->GetCounter("gossip.dup_dropped");
@@ -90,26 +97,66 @@ void GossipAgent::AttachMetrics(MetricsRegistry* registry) {
   relayed_ = &registry->GetCounter("gossip.relayed");
   bytes_in_ = &registry->GetCounter("gossip.bytes_in");
   bytes_out_ = &registry->GetCounter("gossip.bytes_out");
+  collector_ = registry->AddCollector([this] { FoldMetrics(); });
 }
 
-Counter* GossipAgent::KindCounter(KindCounters* counters, const char* direction,
-                                  const SimMessage& msg) {
-  if (msg.kind() >= counters->size()) {
-    counters->resize(msg.kind() + 1, nullptr);
+uint64_t GossipAgent::duplicates_dropped() const {
+  if (metrics_ == nullptr) {
+    return counts_.dup_dropped;
   }
-  Counter*& counter = (*counters)[msg.kind()];
-  if (counter == nullptr) {
-    counter = &metrics_->GetCounter(std::string("gossip.") + direction + "." + msg.TypeName());
+  metrics_->Collect();
+  return duplicates_dropped_->Value();
+}
+
+void GossipAgent::CountKind(std::vector<KindCount>* counts, const SimMessage& msg, uint64_t n) {
+  if (msg.kind() >= counts->size()) {
+    counts->resize(msg.kind() + 1);
   }
-  return counter;
+  KindCount& slot = (*counts)[msg.kind()];
+  if (slot.name == nullptr) {
+    slot.name = msg.TypeName();
+  }
+  slot.count += n;
+}
+
+void GossipAgent::FoldKinds(std::vector<KindCount>* counts, const char* prefix) {
+  for (KindCount& slot : *counts) {
+    if (slot.count > 0) {
+      metrics_->GetCounter(std::string(prefix) + slot.name).Increment(slot.count);
+      slot.count = 0;
+    }
+  }
+}
+
+void GossipAgent::FoldMetrics() {
+  if (metrics_ == nullptr) {
+    return;
+  }
+  auto fold = [](uint64_t* count, Counter* counter) {
+    if (*count > 0) {
+      counter->Increment(*count);
+      *count = 0;
+    }
+  };
+  fold(&counts_.dup_dropped, duplicates_dropped_);
+  fold(&counts_.bytes_in, bytes_in_);
+  fold(&counts_.bytes_out, bytes_out_);
+  FoldKinds(&msgs_in_by_kind_, "gossip.msgs_in.");
+  FoldKinds(&msgs_out_by_kind_, "gossip.msgs_out.");
+  // The gauge's last write was always the seen-set size at that moment, and
+  // only those writes change the size, so setting the current size replays it.
+  if (counts_.seen_size_changed) {
+    seen_size_gauge_->Set(static_cast<int64_t>(seen_size()));
+    counts_.seen_size_changed = false;
+  }
 }
 
 void GossipAgent::CountSend(const MessagePtr& msg, size_t copies) {
-  if (metrics_ == nullptr || copies == 0) {
+  if (copies == 0) {
     return;
   }
-  KindCounter(&msgs_out_by_kind_, "msgs_out", *msg)->Increment(copies);
-  bytes_out_->Increment(msg->WireSize() * copies);
+  CountKind(&msgs_out_by_kind_, *msg, copies);
+  counts_.bytes_out += msg->WireSize() * copies;
 }
 
 bool GossipAgent::MarkSeen(const Hash256& id) {
@@ -117,9 +164,7 @@ bool GossipAgent::MarkSeen(const Hash256& id) {
     return false;
   }
   bool inserted = seen_current_.insert(id);
-  if (inserted) {
-    seen_size_gauge_->Set(static_cast<int64_t>(seen_size()));
-  }
+  counts_.seen_size_changed |= inserted;
   return inserted;
 }
 
@@ -135,7 +180,7 @@ void GossipAgent::AdvanceSeenWindow(uint64_t window) {
     seen_current_.clear();
   }
   seen_window_ = window;
-  seen_size_gauge_->Set(static_cast<int64_t>(seen_size()));
+  counts_.seen_size_changed = true;
 }
 
 void GossipAgent::Gossip(const MessagePtr& msg) {
@@ -163,12 +208,10 @@ void GossipAgent::SendTo(NodeId peer, const MessagePtr& msg) {
 }
 
 void GossipAgent::OnReceive(NodeId from, const MessagePtr& msg) {
-  if (metrics_ != nullptr) {
-    KindCounter(&msgs_in_by_kind_, "msgs_in", *msg)->Increment();
-    bytes_in_->Increment(msg->WireSize());
-  }
+  CountKind(&msgs_in_by_kind_, *msg, 1);
+  counts_.bytes_in += msg->WireSize();
   if (SeenBefore(msg->DedupId())) {
-    duplicates_dropped_->Increment();
+    ++counts_.dup_dropped;
     return;
   }
   GossipVerdict verdict = validator_ ? validator_(msg) : GossipVerdict::kRelay;

@@ -56,13 +56,23 @@ class GossipAgent {
   using Handler = std::function<void(const MessagePtr&)>;
 
   GossipAgent(NodeId self, Transport* network, const GossipTopology* topology);
+  // Folds the last counts into the attached registry, which must outlive
+  // the agent.
+  ~GossipAgent();
+  GossipAgent(const GossipAgent&) = delete;
+  GossipAgent& operator=(const GossipAgent&) = delete;
 
   void set_validator(Validator v) { validator_ = std::move(v); }
   void set_handler(Handler h) { handler_ = std::move(h); }
 
-  // Routes this agent's relay counters through `registry` ("gossip.*"
-  // namespace, per-message-kind ins/outs plus byte totals). Without a
-  // registry the agent still counts into private fallback instruments so the
+  // Reports this agent's relay counters in `registry` ("gossip.*" namespace,
+  // per-message-kind ins/outs plus byte totals and the seen-set size). What
+  // every delivery or send touches — the per-kind counts, the byte totals,
+  // duplicates and the seen-set size — is counted in plain integers and
+  // folded into the registry whenever it snapshots (see
+  // MetricsRegistry::AddCollector), so a delivery costs no atomic operation.
+  // The once-per-new-message outcomes (delivered, relayed, rejected) go to
+  // the registry directly. Without a registry the agent still counts, so the
   // accessors below always work. Call before traffic flows.
   void AttachMetrics(MetricsRegistry* registry);
 
@@ -87,7 +97,9 @@ class GossipAgent {
   // Every node the transport can address (the paper's §9 address book spans
   // all users, not just gossip neighbours).
   size_t network_size() const { return topology_->node_count(); }
-  uint64_t duplicates_dropped() const { return duplicates_dropped_->Value(); }
+  // With a registry these read its totals, which are network-wide when
+  // several agents share one registry.
+  uint64_t duplicates_dropped() const;
   uint64_t rejected() const { return rejected_->Value(); }
 
   // Round-windowed pruning of the dedup memory. The consensus layer calls
@@ -105,11 +117,19 @@ class GossipAgent {
  private:
   void Forward(const MessagePtr& msg, NodeId except);
   void CountSend(const MessagePtr& msg, size_t copies);
-  // Per-kind counters indexed by SimMessage::kind(), grown to the largest
-  // kind seen. A kind's counter is named after its TypeName() when its first
-  // message passes; later messages find it by one array load.
-  using KindCounters = std::vector<Counter*>;
-  Counter* KindCounter(KindCounters* counters, const char* direction, const SimMessage& msg);
+  // Per-kind counts indexed by SimMessage::kind(), grown to the largest kind
+  // seen. A kind is named after the TypeName() of its first message; its
+  // registry counter is created at the first fold with a count to add, so a
+  // snapshot lists exactly the kinds that passed.
+  struct KindCount {
+    const char* name = nullptr;
+    uint64_t count = 0;
+  };
+  static void CountKind(std::vector<KindCount>* counts, const SimMessage& msg, uint64_t n);
+  // Adds the counts gathered since the last fold into the registry and
+  // zeroes them. The registry's collector.
+  void FoldMetrics();
+  void FoldKinds(std::vector<KindCount>* counts, const char* prefix);
 
   bool SeenBefore(const Hash256& id) const {
     return seen_current_.contains(id) || seen_prev_.contains(id);
@@ -135,21 +155,31 @@ class GossipAgent {
   FlatSet<Hash256> seen_current_;
   FlatSet<Hash256> seen_prev_;
 
-  // Metrics: pointers target the attached registry, or the private fallback
-  // instruments when none is attached (one observability path either way).
+  // Per-delivery and per-send counts since the last fold (all of them when
+  // no registry is attached).
+  struct Counts {
+    uint64_t dup_dropped = 0;
+    uint64_t bytes_in = 0;
+    uint64_t bytes_out = 0;
+    bool seen_size_changed = false;
+  };
+  Counts counts_;
+  std::vector<KindCount> msgs_in_by_kind_;
+  std::vector<KindCount> msgs_out_by_kind_;
+
+  // The attached registry's instruments, resolved at AttachMetrics. Without
+  // a registry, rejections count into a private fallback counter and the
+  // other outcomes are not counted.
   MetricsRegistry* metrics_ = nullptr;
-  Counter fallback_duplicates_;
+  MetricsRegistry::CollectorId collector_ = 0;
   Counter fallback_rejected_;
-  Gauge fallback_seen_size_;
-  Counter* duplicates_dropped_ = &fallback_duplicates_;
   Counter* rejected_ = &fallback_rejected_;
-  Gauge* seen_size_gauge_ = &fallback_seen_size_;
   Counter* delivered_ = nullptr;
   Counter* relayed_ = nullptr;
+  Counter* duplicates_dropped_ = nullptr;
   Counter* bytes_in_ = nullptr;
   Counter* bytes_out_ = nullptr;
-  KindCounters msgs_in_by_kind_;
-  KindCounters msgs_out_by_kind_;
+  Gauge* seen_size_gauge_ = nullptr;
 };
 
 }  // namespace algorand

@@ -219,7 +219,28 @@ Histogram& MetricsRegistry::GetHistogram(const std::string& name, std::vector<do
   return *slot;
 }
 
+MetricsRegistry::CollectorId MetricsRegistry::AddCollector(std::function<void()> collect) {
+  std::lock_guard<std::mutex> lock(collectors_mu_);
+  collectors_.emplace(next_collector_, std::move(collect));
+  return next_collector_++;
+}
+
+void MetricsRegistry::RemoveCollector(CollectorId id) {
+  std::lock_guard<std::mutex> lock(collectors_mu_);
+  collectors_.erase(id);
+}
+
+void MetricsRegistry::Collect() const {
+  // Held while the collectors run: RemoveCollector must not return while its
+  // owner's fold is still running.
+  std::lock_guard<std::mutex> lock(collectors_mu_);
+  for (const auto& [id, collect] : collectors_) {
+    collect();
+  }
+}
+
 MetricsSnapshot MetricsRegistry::Snapshot() const {
+  Collect();
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap;
   for (const auto& [name, counter] : counters_) {

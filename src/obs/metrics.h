@@ -6,14 +6,18 @@
 // Increments are relaxed atomics so the real-socket path can share the same
 // instruments with zero locking on the hot path; only instrument *creation*
 // takes the registry mutex (callers resolve an instrument once and cache the
-// pointer). Names are hierarchical dot-paths ("gossip.msgs_in.vote",
-// "ba.step_time_ms"); snapshots are plain value maps that merge across nodes
-// so a whole simulated deployment condenses into one exportable view.
+// pointer). A source too hot even for an atomic per event (the gossip relay,
+// once per delivery) counts in plain integers and folds them in through a
+// collector that every snapshot runs first. Names are hierarchical dot-paths
+// ("gossip.msgs_in.vote", "ba.step_time_ms"); snapshots are plain value maps
+// that merge across nodes so a whole simulated deployment condenses into one
+// exportable view.
 #ifndef ALGORAND_SRC_OBS_METRICS_H_
 #define ALGORAND_SRC_OBS_METRICS_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -125,7 +129,20 @@ class MetricsRegistry {
   Histogram& GetHistogram(const std::string& name,
                           std::vector<double> bounds = DefaultTimeBucketsMs());
 
+  // Runs Collect(), then copies every instrument's value.
   MetricsSnapshot Snapshot() const;
+
+  // Plain-count sources. `collect` adds what its owner counted since the
+  // last call into this registry's instruments. Collectors run in
+  // registration order, so for a gauge several owners set, the latest
+  // registered owner that changed it wins. The owner removes its collector,
+  // after a last fold, before it is destroyed: the registry must outlive it.
+  // Folding is not synchronized with the owner's counting; collect (or
+  // snapshot) while the owner is quiescent or on the owner's thread.
+  using CollectorId = uint64_t;
+  CollectorId AddCollector(std::function<void()> collect);
+  void RemoveCollector(CollectorId id);
+  void Collect() const;
 
   // Exponential-ish bucket boundaries in milliseconds, 1 ms .. 10 min,
   // sized for round/step latencies (paper: seconds to a minute per round).
@@ -138,6 +155,10 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  // Lock order: collectors_mu_ before mu_ (collectors resolve instruments).
+  mutable std::mutex collectors_mu_;
+  std::map<CollectorId, std::function<void()>> collectors_;
+  CollectorId next_collector_ = 0;
 };
 
 }  // namespace algorand

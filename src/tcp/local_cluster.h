@@ -96,6 +96,10 @@ class LocalCluster {
   EventLoop loop_;
   std::unique_ptr<GossipTopology> topology_;
   std::vector<std::unique_ptr<TcpEndpoint>> endpoints_;
+  // Declared before agents_: an agent folds its last counts into its
+  // registry when destroyed.
+  std::vector<std::unique_ptr<MetricsRegistry>> metrics_;
+  MetricsRegistry cluster_metrics_;
   std::vector<std::unique_ptr<GossipAgent>> agents_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::map<NodeId, uint16_t> address_book_;
@@ -113,8 +117,6 @@ class LocalCluster {
   VerificationCache cache_;
   // After cache_: workers join before the cache (or backends) go away.
   std::unique_ptr<VerifyPool> pool_;
-  std::vector<std::unique_ptr<MetricsRegistry>> metrics_;
-  MetricsRegistry cluster_metrics_;
   RoundTracer tracer_;
   // Per-node durable stores (empty when data_dir is unset). Crashed stores
   // park in the graveyard: the halted node still points at its inert store.

@@ -670,6 +670,26 @@ TEST(GossipTest, RegistryCountersBalance) {
   EXPECT_GT(snap.CounterValue("gossip.bytes_in"), 0u);
 }
 
+TEST(GossipTest, DestroyedAgentFoldsItsLastCounts) {
+  // Nothing snapshots the registry while the agent lives, so every count
+  // below reaches it through the fold in the agent's destructor.
+  GossipFixture f(4);
+  MetricsRegistry solo;
+  {
+    GossipAgent agent(0, &f.network, &f.topology);
+    agent.AttachMetrics(&solo);
+    agent.set_validator([](const MessagePtr&) { return GossipVerdict::kDeliverOnly; });
+    agent.OnReceive(1, Msg(9));
+    agent.OnReceive(2, Msg(9));
+  }
+  MetricsSnapshot snap = solo.Snapshot();
+  EXPECT_EQ(snap.CounterSumByPrefix("gossip.msgs_in."), 2u);
+  EXPECT_EQ(snap.CounterValue("gossip.bytes_in"), 200u);
+  EXPECT_EQ(snap.CounterValue("gossip.delivered"), 1u);
+  EXPECT_EQ(snap.CounterValue("gossip.dup_dropped"), 1u);
+  EXPECT_EQ(snap.gauges.at("gossip.seen_size"), 1);
+}
+
 TEST(GossipTest, RejectedMessagesAreNotRelayedOrDelivered) {
   GossipFixture f(30);
   for (auto& agent : f.agents) {

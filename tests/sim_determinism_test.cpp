@@ -6,6 +6,8 @@
 // itself is pinned against a reference std::map queue in netsim_test.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <vector>
 
 #include "src/core/sim_harness.h"
@@ -18,9 +20,13 @@ struct RunOutcome {
   std::vector<Hash256> tips;  // Per-node chain tip after the run.
   std::vector<uint64_t> lengths;
   uint64_t executed_events = 0;
+  // Every gossip.* counter of the merged snapshot: the relay counters are
+  // plain per-agent counts on the shard threads, folded at snapshot time.
+  std::map<std::string, uint64_t> gossip_counters;
 
   bool operator==(const RunOutcome& o) const {
-    return tips == o.tips && lengths == o.lengths && executed_events == o.executed_events;
+    return tips == o.tips && lengths == o.lengths && executed_events == o.executed_events &&
+           gossip_counters == o.gossip_counters;
   }
 };
 
@@ -55,6 +61,12 @@ RunOutcome RunOnce(uint64_t seed, double malicious = 0.0, size_t sim_workers = 1
     out.tips.push_back(h.node(i).ledger().tip_hash());
     out.lengths.push_back(h.node(i).ledger().chain_length());
   }
+  for (const auto& [name, value] : h.AggregateMetrics().counters) {
+    if (name.starts_with("gossip.")) {
+      out.gossip_counters[name] = value;
+    }
+  }
+  EXPECT_FALSE(out.gossip_counters.empty());
   return out;
 }
 
