@@ -17,6 +17,7 @@
 #include "src/core/tx_verifier.h"
 #include "src/ledger/account_table.h"
 #include "src/ledger/ledger.h"
+#include "src/ledger/mempool.h"
 #include "src/ledger/transaction.h"
 #include "src/netsim/simulation.h"
 #include "src/crypto/ed25519.h"
@@ -558,6 +559,74 @@ void BM_LedgerFromGenesis(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LedgerFromGenesis)->Unit(benchmark::kMillisecond);
+
+// One node's mempool at payments-1m's shape: 64 senders with per-sender fees,
+// a batch of one 1 MB block's worth of payments (1 MB / 152 B = 6,898)
+// arriving per round, capacity four batches, three batches resident before
+// timing. Each iteration admits one batch, assembles one 1 MB block and
+// observes it committed, so the pool cycles between ~20.7k and ~27.6k
+// residents and never evicts. Next to perfbench's isolated
+// ledger.mempool_add_ns, the per-add cost here shows what a pool of this size
+// costs in cache misses.
+void BM_MempoolSteadyState(benchmark::State& state) {
+  constexpr size_t kSenders = 64;
+  constexpr size_t kBlockBytes = size_t{1} << 20;
+  constexpr size_t kBatch = kBlockBytes / Transaction::kWireSize;
+  Mempool pool(MempoolConfig{4 * kBatch});
+  AccountTable accounts;
+  std::vector<PublicKey> senders(kSenders);
+  DeterministicRng rng(31);
+  for (PublicKey& pk : senders) {
+    rng.FillBytes(pk.data(), pk.size());
+    accounts.Credit(pk, uint64_t{1} << 40);
+  }
+  std::vector<uint64_t> next_nonce(kSenders, 0);
+  size_t sent = 0;
+  // Unsigned payments: the pool never checks a signature.
+  auto make_batch = [&] {
+    std::vector<Transaction> batch;
+    batch.reserve(kBatch);
+    for (size_t k = 0; k < kBatch; ++k, ++sent) {
+      const size_t from = sent % kSenders;
+      Transaction::Fields f;
+      f.from = senders[from];
+      f.to = senders[(from + 1) % kSenders];
+      f.amount = 1;
+      f.fee = 1 + from % 8;
+      f.nonce = next_nonce[from]++;
+      batch.emplace_back(f);
+    }
+    return batch;
+  };
+  auto admit = [&](const std::vector<Transaction>& batch) {
+    for (const Transaction& tx : batch) {
+      pool.Add(tx, accounts.NextNonceOf(tx.from));
+    }
+  };
+  for (int i = 0; i < 3; ++i) {
+    admit(make_batch());
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    const std::vector<Transaction> batch = make_batch();
+    state.ResumeTiming();
+    admit(batch);
+    const std::vector<Transaction> block = pool.BuildBlock(accounts, kBlockBytes);
+    state.PauseTiming();
+    if (block.size() != kBatch) {
+      state.SkipWithError("block not full");
+      break;
+    }
+    for (const Transaction& tx : block) {
+      accounts.ApplyTransaction(tx);
+    }
+    state.ResumeTiming();
+    pool.ObserveCommitted(block, accounts);
+    benchmark::DoNotOptimize(pool.size());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kBatch));
+}
+BENCHMARK(BM_MempoolSteadyState)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace algorand

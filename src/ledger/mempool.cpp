@@ -34,21 +34,107 @@ void Mempool::UpdateSizeGauge() const {
   }
 }
 
+Mempool::SenderQueue::Iter Mempool::SenderQueue::LowerBound(uint64_t nonce) const {
+  return std::lower_bound(begin(), end(), nonce,
+                          [](const QueueEntry& e, uint64_t n) { return e.nonce < n; });
+}
+
+Mempool::SenderQueue::Iter Mempool::SenderQueue::Find(uint64_t nonce) const {
+  auto it = LowerBound(nonce);
+  return it != end() && it->nonce == nonce ? it : end();
+}
+
+void Mempool::SenderQueue::Insert(uint64_t nonce, uint32_t slot) {
+  if (empty() || entries_.back().nonce < nonce) {
+    entries_.push_back({nonce, slot});
+  } else {
+    entries_.insert(LowerBound(nonce), {nonce, slot});
+  }
+}
+
+void Mempool::SenderQueue::Erase(Iter it) {
+  if (it != begin()) {
+    entries_.erase(it);
+    return;
+  }
+  if (++head_ * 2 >= entries_.size()) {
+    entries_.erase(entries_.begin(), entries_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+}
+
+bool Mempool::EvictsAfter(const EvictionEntry& a, const EvictionEntry& b) {
+  if (a.fee != b.fee) {
+    return a.fee > b.fee;
+  }
+  if (a.sender != b.sender) {
+    return a.sender > b.sender;
+  }
+  return a.nonce < b.nonce;
+}
+
+uint32_t Mempool::StoreLocked(const Transaction& tx) {
+  if (free_slots_.empty()) {
+    slab_.push_back(tx);
+    return static_cast<uint32_t>(slab_.size() - 1);
+  }
+  const uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  slab_[slot] = tx;
+  return slot;
+}
+
+void Mempool::ReleaseLocked(uint32_t slot) {
+  ids_.erase(slab_[slot].Id());
+  free_slots_.push_back(slot);
+}
+
 void Mempool::RemoveLocked(const PublicKey& sender, uint64_t nonce) {
   auto sit = senders_.find(sender);
   if (sit == senders_.end()) {
     return;
   }
-  auto nit = sit->second.find(nonce);
-  if (nit == sit->second.end()) {
+  auto entry = sit->second.Find(nonce);
+  if (entry == sit->second.end()) {
     return;
   }
-  ids_.erase(nit->second.Id());
-  eviction_index_.erase({nit->second.fee, sender, nonce});
-  sit->second.erase(nit);
+  ReleaseLocked(entry->slot);
+  sit->second.Erase(entry);
   if (sit->second.empty()) {
     senders_.erase(sit);
   }
+}
+
+void Mempool::PushEvictionLocked(const Transaction& tx) {
+  eviction_heap_.push_back({tx.fee, tx.from, tx.nonce});
+  std::push_heap(eviction_heap_.begin(), eviction_heap_.end(), EvictsAfter);
+  if (eviction_heap_.size() <= 2 * SizeLocked()) {
+    return;
+  }
+  // Mostly dead entries: rebuild from the residents, one entry each.
+  eviction_heap_.clear();
+  for (const auto& [sender, queue] : senders_) {
+    for (const QueueEntry& e : queue) {
+      eviction_heap_.push_back({slab_[e.slot].fee, sender, e.nonce});
+    }
+  }
+  std::make_heap(eviction_heap_.begin(), eviction_heap_.end(), EvictsAfter);
+}
+
+const Mempool::EvictionEntry* Mempool::VictimLocked() {
+  while (!eviction_heap_.empty()) {
+    const EvictionEntry& top = eviction_heap_.front();
+    auto sit = senders_.find(top.sender);
+    if (sit != senders_.end()) {
+      auto entry = sit->second.Find(top.nonce);
+      if (entry != sit->second.end() && slab_[entry->slot].fee == top.fee) {
+        return &top;
+      }
+    }
+    std::pop_heap(eviction_heap_.begin(), eviction_heap_.end(), EvictsAfter);
+    eviction_heap_.pop_back();
+  }
+  return nullptr;
 }
 
 Mempool::AddResult Mempool::Add(const Transaction& tx, uint64_t ledger_next_nonce) {
@@ -58,37 +144,41 @@ Mempool::AddResult Mempool::Add(const Transaction& tx, uint64_t ledger_next_nonc
     return AddResult::kStale;
   }
   const Hash256& id = tx.Id();
-  if (ids_.find(id) != ids_.end()) {
+  if (ids_.contains(id)) {
     duplicates_->Increment();
     return AddResult::kDuplicate;
   }
   auto queue = senders_.find(tx.from);
   if (queue != senders_.end()) {
-    auto slot = queue->second.find(tx.nonce);
-    if (slot != queue->second.end()) {
+    auto entry = queue->second.Find(tx.nonce);
+    if (entry != queue->second.end()) {
       // A different transaction already claims this (sender, nonce): only a
-      // strictly higher fee may replace it.
-      if (tx.fee <= slot->second.fee) {
+      // strictly higher fee may replace it. The old heap entry dies with its
+      // fee.
+      Transaction& resident = slab_[entry->slot];
+      if (tx.fee <= resident.fee) {
         duplicates_->Increment();
         return AddResult::kDuplicate;
       }
-      ids_.erase(slot->second.Id());
-      eviction_index_.erase({slot->second.fee, tx.from, tx.nonce});
-      slot->second = tx;
-      ids_.emplace(id, std::make_pair(tx.from, tx.nonce));
-      eviction_index_.insert({tx.fee, tx.from, tx.nonce});
+      ids_.erase(resident.Id());
+      resident = tx;
+      ids_.insert(id, entry->slot);
+      PushEvictionLocked(tx);
       replaced_->Increment();
       UpdateSizeGauge();
       return AddResult::kReplaced;
     }
   }
   if (SizeLocked() >= config_.capacity) {
-    const auto victim = *eviction_index_.begin();  // Lowest fee, tail-most.
-    if (!(tx.fee > std::get<0>(victim))) {
+    const EvictionEntry* top = VictimLocked();  // Lowest fee, tail-most.
+    if (top == nullptr || !(tx.fee > top->fee)) {
       underpriced_->Increment();
       return AddResult::kUnderpriced;
     }
-    RemoveLocked(std::get<1>(victim), std::get<2>(victim));
+    const EvictionEntry victim = *top;
+    std::pop_heap(eviction_heap_.begin(), eviction_heap_.end(), EvictsAfter);
+    eviction_heap_.pop_back();
+    RemoveLocked(victim.sender, victim.nonce);
     evicted_->Increment();
     queue = senders_.find(tx.from);  // The victim may have emptied this queue.
   }
@@ -97,9 +187,10 @@ Mempool::AddResult Mempool::Add(const Transaction& tx, uint64_t ledger_next_nonc
   if (queue == senders_.end()) {
     queue = senders_.try_emplace(tx.from).first;
   }
-  queue->second.emplace(tx.nonce, tx);
-  ids_.emplace(id, std::make_pair(tx.from, tx.nonce));
-  eviction_index_.insert({tx.fee, tx.from, tx.nonce});
+  const uint32_t slot = StoreLocked(tx);
+  queue->second.Insert(tx.nonce, slot);
+  ids_.insert(id, slot);
+  PushEvictionLocked(tx);
   added_->Increment();
   UpdateSizeGauge();
   return AddResult::kAdded;
@@ -107,7 +198,7 @@ Mempool::AddResult Mempool::Add(const Transaction& tx, uint64_t ledger_next_nonc
 
 bool Mempool::Contains(const Hash256& id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return ids_.find(id) != ids_.end();
+  return ids_.contains(id);
 }
 
 std::vector<Transaction> Mempool::NotResident(const std::vector<Transaction>& txns) const {
@@ -132,36 +223,39 @@ std::vector<Transaction> Mempool::BuildBlock(const AccountTable& accounts,
                                              size_t max_bytes) const {
   std::lock_guard<std::mutex> lock(mu_);
   AccountOverlay overlay(accounts);
-  // Ready heads, drained highest fee first; ties broken by transaction id so
-  // assembly is a pure function of (pool, accounts).
-  struct HeadOrder {
-    bool operator()(const std::tuple<uint64_t, Hash256, PublicKey>& a,
-                    const std::tuple<uint64_t, Hash256, PublicKey>& b) const {
-      if (std::get<0>(a) != std::get<0>(b)) {
-        return std::get<0>(a) > std::get<0>(b);
-      }
-      return std::get<1>(a) < std::get<1>(b);
-    }
+  // A sender's next proposable transaction. Heads drain highest fee first,
+  // ties broken by transaction id, so assembly is a pure function of (pool,
+  // accounts).
+  struct Head {
+    uint64_t fee;
+    const Hash256* id;
+    const SenderQueue* queue;
+    SenderQueue::Iter pos;
   };
-  std::set<std::tuple<uint64_t, Hash256, PublicKey>, HeadOrder> heads;
+  const auto drains_after = [](const Head& a, const Head& b) {
+    return a.fee != b.fee ? a.fee < b.fee : *b.id < *a.id;
+  };
+  const auto head_at = [&](const SenderQueue& queue, SenderQueue::Iter pos) {
+    const Transaction& tx = slab_[pos->slot];
+    return Head{tx.fee, &tx.Id(), &queue, pos};
+  };
+  std::vector<Head> heads;
+  heads.reserve(senders_.size());
   for (const auto& [sender, queue] : senders_) {
-    auto it = queue.find(accounts.NextNonceOf(sender));
+    auto it = queue.Find(accounts.NextNonceOf(sender));
     if (it != queue.end()) {
-      heads.insert({it->second.fee, it->second.Id(), sender});
+      heads.push_back(head_at(queue, it));
     }
   }
+  std::make_heap(heads.begin(), heads.end(), drains_after);
   std::vector<Transaction> out;
+  out.reserve(std::min(max_bytes / Transaction::kWireSize, SizeLocked()));
   size_t used = 0;
   while (!heads.empty() && used + Transaction::kWireSize <= max_bytes) {
-    const auto head = *heads.begin();
-    heads.erase(heads.begin());
-    const PublicKey& sender = std::get<2>(head);
-    const auto& queue = senders_.at(sender);
-    auto it = queue.find(overlay.NextNonceOf(sender));
-    if (it == queue.end()) {
-      continue;
-    }
-    const Transaction& tx = it->second;
+    std::pop_heap(heads.begin(), heads.end(), drains_after);
+    const Head head = heads.back();
+    heads.pop_back();
+    const Transaction& tx = slab_[head.pos->slot];
     if (!overlay.ApplyTransaction(tx)) {
       // Insufficient balance at this point of assembly; later nonces of this
       // sender cannot apply either (the nonce would gap), so drop the queue.
@@ -169,9 +263,10 @@ std::vector<Transaction> Mempool::BuildBlock(const AccountTable& accounts,
     }
     out.push_back(tx);
     used += Transaction::kWireSize;
-    auto next = queue.find(tx.nonce + 1);
-    if (next != queue.end()) {
-      heads.insert({next->second.fee, next->second.Id(), sender});
+    auto next = std::next(head.pos);
+    if (next != head.queue->end() && next->nonce == tx.nonce + 1) {
+      heads.push_back(head_at(*head.queue, next));
+      std::push_heap(heads.begin(), heads.end(), drains_after);
     }
   }
   return out;
@@ -181,18 +276,19 @@ void Mempool::ObserveCommitted(const std::vector<Transaction>& committed,
                                const AccountTable& accounts) {
   std::lock_guard<std::mutex> lock(mu_);
   for (const Transaction& tx : committed) {
-    auto it = ids_.find(tx.Id());
-    if (it != ids_.end()) {
-      const auto [sender, nonce] = it->second;
-      RemoveLocked(sender, nonce);
+    if (const uint32_t* slot = ids_.find(tx.Id())) {
+      RemoveLocked(slab_[*slot].from, slab_[*slot].nonce);
     }
   }
   committed_->Increment(committed.size());
   // Apply-time invalidation: a competing block may have consumed a sender's
   // nonce with a *different* transaction id; everything below the ledger
-  // nonce is now unappliable.
+  // nonce is now unappliable. Once per sender: the sweep is idempotent.
+  FlatSet<PublicKey> swept;
   for (const Transaction& tx : committed) {
-    DropStaleSenderLocked(tx.from, accounts.NextNonceOf(tx.from));
+    if (swept.insert(tx.from)) {
+      DropStaleSenderLocked(tx.from, accounts.NextNonceOf(tx.from));
+    }
   }
   UpdateSizeGauge();
 }
@@ -202,11 +298,10 @@ void Mempool::DropStaleSenderLocked(const PublicKey& sender, uint64_t ledger_nex
   if (sit == senders_.end()) {
     return;
   }
-  auto& queue = sit->second;
-  while (!queue.empty() && queue.begin()->first < ledger_next_nonce) {
-    ids_.erase(queue.begin()->second.Id());
-    eviction_index_.erase({queue.begin()->second.fee, sender, queue.begin()->first});
-    queue.erase(queue.begin());
+  SenderQueue& queue = sit->second;
+  while (!queue.empty() && queue.begin()->nonce < ledger_next_nonce) {
+    ReleaseLocked(queue.begin()->slot);
+    queue.Erase(queue.begin());
     stale_->Increment();
   }
   if (queue.empty()) {

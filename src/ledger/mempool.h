@@ -21,18 +21,27 @@
 // Every decision is a deterministic function of the pool contents and the
 // account table passed in — assembly at two nodes with equal pools and
 // ledgers yields byte-identical blocks.
+//
+// Layout: resident transactions live in one slab vector (freed slots are
+// reused through a free list) and everything else holds a slab index. The id
+// index is a FlatMap; each sender's queue is a nonce-sorted vector of (nonce,
+// slab index) pairs; senders_ is an ordered map, so assembly and sweeps visit
+// senders in key order at every node. The eviction order is a binary heap
+// with lazy deletion: an entry is live only while its (sender, nonce) is
+// resident at its fee, dead entries are popped when they reach the top, and
+// the heap is rebuilt from the residents once it holds more than twice as many
+// entries as the pool.
 #ifndef ALGORAND_SRC_LEDGER_MEMPOOL_H_
 #define ALGORAND_SRC_LEDGER_MEMPOOL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <set>
-#include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/flat_set.h"
 #include "src/ledger/account_table.h"
 #include "src/ledger/transaction.h"
 #include "src/obs/metrics.h"
@@ -92,33 +101,62 @@ class Mempool {
   void DropStale(const AccountTable& accounts);
 
  private:
-  // Eviction order: lowest fee first; within a fee, by sender then highest
-  // nonce first, so the victim is a queue tail and no gap appears below it.
-  struct EvictionOrder {
-    bool operator()(const std::tuple<uint64_t, PublicKey, uint64_t>& a,
-                    const std::tuple<uint64_t, PublicKey, uint64_t>& b) const {
-      if (std::get<0>(a) != std::get<0>(b)) {
-        return std::get<0>(a) < std::get<0>(b);
-      }
-      if (std::get<1>(a) != std::get<1>(b)) {
-        return std::get<1>(a) < std::get<1>(b);
-      }
-      return std::get<2>(a) > std::get<2>(b);
-    }
+  // One sender's resident transactions in ascending nonce order. Arrivals
+  // almost always append at the tail, commits pop the head and evictions the
+  // tail. The popped prefix [0, head_) is reclaimed once it is half of
+  // entries_, so popping either end is amortized O(1).
+  struct QueueEntry {
+    uint64_t nonce;
+    uint32_t slot;  // Index into slab_.
+  };
+  class SenderQueue {
+   public:
+    using Iter = std::vector<QueueEntry>::const_iterator;
+    Iter begin() const { return entries_.begin() + static_cast<std::ptrdiff_t>(head_); }
+    Iter end() const { return entries_.end(); }
+    bool empty() const { return head_ == entries_.size(); }
+    // The entry for `nonce`, or end().
+    Iter Find(uint64_t nonce) const;
+    void Insert(uint64_t nonce, uint32_t slot);
+    void Erase(Iter it);
+
+   private:
+    Iter LowerBound(uint64_t nonce) const;
+
+    std::vector<QueueEntry> entries_;
+    size_t head_ = 0;
   };
 
+  // An eviction candidate; live only while (sender, nonce) is resident at
+  // `fee`. The victim is the lowest fee, then the lowest sender, then the
+  // highest nonce, so it is a queue tail and no gap appears below it.
+  struct EvictionEntry {
+    uint64_t fee;
+    PublicKey sender;
+    uint64_t nonce;
+  };
+  // The heap comparator: true if `a` is evicted after `b`, so the heap's top
+  // is the next victim.
+  static bool EvictsAfter(const EvictionEntry& a, const EvictionEntry& b);
+
+  uint32_t StoreLocked(const Transaction& tx);
+  // Drops the id and frees the slab slot; the caller unlinks the queue entry.
+  void ReleaseLocked(uint32_t slot);
   void RemoveLocked(const PublicKey& sender, uint64_t nonce);
+  void PushEvictionLocked(const Transaction& tx);
+  // Pops dead entries off the heap; the live top, or nullptr if none is left.
+  const EvictionEntry* VictimLocked();
   void DropStaleSenderLocked(const PublicKey& sender, uint64_t ledger_next_nonce);
   size_t SizeLocked() const { return ids_.size(); }
   void UpdateSizeGauge() const;
 
   const MempoolConfig config_;
   mutable std::mutex mu_;
-  // Sender queues are std::map so iteration (assembly, sweeps) is
-  // deterministic across nodes and runs.
-  std::map<PublicKey, std::map<uint64_t, Transaction>> senders_;
-  std::unordered_map<Hash256, std::pair<PublicKey, uint64_t>, FixedBytesHasher> ids_;
-  std::set<std::tuple<uint64_t, PublicKey, uint64_t>, EvictionOrder> eviction_index_;
+  std::vector<Transaction> slab_;
+  std::vector<uint32_t> free_slots_;
+  std::map<PublicKey, SenderQueue> senders_;
+  FlatMap<Hash256, uint32_t> ids_;  // Id -> slab index of every resident.
+  std::vector<EvictionEntry> eviction_heap_;
 
   Counter fallback_[7];
   Counter* added_ = &fallback_[0];

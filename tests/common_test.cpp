@@ -164,6 +164,47 @@ TEST(FlatSetTest, SwapExchangesGenerations) {
   EXPECT_FALSE(a.contains(SharedPrefixKey(1)));
 }
 
+// Backward-shift erase against a std::map, with keys that share one prefix
+// (one probe chain) mixed with random ones, through growth and heavy erase.
+TEST(FlatMapTest, EraseKeepsChainsAndMatchesReference) {
+  DeterministicRng rng(43);
+  FlatMap<Hash256, uint32_t> map;
+  std::map<Hash256, uint32_t> reference;
+  std::vector<Hash256> keys;
+  for (uint32_t i = 0; i < 300; ++i) {
+    keys.push_back(SharedPrefixKey(i));
+    Hash256 k;
+    rng.FillBytes(k.data(), k.size());
+    keys.push_back(k);
+  }
+  for (int op = 0; op < 20000; ++op) {
+    const Hash256& k = keys[rng.UniformU64(keys.size())];
+    const uint32_t v = static_cast<uint32_t>(op);
+    if (rng.UniformU64(3) == 0) {
+      EXPECT_EQ(map.erase(k), reference.erase(k) == 1);
+    } else {
+      EXPECT_EQ(map.insert(k, v), reference.emplace(k, v).second);
+    }
+    ASSERT_EQ(map.size(), reference.size());
+  }
+  for (const Hash256& k : keys) {
+    auto it = reference.find(k);
+    const uint32_t* v = map.find(k);
+    ASSERT_EQ(v != nullptr, it != reference.end());
+    if (v != nullptr) {
+      EXPECT_EQ(*v, it->second);
+    }
+  }
+  // Erasing everything leaves every probe chain empty.
+  for (const auto& [k, v] : reference) {
+    EXPECT_TRUE(map.erase(k));
+  }
+  EXPECT_EQ(map.size(), 0u);
+  for (const Hash256& k : keys) {
+    EXPECT_FALSE(map.contains(k));
+  }
+}
+
 TEST(HexTest, EncodeKnown) {
   std::vector<uint8_t> v = {0x00, 0x01, 0xab, 0xff};
   EXPECT_EQ(HexEncode(v), "0001abff");

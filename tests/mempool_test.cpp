@@ -3,6 +3,10 @@
 // and apply-time invalidation after a competing block commits.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/ledger/ledger.h"
 #include "src/ledger/mempool.h"
@@ -253,6 +257,78 @@ TEST(MempoolTest, BuildBlockSkipsSendersThatCannotPay) {
   std::vector<Transaction> block = pool.BuildBlock(f.ledger.accounts(), 1 << 20);
   ASSERT_EQ(block.size(), 1u);
   EXPECT_EQ(block[0].Id(), drain.Id());
+}
+
+TEST(MempoolTest, ConcurrentCallersMatchSerial) {
+  // Four threads add payments for disjoint senders while a fifth reads the
+  // pool throughout. The pool never fills, so every arrival is admitted
+  // whatever the interleaving, and the final assembly must equal a serial
+  // run's.
+  constexpr size_t kAdders = 4;
+  constexpr size_t kSendersPerAdder = 4;
+  constexpr uint64_t kNonces = 150;
+  AccountTable accounts;
+  std::vector<std::vector<Transaction>> batches(kAdders);
+  for (size_t t = 0; t < kAdders; ++t) {
+    for (size_t s = 0; s < kSendersPerAdder; ++s) {
+      PublicKey pk;
+      pk[0] = static_cast<uint8_t>(t);
+      pk[1] = static_cast<uint8_t>(s);
+      accounts.Upsert(pk, Account{1'000'000, 0});
+      for (uint64_t n = 0; n < kNonces; ++n) {
+        Transaction::Fields fields;
+        fields.from = pk;
+        fields.to[0] = 0xee;
+        fields.amount = 1;
+        fields.fee = 1 + (t * kSendersPerAdder + s) % 5;
+        fields.nonce = n ^ 1;  // Pairs swapped: each odd nonce waits briefly on a gap.
+        batches[t].push_back(Transaction(fields));
+      }
+    }
+  }
+  Mempool serial;
+  for (const auto& batch : batches) {
+    for (const Transaction& tx : batch) {
+      ASSERT_EQ(serial.Add(tx, 0), Mempool::AddResult::kAdded);
+    }
+  }
+
+  Mempool pool;
+  std::atomic<size_t> finished{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kAdders; ++t) {
+    threads.emplace_back([&, t] {
+      for (const Transaction& tx : batches[t]) {
+        EXPECT_EQ(pool.Add(tx, 0), Mempool::AddResult::kAdded);
+        EXPECT_EQ(pool.Add(tx, 0), Mempool::AddResult::kDuplicate);  // A relay copy.
+      }
+      finished.fetch_add(1);
+    });
+  }
+  threads.emplace_back([&] {
+    const std::vector<Transaction>& probe = batches[0];
+    while (finished.load() < kAdders) {
+      const size_t missing = pool.NotResident(probe).size();
+      if (missing < probe.size()) {
+        // Adder 0 admits its batch in order and nothing leaves the pool.
+        EXPECT_TRUE(pool.Contains(probe.front().Id()));
+      }
+      EXPECT_LE(pool.BuildBlock(accounts, 64 * Transaction::kWireSize).size(), 64u);
+    }
+  });
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+
+  EXPECT_EQ(pool.size(), serial.size());
+  EXPECT_EQ(pool.sender_count(), kAdders * kSendersPerAdder);
+  const std::vector<Transaction> got = pool.BuildBlock(accounts, 1 << 20);
+  const std::vector<Transaction> want = serial.BuildBlock(accounts, 1 << 20);
+  ASSERT_EQ(got.size(), kAdders * kSendersPerAdder * kNonces);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].Serialize(), want[i].Serialize()) << i;
+  }
 }
 
 }  // namespace
