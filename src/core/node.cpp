@@ -77,7 +77,16 @@ void Node::Start() {
   ScheduleRecoveryCheck();
 }
 
+Node::~Node() {
+  if (metrics_ != nullptr) {
+    metrics_->RemoveCollector(collector_);
+  }
+}
+
 void Node::AttachObservability(MetricsRegistry* metrics, RoundTracer* tracer) {
+  if (metrics_ != nullptr) {
+    metrics_->RemoveCollector(collector_);
+  }
   metrics_ = metrics;
   tracer_ = tracer;
   mempool_.AttachMetrics(metrics);
@@ -119,6 +128,11 @@ void Node::AttachObservability(MetricsRegistry* metrics, RoundTracer* tracer) {
   obs_.round_time_ms = &metrics->GetHistogram("ba.round_time_ms");
   obs_.binary_steps =
       &metrics->GetHistogram("ba.binary_steps", MetricsRegistry::DefaultCountBuckets());
+  // Read at snapshot time, so the apply path never touches the gauge.
+  Gauge* table_bytes = &metrics->GetGauge("accounts.table_bytes");
+  collector_ = metrics->AddCollector([this, table_bytes] {
+    table_bytes->Set(static_cast<int64_t>(ledger_.accounts().memory_bytes()));
+  });
 }
 
 void Node::Trace(TraceKind kind, uint32_t step, uint64_t a, uint64_t b, uint64_t value_prefix,

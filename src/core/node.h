@@ -82,16 +82,17 @@ class Node : public BaEnvironment {
  public:
   Node(NodeId id, Executor* sim, GossipAgent* gossip, const Ed25519KeyPair& key,
        const GenesisConfig& genesis, const ProtocolParams& params, CryptoSuite crypto);
-  ~Node() override = default;
+  ~Node() override;
 
   // Begins round 1 at the current simulation time.
   void Start();
 
   // Routes this node's per-round instrumentation through `metrics` ("node.*"
-  // counters, "ba.*" timing histograms) and structured BA* events through
-  // `tracer`. Either may be null. Call before Start(); instrument pointers
-  // are resolved once here so the per-event path never takes the registry
-  // lock.
+  // counters, "ba.*" timing histograms, the "accounts.table_bytes" gauge
+  // folded at snapshot time) and structured BA* events through `tracer`.
+  // Either may be null; `metrics` must outlive the node. Call before Start();
+  // instrument pointers are resolved once here so the per-event path never
+  // takes the registry lock.
   void AttachObservability(MetricsRegistry* metrics, RoundTracer* tracer);
 
   // Adds a payment to the pending pool (§4, Figure 1).
@@ -389,6 +390,7 @@ class Node : public BaEnvironment {
   // Observability (null when not attached). Instrument pointers are resolved
   // once in AttachObservability.
   MetricsRegistry* metrics_ = nullptr;
+  MetricsRegistry::CollectorId collector_ = 0;
   RoundTracer* tracer_ = nullptr;
   struct Instruments {
     Counter* blocks_proposed = nullptr;

@@ -6,96 +6,29 @@
 
 namespace algorand {
 
-namespace {
-constexpr size_t kInitialShardCapacity = 16;
-
-// Grow at 3/4 load: size / capacity >= 3/4 after the pending insert.
-bool NeedsGrowth(size_t size_after_insert, size_t capacity) {
-  return capacity == 0 || size_after_insert * 4 > capacity * 3;
-}
-}  // namespace
-
-void AccountTable::GrowShard(Shard* shard, size_t min_capacity) {
-  size_t capacity = kInitialShardCapacity;
-  while (capacity < min_capacity) {
-    capacity <<= 1;
-  }
-  Shard grown;
-  grown.ctrl.assign(capacity, 0);
-  grown.slots.resize(capacity);
-  grown.mask = capacity - 1;
-  grown.size = shard->size;
-  for (size_t i = 0; i < shard->slots.size(); ++i) {
-    if (shard->ctrl[i] == 0) {
-      continue;
-    }
-    size_t j = (Mix(shard->slots[i].key) >> kShardBits) & grown.mask;
-    while (grown.ctrl[j] != 0) {
-      j = (j + 1) & grown.mask;
-    }
-    grown.ctrl[j] = 1;
-    grown.slots[j] = shard->slots[i];
-  }
-  *shard = std::move(grown);
-}
-
-const Account* AccountTable::Find(const PublicKey& pk) const {
-  const uint64_t h = Mix(pk);
-  const Shard& shard = shards_[h & (kShards - 1)];
-  if (shard.size == 0) {
-    return nullptr;
-  }
-  size_t i = (h >> kShardBits) & shard.mask;
-  while (shard.ctrl[i] != 0) {
-    if (shard.slots[i].key == pk) {
-      return &shard.slots[i].account;
-    }
-    i = (i + 1) & shard.mask;
-  }
-  return nullptr;
-}
-
-Account* AccountTable::FindMutable(const PublicKey& pk) {
-  return const_cast<Account*>(std::as_const(*this).Find(pk));
-}
-
-Account& AccountTable::GetOrInsert(const PublicKey& pk) {
-  const uint64_t h = Mix(pk);
-  Shard& shard = shards_[h & (kShards - 1)];
-  if (NeedsGrowth(shard.size + 1, shard.slots.size())) {
-    GrowShard(&shard, (shard.size + 1) * 2);
-  }
-  size_t i = (h >> kShardBits) & shard.mask;
-  while (shard.ctrl[i] != 0) {
-    if (shard.slots[i].key == pk) {
-      return shard.slots[i].account;
-    }
-    i = (i + 1) & shard.mask;
-  }
-  shard.ctrl[i] = 1;
-  shard.slots[i].key = pk;
-  shard.slots[i].account = Account{};
-  ++shard.size;
-  return shard.slots[i].account;
-}
-
 size_t AccountTable::account_count() const {
   size_t n = 0;
   for (const Shard& shard : shards_) {
-    n += shard.size;
+    n += shard.size();
   }
   return n;
 }
 
+size_t AccountTable::memory_bytes() const {
+  size_t bytes = 0;
+  for (const Shard& shard : shards_) {
+    bytes += shard.memory_bytes();
+  }
+  return bytes;
+}
+
 void AccountTable::Reserve(size_t expected_accounts) {
-  // Spread across shards with slack for imbalance, then round so the 3/4
-  // load factor is never crossed at the expected fill.
-  const size_t per_shard = expected_accounts / kShards + 1;
-  const size_t min_capacity = per_shard + per_shard / 2;
+  // A shard's fill is binomial around n/64; 3% slack is ~4 standard
+  // deviations of it at 1M accounts, so no shard grows during the load and
+  // the table sits at ~0.73 load.
+  const size_t per_shard = (expected_accounts * 103 / 100 + kShards - 1) / kShards;
   for (Shard& shard : shards_) {
-    if (shard.slots.size() < min_capacity) {
-      GrowShard(&shard, min_capacity);
-    }
+    shard.reserve(per_shard);
   }
 }
 
@@ -133,9 +66,9 @@ bool AccountTable::ApplyTransaction(const Transaction& tx) {
   if (!CheckTransaction(tx)) {
     return false;
   }
-  Account* from = FindMutable(tx.from);
-  from->balance -= tx.amount + tx.fee;
-  from->next_nonce += 1;
+  Account& from = GetOrInsert(tx.from);  // Present: CheckTransaction found it.
+  from.balance -= tx.amount + tx.fee;
+  from.next_nonce += 1;
   GetOrInsert(tx.to).balance += tx.amount;  // May invalidate `from`; done with it.
   total_weight_ -= tx.fee;                  // Fees are burned.
   return true;
@@ -149,11 +82,7 @@ std::vector<std::pair<PublicKey, Account>> AccountTable::SortedEntries() const {
   std::vector<std::pair<PublicKey, Account>> out;
   out.reserve(account_count());
   for (const Shard& shard : shards_) {
-    for (size_t i = 0; i < shard.slots.size(); ++i) {
-      if (shard.ctrl[i] != 0) {
-        out.emplace_back(shard.slots[i].key, shard.slots[i].account);
-      }
-    }
+    shard.for_each([&out](const auto& e) { out.emplace_back(e.key, e.value); });
   }
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -215,9 +144,8 @@ bool AccountTable::DeserializeFrom(Reader* rd) {
 }
 
 Account AccountOverlay::Get(const PublicKey& pk) const {
-  auto it = delta_.find(pk);
-  if (it != delta_.end()) {
-    return it->second;
+  if (const Account* a = delta_.find(pk)) {
+    return *a;
   }
   const Account* a = base_->Find(pk);
   return a == nullptr ? Account{} : *a;
@@ -226,7 +154,7 @@ Account AccountOverlay::Get(const PublicKey& pk) const {
 bool AccountOverlay::CheckTransaction(const Transaction& tx) const {
   const Account from = Get(tx.from);
   if (from.balance == 0 && from.next_nonce == 0 && base_->Find(tx.from) == nullptr &&
-      delta_.find(tx.from) == delta_.end()) {
+      !delta_.contains(tx.from)) {
     return false;  // Unknown sender, same verdict as the table.
   }
   if (tx.nonce != from.next_nonce) {
@@ -254,9 +182,7 @@ bool AccountOverlay::ApplyTransaction(const Transaction& tx) {
 }
 
 void AccountOverlay::CommitTo(AccountTable* table) const {
-  for (const auto& [pk, account] : delta_) {
-    table->Upsert(pk, account);
-  }
+  delta_.for_each([table](const auto& e) { table->Upsert(e.key, e.value); });
   table->BurnFees(fees_burned_);
 }
 

@@ -3,14 +3,16 @@
 // table also tracks the total outstanding currency W.
 //
 // Layout: a sharded open-addressing hash table sized for millions of
-// accounts. Each shard is a power-of-two array of 48-byte slots (key +
-// balance + nonce) probed linearly from a mixed 64-bit prefix of the public
-// key, so a lookup or balance update touches one cache line of metadata and
-// one slot in the common case — against the std::map layout this removes the
-// pointer chase and per-node allocation that dominated at 10^6 accounts.
-// Accounts are never deleted, so probing needs no tombstones. Shards exist
-// for the parallel block-apply path (ledger/exec.h): partitions that commit
-// concurrently serialize per shard, not per table, via AccountTable::ShardOf.
+// accounts. Each shard is a FlatMap<PublicKey, Account> (common/flat_set.h):
+// 49-byte slots (one ctrl byte, plus key + balance + nonce) probed linearly
+// from a mixed 64-bit prefix of the public key, at any capacity and at most
+// 3/4 load, so a lookup or balance update touches one cache line of metadata
+// and one slot in the common case — against the std::map layout this removes
+// the pointer chase and per-node allocation that dominated at 10^6 accounts.
+// Accounts are never deleted. Shards exist for the parallel block-apply path
+// (ledger/exec.h): partitions that commit concurrently serialize per shard,
+// not per table, via AccountTable::ShardOf, which takes the hash bits the
+// shard's FlatMap leaves unused.
 //
 // Iteration order over an open-addressing table depends on insertion order,
 // which the parallel committer does not fix; every observable ordering
@@ -23,11 +25,11 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/flat_set.h"
 #include "src/common/serialize.h"
 #include "src/ledger/transaction.h"
 
@@ -74,9 +76,15 @@ class AccountTable {
   // load (genesis at millions of accounts) does not rehash log(n) times.
   void Reserve(size_t expected_accounts);
 
+  // Bytes of slot storage over all shards: capacity times slot size.
+  size_t memory_bytes() const;
+
+  // Slots a lookup of `pk` inspects (FlatTable::probe_length).
+  size_t ProbeLength(const PublicKey& pk) const { return ShardFor(pk).probe_length(pk); }
+
   // The account if present, else nullptr. Pointers are invalidated by any
   // mutation of the table.
-  const Account* Find(const PublicKey& pk) const;
+  const Account* Find(const PublicKey& pk) const { return ShardFor(pk).find(pk); }
 
   // Inserts or overwrites the full account record. Used by the block-apply
   // committer to flush an overlay delta; does NOT touch total_weight (the
@@ -88,7 +96,7 @@ class AccountTable {
   void BurnFees(uint64_t fees) { total_weight_ -= fees; }
 
   // The shard an account lives in. The parallel committer locks this index.
-  static size_t ShardOf(const PublicKey& pk) { return Mix(pk) & (kShards - 1); }
+  static size_t ShardOf(const PublicKey& pk) { return Shard::Hash(pk) & (kShards - 1); }
 
   // Deterministic (key-sorted) iteration for snapshots and tests. O(n log n).
   std::vector<std::pair<PublicKey, Account>> SortedEntries() const;
@@ -110,33 +118,10 @@ class AccountTable {
   bool DeserializeFrom(Reader* rd);
 
  private:
-  struct Slot {
-    PublicKey key;
-    Account account;
-  };
-  struct Shard {
-    // ctrl[i] == 1 iff slots[i] holds an account. Probing scans ctrl (dense,
-    // 64 entries per cache line) and only touches the 48-byte slot on a
-    // candidate hit. Capacity is a power of two; mask == capacity - 1.
-    std::vector<uint8_t> ctrl;
-    std::vector<Slot> slots;
-    size_t size = 0;
-    size_t mask = 0;
-  };
+  using Shard = FlatMap<PublicKey, Account>;
 
-  // splitmix64 finalizer over the key's first 8 bytes: ed25519 keys are
-  // already uniform, but synthetic test keys may be patterned.
-  static uint64_t Mix(const PublicKey& pk) {
-    uint64_t x = pk.prefix_u64();
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
-
-  Account* FindMutable(const PublicKey& pk);
-  Account& GetOrInsert(const PublicKey& pk);
-  static void GrowShard(Shard* shard, size_t min_capacity);
+  const Shard& ShardFor(const PublicKey& pk) const { return shards_[ShardOf(pk)]; }
+  Account& GetOrInsert(const PublicKey& pk) { return shards_[ShardOf(pk)][pk]; }
 
   // The account count is derived by summing shard sizes (account_count())
   // rather than kept as one member: the parallel committer inserts into
@@ -163,8 +148,7 @@ class AccountOverlay {
   bool ApplyTransaction(const Transaction& tx);
 
   uint64_t fees_burned() const { return fees_burned_; }
-  size_t touched_count() const { return delta_.size(); }
-  const std::unordered_map<PublicKey, Account, FixedBytesHasher>& delta() const { return delta_; }
+  const FlatMap<PublicKey, Account>& delta() const { return delta_; }
 
   // Flushes the delta into `table` (single-threaded path) and burns the
   // accumulated fees. The overlay must have been built over `table`.
@@ -174,7 +158,7 @@ class AccountOverlay {
   Account Get(const PublicKey& pk) const;
 
   const AccountTable* base_;
-  std::unordered_map<PublicKey, Account, FixedBytesHasher> delta_;
+  FlatMap<PublicKey, Account> delta_;
   uint64_t fees_burned_ = 0;
 };
 

@@ -46,27 +46,28 @@ std::vector<std::vector<uint32_t>> PartitionByAccount(const std::vector<Transact
       parent[b] = a;
     }
   };
-  std::unordered_map<PublicKey, uint32_t, FixedBytesHasher> first_touch;
+  FlatMap<PublicKey, uint32_t> first_touch;
   first_touch.reserve(2 * n);
   for (uint32_t i = 0; i < n; ++i) {
     for (const PublicKey& pk : {txns[i].from, txns[i].to}) {
-      auto [it, inserted] = first_touch.try_emplace(pk, i);
+      const auto [first, inserted] = first_touch.try_emplace(pk, i);
       if (!inserted) {
-        unite(it->second, i);
+        unite(first, i);
       }
     }
   }
   // Bucket by root; roots are minimal indices, so ordering partitions by
   // root index == ordering by smallest member.
-  std::unordered_map<uint32_t, uint32_t> slot_of_root;
+  constexpr uint32_t kNoSlot = UINT32_MAX;
+  std::vector<uint32_t> slot_of_root(n, kNoSlot);
   std::vector<std::vector<uint32_t>> partitions;
   for (uint32_t i = 0; i < n; ++i) {
-    const uint32_t root = find(i);
-    auto [it, inserted] = slot_of_root.try_emplace(root, static_cast<uint32_t>(partitions.size()));
-    if (inserted) {
+    uint32_t& slot = slot_of_root[find(i)];
+    if (slot == kNoSlot) {
+      slot = static_cast<uint32_t>(partitions.size());
       partitions.emplace_back();
     }
-    partitions[it->second].push_back(i);
+    partitions[slot].push_back(i);
   }
   return partitions;
 }
@@ -182,16 +183,12 @@ bool BlockApplier::ApplyBlock(const std::vector<Transaction>& txns, AccountTable
   }
 
   // Commit phase: every partition's delta is disjoint, so commit order is
-  // immaterial; concurrent upserts serialize per table shard. Burned fees sum
-  // on the calling thread so total_weight sees one deterministic subtraction.
-  uint64_t fees = 0;
+  // immaterial; concurrent upserts serialize per table shard, and burned fees
+  // sum on the calling thread, the only one that writes total_weight.
   const size_t workers = worker_count();
   if (!local.parallel || workers == 0 || overlays.size() < 2) {
     for (const AccountOverlay& overlay : overlays) {
-      for (const auto& [pk, account] : overlay.delta()) {
-        table->Upsert(pk, account);
-      }
-      fees += overlay.fees_burned();
+      overlay.CommitTo(table);
     }
   } else {
     const size_t jobs = std::min(overlays.size(), workers * 4);
@@ -200,20 +197,21 @@ bool BlockApplier::ApplyBlock(const std::vector<Transaction>& txns, AccountTable
     for (size_t j = 0; j < jobs; ++j) {
       pool_->Submit([&, j] {
         for (size_t p = j; p < overlays.size(); p += jobs) {
-          for (const auto& [pk, account] : overlays[p].delta()) {
-            std::lock_guard<std::mutex> lock(shard_mu_[AccountTable::ShardOf(pk)]);
-            table->Upsert(pk, account);
-          }
+          overlays[p].delta().for_each([&](const auto& e) {
+            std::lock_guard<std::mutex> lock(shard_mu_[AccountTable::ShardOf(e.key)]);
+            table->Upsert(e.key, e.value);
+          });
         }
         latch.Done();
       });
     }
     latch.Wait();
+    uint64_t fees = 0;
     for (const AccountOverlay& overlay : overlays) {
       fees += overlay.fees_burned();
     }
+    table->BurnFees(fees);
   }
-  table->BurnFees(fees);
 
   if (blocks_ != nullptr) {
     blocks_->Increment();

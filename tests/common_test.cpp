@@ -205,6 +205,111 @@ TEST(FlatMapTest, EraseKeepsChainsAndMatchesReference) {
   }
 }
 
+// reserve() sizes to any capacity, not only a power of two. Within it,
+// find-or-insert, erase and the slot walk agree with a std::map, and the
+// table never grows: at most `n` keys are live at once.
+TEST(FlatMapTest, ReservedCapacityMatchesReference) {
+  DeterministicRng rng(47);
+  for (size_t n : {1, 3, 10, 100, 1000, 3001}) {
+    FlatMap<Hash256, uint32_t> map;
+    map.reserve(n);
+    const size_t capacity = map.capacity();
+    EXPECT_GE(capacity * 3, n * 4);  // The smallest capacity at <= 3/4 load.
+    EXPECT_LT((capacity - 1) * 3, n * 4);
+    std::vector<Hash256> keys;
+    for (uint32_t i = 0; i < n; ++i) {
+      Hash256 k = SharedPrefixKey(i);
+      if (i % 2 == 1) {
+        rng.FillBytes(k.data(), k.size());
+      }
+      keys.push_back(k);
+    }
+    std::map<Hash256, uint32_t> reference;
+    for (size_t op = 0; op < 8 * n; ++op) {
+      const Hash256& k = keys[rng.UniformU64(keys.size())];
+      const uint32_t v = static_cast<uint32_t>(op);
+      switch (rng.UniformU64(3)) {
+        case 0: {
+          const auto [stored, inserted] = map.try_emplace(k, v);
+          const auto it = reference.try_emplace(k, v);
+          EXPECT_EQ(inserted, it.second);
+          EXPECT_EQ(stored, it.first->second);
+          break;
+        }
+        case 1:
+          map[k] += 1;  // Value-initialized first when absent.
+          reference[k] += 1;
+          break;
+        default:
+          EXPECT_EQ(map.erase(k), reference.erase(k) == 1);
+      }
+      ASSERT_EQ(map.size(), reference.size());
+    }
+    EXPECT_EQ(map.capacity(), capacity);
+    map.reserve(n / 2);  // Never shrinks.
+    EXPECT_EQ(map.capacity(), capacity);
+    // The walk visits every entry once.
+    std::map<Hash256, uint32_t> walked;
+    size_t visits = 0;
+    map.for_each([&](const auto& e) {
+      walked.emplace(e.key, e.value);
+      ++visits;
+    });
+    EXPECT_EQ(visits, reference.size());
+    EXPECT_EQ(walked, reference);
+  }
+}
+
+// Keys that share a prefix share a home slot, so each table below holds two
+// probe chains, one per prefix, which merge where they meet. A chain that
+// runs past the last slot continues at slot 0; the slot-order walk then
+// starts with neither chain's first key. Erasing in a random order must keep
+// every remaining key reachable, also where a moved entry's home lies before
+// the wrap and the hole after it.
+TEST(FlatMapTest, EraseAcrossTheWrapAroundKeepsChains) {
+  DeterministicRng rng(53);
+  size_t wrapped = 0;
+  for (uint8_t prefix = 0; prefix < 16; prefix += 2) {
+    for (uint32_t n = 3; n < 40; ++n) {
+      FlatMap<Hash256, uint32_t> map;
+      map.reserve(n);
+      auto key = [prefix](uint32_t i) {
+        Hash256 k = SharedPrefixKey(i);
+        k[0] = static_cast<uint8_t>(prefix + i % 2);
+        return k;
+      };
+      for (uint32_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(map.insert(key(i), i));
+      }
+      std::vector<uint32_t> walk;
+      map.for_each([&walk](const auto& e) { walk.push_back(e.value); });
+      ASSERT_EQ(walk.size(), n);
+      if (walk.front() > 1) {
+        ++wrapped;
+      }
+      std::vector<uint32_t> order(n);
+      for (uint32_t i = 0; i < n; ++i) {
+        order[i] = i;
+      }
+      rng.Shuffle(&order);
+      std::set<uint32_t> live(order.begin(), order.end());
+      for (uint32_t victim : order) {
+        ASSERT_TRUE(map.erase(key(victim)));
+        live.erase(victim);
+        for (uint32_t i = 0; i < n; ++i) {
+          const uint32_t* v = map.find(key(i));
+          ASSERT_EQ(v != nullptr, live.count(i) == 1) << "n=" << n << " key " << i;
+          if (v != nullptr) {
+            EXPECT_EQ(*v, i);
+          }
+        }
+      }
+      EXPECT_EQ(map.size(), 0u);
+    }
+  }
+  EXPECT_GT(wrapped, 20u);
+}
+
 TEST(HexTest, EncodeKnown) {
   std::vector<uint8_t> v = {0x00, 0x01, 0xab, 0xff};
   EXPECT_EQ(HexEncode(v), "0001abff");

@@ -5,6 +5,7 @@
 // pattern applied to block execution).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -126,6 +127,36 @@ TEST(AccountTableTest, FingerprintIsLayoutIndependent) {
   EXPECT_EQ(fwd.StateFingerprint(), rev.StateFingerprint());
   rev.Credit(KeyFromIndex(7), 1);
   EXPECT_NE(fwd.StateFingerprint(), rev.StateFingerprint());
+}
+
+// At a 1M-account mint the shards sit near 3/4 load: ~67 bytes of slots per
+// account (the power-of-two shards they replaced took ~103), and probes stay
+// short. A home slot taken from the hash bits ShardOf already fixed would
+// put a shard's keys on 1 home in 64: ~24 slots per lookup on average. The
+// longest probe is a tail bound: linear probing with ideal random homes at
+// this shape (64 shards of ~15.6k keys in 21,459 slots) gives a longest
+// probe of 133-149 slots over six simulated seeds.
+TEST(AccountTableTest, MillionAccountsAreDenseWithShortProbes) {
+  constexpr size_t kAccounts = 1'000'000;
+  AccountTable table;
+  table.Reserve(kAccounts);
+  std::vector<PublicKey> keys(kAccounts);
+  DeterministicRng rng(61);
+  for (PublicKey& pk : keys) {
+    rng.FillBytes(pk.data(), pk.size());
+    table.Credit(pk, 1);
+  }
+  ASSERT_EQ(table.account_count(), kAccounts);
+  EXPECT_LE(table.memory_bytes(), 70 * table.account_count());
+  size_t total = 0;
+  size_t longest = 0;
+  for (const PublicKey& pk : keys) {
+    const size_t probe = table.ProbeLength(pk);
+    total += probe;
+    longest = std::max(longest, probe);
+  }
+  EXPECT_LT(total, 3 * kAccounts);
+  EXPECT_LT(longest, 256u);
 }
 
 // Builds a funded table plus a mixed block: long dependent chains, disjoint
@@ -292,6 +323,22 @@ TEST(TxPipelineTest, ExecWorkersAreBitIdenticalToSequential) {
   ExecRunOutcome par = RunWithExecWorkers(2);
   EXPECT_GT(seq.committed, 0u);
   EXPECT_TRUE(seq == par);
+}
+
+// Each node folds its ledger's slot bytes into its registry at snapshot time.
+TEST(TxPipelineTest, TableBytesGaugeReadsEachLedger) {
+  SimHarness h(PaymentsConfig(0, 0));
+  h.Start();
+  ASSERT_TRUE(h.RunRounds(1));
+  int64_t sum = 0;
+  for (size_t i = 0; i < h.node_count(); ++i) {
+    const size_t bytes = h.node(i).ledger().accounts().memory_bytes();
+    EXPECT_GT(bytes, 0u);
+    EXPECT_EQ(h.node_metrics(i).Snapshot().gauges.at("accounts.table_bytes"),
+              static_cast<int64_t>(bytes));
+    sum += static_cast<int64_t>(bytes);
+  }
+  EXPECT_EQ(h.AggregateMetrics().gauges.at("accounts.table_bytes"), sum);
 }
 
 // Every verification-cache lookup of a small deterministic payments run.
