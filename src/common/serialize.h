@@ -139,6 +139,19 @@ class Reader {
   bool ok_ = true;
 };
 
+// Strict decode of a flat record: `read(reader, out)` fills a default-made T
+// field by field; nullopt after a short read or with bytes left over.
+template <typename T, typename ReadFn>
+std::optional<T> DecodeExactly(std::span<const uint8_t> data, ReadFn read) {
+  Reader r(data);
+  T out;
+  read(r, out);
+  if (!r.AtEnd()) {
+    return std::nullopt;
+  }
+  return out;
+}
+
 }  // namespace algorand
 
 #endif  // ALGORAND_SRC_COMMON_SERIALIZE_H_

@@ -1,5 +1,7 @@
 #include "src/core/fastsync.h"
 
+#include <algorithm>
+
 #include "src/common/serialize.h"
 #include "src/core/certificate.h"
 #include "src/crypto/sha256.h"
@@ -68,6 +70,69 @@ bool VerifyChainLink(const ChainLink& link, uint64_t round, const Hash256& prev_
   return true;
 }
 
+std::shared_ptr<FastSyncManifestResponse> ServeFastSyncManifest(
+    const BlockStore* store, const FastSyncManifestRequest& req, uint32_t responder) {
+  auto resp = std::make_shared<FastSyncManifestResponse>();
+  resp->responder = responder;
+  resp->seq = req.seq;
+  if (store == nullptr) {
+    return resp;
+  }
+  // Newest checkpoint whose payload still loads (a corrupt file steps down
+  // to the next older one, mirroring the restore ladder).
+  auto ckpts = store->checkpoints();
+  for (auto it = ckpts.rbegin(); it != ckpts.rend(); ++it) {
+    auto payload = store->ReadCheckpointPayload(it->round);
+    if (payload == nullptr || payload->size() < CheckpointData::kManifestBytes) {
+      continue;
+    }
+    resp->manifest.assign(payload->begin(), payload->begin() + CheckpointData::kManifestBytes);
+    resp->payload_bytes = payload->size();
+    break;
+  }
+  return resp;
+}
+
+std::shared_ptr<FastSyncLinksResponse> ServeFastSyncLinks(const BlockStore* store,
+                                                          const FastSyncLinksRequest& req,
+                                                          uint32_t responder) {
+  auto resp = std::make_shared<FastSyncLinksResponse>();
+  resp->responder = responder;
+  resp->seq = req.seq;
+  resp->from_round = req.from_round < 1 ? 1 : req.from_round;
+  // Bound the response a single request can make us build.
+  const uint32_t limit = std::clamp<uint32_t>(req.limit, 1, 256);
+  for (uint64_t r = resp->from_round; store != nullptr && resp->links.size() < limit; ++r) {
+    std::optional<ChainLink> link = store->ChainLinkAt(r);
+    if (!link.has_value()) {
+      break;  // Serve the contiguous prefix we hold (partial window).
+    }
+    resp->links.push_back(link->SerializePayload());
+  }
+  return resp;
+}
+
+std::shared_ptr<FastSyncChunkResponse> ServeFastSyncChunk(const BlockStore* store,
+                                                          const FastSyncChunkRequest& req,
+                                                          uint32_t responder) {
+  auto resp = std::make_shared<FastSyncChunkResponse>();
+  resp->responder = responder;
+  resp->seq = req.seq;
+  resp->round = req.round;
+  resp->offset = req.offset;
+  auto payload = store == nullptr ? nullptr : store->ReadCheckpointPayload(req.round);
+  if (payload == nullptr) {
+    return resp;
+  }
+  resp->total_bytes = payload->size();
+  if (req.offset < payload->size()) {
+    const uint64_t limit = std::clamp<uint64_t>(req.limit, 1, uint64_t{1} << 20);
+    const uint64_t n = std::min<uint64_t>(limit, payload->size() - req.offset);
+    resp->data.assign(payload->begin() + req.offset, payload->begin() + req.offset + n);
+  }
+  return resp;
+}
+
 std::vector<uint8_t> FastSyncManifestRequest::Serialize() const {
   Writer w;
   w.U32(requester);
@@ -77,17 +142,11 @@ std::vector<uint8_t> FastSyncManifestRequest::Serialize() const {
 
 std::optional<FastSyncManifestRequest> FastSyncManifestRequest::Deserialize(
     std::span<const uint8_t> data) {
-  Reader r(data);
-  FastSyncManifestRequest m;
-  m.requester = r.U32();
-  m.seq = r.U64();
-  if (!r.AtEnd()) {
-    return std::nullopt;
-  }
-  return m;
+  return DecodeExactly<FastSyncManifestRequest>(data, [](Reader& r, FastSyncManifestRequest& m) {
+    m.requester = r.U32();
+    m.seq = r.U64();
+  });
 }
-
-Hash256 FastSyncManifestRequest::ComputeDedupId() const { return Sha256::Hash(Serialize()); }
 
 std::vector<uint8_t> FastSyncManifestResponse::Serialize() const {
   Writer w;
@@ -100,19 +159,13 @@ std::vector<uint8_t> FastSyncManifestResponse::Serialize() const {
 
 std::optional<FastSyncManifestResponse> FastSyncManifestResponse::Deserialize(
     std::span<const uint8_t> data) {
-  Reader r(data);
-  FastSyncManifestResponse m;
-  m.responder = r.U32();
-  m.seq = r.U64();
-  m.manifest = r.Bytes();
-  m.payload_bytes = r.U64();
-  if (!r.AtEnd()) {
-    return std::nullopt;
-  }
-  return m;
+  return DecodeExactly<FastSyncManifestResponse>(data, [](Reader& r, FastSyncManifestResponse& m) {
+    m.responder = r.U32();
+    m.seq = r.U64();
+    m.manifest = r.Bytes();
+    m.payload_bytes = r.U64();
+  });
 }
-
-Hash256 FastSyncManifestResponse::ComputeDedupId() const { return Sha256::Hash(Serialize()); }
 
 std::vector<uint8_t> FastSyncLinksRequest::Serialize() const {
   Writer w;
@@ -125,19 +178,13 @@ std::vector<uint8_t> FastSyncLinksRequest::Serialize() const {
 
 std::optional<FastSyncLinksRequest> FastSyncLinksRequest::Deserialize(
     std::span<const uint8_t> data) {
-  Reader r(data);
-  FastSyncLinksRequest m;
-  m.requester = r.U32();
-  m.seq = r.U64();
-  m.from_round = r.U64();
-  m.limit = r.U32();
-  if (!r.AtEnd()) {
-    return std::nullopt;
-  }
-  return m;
+  return DecodeExactly<FastSyncLinksRequest>(data, [](Reader& r, FastSyncLinksRequest& m) {
+    m.requester = r.U32();
+    m.seq = r.U64();
+    m.from_round = r.U64();
+    m.limit = r.U32();
+  });
 }
-
-Hash256 FastSyncLinksRequest::ComputeDedupId() const { return Sha256::Hash(Serialize()); }
 
 std::vector<uint8_t> FastSyncLinksResponse::Serialize() const {
   Writer w;
@@ -182,8 +229,6 @@ uint64_t FastSyncLinksResponse::ComputeWireSize() const {
   return size;
 }
 
-Hash256 FastSyncLinksResponse::ComputeDedupId() const { return Sha256::Hash(Serialize()); }
-
 std::vector<uint8_t> FastSyncChunkRequest::Serialize() const {
   Writer w;
   w.U32(requester);
@@ -196,20 +241,14 @@ std::vector<uint8_t> FastSyncChunkRequest::Serialize() const {
 
 std::optional<FastSyncChunkRequest> FastSyncChunkRequest::Deserialize(
     std::span<const uint8_t> data) {
-  Reader r(data);
-  FastSyncChunkRequest m;
-  m.requester = r.U32();
-  m.seq = r.U64();
-  m.round = r.U64();
-  m.offset = r.U64();
-  m.limit = r.U32();
-  if (!r.AtEnd()) {
-    return std::nullopt;
-  }
-  return m;
+  return DecodeExactly<FastSyncChunkRequest>(data, [](Reader& r, FastSyncChunkRequest& m) {
+    m.requester = r.U32();
+    m.seq = r.U64();
+    m.round = r.U64();
+    m.offset = r.U64();
+    m.limit = r.U32();
+  });
 }
-
-Hash256 FastSyncChunkRequest::ComputeDedupId() const { return Sha256::Hash(Serialize()); }
 
 std::vector<uint8_t> FastSyncChunkResponse::Serialize() const {
   Writer w;
@@ -224,20 +263,14 @@ std::vector<uint8_t> FastSyncChunkResponse::Serialize() const {
 
 std::optional<FastSyncChunkResponse> FastSyncChunkResponse::Deserialize(
     std::span<const uint8_t> bytes) {
-  Reader r(bytes);
-  FastSyncChunkResponse m;
-  m.responder = r.U32();
-  m.seq = r.U64();
-  m.round = r.U64();
-  m.offset = r.U64();
-  m.total_bytes = r.U64();
-  m.data = r.Bytes();
-  if (!r.AtEnd()) {
-    return std::nullopt;
-  }
-  return m;
+  return DecodeExactly<FastSyncChunkResponse>(bytes, [](Reader& r, FastSyncChunkResponse& m) {
+    m.responder = r.U32();
+    m.seq = r.U64();
+    m.round = r.U64();
+    m.offset = r.U64();
+    m.total_bytes = r.U64();
+    m.data = r.Bytes();
+  });
 }
-
-Hash256 FastSyncChunkResponse::ComputeDedupId() const { return Sha256::Hash(Serialize()); }
 
 }  // namespace algorand

@@ -17,6 +17,7 @@
 #define ALGORAND_SRC_CORE_FASTSYNC_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -66,16 +67,10 @@ class FastSyncManifestRequest : public ProtocolMessage<MessageKind::kFastSyncMan
   uint32_t requester = 0;
   uint64_t seq = 0;  // Per-requester nonce; retries defeat gossip dedup.
 
-  static constexpr uint64_t kWireSize = 4 + 8;
-
   std::vector<uint8_t> Serialize() const override;
   static std::optional<FastSyncManifestRequest> Deserialize(std::span<const uint8_t> data);
 
   const char* TypeName() const override { return "fastsync_manifest_req"; }
-
- protected:
-  uint64_t ComputeWireSize() const override { return kWireSize; }
-  Hash256 ComputeDedupId() const override;
 };
 
 class FastSyncManifestResponse : public ProtocolMessage<MessageKind::kFastSyncManifestResponse> {
@@ -91,10 +86,6 @@ class FastSyncManifestResponse : public ProtocolMessage<MessageKind::kFastSyncMa
   static std::optional<FastSyncManifestResponse> Deserialize(std::span<const uint8_t> data);
 
   const char* TypeName() const override { return "fastsync_manifest_resp"; }
-
- protected:
-  uint64_t ComputeWireSize() const override { return 4 + 8 + 4 + manifest.size() + 8; }
-  Hash256 ComputeDedupId() const override;
 };
 
 // A window of certificate-chain links [from_round, from_round + limit).
@@ -105,16 +96,10 @@ class FastSyncLinksRequest : public ProtocolMessage<MessageKind::kFastSyncLinksR
   uint64_t from_round = 0;
   uint32_t limit = 0;
 
-  static constexpr uint64_t kWireSize = 4 + 8 + 8 + 4;
-
   std::vector<uint8_t> Serialize() const override;
   static std::optional<FastSyncLinksRequest> Deserialize(std::span<const uint8_t> data);
 
   const char* TypeName() const override { return "fastsync_links_req"; }
-
- protected:
-  uint64_t ComputeWireSize() const override { return kWireSize; }
-  Hash256 ComputeDedupId() const override;
 };
 
 class FastSyncLinksResponse : public ProtocolMessage<MessageKind::kFastSyncLinksResponse> {
@@ -133,7 +118,6 @@ class FastSyncLinksResponse : public ProtocolMessage<MessageKind::kFastSyncLinks
 
  protected:
   uint64_t ComputeWireSize() const override;
-  Hash256 ComputeDedupId() const override;
 };
 
 // A byte range of one checkpoint's payload.
@@ -145,16 +129,10 @@ class FastSyncChunkRequest : public ProtocolMessage<MessageKind::kFastSyncChunkR
   uint64_t offset = 0;  // Byte offset into the payload.
   uint32_t limit = 0;   // Max bytes wanted (responders clamp).
 
-  static constexpr uint64_t kWireSize = 4 + 8 + 8 + 8 + 4;
-
   std::vector<uint8_t> Serialize() const override;
   static std::optional<FastSyncChunkRequest> Deserialize(std::span<const uint8_t> data);
 
   const char* TypeName() const override { return "fastsync_chunk_req"; }
-
- protected:
-  uint64_t ComputeWireSize() const override { return kWireSize; }
-  Hash256 ComputeDedupId() const override;
 };
 
 class FastSyncChunkResponse : public ProtocolMessage<MessageKind::kFastSyncChunkResponse> {
@@ -173,8 +151,20 @@ class FastSyncChunkResponse : public ProtocolMessage<MessageKind::kFastSyncChunk
 
  protected:
   uint64_t ComputeWireSize() const override { return 4 + 8 + 8 + 8 + 8 + 4 + data.size(); }
-  Hash256 ComputeDedupId() const override;
 };
+
+// The serving side: pure functions of the responder's store (null = it holds
+// no history) and the request. Every request gets an answer, an empty one if
+// need be: the requester then rotates to another peer at once instead of
+// waiting out its timeout.
+std::shared_ptr<FastSyncManifestResponse> ServeFastSyncManifest(
+    const BlockStore* store, const FastSyncManifestRequest& req, uint32_t responder);
+std::shared_ptr<FastSyncLinksResponse> ServeFastSyncLinks(const BlockStore* store,
+                                                          const FastSyncLinksRequest& req,
+                                                          uint32_t responder);
+std::shared_ptr<FastSyncChunkResponse> ServeFastSyncChunk(const BlockStore* store,
+                                                          const FastSyncChunkRequest& req,
+                                                          uint32_t responder);
 
 }  // namespace algorand
 

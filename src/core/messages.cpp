@@ -24,23 +24,17 @@ std::vector<uint8_t> VoteMessage::Serialize() const {
 }
 
 std::optional<VoteMessage> VoteMessage::Deserialize(std::span<const uint8_t> data) {
-  Reader r(data);
-  VoteMessage m;
-  m.pk = r.Fixed<32>();
-  m.round = r.U64();
-  m.step = r.U32();
-  m.sorthash = r.Fixed<64>();
-  m.sort_proof = r.Fixed<80>();
-  m.prev_hash = r.Fixed<32>();
-  m.value = r.Fixed<32>();
-  m.signature = r.Fixed<64>();
-  if (!r.AtEnd()) {
-    return std::nullopt;
-  }
-  return m;
+  return DecodeExactly<VoteMessage>(data, [](Reader& r, VoteMessage& m) {
+    m.pk = r.Fixed<32>();
+    m.round = r.U64();
+    m.step = r.U32();
+    m.sorthash = r.Fixed<64>();
+    m.sort_proof = r.Fixed<80>();
+    m.prev_hash = r.Fixed<32>();
+    m.value = r.Fixed<32>();
+    m.signature = r.Fixed<64>();
+  });
 }
-
-Hash256 VoteMessage::ComputeDedupId() const { return Sha256::Hash(Serialize()); }
 
 std::vector<uint8_t> PriorityMessage::SignedBody() const {
   Writer w;
@@ -60,21 +54,15 @@ std::vector<uint8_t> PriorityMessage::Serialize() const {
 }
 
 std::optional<PriorityMessage> PriorityMessage::Deserialize(std::span<const uint8_t> data) {
-  Reader r(data);
-  PriorityMessage m;
-  m.pk = r.Fixed<32>();
-  m.round = r.U64();
-  m.sorthash = r.Fixed<64>();
-  m.sort_proof = r.Fixed<80>();
-  m.sub_users = r.U64();
-  m.signature = r.Fixed<64>();
-  if (!r.AtEnd()) {
-    return std::nullopt;
-  }
-  return m;
+  return DecodeExactly<PriorityMessage>(data, [](Reader& r, PriorityMessage& m) {
+    m.pk = r.Fixed<32>();
+    m.round = r.U64();
+    m.sorthash = r.Fixed<64>();
+    m.sort_proof = r.Fixed<80>();
+    m.sub_users = r.U64();
+    m.signature = r.Fixed<64>();
+  });
 }
-
-Hash256 PriorityMessage::ComputeDedupId() const { return Sha256::Hash(Serialize()); }
 
 std::optional<BlockMessage> BlockMessage::Deserialize(std::span<const uint8_t> data) {
   std::optional<Block> block = Block::Deserialize(data);
@@ -96,18 +84,12 @@ std::vector<uint8_t> BlockRequestMessage::Serialize() const {
 
 std::optional<BlockRequestMessage> BlockRequestMessage::Deserialize(
     std::span<const uint8_t> data) {
-  Reader r(data);
-  BlockRequestMessage m;
-  m.round = r.U64();
-  m.block_hash = r.Fixed<32>();
-  m.requester = r.U32();
-  if (!r.AtEnd()) {
-    return std::nullopt;
-  }
-  return m;
+  return DecodeExactly<BlockRequestMessage>(data, [](Reader& r, BlockRequestMessage& m) {
+    m.round = r.U64();
+    m.block_hash = r.Fixed<32>();
+    m.requester = r.U32();
+  });
 }
-
-Hash256 BlockRequestMessage::ComputeDedupId() const { return Sha256::Hash(Serialize()); }
 
 std::optional<TransactionMessage> TransactionMessage::Deserialize(std::span<const uint8_t> data) {
   Reader r(data);

@@ -13,6 +13,7 @@
 
 #include "src/common/bytes.h"
 #include "src/common/serialize.h"
+#include "src/crypto/sha256.h"
 #include "src/crypto/signer.h"
 #include "src/ledger/block.h"
 #include "src/netsim/message.h"
@@ -61,6 +62,13 @@ class ProtocolMessage : public SimMessage {
   static constexpr MessageKind kKind = K;
 
   ProtocolMessage() : SimMessage(static_cast<uint8_t>(K)) {}
+
+ protected:
+  // The defaults: the size and hash of the wire bytes. Messages that are
+  // big or hot size themselves by arithmetic; blocks, payments and recovery
+  // proposals have a narrower identity.
+  uint64_t ComputeWireSize() const override { return Serialize().size(); }
+  Hash256 ComputeDedupId() const override { return Sha256::Hash(Serialize()); }
 };
 
 // Committee vote (Algorithm 4): the signed payload covers round, step, the
@@ -90,7 +98,6 @@ class VoteMessage : public ProtocolMessage<MessageKind::kVote> {
 
  protected:
   uint64_t ComputeWireSize() const override { return kWireSize; }
-  Hash256 ComputeDedupId() const override;
 };
 
 // First proposal message (§6): small, carries only the proposer's priority
@@ -115,7 +122,6 @@ class PriorityMessage : public ProtocolMessage<MessageKind::kPriority> {
 
  protected:
   uint64_t ComputeWireSize() const override { return kWireSize; }
-  Hash256 ComputeDedupId() const override;
 };
 
 // Second proposal message: the full block (§6). The block embeds the
@@ -152,7 +158,6 @@ class BlockRequestMessage : public ProtocolMessage<MessageKind::kBlockRequest> {
 
  protected:
   uint64_t ComputeWireSize() const override { return kWireSize; }
-  Hash256 ComputeDedupId() const override;
 };
 
 // A payment submitted by a client, gossiped to reach whoever proposes the

@@ -1,7 +1,6 @@
 #include "src/core/node.h"
 
 #include <cstring>
-#include <iterator>
 
 #include "src/common/serialize.h"
 #include "src/common/verify_pool.h"
@@ -65,7 +64,7 @@ Node::Node(NodeId id, Executor* sim, GossipAgent* gossip, const Ed25519KeyPair& 
       mempool_(MempoolConfig{static_cast<size_t>(params.mempool_capacity)}),
       tx_verifier_(crypto.signer, crypto.cache, crypto.pool),
       applier_(crypto.exec_pool),
-      catchup_rng_(id, "catchup") {
+      sync_(id, this, &ledger_, params_, *crypto.vrf, *crypto.signer, store_) {
   genesis_hash_ = ledger_.tip_hash();  // The ledger is genesis-fresh here.
   ledger_.SetApplier(&applier_);
   gossip_->set_validator([this](const MessagePtr& msg) { return ValidateForRelay(msg); });
@@ -91,6 +90,7 @@ void Node::AttachObservability(MetricsRegistry* metrics, RoundTracer* tracer) {
   tracer_ = tracer;
   mempool_.AttachMetrics(metrics);
   applier_.AttachMetrics(metrics);
+  sync_.AttachMetrics(metrics);
   if (metrics == nullptr) {
     obs_ = Instruments{};
     return;
@@ -104,21 +104,6 @@ void Node::AttachObservability(MetricsRegistry* metrics, RoundTracer* tracer) {
   obs_.rounds_empty = &metrics->GetCounter("node.rounds.empty");
   obs_.rounds_hung = &metrics->GetCounter("node.rounds.hung");
   obs_.recoveries = &metrics->GetCounter("node.recoveries");
-  obs_.catchup_sessions = &metrics->GetCounter("catchup.sessions");
-  obs_.catchup_requests = &metrics->GetCounter("catchup.requests");
-  obs_.catchup_served = &metrics->GetCounter("catchup.served");
-  obs_.catchup_timeouts = &metrics->GetCounter("catchup.timeouts");
-  obs_.catchup_bad_batches = &metrics->GetCounter("catchup.bad_batches");
-  obs_.catchup_blocks = &metrics->GetCounter("catchup.blocks_applied");
-  obs_.catchup_completed = &metrics->GetCounter("catchup.completed");
-  obs_.catchup_rotations = &metrics->GetCounter("catchup.peer_rotations");
-  obs_.catchup_aborted = &metrics->GetCounter("catchup.aborted");
-  obs_.fastsync_sessions = &metrics->GetCounter("catchup.fastsync_sessions");
-  obs_.fastsync_completed = &metrics->GetCounter("catchup.fastsync_completed");
-  obs_.fastsync_failed = &metrics->GetCounter("catchup.fastsync_failed");
-  obs_.fastsync_links = &metrics->GetCounter("catchup.fastsync_links_verified");
-  obs_.fastsync_bytes = &metrics->GetCounter("catchup.fastsync_bytes");
-  obs_.fastsync_served = &metrics->GetCounter("catchup.fastsync_served");
   obs_.checkpoints_requested = &metrics->GetCounter("node.checkpoints_requested");
   obs_.step_time_ms = &metrics->GetHistogram("ba.step_time_ms");
   obs_.proposal_time_ms = &metrics->GetHistogram("ba.proposal_time_ms");
@@ -736,8 +721,16 @@ bool Node::ValidateBlockContents(const Block& block) const {
 
 GossipVerdict Node::ValidateForRelay(const MessagePtr& msg) {
   switch (KindOf(*msg)) {
-    case MessageKind::kRecoveryProposal:
-      return ValidateRecoveryProposal(static_cast<const RecoveryProposalMessage&>(*msg));
+    case MessageKind::kRecoveryProposal: {
+      uint64_t votes = 0;
+      GossipVerdict verdict =
+          ValidateRecoveryProposal(static_cast<const RecoveryProposalMessage&>(*msg), &votes);
+      if (verdict != GossipVerdict::kReject && votes > 0) {
+        relay_recovery_ = {msg->DedupId(), recovery_code_, recovery_ctx_.prev_hash};
+        relay_recovery_votes_ = votes;
+      }
+      return verdict;
+    }
     case MessageKind::kVote: {
       const auto& vote = static_cast<const VoteMessage&>(*msg);
       if (vote.round & kRecoveryRoundBit) {
@@ -842,7 +835,7 @@ void Node::HandleMessage(const MessagePtr& msg) {
   auto current = [&](uint64_t round) {
     if (round > current_round_) {
       RememberFutureMessage(round, msg);
-      NoteCatchupEvidence(round);
+      sync_.NoteEvidence(round, current_round_);
     }
     return round == current_round_;
   };
@@ -880,35 +873,14 @@ void Node::HandleMessage(const MessagePtr& msg) {
     case MessageKind::kTransaction:
       SubmitTransaction(static_cast<const TransactionMessage&>(*msg).tx);
       return;
-    case MessageKind::kCatchupRequest:
-      HandleCatchupRequest(As<CatchupRequestMessage>(msg));
-      return;
-    case MessageKind::kCatchupResponse:
-      HandleCatchupResponse(As<CatchupResponseMessage>(msg));
-      return;
-    case MessageKind::kFastSyncManifestRequest:
-      HandleFastSyncManifestRequest(As<FastSyncManifestRequest>(msg));
-      return;
-    case MessageKind::kFastSyncManifestResponse:
-      HandleFastSyncManifestResponse(As<FastSyncManifestResponse>(msg));
-      return;
-    case MessageKind::kFastSyncLinksRequest:
-      HandleFastSyncLinksRequest(As<FastSyncLinksRequest>(msg));
-      return;
-    case MessageKind::kFastSyncLinksResponse:
-      HandleFastSyncLinksResponse(As<FastSyncLinksResponse>(msg));
-      return;
-    case MessageKind::kFastSyncChunkRequest:
-      HandleFastSyncChunkRequest(As<FastSyncChunkRequest>(msg));
-      return;
-    case MessageKind::kFastSyncChunkResponse:
-      HandleFastSyncChunkResponse(As<FastSyncChunkResponse>(msg));
+    default:
+      sync_.HandleMessage(msg);  // Catch-up and fast-sync traffic.
       return;
   }
 }
 
 void Node::HandleVote(const std::shared_ptr<const VoteMessage>& vote) {
-  if (catchup_.active || fastsync_.active) {
+  if (sync_.active()) {
     return;  // A stale BA* must not complete mid-catch-up.
   }
   if (vote->round & kRecoveryRoundBit) {
@@ -941,7 +913,7 @@ void Node::HandleVote(const std::shared_ptr<const VoteMessage>& vote) {
 }
 
 void Node::HandlePriority(const std::shared_ptr<const PriorityMessage>& msg) {
-  if (catchup_.active || fastsync_.active) {
+  if (sync_.active()) {
     return;
   }
   if (!crypto_.signer->Verify(msg->pk, msg->SignedBody(), msg->signature)) {
@@ -964,7 +936,7 @@ void Node::HandlePriority(const std::shared_ptr<const PriorityMessage>& msg) {
 }
 
 void Node::HandleBlock(const std::shared_ptr<const BlockMessage>& msg) {
-  if (catchup_.active || fastsync_.active) {
+  if (sync_.active()) {
     return;
   }
   const Block& block = msg->block;
@@ -1060,44 +1032,10 @@ void Node::HandleBlockRequest(const std::shared_ptr<const BlockRequestMessage>& 
 }
 
 // ---------------------------------------------------------------------------
-// Live catch-up (§8.3): a lagging or restarted node fetches block+certificate
-// batches from peers instead of waiting for the chain to come to it.
+// SyncHost: the node side of live catch-up and fast-sync (catchup.h)
 // ---------------------------------------------------------------------------
 
-void Node::NoteCatchupEvidence(uint64_t round) {
-  if (halted_) {
-    return;
-  }
-  if (fastsync_.active) {
-    // Same rule as below: gossip evidence may only widen the target.
-    if (round > 0 && round - 1 > fastsync_.target_round) {
-      fastsync_.target_round = round - 1;
-    }
-    return;
-  }
-  if (catchup_.active) {
-    // Already fetching; only widen the target. The target always comes from
-    // gossip evidence (a vote/block for `round` implies rounds < round are
-    // settled somewhere), never from a responder's self-reported tip — a
-    // Byzantine responder must not be able to inflate it.
-    if (round > 0 && round - 1 > catchup_.target_round) {
-      catchup_.target_round = round - 1;
-    }
-    return;
-  }
-  if (round > current_round_ + params_.catchup_trigger_lead) {
-    // A genesis-fresh node (nothing to lose, everything to fetch) prefers
-    // checkpoint fast-sync when enabled; everyone else block-catches-up.
-    if (params_.fastsync_enabled && ledger_.chain_length() == 1) {
-      StartFastSync(round - 1);
-    } else {
-      StartCatchup(round - 1);
-    }
-  }
-}
-
-void Node::StartCatchup(uint64_t target_round) {
-  ++catchup_session_;
+void Node::LeaveRound() {
   ++sched_epoch_;  // Kill BA*/proposal timers for the round we are leaving.
   // Catch-up preempts an in-progress recovery session: certificate-backed
   // evidence of rounds ahead means the network moved on without us, so
@@ -1106,341 +1044,58 @@ void Node::StartCatchup(uint64_t target_round) {
   // must not lock the node out of catch-up forever.
   in_recovery_ = false;
   phase_ = Phase::kCatchup;
-  catchup_ = CatchupState{};
-  catchup_.active = true;
-  catchup_.target_round = target_round;
-  catchup_.started_at_round = ledger_.next_round() - 1;
-  if (obs_.catchup_sessions != nullptr) {
-    obs_.catchup_sessions->Increment();
-  }
-  Trace(TraceKind::kCatchupStart, 0, target_round);
-  PumpCatchup();
 }
 
-void Node::PumpCatchup() {
-  if (!catchup_.active || halted_) {
-    return;
+void Node::Synced() {
+  hung_ = false;
+  fork_monitor_.Prune(ledger_.HighestFinalRound().value_or(0));
+}
+
+void Node::CommitSyncedRound(const Block& block, const Certificate& cert) {
+  if (KeepsCertificate(block.round)) {
+    certificates_[block.round] = cert;
   }
-  // Apply every ready batch that starts at (or before) the next needed round.
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (auto it = catchup_.ready.begin(); it != catchup_.ready.end(); ++it) {
-      if (it->first > ledger_.next_round()) {
-        continue;
-      }
-      auto resp = it->second;
-      catchup_.ready.erase(it);
-      uint64_t applied = 0;
-      if (!ApplyCatchupResponse(*resp, &applied)) {
-        if (obs_.catchup_bad_batches != nullptr) {
-          obs_.catchup_bad_batches->Increment();
-        }
-        FailCatchupAttempt();  // Rotates to a different peer with backoff.
-        return;
-      }
-      if (applied > 0) {
-        catchup_.attempt = 0;  // Progress resets the failure streaks.
-        catchup_.empty_streak = 0;
-      }
-      progressed = true;
-      break;  // Iterator invalidated; rescan.
-    }
+  StreamRoundToStore(block.round, &cert, nullptr);
+  mempool_.ObserveCommitted(block.txns, ledger_.accounts());
+}
+
+void Node::CommitFinalCertificate(const Certificate& final_cert) {
+  if (KeepsCertificate(final_cert.round)) {
+    final_certificates_[final_cert.round] = final_cert;
   }
-  if (ledger_.next_round() > catchup_.target_round) {
-    FinishCatchup();
-    return;
-  }
-  if (sim_->now() < catchup_.blocked_until) {
-    return;  // Backing off; the scheduled wakeup will re-pump.
-  }
-  while (catchup_.inflight.size() < params_.catchup_max_inflight) {
-    uint64_t from = CatchupFrontier();
-    if (from > catchup_.target_round) {
-      break;  // Everything up to the target is applied, inflight, or ready.
-    }
-    SendCatchupRequest(from);
-    if (catchup_.inflight.find(from) == catchup_.inflight.end()) {
-      break;  // No peers available; evidence will retrigger later.
-    }
+  if (store_ != nullptr) {
+    store_->AppendFinalUpgrade(final_cert.round, final_cert.Serialize());
   }
 }
 
-uint64_t Node::CatchupFrontier() const {
-  // Lowest round not yet applied and not covered by an inflight request's
-  // window or a ready batch. Sharded peers may answer with partial batches;
-  // the frontier then lands exactly on the gap so the next request (to a
-  // different peer) fills it.
-  uint64_t frontier = ledger_.next_round();
-  bool moved = true;
-  while (moved) {
-    moved = false;
-    for (const auto& [from, pending] : catchup_.inflight) {
-      if (frontier >= from && frontier < from + pending.limit) {
-        frontier = from + pending.limit;
-        moved = true;
-      }
+bool Node::InstallCheckpoint(VerifiedCheckpoint cp, std::vector<uint8_t> payload,
+                             const std::vector<ChainLink>& links) {
+  if (!ledger_.InstallCheckpoint(cp.tip, std::move(cp.accounts), cp.seed_base,
+                                 std::move(cp.seeds))) {
+    return false;
+  }
+  const uint64_t b = cp.manifest.round;
+  last_checkpoint_round_ = b;
+  if (store_ != nullptr) {
+    // Persist what we verified: the checkpoint payload (so a restart resumes
+    // from here, and we can serve fast-sync in turn), the primed log, and
+    // the cert chain below b.
+    store_->AdoptCheckpoint(b, std::move(payload));
+    store_->PrimeAt(b + 1, cp.manifest.tip_hash);
+    std::vector<std::vector<uint8_t>> payloads;
+    payloads.reserve(links.size());
+    for (const ChainLink& l : links) {
+      payloads.push_back(l.SerializePayload());
     }
-    for (const auto& [from, resp] : catchup_.ready) {
-      if (frontier >= from && frontier < from + resp->entries.size()) {
-        frontier = from + resp->entries.size();
-        moved = true;
-      }
-    }
+    store_->AppendChainLinks(std::move(payloads));
   }
-  return frontier;
-}
-
-NodeId Node::NextCatchupPeer() {
-  if (catchup_.peers.empty()) {
-    // Draw from every addressable node (§9 address book), not just gossip
-    // neighbours: certificates may be sharded across the network, and the
-    // shard class holding the frontier round is not guaranteed to appear in
-    // a small neighbour set.
-    size_t n = gossip_->network_size();
-    for (NodeId p = 0; p < n; ++p) {
-      if (p != id_) {
-        catchup_.peers.push_back(p);
-      }
-    }
-    if (catchup_.peers.empty()) {
-      catchup_.peers = gossip_->neighbors();
-    }
-    catchup_rng_.Shuffle(&catchup_.peers);
-    catchup_.peer_cursor = 0;
-  }
-  NodeId peer = catchup_.peers[catchup_.peer_cursor % catchup_.peers.size()];
-  ++catchup_.peer_cursor;
-  return peer;
-}
-
-void Node::SendCatchupRequest(uint64_t from_round) {
-  if (catchup_.peers.empty() && gossip_->neighbors().empty()) {
-    return;
-  }
-  NodeId peer = NextCatchupPeer();
-  auto req = std::make_shared<CatchupRequestMessage>();
-  req->requester = id_;
-  req->seq = catchup_seq_++;
-  req->from_round = from_round;
-  req->limit = params_.catchup_batch_limit;
-  catchup_.inflight[from_round] = CatchupState::Pending{peer, req->seq, req->limit};
-  if (obs_.catchup_requests != nullptr) {
-    obs_.catchup_requests->Increment();
-  }
-  gossip_->SendTo(peer, req);
-  // Per-request timeout: if the answer never lands, drop the slot and rotate.
-  uint64_t session = catchup_session_;
-  uint64_t seq = req->seq;
-  sim_->Schedule(params_.catchup_timeout, [this, session, seq, from_round] {
-    if (halted_ || !catchup_.active || catchup_session_ != session) {
-      return;
-    }
-    auto it = catchup_.inflight.find(from_round);
-    if (it == catchup_.inflight.end() || it->second.seq != seq) {
-      return;  // Answered (or superseded) in time.
-    }
-    catchup_.inflight.erase(it);
-    if (obs_.catchup_timeouts != nullptr) {
-      obs_.catchup_timeouts->Increment();
-    }
-    FailCatchupAttempt();
-  });
-}
-
-void Node::FailCatchupAttempt() {
-  if (!catchup_.active) {
-    return;
-  }
-  ++catchup_.attempt;
-  if (obs_.catchup_rotations != nullptr) {
-    obs_.catchup_rotations->Increment();
-  }
-  if (catchup_.attempt > 10) {
-    // Evidence may have been fabricated (an unreachable target keeps every
-    // peer "failing"); abort rather than wedge. Fresh evidence retriggers.
-    AbortCatchup();
-    return;
-  }
-  // Exponential backoff with jitter before asking the next peer.
-  SimTime backoff = params_.catchup_backoff_base;
-  for (uint32_t i = 1; i < catchup_.attempt && backoff < params_.catchup_backoff_max; ++i) {
-    backoff *= 2;
-  }
-  if (backoff > params_.catchup_backoff_max) {
-    backoff = params_.catchup_backoff_max;
-  }
-  backoff += static_cast<SimTime>(
-      catchup_rng_.UniformU64(static_cast<uint64_t>(params_.catchup_backoff_base)));
-  catchup_.blocked_until = sim_->now() + backoff;
-  uint64_t session = catchup_session_;
-  sim_->Schedule(backoff, [this, session] {
-    if (halted_ || !catchup_.active || catchup_session_ != session) {
-      return;
-    }
-    catchup_.blocked_until = 0;
-    PumpCatchup();
-  });
-}
-
-void Node::HandleCatchupRequest(const std::shared_ptr<const CatchupRequestMessage>& msg) {
-  auto resp = BuildCatchupResponse(*msg);
-  if (resp == nullptr) {
-    return;
-  }
-  if (obs_.catchup_served != nullptr) {
-    obs_.catchup_served->Increment();
-  }
-  gossip_->SendTo(msg->requester, resp);
+  fork_monitor_.Prune(b);
+  return true;
 }
 
 std::shared_ptr<CatchupResponseMessage> Node::BuildCatchupResponse(
     const CatchupRequestMessage& req) const {
-  auto resp = std::make_shared<CatchupResponseMessage>();
-  resp->responder = id_;
-  resp->seq = req.seq;
-  resp->from_round = req.from_round;
-  resp->tip_round = ledger_.chain_length() - 1;
-  uint32_t limit = req.limit == 0 ? 1 : req.limit;
-  if (limit > 64) {
-    limit = 64;  // Bound the response a single request can make us build.
-  }
-  uint64_t r = req.from_round < 1 ? 1 : req.from_round;
-  uint64_t last_served = 0;
-  const uint64_t base = ledger_.base_round();
-  while (r < ledger_.chain_length() && resp->entries.size() < limit) {
-    // A shard gap in memory — or a round at/below our compacted base, whose
-    // block the ledger no longer holds — falls through to the durable log,
-    // which keeps block and certificate for every retained round (the index
-    // makes this an O(1) seek, not a segment scan). Rounds compaction pruned
-    // come back empty, so the batch honestly ends where our history does.
-    std::optional<CatchupResponseMessage::Entry> entry;
-    if (auto it = certificates_.find(r); it != certificates_.end() && r > base) {
-      entry = CatchupResponseMessage::Entry{ledger_.BlockAtRound(r), it->second};
-    } else if (store_ != nullptr) {
-      if (auto stored = store_->ReadRound(r); stored.has_value() && !stored->cert.empty()) {
-        auto cert = Certificate::Deserialize(stored->cert);
-        auto block = Block::Deserialize(stored->block);
-        if (cert.has_value() && block.has_value()) {
-          entry = CatchupResponseMessage::Entry{std::move(*block), std::move(*cert)};
-        }
-      }
-    }
-    if (!entry.has_value()) {
-      break;  // Sharded/pruned storage: serve the prefix we hold (partial batch).
-    }
-    resp->entries.push_back(std::move(*entry));
-    last_served = r++;
-  }
-  // Attach the highest final-step certificate covering the served prefix so
-  // the requester can mark finality (final blocks are totally ordered, §8.3).
-  if (auto it = final_certificates_.upper_bound(last_served); it != final_certificates_.begin()) {
-    resp->final_cert = std::prev(it)->second;
-  }
-  return resp;
-}
-
-void Node::HandleCatchupResponse(const std::shared_ptr<const CatchupResponseMessage>& msg) {
-  if (halted_ || !catchup_.active) {
-    return;
-  }
-  auto it = catchup_.inflight.find(msg->from_round);
-  if (it == catchup_.inflight.end() || it->second.seq != msg->seq ||
-      it->second.peer != msg->responder) {
-    return;  // Unsolicited, stale, or spoofed; only the asked peer may answer.
-  }
-  catchup_.inflight.erase(it);
-  if (msg->entries.empty()) {
-    // The peer answered but had nothing for this window — under sharded
-    // certificate storage that is routine (wrong shard class), so rotate to
-    // the next peer immediately instead of paying exponential backoff: the
-    // round-trip itself paces the loop, and backing off here loses the race
-    // against a live network advancing one round per agreement interval.
-    // The streak bound still catches fabricated evidence (a target beyond
-    // every honest tip makes every peer answer empty forever).
-    ++catchup_.empty_streak;
-    if (obs_.catchup_rotations != nullptr) {
-      obs_.catchup_rotations->Increment();
-    }
-    if (catchup_.empty_streak > 32 + catchup_.peers.size()) {
-      AbortCatchup();
-      return;
-    }
-    PumpCatchup();
-    return;
-  }
-  catchup_.ready[msg->from_round] = msg;
-  PumpCatchup();
-}
-
-bool Node::ApplyCatchupResponse(const CatchupResponseMessage& resp, uint64_t* applied) {
-  for (const CatchupResponseMessage::Entry& e : resp.entries) {
-    const uint64_t round = ledger_.next_round();
-    if (e.block.round < round) {
-      continue;  // Overlap with already-applied rounds is harmless.
-    }
-    if (e.block.round > round) {
-      break;  // Gap inside the batch; stop at the contiguous prefix.
-    }
-    // Default rules: a certificate is required, the kind is its step's.
-    if (AppendCertifiedRound(&ledger_, params_, *crypto_.vrf, *crypto_.signer, e.block, &e.cert,
-                             nullptr, {}) != RoundCheck::kOk) {
-      return false;
-    }
-    if (KeepsCertificate(round)) {
-      certificates_[round] = e.cert;
-    }
-    StreamRoundToStore(round, &e.cert, nullptr);
-    mempool_.ObserveCommitted(e.block.txns, ledger_.accounts());
-    ++*applied;
-    if (obs_.catchup_blocks != nullptr) {
-      obs_.catchup_blocks->Increment();
-    }
-  }
-  if (resp.final_cert.has_value()) {
-    const Certificate& fc = *resp.final_cert;
-    // One beyond what we applied is ignored, not an error: a partial batch
-    // legitimately undershoots the responder's final round.
-    RoundCheck check = MarkCertifiedFinal(&ledger_, params_, *crypto_.vrf, *crypto_.signer, fc);
-    if (check != RoundCheck::kOk && check != RoundCheck::kOutsideChain) {
-      return false;
-    }
-    if (check == RoundCheck::kOk && KeepsCertificate(fc.round)) {
-      final_certificates_[fc.round] = fc;
-    }
-    if (check == RoundCheck::kOk && store_ != nullptr) {
-      store_->AppendFinalUpgrade(fc.round, fc.Serialize());
-    }
-  }
-  if (*applied > 0) {
-    Trace(TraceKind::kCatchupBatch, 0, *applied, resp.responder);
-    MaybeCheckpoint();
-  }
-  return true;
-}
-
-void Node::FinishCatchup() {
-  uint64_t gained = ledger_.next_round() - 1 - catchup_.started_at_round;
-  catchup_ = CatchupState{};
-  ++catchup_session_;  // Orphans any pending timeout/backoff lambdas.
-  ++catchups_completed_;
-  hung_ = false;
-  fork_monitor_.Prune(ledger_.HighestFinalRound().value_or(0));
-  if (obs_.catchup_completed != nullptr) {
-    obs_.catchup_completed->Increment();
-  }
-  Trace(TraceKind::kCatchupDone, 0, gained);
-  // Rejoin live BA* at the new tip; buffered tip-round traffic replays there.
-  StartRound(ledger_.next_round());
-}
-
-void Node::AbortCatchup() {
-  catchup_ = CatchupState{};
-  ++catchup_session_;
-  if (obs_.catchup_aborted != nullptr) {
-    obs_.catchup_aborted->Increment();
-  }
-  StartRound(ledger_.next_round());
+  return ServeCatchup(ledger_, certificates_, final_certificates_, store_, req, id_);
 }
 
 // ---------------------------------------------------------------------------
@@ -1529,12 +1184,9 @@ bool Node::RestoreFromStore(BlockStore* store) {
 void Node::Halt() {
   halted_ = true;
   ++sched_epoch_;  // Dead: every pending lambda must find a changed epoch...
-  ++catchup_session_;  // ...or session, and the halted_ flag backstops both.
+  sync_.Stop();    // ...or sync epoch, and the halted_ flag backstops both.
   phase_ = Phase::kIdle;
   in_recovery_ = false;
-  catchup_ = CatchupState{};
-  ++fastsync_session_;
-  fastsync_ = FastSyncState{};
 }
 
 // ---------------------------------------------------------------------------
@@ -1557,7 +1209,7 @@ void Node::ScheduleRecoveryCheck() {
     if (halted_) {
       return;  // A crashed node must stop rescheduling itself.
     }
-    if (!in_recovery_ && !catchup_.active && !fastsync_.active &&
+    if (!in_recovery_ && !sync_.active() &&
         (hung_ || fork_monitor_.ForkSuspected())) {
       recovery_attempt_ = 0;
       recovery_window_ = static_cast<uint64_t>(sim_->now() / params_.recovery_interval);
@@ -1568,7 +1220,7 @@ void Node::ScheduleRecoveryCheck() {
 }
 
 void Node::MaybeJoinRecoverySession(uint64_t code) {
-  if (halted_ || catchup_.active || fastsync_.active) {
+  if (halted_ || sync_.active()) {
     return;  // Catch-up owns the node until it finishes or aborts.
   }
   if (!hung_ && !fork_monitor_.ForkSuspected() && !in_recovery_) {
@@ -1663,18 +1315,20 @@ void Node::MaybeProposeRecovery() {
   GossipMessage(msg);
 }
 
-GossipVerdict Node::ValidateRecoveryProposal(const RecoveryProposalMessage& msg) {
+GossipVerdict Node::ValidateRecoveryProposal(const RecoveryProposalMessage& msg,
+                                             uint64_t* votes) {
+  *votes = 0;
   if (!in_recovery_ || msg.code != recovery_code_) {
     return GossipVerdict::kDeliverOnly;  // Can't judge it; let it pass once.
   }
   if (!crypto_.signer->Verify(msg.pk, msg.SignedBody(), msg.signature)) {
     return GossipVerdict::kReject;
   }
-  uint64_t votes = VerifySortition(*crypto_.vrf, msg.pk, msg.sorthash, msg.sort_proof,
-                                   recovery_ctx_.seed, params_.tau_proposer, Role::kRecovery,
-                                   recovery_code_, 0, recovery_ctx_.weight_of(msg.pk),
-                                   recovery_ctx_.total_weight);
-  if (votes == 0) {
+  *votes = VerifySortition(*crypto_.vrf, msg.pk, msg.sorthash, msg.sort_proof,
+                           recovery_ctx_.seed, params_.tau_proposer, Role::kRecovery,
+                           recovery_code_, 0, recovery_ctx_.weight_of(msg.pk),
+                           recovery_ctx_.total_weight);
+  if (*votes == 0) {
     return GossipVerdict::kReject;
   }
   // The proposed chain must link from our final prefix and be at least as
@@ -1702,14 +1356,12 @@ void Node::HandleRecoveryProposal(const std::shared_ptr<const RecoveryProposalMe
   if (!in_recovery_ || msg->code != recovery_code_) {
     return;
   }
-  if (ValidateRecoveryProposal(*msg) == GossipVerdict::kReject) {
-    return;
-  }
-  uint64_t votes = VerifySortition(*crypto_.vrf, msg->pk, msg->sorthash, msg->sort_proof,
-                                   recovery_ctx_.seed, params_.tau_proposer, Role::kRecovery,
-                                   recovery_code_, 0, recovery_ctx_.weight_of(msg->pk),
-                                   recovery_ctx_.total_weight);
-  if (votes == 0) {
+  // The validator's verdict stands unless it could not judge the proposal
+  // (the session was only just joined) or never saw it (our own proposal).
+  uint64_t votes = 0;
+  if (relay_recovery_ == std::tuple(msg->DedupId(), recovery_code_, recovery_ctx_.prev_hash)) {
+    votes = relay_recovery_votes_;
+  } else if (ValidateRecoveryProposal(*msg, &votes) == GossipVerdict::kReject) {
     return;
   }
   if (msg->block.round < ledger_.next_round()) {
@@ -1788,7 +1440,7 @@ void Node::OnRecoveryBaComplete(const BaResult& result) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoints + certificate-chain fast-sync (DESIGN.md §13)
+// Checkpoints (DESIGN.md §13)
 // ---------------------------------------------------------------------------
 
 void Node::MaybeCheckpoint() {
@@ -1843,347 +1495,6 @@ void Node::MaybeCheckpoint() {
         data.accounts = w.Take();
         return data.Serialize();
       });
-}
-
-void Node::StartFastSync(uint64_t target_round) {
-  ++fastsync_session_;
-  ++sched_epoch_;  // Kill BA*/proposal timers for the round we are leaving.
-  in_recovery_ = false;
-  phase_ = Phase::kCatchup;
-  fastsync_ = FastSyncState{};
-  fastsync_.active = true;
-  fastsync_.target_round = target_round;
-  fastsync_.prev_hash = genesis_hash_;  // The cert chain starts at round 0.
-  if (obs_.fastsync_sessions != nullptr) {
-    obs_.fastsync_sessions->Increment();
-  }
-  Trace(TraceKind::kCatchupStart, 1, target_round);
-  fastsync_.peer = NextFastSyncPeer();
-  SendFastSyncManifestRequest();
-}
-
-NodeId Node::NextFastSyncPeer() {
-  // One random peer per attempt (no pool: an attempt is a whole
-  // manifest -> links -> chunks conversation with a single peer).
-  size_t n = gossip_->network_size();
-  if (n <= 1) {
-    auto nb = gossip_->neighbors();
-    return nb.empty() ? id_ : nb[catchup_rng_.UniformU64(nb.size())];
-  }
-  NodeId peer = static_cast<NodeId>(catchup_rng_.UniformU64(n));
-  while (peer == id_) {
-    peer = static_cast<NodeId>(catchup_rng_.UniformU64(n));
-  }
-  return peer;
-}
-
-void Node::SendFastSyncManifestRequest() {
-  auto req = std::make_shared<FastSyncManifestRequest>();
-  req->requester = id_;
-  req->seq = fastsync_seq_++;
-  fastsync_.seq = req->seq;
-  gossip_->SendTo(fastsync_.peer, req);
-  ArmFastSyncTimeout(req->seq);
-}
-
-void Node::SendFastSyncLinksRequest() {
-  auto req = std::make_shared<FastSyncLinksRequest>();
-  req->requester = id_;
-  req->seq = fastsync_seq_++;
-  req->from_round = fastsync_.next_link;
-  req->limit = params_.fastsync_links_batch == 0 ? 1 : params_.fastsync_links_batch;
-  fastsync_.seq = req->seq;
-  gossip_->SendTo(fastsync_.peer, req);
-  ArmFastSyncTimeout(req->seq);
-}
-
-void Node::SendFastSyncChunkRequest() {
-  auto req = std::make_shared<FastSyncChunkRequest>();
-  req->requester = id_;
-  req->seq = fastsync_seq_++;
-  req->round = fastsync_.manifest.round;
-  req->offset = fastsync_.payload.size();
-  req->limit = params_.fastsync_chunk_bytes == 0 ? 1 : params_.fastsync_chunk_bytes;
-  fastsync_.seq = req->seq;
-  gossip_->SendTo(fastsync_.peer, req);
-  ArmFastSyncTimeout(req->seq);
-}
-
-void Node::ArmFastSyncTimeout(uint64_t seq) {
-  uint64_t session = fastsync_session_;
-  sim_->Schedule(params_.catchup_timeout, [this, session, seq] {
-    if (halted_ || !fastsync_.active || fastsync_session_ != session ||
-        fastsync_.seq != seq) {
-      return;  // Answered (or the session moved on) in time.
-    }
-    FailFastSyncAttempt();
-  });
-}
-
-void Node::HandleFastSyncManifestResponse(
-    const std::shared_ptr<const FastSyncManifestResponse>& msg) {
-  if (halted_ || !fastsync_.active || fastsync_.stage != FastSyncState::Stage::kManifest ||
-      msg->seq != fastsync_.seq || msg->responder != fastsync_.peer) {
-    return;  // Unsolicited, stale, or spoofed; only the asked peer may answer.
-  }
-  if (msg->manifest.empty()) {
-    FailFastSyncAttempt();  // Peer holds no checkpoint; try another.
-    return;
-  }
-  std::optional<CheckpointManifest> manifest = CheckpointData::ParseManifest(msg->manifest);
-  if (!manifest.has_value() || manifest->round == 0 ||
-      manifest->genesis_hash != genesis_hash_ || msg->payload_bytes == 0 ||
-      msg->payload_bytes > (uint64_t{1} << 30)) {
-    FailFastSyncAttempt();  // Wrong chain, or an absurd payload size.
-    return;
-  }
-  fastsync_.manifest = *manifest;
-  fastsync_.payload_bytes = msg->payload_bytes;
-  fastsync_.stage = FastSyncState::Stage::kLinks;
-  SendFastSyncLinksRequest();
-}
-
-void Node::HandleFastSyncLinksResponse(
-    const std::shared_ptr<const FastSyncLinksResponse>& msg) {
-  if (halted_ || !fastsync_.active || fastsync_.stage != FastSyncState::Stage::kLinks ||
-      msg->seq != fastsync_.seq || msg->responder != fastsync_.peer) {
-    return;
-  }
-  if (msg->links.empty() || msg->from_round != fastsync_.next_link) {
-    FailFastSyncAttempt();  // The peer's link history has a hole below B.
-    return;
-  }
-  for (const std::vector<uint8_t>& payload : msg->links) {
-    std::optional<ChainLink> link = ChainLink::DecodePayload(payload);
-    if (!link.has_value() ||
-        !VerifyChainLink(*link, fastsync_.next_link, fastsync_.prev_hash, *crypto_.signer)) {
-      FailFastSyncAttempt();
-      return;
-    }
-    fastsync_.prev_hash = link->hash;
-    ++fastsync_.next_link;
-    fastsync_.links.push_back(std::move(*link));
-    if (obs_.fastsync_links != nullptr) {
-      obs_.fastsync_links->Increment();
-    }
-    if (fastsync_.next_link > fastsync_.manifest.round) {
-      break;  // Chain complete; surplus links are ignored.
-    }
-  }
-  if (fastsync_.next_link > fastsync_.manifest.round) {
-    if (fastsync_.prev_hash != fastsync_.manifest.tip_hash) {
-      // The verified chain ends on a different block than the manifest
-      // claims — the checkpoint belongs to another history.
-      FailFastSyncAttempt();
-      return;
-    }
-    fastsync_.stage = FastSyncState::Stage::kChunks;
-    fastsync_.payload.clear();
-    fastsync_.payload.reserve(fastsync_.payload_bytes);
-    SendFastSyncChunkRequest();
-  } else {
-    SendFastSyncLinksRequest();
-  }
-}
-
-void Node::HandleFastSyncChunkResponse(
-    const std::shared_ptr<const FastSyncChunkResponse>& msg) {
-  if (halted_ || !fastsync_.active || fastsync_.stage != FastSyncState::Stage::kChunks ||
-      msg->seq != fastsync_.seq || msg->responder != fastsync_.peer) {
-    return;
-  }
-  if (msg->round != fastsync_.manifest.round || msg->offset != fastsync_.payload.size() ||
-      msg->total_bytes != fastsync_.payload_bytes || msg->data.empty() ||
-      fastsync_.payload.size() + msg->data.size() > fastsync_.payload_bytes) {
-    FailFastSyncAttempt();
-    return;
-  }
-  fastsync_.payload.insert(fastsync_.payload.end(), msg->data.begin(), msg->data.end());
-  if (obs_.fastsync_bytes != nullptr) {
-    obs_.fastsync_bytes->Increment(msg->data.size());
-  }
-  if (fastsync_.payload.size() < fastsync_.payload_bytes) {
-    SendFastSyncChunkRequest();
-    return;
-  }
-  if (InstallFastSyncCheckpoint()) {
-    FinishFastSync();
-  } else {
-    FailFastSyncAttempt();  // Payload contradicts the verified manifest/chain.
-  }
-}
-
-bool Node::InstallFastSyncCheckpoint() {
-  const CheckpointManifest& m = fastsync_.manifest;
-  std::optional<VerifiedCheckpoint> cp =
-      VerifyCheckpoint(fastsync_.payload, m.round, genesis_hash_, &m);
-  if (!cp.has_value() || !SeedsMatchLinks(*cp, fastsync_.links, ledger_) ||
-      !ledger_.InstallCheckpoint(cp->tip, std::move(cp->accounts), cp->seed_base,
-                                 std::move(cp->seeds))) {
-    return false;
-  }
-  const uint64_t b = m.round;
-  last_checkpoint_round_ = b;
-  if (store_ != nullptr) {
-    // Persist what we verified: the checkpoint payload (so a restart resumes
-    // from here, and we can serve fast-sync in turn), the primed log, and
-    // the cert chain below b.
-    store_->AdoptCheckpoint(b, fastsync_.payload);
-    store_->PrimeAt(b + 1, m.tip_hash);
-    std::vector<std::vector<uint8_t>> payloads;
-    payloads.reserve(fastsync_.links.size());
-    for (const ChainLink& l : fastsync_.links) {
-      payloads.push_back(l.SerializePayload());
-    }
-    store_->AppendChainLinks(std::move(payloads));
-  }
-  fork_monitor_.Prune(b);
-  return true;
-}
-
-void Node::FailFastSyncAttempt() {
-  if (!fastsync_.active) {
-    return;
-  }
-  ++fastsync_.attempt;
-  if (fastsync_.attempt > 5) {
-    FailFastSync();
-    return;
-  }
-  // Reset the conversation and try another peer; the target survives.
-  fastsync_.stage = FastSyncState::Stage::kManifest;
-  fastsync_.manifest = CheckpointManifest{};
-  fastsync_.payload_bytes = 0;
-  fastsync_.next_link = 1;
-  fastsync_.prev_hash = genesis_hash_;
-  fastsync_.links.clear();
-  fastsync_.payload.clear();
-  fastsync_.peer = NextFastSyncPeer();
-  SendFastSyncManifestRequest();
-}
-
-void Node::FailFastSync() {
-  uint64_t target = fastsync_.target_round;
-  fastsync_ = FastSyncState{};
-  ++fastsync_session_;
-  if (obs_.fastsync_failed != nullptr) {
-    obs_.fastsync_failed->Increment();
-  }
-  // Fall back to plain block catch-up from genesis — slower but always
-  // sufficient (it needs no peer to hold a checkpoint).
-  StartCatchup(target);
-}
-
-void Node::FinishFastSync() {
-  uint64_t target = fastsync_.target_round;
-  uint64_t b = fastsync_.manifest.round;
-  fastsync_ = FastSyncState{};
-  ++fastsync_session_;
-  ++fastsyncs_completed_;
-  hung_ = false;
-  if (obs_.fastsync_completed != nullptr) {
-    obs_.fastsync_completed->Increment();
-  }
-  Trace(TraceKind::kCatchupDone, 1, b);
-  if (target >= ledger_.next_round()) {
-    // Normal catch-up fetches the suffix past the checkpoint; its first
-    // certificate validates in full against the installed state — the
-    // implicit anchor of the fast-sync trust argument.
-    StartCatchup(target);
-  } else {
-    StartRound(ledger_.next_round());
-  }
-}
-
-void Node::HandleFastSyncManifestRequest(
-    const std::shared_ptr<const FastSyncManifestRequest>& msg) {
-  if (halted_) {
-    return;
-  }
-  auto resp = std::make_shared<FastSyncManifestResponse>();
-  resp->responder = id_;
-  resp->seq = msg->seq;
-  if (store_ != nullptr) {
-    // Newest checkpoint whose payload still loads (a corrupt file steps
-    // down to the next older one, mirroring the restore ladder).
-    auto ckpts = store_->checkpoints();
-    for (auto it = ckpts.rbegin(); it != ckpts.rend(); ++it) {
-      auto payload = store_->ReadCheckpointPayload(it->round);
-      if (payload == nullptr || payload->size() < CheckpointData::kManifestBytes) {
-        continue;
-      }
-      resp->manifest.assign(payload->begin(),
-                            payload->begin() + CheckpointData::kManifestBytes);
-      resp->payload_bytes = payload->size();
-      break;
-    }
-  }
-  // An empty manifest is still an answer: it lets the requester rotate to
-  // another peer immediately instead of waiting out the timeout.
-  if (obs_.fastsync_served != nullptr) {
-    obs_.fastsync_served->Increment();
-  }
-  gossip_->SendTo(msg->requester, resp);
-}
-
-void Node::HandleFastSyncLinksRequest(
-    const std::shared_ptr<const FastSyncLinksRequest>& msg) {
-  if (halted_) {
-    return;
-  }
-  auto resp = std::make_shared<FastSyncLinksResponse>();
-  resp->responder = id_;
-  resp->seq = msg->seq;
-  uint64_t from = msg->from_round < 1 ? 1 : msg->from_round;
-  resp->from_round = from;
-  uint32_t limit = msg->limit == 0 ? 1 : msg->limit;
-  if (limit > 256) {
-    limit = 256;  // Bound the response a single request can make us build.
-  }
-  if (store_ != nullptr) {
-    for (uint64_t r = from; resp->links.size() < limit; ++r) {
-      std::optional<ChainLink> link = store_->ChainLinkAt(r);
-      if (!link.has_value()) {
-        break;  // Serve the contiguous prefix we hold (partial window).
-      }
-      resp->links.push_back(link->SerializePayload());
-    }
-  }
-  if (obs_.fastsync_served != nullptr) {
-    obs_.fastsync_served->Increment();
-  }
-  gossip_->SendTo(msg->requester, resp);
-}
-
-void Node::HandleFastSyncChunkRequest(
-    const std::shared_ptr<const FastSyncChunkRequest>& msg) {
-  if (halted_) {
-    return;
-  }
-  auto resp = std::make_shared<FastSyncChunkResponse>();
-  resp->responder = id_;
-  resp->seq = msg->seq;
-  resp->round = msg->round;
-  resp->offset = msg->offset;
-  if (store_ != nullptr) {
-    auto payload = store_->ReadCheckpointPayload(msg->round);
-    if (payload != nullptr) {
-      resp->total_bytes = payload->size();
-      if (msg->offset < payload->size()) {
-        uint64_t limit = msg->limit == 0 ? 1 : msg->limit;
-        if (limit > (uint64_t{1} << 20)) {
-          limit = uint64_t{1} << 20;
-        }
-        uint64_t n = std::min<uint64_t>(limit, payload->size() - msg->offset);
-        resp->data.assign(payload->begin() + msg->offset,
-                          payload->begin() + msg->offset + n);
-      }
-    }
-  }
-  if (obs_.fastsync_served != nullptr) {
-    obs_.fastsync_served->Increment();
-  }
-  gossip_->SendTo(msg->requester, resp);
 }
 
 void Node::RememberFutureMessage(uint64_t round, const MessagePtr& msg) {

@@ -2,6 +2,11 @@
 // certificates (§8.3) and the gossip relay rules (§8.4) into the per-user
 // state machine the paper evaluates.
 //
+// Node = agreement + one SyncSession. The node runs proposal, BA*, fork
+// recovery (§8.2) and checkpointing itself; catching up with the network —
+// certificate-chain fast-sync and block catch-up (§8.3) — is the session's
+// (catchup.h), which reaches the node only through the SyncHost interface.
+//
 // One Node instance is one "user" of the paper's experiments. Nodes interact
 // only through the gossip network; every run is deterministic given the
 // simulation seed. Adversarial behaviours are subclasses that override the
@@ -11,22 +16,18 @@
 #define ALGORAND_SRC_CORE_NODE_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "src/common/flat_set.h"
-#include "src/common/rng.h"
 #include "src/core/ba_star.h"
 #include "src/core/catchup.h"
 #include "src/core/certificate.h"
 #include "src/core/context.h"
-#include "src/core/fastsync.h"
 #include "src/core/fork_monitor.h"
 #include "src/core/params.h"
 #include "src/core/sortition.h"
@@ -39,7 +40,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/round_tracer.h"
 #include "src/store/block_store.h"
-#include "src/store/checkpoint.h"
 
 namespace algorand {
 
@@ -78,7 +78,7 @@ struct RoundRecord {
   int binary_steps = 0;
 };
 
-class Node : public BaEnvironment {
+class Node : public BaEnvironment, private SyncHost {
  public:
   Node(NodeId id, Executor* sim, GossipAgent* gossip, const Ed25519KeyPair& key,
        const GenesisConfig& genesis, const ProtocolParams& params, CryptoSuite crypto);
@@ -122,9 +122,10 @@ class Node : public BaEnvironment {
   // Vote rounds (including recovery sessions) the §8.4 relay table holds.
   size_t relay_table_rounds() const { return relayed_votes_.size(); }
   const Mempool& mempool() const { return mempool_; }
-  bool in_catchup() const { return catchup_.active; }
-  uint64_t catchups_completed() const { return catchups_completed_; }
-  uint64_t fastsyncs_completed() const { return fastsyncs_completed_; }
+  // Syncing with the network: fast-sync or block catch-up.
+  bool in_catchup() const { return sync_.active(); }
+  uint64_t catchups_completed() const { return sync_.catchups_completed(); }
+  uint64_t fastsyncs_completed() const { return sync_.fastsyncs_completed(); }
   bool halted() const { return halted_; }
 
   // --- Durable storage (src/store) ---
@@ -191,8 +192,8 @@ class Node : public BaEnvironment {
   // Serves a catch-up request from local chain + certificate storage. A
   // sharded node stops at its first certificate gap (partial batch). Virtual
   // so adversarial subclasses can serve tampered batches in tests.
-  virtual std::shared_ptr<CatchupResponseMessage> BuildCatchupResponse(
-      const CatchupRequestMessage& req) const;
+  std::shared_ptr<CatchupResponseMessage> BuildCatchupResponse(
+      const CatchupRequestMessage& req) const override;
 
   // Shared helpers for subclasses.
   void GossipMessage(const MessagePtr& msg);
@@ -204,8 +205,6 @@ class Node : public BaEnvironment {
   uint64_t SelfWeight() const { return ledger_.WeightOf(key_.public_key); }
 
  private:
-  friend class SimHarness;
-
   enum class Phase {
     kIdle,
     kWaitPriority,
@@ -216,7 +215,7 @@ class Node : public BaEnvironment {
     kCatchup,
   };
 
-  void StartRound(uint64_t round);
+  void StartRound(uint64_t round) override;
   void OnPriorityWindowClosed();
   void OnBlockWindowClosed(uint64_t round);
   void StartAgreement(const Hash256& candidate);
@@ -238,68 +237,33 @@ class Node : public BaEnvironment {
   void HandleBlock(const std::shared_ptr<const BlockMessage>& msg);
   void HandleBlockRequest(const std::shared_ptr<const BlockRequestMessage>& msg);
 
-  // --- Live catch-up (§8.3) ---
-  // Called when gossip shows traffic for a round ahead of ours; triggers or
-  // extends a catch-up session.
-  void NoteCatchupEvidence(uint64_t round);
-  void StartCatchup(uint64_t target_round);
-  // The session driver: applies ready batches, finishes or aborts, and keeps
-  // the in-flight request window full.
-  void PumpCatchup();
-  void SendCatchupRequest(uint64_t from_round);
-  // Lowest round not covered by an in-flight request or ready batch.
-  uint64_t CatchupFrontier() const;
-  NodeId NextCatchupPeer();
-  // Timeout or bad batch: bump the attempt counter, rotate peers, back off
-  // exponentially (with jitter), and abort the session if it keeps failing.
-  void FailCatchupAttempt();
-  void FinishCatchup();
-  void AbortCatchup();
-  void HandleCatchupRequest(const std::shared_ptr<const CatchupRequestMessage>& msg);
-  void HandleCatchupResponse(const std::shared_ptr<const CatchupResponseMessage>& msg);
-  // Validates and appends a response batch in round order. Returns false on
-  // the first invalid entry (the whole batch is then charged to the peer).
-  bool ApplyCatchupResponse(const CatchupResponseMessage& resp, uint64_t* applied);
+  // --- SyncHost: how the sync session reaches this node ---
+  void SendTo(NodeId peer, const MessagePtr& msg) override { gossip_->SendTo(peer, msg); }
+  size_t NetworkSize() const override { return gossip_->network_size(); }
+  const std::vector<NodeId>& Neighbors() const override { return gossip_->neighbors(); }
+  void ScheduleSyncTimer(SimTime delay, std::function<void()> fn) override {
+    sim_->Schedule(delay, std::move(fn));
+  }
+  void LeaveRound() override;
+  void Synced() override;
+  void CommitSyncedRound(const Block& block, const Certificate& cert) override;
+  void CommitFinalCertificate(const Certificate& final_cert) override;
+  bool InstallCheckpoint(VerifiedCheckpoint checkpoint, std::vector<uint8_t> payload,
+                         const std::vector<ChainLink>& links) override;
+  void TraceSync(TraceKind kind, uint32_t step, uint64_t a, uint64_t b) override {
+    Trace(kind, step, a, b);
+  }
   // Whether this node's certificate shard holds `round` (see
   // ConfigureCertificateSharding); applies to both certificate maps.
   bool KeepsCertificate(uint64_t round) const {
     return shard_count_ <= 1 || round % shard_count_ == id_ % shard_count_;
   }
 
-  // --- Checkpoints + certificate-chain fast-sync (DESIGN.md §13) ---
+  // --- Checkpoints (DESIGN.md §13) ---
   // After a final round crosses a checkpoint-interval boundary, captures the
   // ledger state at the boundary round and hands it to the store (which
   // writes the sidecar off the protocol thread and compacts old segments).
-  void MaybeCheckpoint();
-  // Bootstraps a genesis-fresh node from a peer's checkpoint: manifest ->
-  // cert-chain links -> payload chunks -> install -> normal catch-up for the
-  // suffix. Any failure falls back to full catch-up from genesis.
-  void StartFastSync(uint64_t target_round);
-  NodeId NextFastSyncPeer();
-  void SendFastSyncManifestRequest();
-  void SendFastSyncLinksRequest();
-  void SendFastSyncChunkRequest();
-  // Arms the per-request timeout for the outstanding request `seq`.
-  void ArmFastSyncTimeout(uint64_t seq);
-  // Full payload received: verifies it against the manifest and the link
-  // chain (VerifyCheckpoint, SeedsMatchLinks), installs it into the ledger,
-  // persists checkpoint + links + log prime to the store. False = peer
-  // served junk.
-  bool InstallFastSyncCheckpoint();
-  // Peer-scoped failure: rotate to another peer and restart the handshake,
-  // or (after enough attempts) give up on fast-sync entirely.
-  void FailFastSyncAttempt();
-  // Session failure: abandon fast-sync and fall back to ordinary catch-up
-  // from genesis.
-  void FailFastSync();
-  void FinishFastSync();
-  void HandleFastSyncManifestRequest(const std::shared_ptr<const FastSyncManifestRequest>& msg);
-  void HandleFastSyncManifestResponse(
-      const std::shared_ptr<const FastSyncManifestResponse>& msg);
-  void HandleFastSyncLinksRequest(const std::shared_ptr<const FastSyncLinksRequest>& msg);
-  void HandleFastSyncLinksResponse(const std::shared_ptr<const FastSyncLinksResponse>& msg);
-  void HandleFastSyncChunkRequest(const std::shared_ptr<const FastSyncChunkRequest>& msg);
-  void HandleFastSyncChunkResponse(const std::shared_ptr<const FastSyncChunkResponse>& msg);
+  void MaybeCheckpoint() override;
 
   // One cached sortition check, a vote's (signature first) or a proposer's,
   // built once from a round context: the verification-cache key and the pure
@@ -374,7 +338,9 @@ class Node : public BaEnvironment {
   void StartRecoveryAgreement();
   void OnRecoveryBaComplete(const BaResult& result);
   void HandleRecoveryProposal(const std::shared_ptr<const RecoveryProposalMessage>& msg);
-  GossipVerdict ValidateRecoveryProposal(const RecoveryProposalMessage& msg);
+  // Checks a proposal against the current recovery session: signature,
+  // sortition (its weight goes to `*votes`) and chain linkage.
+  GossipVerdict ValidateRecoveryProposal(const RecoveryProposalMessage& msg, uint64_t* votes);
   // The recovery session code all (loosely synchronized) nodes derive for
   // attempt `attempt` of the recovery window containing `now`.
   uint64_t RecoveryCode(uint32_t attempt) const;
@@ -402,21 +368,6 @@ class Node : public BaEnvironment {
     Counter* rounds_empty = nullptr;
     Counter* rounds_hung = nullptr;
     Counter* recoveries = nullptr;
-    Counter* catchup_sessions = nullptr;
-    Counter* catchup_requests = nullptr;
-    Counter* catchup_served = nullptr;
-    Counter* catchup_timeouts = nullptr;
-    Counter* catchup_bad_batches = nullptr;
-    Counter* catchup_blocks = nullptr;
-    Counter* catchup_completed = nullptr;
-    Counter* catchup_rotations = nullptr;
-    Counter* catchup_aborted = nullptr;
-    Counter* fastsync_sessions = nullptr;
-    Counter* fastsync_completed = nullptr;
-    Counter* fastsync_failed = nullptr;
-    Counter* fastsync_links = nullptr;
-    Counter* fastsync_bytes = nullptr;
-    Counter* fastsync_served = nullptr;
     Counter* checkpoints_requested = nullptr;
     Histogram* step_time_ms = nullptr;
     Histogram* proposal_time_ms = nullptr;
@@ -461,6 +412,10 @@ class Node : public BaEnvironment {
   // skip the validator and are verified in HandleVote.
   std::tuple<Hash256, uint64_t, Hash256> relay_vote_;
   uint64_t relay_vote_weight_ = 0;
+  // And for recovery proposals: (DedupId, session code, anchor hash) of the
+  // proposal ValidateForRelay last accepted, and its sortition weight.
+  std::tuple<Hash256, uint64_t, Hash256> relay_recovery_;
+  uint64_t relay_recovery_votes_ = 0;
 
   // Verified votes of the current round in arrival order, for certificate
   // assembly. Held by pointer: a message is immutable once sent, so the
@@ -507,53 +462,8 @@ class Node : public BaEnvironment {
   // periodic check returns immediately.
   bool halted_ = false;
 
-  // --- Live catch-up state (§8.3) ---
-  struct CatchupState {
-    bool active = false;
-    uint64_t target_round = 0;      // Catch up through this round.
-    uint64_t started_at_round = 0;  // Tip round when the session began.
-    uint32_t attempt = 0;           // Consecutive failures; reset on progress.
-    uint32_t empty_streak = 0;      // Consecutive empty answers; reset on progress.
-    SimTime blocked_until = 0;      // Backoff gate for new requests.
-    std::vector<NodeId> peers;      // Shuffled peer pool, rotated per request.
-    size_t peer_cursor = 0;
-    struct Pending {
-      NodeId peer = 0;
-      uint64_t seq = 0;
-      uint32_t limit = 0;
-    };
-    std::map<uint64_t, Pending> inflight;  // from_round -> outstanding request.
-    // Verified-later batches keyed by from_round, applied in chain order.
-    std::map<uint64_t, std::shared_ptr<const CatchupResponseMessage>> ready;
-  };
-  CatchupState catchup_;
-  // Bumped when a session starts/ends so timers for dead sessions no-op.
-  uint64_t catchup_session_ = 0;
-  // Request nonce; never reset, so responses to old sessions cannot alias.
-  uint64_t catchup_seq_ = 0;
-  uint64_t catchups_completed_ = 0;
-  DeterministicRng catchup_rng_;
-
-  // --- Fast-sync state (DESIGN.md §13) ---
-  struct FastSyncState {
-    bool active = false;
-    enum class Stage : uint8_t { kManifest, kLinks, kChunks };
-    Stage stage = Stage::kManifest;
-    NodeId peer = 0;      // The one peer this attempt talks to.
-    uint64_t seq = 0;     // Nonce of the single outstanding request.
-    uint64_t target_round = 0;  // Gossip-evidence round; post-install catch-up target.
-    uint32_t attempt = 0;       // Peers tried this session.
-    CheckpointManifest manifest;
-    uint64_t payload_bytes = 0;
-    uint64_t next_link = 1;  // Next chain-link round to verify.
-    Hash256 prev_hash;       // Verified hash of round next_link - 1.
-    std::vector<ChainLink> links;   // Verified links 1..next_link-1.
-    std::vector<uint8_t> payload;   // Checkpoint payload prefix received.
-  };
-  FastSyncState fastsync_;
-  uint64_t fastsync_session_ = 0;
-  uint64_t fastsync_seq_ = 0;
-  uint64_t fastsyncs_completed_ = 0;
+  // Fast-sync and block catch-up (§8.3): the node's one sync session.
+  SyncSession sync_;
   // Hash of the round-0 block, pinned at construction: a compacted ledger
   // can no longer serve genesis(), but checkpoints must bind to it.
   Hash256 genesis_hash_;

@@ -9,10 +9,12 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "src/core/sim_harness.h"
+#include "src/crypto/sha256.h"
 #include "tests/test_dirs.h"
 
 namespace algorand {
@@ -129,6 +131,31 @@ TEST(FastSyncTest, FreshNodeFastSyncJoinMatchesFullCatchupState) {
   ExpectStateMatches(h, 5, 1);
 }
 
+TEST(FastSyncTest, NodeReportsCatchupWhileFastSyncing) {
+  std::string dir = FreshDataDir("in_catchup");
+  HarnessConfig cfg = FastSyncConfig(12, dir);
+  cfg.params.fastsync_enabled = true;
+  SimHarness h(cfg);
+  h.Start();
+  ASSERT_TRUE(h.RunRounds(8, Hours(2)));
+  h.KillNode(5);
+  ASSERT_TRUE(h.RunRounds(20, Hours(2)));
+  h.RestartNode(5, /*keep_disk=*/false);
+  // Step until the wiped node opens its fast-sync session: it has left
+  // agreement (votes and proposals are dropped) and must say so.
+  const Counter& sessions = h.node_metrics(5).GetCounter("catchup.fastsync_sessions");
+  const SimTime deadline = h.sim().now() + Minutes(5);
+  while (sessions.Value() == 0 && h.sim().now() < deadline) {
+    h.sim().RunUntil(h.sim().now() + Millis(5));
+  }
+  ASSERT_EQ(sessions.Value(), 1u);
+  ASSERT_EQ(h.node(5).fastsyncs_completed(), 0u);
+  EXPECT_TRUE(h.node(5).in_catchup());
+  ASSERT_TRUE(h.RunRounds(28, Hours(2)));
+  EXPECT_GE(h.node(5).fastsyncs_completed(), 1u);
+  EXPECT_FALSE(h.node(5).in_catchup());
+}
+
 // Representative node-level corruption cases (the exhaustive every-offset
 // fuzz runs at the store layer in checkpoint_test.cpp, where reopen is
 // cheap): each mutation of the checkpoint files must push the restart down
@@ -190,6 +217,100 @@ TEST(FastSyncTest, CorruptCheckpointFallsBackToWalReplayWithIdenticalState) {
   EXPECT_GE(m.counters["store.checkpoint_load_failures"], 3u);
   auto safety = h.CheckSafety();
   EXPECT_TRUE(safety.ok) << safety.violation;
+  EXPECT_TRUE(h.ChainsConsistent());
+}
+
+// Golden pin of the whole sync path: a restart from disk, a wiped join that
+// fast-syncs, and a long-lagging node that block-catches-up over sharded
+// certificate storage, in one deterministic run. Every node's tip, every
+// catchup.* counter and a digest of the catch-up trace events (node, time,
+// fields) are pinned, so any change to request order, timer order or the
+// catch-up RNG's draws shows up here.
+TEST(FastSyncTest, GoldenRestartJoinAndLaggingCatchupArePinned) {
+  std::string dir = FreshDataDir("golden");
+  HarnessConfig cfg = FastSyncConfig(17, dir);
+  cfg.verify_workers = 0;
+  cfg.exec_workers = 0;
+  cfg.params.fastsync_enabled = true;
+  cfg.node_factory = [](NodeId id, Simulation* sim, GossipAgent* gossip,
+                        const Ed25519KeyPair& key, const GenesisConfig& genesis,
+                        const ProtocolParams& params, CryptoSuite crypto,
+                        AdversaryCoordinator*) -> std::unique_ptr<Node> {
+    auto node = std::make_unique<Node>(id, sim, gossip, key, genesis, params, crypto);
+    node->ConfigureCertificateSharding(4);
+    return node;
+  };
+  SimHarness h(cfg);
+  h.Start();
+  ASSERT_TRUE(h.RunRounds(6, Hours(2)));
+  h.KillNode(7);  // The lagging node: down the longest, restarts from disk.
+  ASSERT_TRUE(h.RunRounds(10, Hours(2)));
+  h.KillNode(5);
+  h.KillNode(6);
+  ASSERT_TRUE(h.RunRounds(18, Hours(2)));
+  // Lossy links from here on: requests and answers go missing, so timeouts,
+  // backoff and peer rotation run too.
+  h.SetNetworkAdversary(std::make_unique<LossyAdversary>(0.15, 17, h.node_count()));
+  h.RestartNode(5, /*keep_disk=*/true);   // Checkpoint restore, then catch-up.
+  h.RestartNode(6, /*keep_disk=*/false);  // Wiped: fast-sync join.
+  h.RestartNode(7, /*keep_disk=*/true);
+  ASSERT_TRUE(h.RunRounds(30, Hours(2)));
+  ASSERT_EQ(h.tracer().dropped(), 0u);
+
+  Sha256 tips;
+  for (size_t i = 0; i < h.node_count(); ++i) {
+    const Ledger& l = h.node(i).ledger();
+    tips.Update(std::to_string(i) + ":" + std::to_string(l.chain_length()) + ":" +
+                l.tip_hash().ToHex() + "\n");
+  }
+  Sha256 trace;
+  size_t catchup_events = 0;
+  for (const TraceEvent& ev : h.tracer().Events()) {
+    if (ev.kind != TraceKind::kCatchupStart && ev.kind != TraceKind::kCatchupBatch &&
+        ev.kind != TraceKind::kCatchupDone) {
+      continue;
+    }
+    ++catchup_events;
+    trace.Update(std::to_string(ev.node) + " " + std::to_string(ev.at) + " " +
+                 std::to_string(ev.round) + " " + std::to_string(static_cast<int>(ev.kind)) +
+                 " " + std::to_string(ev.step) + " " + std::to_string(ev.a) + " " +
+                 std::to_string(ev.b) + "\n");
+  }
+  std::map<std::string, uint64_t> counters;
+  for (const auto& [name, value] : h.AggregateMetrics().counters) {
+    if (name.rfind("catchup.", 0) == 0) {
+      counters[name] = value;
+    }
+  }
+
+  // Recorded from this scenario; any drift is a change in sync behaviour.
+  const std::map<std::string, uint64_t> kCounters = {
+      {"catchup.aborted", 0},
+      {"catchup.bad_batches", 0},
+      {"catchup.blocks_applied", 31},
+      {"catchup.completed", 4},
+      {"catchup.fastsync_bytes", 2037},
+      {"catchup.fastsync_completed", 1},
+      {"catchup.fastsync_failed", 0},
+      {"catchup.fastsync_links_verified", 16},
+      {"catchup.fastsync_served", 4},
+      {"catchup.fastsync_sessions", 1},
+      {"catchup.peer_rotations", 3},
+      {"catchup.requests", 7},
+      {"catchup.served", 6},
+      {"catchup.sessions", 4},
+      {"catchup.timeouts", 3},
+  };
+  EXPECT_EQ(counters, kCounters);
+  EXPECT_EQ(catchup_events, 14u);
+  EXPECT_EQ(tips.Finish().ToHex(),
+            "2f27368136db7bc9914781120c14ca02abfb7169b8e0b481329de4e975b8d71f");
+  EXPECT_EQ(trace.Finish().ToHex(),
+            "e6097ea0ff74b59322c4a74312387d97f034f7114aa02f6ebe6226081a319e4b");
+  EXPECT_GE(h.node(6).fastsyncs_completed(), 1u);
+  EXPECT_GE(h.node(5).catchups_completed(), 1u);
+  EXPECT_GE(h.node(7).catchups_completed(), 1u);
+  EXPECT_TRUE(h.CheckSafety().ok);
   EXPECT_TRUE(h.ChainsConsistent());
 }
 

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <memory>
+#include <string>
 
 #include "src/core/catchup.h"
 #include "src/core/sim_harness.h"
@@ -94,6 +97,93 @@ TEST(RecoveryTest, RecoversAfterPartitionHealsAndResumesProgress) {
   // Progress resumed beyond the recovery block.
   EXPECT_GT(min_chain, 2u);
   EXPECT_TRUE(h.ChainsConsistent());
+}
+
+// Per-node counters of the signature checks and VRF verifications run on
+// recovery proposals, keyed by the proposal: its session code (8 bytes) and
+// sortition hash, which begin its signed body and are the VRF's input round
+// and output.
+class CountingVrf : public VrfBackend {
+ public:
+  explicit CountingVrf(const VrfBackend* inner) : inner_(inner) {}
+  VrfResult Prove(const Ed25519KeyPair& key, std::span<const uint8_t> alpha) const override {
+    return inner_->Prove(key, alpha);
+  }
+  std::optional<VrfOutput> Verify(const PublicKey& pk, std::span<const uint8_t> alpha,
+                                  const VrfProof& proof) const override {
+    std::optional<VrfOutput> out = inner_->Verify(pk, alpha, proof);
+    // SortitionAlpha: seed (32) || role (1) || round (8) || step (4).
+    if (out.has_value() && alpha.size() == 45 && alpha[32] == uint8_t(Role::kRecovery)) {
+      ++counts[std::string(alpha.begin() + 33, alpha.begin() + 41) +
+               std::string(out->data(), out->data() + out->size())];
+    }
+    return out;
+  }
+  const char* name() const override { return inner_->name(); }
+  mutable std::map<std::string, int> counts;
+
+ private:
+  const VrfBackend* inner_;
+};
+
+class CountingSigner : public SignerBackend {
+ public:
+  explicit CountingSigner(const SignerBackend* inner) : inner_(inner) {}
+  Signature Sign(const Ed25519KeyPair& key, std::span<const uint8_t> message) const override {
+    return inner_->Sign(key, message);
+  }
+  bool Verify(const PublicKey& pk, std::span<const uint8_t> message,
+              const Signature& sig) const override {
+    if (message.size() >= 8 + 64) {
+      ++counts[std::string(message.begin(), message.begin() + 8 + 64)];
+    }
+    return inner_->Verify(pk, message, sig);
+  }
+  const char* name() const override { return inner_->name(); }
+  mutable std::map<std::string, int> counts;
+
+ private:
+  const SignerBackend* inner_;
+};
+
+TEST(RecoveryTest, EachNodeVerifiesARecoveryProposalOnce) {
+  // The relay validator's verdict carries over to the handler, so a node
+  // checks a proposal's signature and sortition once, not once in the
+  // validator and again (twice for the VRF) in the handler.
+  HarnessConfig cfg = RecoveryConfig(2);
+  std::vector<std::unique_ptr<CountingVrf>> vrfs(cfg.n_nodes);
+  std::vector<std::unique_ptr<CountingSigner>> signers(cfg.n_nodes);
+  cfg.node_factory = [&](NodeId id, Simulation* sim, GossipAgent* gossip,
+                         const Ed25519KeyPair& key, const GenesisConfig& genesis,
+                         const ProtocolParams& params, CryptoSuite crypto,
+                         AdversaryCoordinator*) -> std::unique_ptr<Node> {
+    vrfs[id] = std::make_unique<CountingVrf>(crypto.vrf);
+    signers[id] = std::make_unique<CountingSigner>(crypto.signer);
+    crypto.vrf = vrfs[id].get();
+    crypto.signer = signers[id].get();
+    return std::make_unique<Node>(id, sim, gossip, key, genesis, params, crypto);
+  };
+  SimHarness h(cfg);
+  std::set<NodeId> group_a;
+  for (NodeId i = 0; i < 10; ++i) {
+    group_a.insert(i);
+  }
+  h.SetNetworkAdversary(std::make_unique<PartitionAdversary>(group_a, 0, Minutes(9)));
+  h.Start();
+  h.sim().RunUntil(Minutes(40));
+  size_t recovered = 0;
+  size_t checked = 0;
+  for (size_t i = 0; i < h.node_count(); ++i) {
+    recovered += h.node(i).recoveries_completed() > 0;
+    for (const auto& [proposal, vrf_checks] : vrfs[i]->counts) {
+      EXPECT_EQ(vrf_checks, 1) << "node " << i;
+      EXPECT_EQ(signers[i]->counts[proposal], 1) << "node " << i;
+      ++checked;
+    }
+  }
+  EXPECT_GT(recovered, h.node_count() / 2);
+  EXPECT_GE(checked, h.node_count());
+  EXPECT_TRUE(h.CheckSafety().ok);
 }
 
 TEST(RecoveryTest, NoRecoveryTriggeredOnHealthyNetwork) {
