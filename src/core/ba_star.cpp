@@ -79,7 +79,6 @@ void BaStar::CompleteWait(std::optional<Hash256> value) {
 }
 
 void BaStar::Start(const Hash256& proposed_hash, const Hash256& empty_hash) {
-  started_ = true;
   proposed_ = proposed_hash;
   empty_ = empty_hash;
 
@@ -127,7 +126,6 @@ bool BaStar::CheckMaxSteps() {
   result_.binary_steps = bba_step_ - 1;
   result_.binary_done_at = env_->Now();
   result_.final_done_at = env_->Now();
-  done_ = true;
   on_complete_(result_);
   return true;
 }
@@ -243,7 +241,6 @@ void BaStar::FinishBinary(const Hash256& value, uint32_t deciding_step, bool fro
     // Ablation: no finality determination; everything stays tentative.
     result_.final = false;
     result_.final_done_at = env_->Now();
-    done_ = true;
     on_complete_(result_);
     return;
   }
@@ -253,7 +250,6 @@ void BaStar::FinishBinary(const Hash256& value, uint32_t deciding_step, bool fro
                  [this](std::optional<Hash256> rf) {
                    result_.final = rf.has_value() && *rf == result_.value;
                    result_.final_done_at = env_->Now();
-                   done_ = true;
                    on_complete_(result_);
                  });
 }

@@ -93,10 +93,6 @@ class BaStar {
   void OnVote(uint32_t step_code, const PublicKey& pk, uint64_t weight, const Hash256& value,
               const VrfOutput& sorthash);
 
-  bool done() const { return done_; }
-  bool started() const { return started_; }
-  const BaResult& result() const { return result_; }
-
   // Tally access (certificate assembly, common-coin tests). Null if the step
   // received no votes.
   const StepTally* TallyFor(uint32_t step_code) const;
@@ -135,8 +131,6 @@ class BaStar {
 
   std::map<uint32_t, StepTally> tallies_;
 
-  bool started_ = false;
-  bool done_ = false;
   BaResult result_;
 
   Hash256 proposed_;    // Candidate from block proposal (may equal empty_).

@@ -19,20 +19,19 @@ class ForkMonitor {
   // prev_hashes must not grow this map without bound. When full, a new tip
   // evicts the stalest tracked one (lowest highest_round) only if it is
   // strictly fresher; otherwise it is dropped.
-  static constexpr size_t kDefaultMaxTips = 1024;
+  static constexpr size_t kMaxTips = 1024;
 
   // Records a vote that extends a chain whose tip (prev_hash) is not ours.
   void RecordAlienVote(uint64_t round, const Hash256& prev_hash) {
     auto it = alien_.find(prev_hash);
     if (it == alien_.end()) {
-      if (alien_.size() >= max_tips_ && !EvictStalerThan(round)) {
+      if (alien_.size() >= kMaxTips && !EvictStalerThan(round)) {
         return;
       }
-      it = alien_.emplace(prev_hash, TipInfo{}).first;
+      it = alien_.emplace(prev_hash, 0).first;
     }
-    it->second.votes += 1;
-    if (round > it->second.highest_round) {
-      it->second.highest_round = round;
+    if (round > it->second) {
+      it->second = round;
     }
   }
 
@@ -41,46 +40,32 @@ class ForkMonitor {
   // final frontier advances so the map tracks only live suspicions.
   void Prune(uint64_t final_round) {
     for (auto it = alien_.begin(); it != alien_.end();) {
-      it = it->second.highest_round <= final_round ? alien_.erase(it) : std::next(it);
+      it = it->second <= final_round ? alien_.erase(it) : std::next(it);
     }
   }
 
   bool ForkSuspected() const { return !alien_.empty(); }
-  size_t alien_tip_count() const { return alien_.size(); }
-
-  uint64_t VotesForTip(const Hash256& tip) const {
-    auto it = alien_.find(tip);
-    return it == alien_.end() ? 0 : it->second.votes;
-  }
-
   void Clear() { alien_.clear(); }
-  void set_max_tips(size_t n) { max_tips_ = n == 0 ? 1 : n; }
 
  private:
-  struct TipInfo {
-    uint64_t votes = 0;
-    uint64_t highest_round = 0;
-  };
-
   // Evicts the tracked tip with the lowest highest_round if it is strictly
   // staler than `round`. Returns true if a slot was freed.
   bool EvictStalerThan(uint64_t round) {
     auto stalest = alien_.end();
     for (auto it = alien_.begin(); it != alien_.end(); ++it) {
-      if (stalest == alien_.end() ||
-          it->second.highest_round < stalest->second.highest_round) {
+      if (stalest == alien_.end() || it->second < stalest->second) {
         stalest = it;
       }
     }
-    if (stalest == alien_.end() || stalest->second.highest_round >= round) {
+    if (stalest == alien_.end() || stalest->second >= round) {
       return false;
     }
     alien_.erase(stalest);
     return true;
   }
 
-  size_t max_tips_ = kDefaultMaxTips;
-  std::unordered_map<Hash256, TipInfo, FixedBytesHasher> alien_;
+  // Alien tip -> the highest round of a vote extending it.
+  std::unordered_map<Hash256, uint64_t, FixedBytesHasher> alien_;
 };
 
 }  // namespace algorand

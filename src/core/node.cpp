@@ -37,15 +37,6 @@ std::shared_ptr<const T> As(const MessagePtr& msg) {
   return std::static_pointer_cast<const T>(msg);
 }
 
-// First 8 bytes of a hash, big-endian — enough identity for a trace line.
-uint64_t HashPrefix(const Hash256& h) {
-  uint64_t v = 0;
-  for (size_t i = 0; i < 8; ++i) {
-    v = (v << 8) | h[i];
-  }
-  return v;
-}
-
 constexpr double kMsPerSecond = 1e3;
 
 double ToMillis(SimTime t) { return ToSeconds(t) * kMsPerSecond; }
@@ -64,7 +55,8 @@ Node::Node(NodeId id, Executor* sim, GossipAgent* gossip, const Ed25519KeyPair& 
       mempool_(MempoolConfig{static_cast<size_t>(params.mempool_capacity)}),
       tx_verifier_(crypto.signer, crypto.cache, crypto.pool),
       applier_(crypto.exec_pool),
-      sync_(id, this, &ledger_, params_, *crypto.vrf, *crypto.signer, store_) {
+      sync_(id, this, &ledger_, params_, *crypto.vrf, *crypto.signer, store_),
+      recovery_(this, &ledger_, key_, params_, *crypto.vrf, *crypto.signer) {
   genesis_hash_ = ledger_.tip_hash();  // The ledger is genesis-fresh here.
   ledger_.SetApplier(&applier_);
   gossip_->set_validator([this](const MessagePtr& msg) { return ValidateForRelay(msg); });
@@ -73,7 +65,7 @@ Node::Node(NodeId id, Executor* sim, GossipAgent* gossip, const Ed25519KeyPair& 
 
 void Node::Start() {
   StartRound(ledger_.next_round());
-  ScheduleRecoveryCheck();
+  recovery_.ScheduleCheck();
 }
 
 Node::~Node() {
@@ -128,7 +120,7 @@ void Node::Trace(TraceKind kind, uint32_t step, uint64_t a, uint64_t b, uint64_t
   TraceEvent ev;
   ev.at = sim_->now();
   ev.node = id_;
-  ev.round = in_recovery_ ? recovery_code_ : current_round_;
+  ev.round = vote_ctx_->round;
   ev.kind = kind;
   ev.step = step;
   ev.a = a;
@@ -147,18 +139,18 @@ void Node::ObserveBaStep(const BaStepEvent& event) {
       if (obs_.step_time_ms != nullptr) {
         obs_.step_time_ms->Observe(ToMillis(event.at - event.entered_at));
       }
-      Trace(TraceKind::kStepExit, event.step, event.votes, 0, HashPrefix(event.value),
+      Trace(TraceKind::kStepExit, event.step, event.votes, 0, event.value.prefix_u64(),
             event.timed_out ? 1 : 0);
       break;
     case BaStepEvent::Kind::kReductionDone:
-      Trace(TraceKind::kReductionDone, 0, 0, 0, HashPrefix(event.value));
+      Trace(TraceKind::kReductionDone, 0, 0, 0, event.value.prefix_u64());
       break;
     case BaStepEvent::Kind::kCoinFlip:
       Trace(TraceKind::kCoinFlip, event.step, static_cast<uint64_t>(event.coin));
       break;
     case BaStepEvent::Kind::kBinaryDecided:
       Trace(TraceKind::kBinaryDecided, event.step, static_cast<uint64_t>(event.binary_steps), 0,
-            HashPrefix(event.value));
+            event.value.prefix_u64());
       break;
   }
 }
@@ -208,9 +200,9 @@ void Node::ConfigureCertificateSharding(uint32_t shard_count) {
 SimTime Node::Now() const { return sim_->now(); }
 
 void Node::ScheduleAfter(SimTime delay, std::function<void()> fn) {
-  // BaStar instances are per-round (and per recovery session); their timers
-  // must not fire into a destroyed machine after the node moved on. The
-  // epoch bumps on every round change and recovery transition.
+  // BaStar instances are per round and per recovery attempt; their timers
+  // must not fire into a parked machine after the node moved on. The epoch
+  // bumps whenever the BA* slot gets a new machine.
   uint64_t epoch = sched_epoch_;
   sim_->Schedule(delay, [this, epoch, fn = std::move(fn)] {
     if (sched_epoch_ == epoch) {
@@ -225,7 +217,6 @@ void Node::ScheduleAfter(SimTime delay, std::function<void()> fn) {
 
 void Node::StartRound(uint64_t round) {
   current_round_ = round;
-  ++sched_epoch_;
   ctx_ = MakeContext();
   if (crypto_.cache != nullptr) {
     crypto_.cache->NoteRound(round);  // Prunes entries from finished rounds.
@@ -239,10 +230,7 @@ void Node::StartRound(uint64_t round) {
   if (gossip_ != nullptr) {
     gossip_->AdvanceSeenWindow(round);  // Round-windowed dedup pruning.
   }
-  prev_ba_ = std::move(ba_);  // Defer destruction past the caller's frames.
-  ba_ = std::make_unique<BaStar>(params_, this,
-                                 [this](const BaResult& result) { OnBaComplete(result); });
-  ba_->set_observer([this](const BaStepEvent& event) { ObserveBaStep(event); });
+  BeginAgreement(ctx_, [this](const BaResult& result) { OnBaComplete(result); });
   phase_ = Phase::kWaitPriority;
 
   records_.push_back(RoundRecord{});
@@ -263,6 +251,15 @@ void Node::StartRound(uint64_t round) {
       OnPriorityWindowClosed();
     }
   });
+}
+
+void Node::BeginAgreement(const RoundContext& ctx, BaStar::CompletionHandler done) {
+  ++sched_epoch_;  // The parked machine's timers die with its epoch.
+  vote_ctx_ = &ctx;
+  phase_ = Phase::kAgreement;
+  prev_ba_ = std::move(ba_);  // Defer destruction past the caller's frames.
+  ba_ = std::make_unique<BaStar>(params_, this, std::move(done));
+  ba_->set_observer([this](const BaStepEvent& event) { ObserveBaStep(event); });
 }
 
 void Node::OnPriorityWindowClosed() {
@@ -299,7 +296,7 @@ void Node::StartAgreement(const Hash256& candidate) {
   rec.best_priority_at = proposal_.best_priority_at;
   auto seen = proposal_.block_seen_at.find(candidate);
   rec.candidate_block_at = seen == proposal_.block_seen_at.end() ? 0 : seen->second;
-  ba_->Start(candidate, empty_hash_);
+  StartAgreement(candidate, empty_hash_);
 }
 
 void Node::OnBaComplete(const BaResult& result) {
@@ -368,7 +365,7 @@ void Node::AppendAgreedBlock(const Block& block) {
   rec.end_time = sim_->now();
   rec.empty = block.is_empty;
   RecordRoundMetrics(rec);
-  Trace(TraceKind::kRoundEnd, ba_result_.deciding_step, 0, 0, HashPrefix(ba_result_.value),
+  Trace(TraceKind::kRoundEnd, ba_result_.deciding_step, 0, 0, ba_result_.value.prefix_u64(),
         static_cast<uint8_t>((rec.final ? kTraceFinal : 0) | (rec.empty ? kTraceEmpty : 0)));
 
   // Certificate: votes of the deciding step (§8.3), sharded if configured.
@@ -516,7 +513,7 @@ void Node::MaybePropose() {
     GossipMessage(priority_msg);
   }
   GossipMessage(block_msg);
-  Trace(TraceKind::kProposalGossiped, 0, sort.votes, 0, HashPrefix(block_msg->DedupId()));
+  Trace(TraceKind::kProposalGossiped, 0, sort.votes, 0, block_msg->DedupId().prefix_u64());
 }
 
 void Node::GossipMessage(const MessagePtr& msg) {
@@ -534,16 +531,16 @@ void Node::GossipMessage(const MessagePtr& msg) {
 // ---------------------------------------------------------------------------
 
 void Node::CastVote(uint32_t step_code, double tau, const Hash256& value) {
-  const RoundContext& ctx = in_recovery_ ? recovery_ctx_ : ctx_;
-  const uint64_t vote_round = in_recovery_ ? recovery_code_ : current_round_;
-  const uint64_t weight =
-      in_recovery_ ? recovery_accounts_.WeightOf(key_.public_key) : SelfWeight();
+  // The active machine votes in its own context: round (or session code),
+  // seed and weights.
+  const RoundContext& ctx = *vote_ctx_;
   // Participant replacement (ablation): sortition normally draws a fresh
   // committee per (round, step); with replacement off, one step-0 draw
   // serves the whole round.
   const uint32_t sort_step = params_.participant_replacement_enabled ? step_code : 0;
-  SortitionResult sort = RunSortition(*crypto_.vrf, key_, ctx.seed, tau, Role::kCommittee,
-                                      vote_round, sort_step, weight, ctx.total_weight);
+  SortitionResult sort =
+      RunSortition(*crypto_.vrf, key_, ctx.seed, tau, Role::kCommittee, ctx.round, sort_step,
+                   ctx.weight_of(key_.public_key), ctx.total_weight);
   if (sort.votes == 0) {
     return;  // Not on this step's committee.
   }
@@ -555,9 +552,8 @@ void Node::CastVote(uint32_t step_code, double tau, const Hash256& value) {
 }
 
 void Node::EmitVotes(uint32_t step_code, const SortitionResult& sort, const Hash256& value) {
-  const RoundContext& ctx = in_recovery_ ? recovery_ctx_ : ctx_;
-  const uint64_t vote_round = in_recovery_ ? recovery_code_ : current_round_;
-  VoteMessage vote = MakeVote(key_, vote_round, step_code, sort.hash, sort.proof, ctx.prev_hash,
+  const RoundContext& ctx = *vote_ctx_;
+  VoteMessage vote = MakeVote(key_, ctx.round, step_code, sort.hash, sort.proof, ctx.prev_hash,
                               value, *crypto_.signer);
   GossipMessage(std::make_shared<VoteMessage>(vote));
 }
@@ -642,7 +638,7 @@ void Node::PrewarmMessage(const MessagePtr& msg, VerifyPool* pool) {
       // verifiable yet (unknown seed) — both are skipped, exactly the cases
       // the inline path also cannot cache usefully.
       const auto& vote = static_cast<const VoteMessage&>(*msg);
-      if ((vote.round & kRecoveryRoundBit) == 0 && vote.round == current_round_) {
+      if (vote.round == current_round_) {
         PrewarmCheck(VoteCheck(vote, ctx_), msg, pool);
       }
       return;
@@ -724,42 +720,36 @@ GossipVerdict Node::ValidateForRelay(const MessagePtr& msg) {
     case MessageKind::kRecoveryProposal: {
       uint64_t votes = 0;
       GossipVerdict verdict =
-          ValidateRecoveryProposal(static_cast<const RecoveryProposalMessage&>(*msg), &votes);
+          recovery_.ValidateProposal(static_cast<const RecoveryProposalMessage&>(*msg), &votes);
       if (verdict != GossipVerdict::kReject && votes > 0) {
-        relay_recovery_ = {msg->DedupId(), recovery_code_, recovery_ctx_.prev_hash};
-        relay_recovery_votes_ = votes;
+        const RoundContext& session = recovery_.context();
+        relay_ = {msg->DedupId(), session.round, session.prev_hash, votes};
       }
       return verdict;
     }
     case MessageKind::kVote: {
+      // A vote is judged in its own round's context: the chain round's (also
+      // while a recovery session runs, so relay verdicts do not depend on
+      // it), or the matching recovery session's.
       const auto& vote = static_cast<const VoteMessage&>(*msg);
+      const RoundContext* ctx = &ctx_;
       if (vote.round & kRecoveryRoundBit) {
-        if (!in_recovery_ || vote.round != recovery_code_) {
-          // Cannot validate a recovery vote outside the matching session.
-          return GossipVerdict::kDeliverOnly;
+        ctx = recovery_.ContextFor(vote.round);
+        if (ctx == nullptr) {
+          return GossipVerdict::kDeliverOnly;  // Not this node's session.
         }
-        if (VerifyVote(vote, recovery_ctx_) == 0) {
-          return GossipVerdict::kReject;
-        }
-        if (!relayed_votes_[vote.round].insert({vote.pk, vote.step})) {
-          return GossipVerdict::kDeliverOnly;
-        }
-        return GossipVerdict::kRelay;
-      }
-      if (vote.round < current_round_) {
+      } else if (vote.round < current_round_) {
         return GossipVerdict::kReject;  // Stale.
-      }
-      if (vote.round > current_round_) {
+      } else if (vote.round > current_round_) {
         // Cannot verify sortition yet (unknown future seed); hold without
         // relaying to bound adversarial amplification.
         return GossipVerdict::kDeliverOnly;
       }
-      uint64_t weight = VerifyVote(vote, ctx_);
+      const uint64_t weight = VerifyVote(vote, *ctx);
       if (weight == 0) {
         return GossipVerdict::kReject;
       }
-      relay_vote_ = {msg->DedupId(), current_round_, ctx_.prev_hash};
-      relay_vote_weight_ = weight;
+      relay_ = {msg->DedupId(), ctx->round, ctx->prev_hash, weight};
       // Relay at most one message per (round, step, pk) (§8.4).
       if (!relayed_votes_[vote.round].insert({vote.pk, vote.step})) {
         return GossipVerdict::kDeliverOnly;
@@ -794,12 +784,12 @@ GossipVerdict Node::ValidateForRelay(const MessagePtr& msg) {
       if (!ValidateBlockContents(block)) {
         return GossipVerdict::kReject;
       }
-      relay_validated_ = {msg->DedupId(), current_round_, ledger_.tip_hash()};
       uint64_t votes = VerifyProposerSortition(block.proposer, block.proposer_vrf,
                                                block.proposer_proof, ctx_);
       if (votes == 0) {
         return GossipVerdict::kReject;
       }
+      relay_ = {msg->DedupId(), current_round_, ledger_.tip_hash(), votes};
       Hash256 priority = ProposalPriority(block.proposer_vrf, votes);
       if (params_.priority_gossip_enabled && proposal_.have_best &&
           PriorityBeats(proposal_.best_priority, priority)) {
@@ -840,13 +830,17 @@ void Node::HandleMessage(const MessagePtr& msg) {
     return round == current_round_;
   };
   switch (KindOf(*msg)) {
-    case MessageKind::kRecoveryProposal:
-      HandleRecoveryProposal(As<RecoveryProposalMessage>(msg));
+    case MessageKind::kRecoveryProposal: {
+      const auto& proposal = static_cast<const RecoveryProposalMessage&>(*msg);
+      recovery_.MaybeJoin(proposal.code);
+      const RoundContext& session = recovery_.context();
+      recovery_.HandleProposal(proposal, HandedOff(*msg, session.round, session.prev_hash));
       return;
+    }
     case MessageKind::kVote: {
       auto vote = As<VoteMessage>(msg);
       if (vote->round & kRecoveryRoundBit) {
-        MaybeJoinRecoverySession(vote->round);
+        recovery_.MaybeJoin(vote->round);
         HandleVote(vote);
       } else if (current(vote->round)) {
         HandleVote(vote);
@@ -883,32 +877,29 @@ void Node::HandleVote(const std::shared_ptr<const VoteMessage>& vote) {
   if (sync_.active()) {
     return;  // A stale BA* must not complete mid-catch-up.
   }
-  if (vote->round & kRecoveryRoundBit) {
-    if (!in_recovery_ || vote->round != recovery_code_ ||
-        vote->prev_hash != recovery_ctx_.prev_hash) {
-      return;
-    }
-    uint64_t weight = VerifyVote(*vote, recovery_ctx_);
-    if (weight > 0) {
-      recovery_ba_->OnVote(vote->step, vote->pk, weight, vote->value, vote->sorthash);
-    }
-    return;
-  }
+  const bool chain_round = (vote->round & kRecoveryRoundBit) == 0;
   // Votes binding to another chain are fork evidence, not countable votes.
-  if (vote->prev_hash != ctx_.prev_hash) {
+  if (chain_round && vote->prev_hash != ctx_.prev_hash) {
     fork_monitor_.RecordAlienVote(vote->round, vote->prev_hash);
     return;
   }
-  const uint64_t weight = relay_vote_ == std::tuple(vote->DedupId(), current_round_, ctx_.prev_hash)
-                              ? relay_vote_weight_
-                              : VerifyVote(*vote, ctx_);
+  // Only the active machine tallies: a chain round's votes are not counted
+  // while a recovery session holds the slot, nor a session's outside it.
+  const RoundContext& ctx = *vote_ctx_;
+  if (vote->round != ctx.round || vote->prev_hash != ctx.prev_hash) {
+    return;
+  }
+  const uint64_t handed = HandedOff(*vote, ctx.round, ctx.prev_hash);
+  const uint64_t weight = handed != 0 ? handed : VerifyVote(*vote, ctx);
   if (weight == 0) {
     return;
   }
-  if (obs_.votes_counted != nullptr) {
-    obs_.votes_counted->Increment();
+  if (chain_round) {
+    if (obs_.votes_counted != nullptr) {
+      obs_.votes_counted->Increment();
+    }
+    round_votes_.push_back(vote);  // Certificate assembly (chain rounds only).
   }
-  round_votes_.push_back(vote);
   ba_->OnVote(vote->step, vote->pk, weight, vote->value, vote->sorthash);
 }
 
@@ -941,7 +932,7 @@ void Node::HandleBlock(const std::shared_ptr<const BlockMessage>& msg) {
   }
   const Block& block = msg->block;
   const Hash256 hash = msg->DedupId();
-  if (relay_validated_ != std::tuple(hash, current_round_, ledger_.tip_hash()) &&
+  if (HandedOff(*msg, current_round_, ledger_.tip_hash()) == 0 &&
       !ValidateBlockContents(block)) {
     return;
   }
@@ -995,7 +986,7 @@ void Node::HandleBlock(const std::shared_ptr<const BlockMessage>& msg) {
     // codec envelope) for true propagation latency.
     const TraceContext& tc = msg->trace_context();
     Trace(TraceKind::kBlockReceived, 0, tc.stamped() ? tc.origin : kTraceNoOrigin,
-          tc.emitted_at, HashPrefix(hash));
+          tc.emitted_at, hash.prefix_u64());
   }
 
   // The block implies its own priority message.
@@ -1042,7 +1033,8 @@ void Node::LeaveRound() {
   // fetching that chain beats re-agreeing on a stale suffix — and a stalled
   // recovery (stragglers hung at different rounds never form a committee)
   // must not lock the node out of catch-up forever.
-  in_recovery_ = false;
+  recovery_.Stop();
+  vote_ctx_ = &ctx_;
   phase_ = Phase::kCatchup;
 }
 
@@ -1185,253 +1177,33 @@ void Node::Halt() {
   halted_ = true;
   ++sched_epoch_;  // Dead: every pending lambda must find a changed epoch...
   sync_.Stop();    // ...or sync epoch, and the halted_ flag backstops both.
+  recovery_.Stop();
   phase_ = Phase::kIdle;
-  in_recovery_ = false;
 }
 
 // ---------------------------------------------------------------------------
-// Fork recovery (§8.2)
+// RecoveryHost: the node side of fork recovery (recovery.h)
 // ---------------------------------------------------------------------------
 
-uint64_t Node::RecoveryCode(uint32_t attempt) const {
-  // The window is pinned when the session is first entered (at an aligned
-  // clock boundary) so retries stay in the same code space on every node
-  // even when their attempt timers drift across a boundary.
-  return kRecoveryRoundBit | (recovery_window_ << 8) | attempt;
-}
-
-void Node::ScheduleRecoveryCheck() {
-  // Loosely synchronized clocks: every node wakes at multiples of the
-  // recovery interval and joins a recovery session if it is stuck or has
-  // observed fork evidence.
-  SimTime next = (sim_->now() / params_.recovery_interval + 1) * params_.recovery_interval;
-  sim_->ScheduleAt(next, [this] {
-    if (halted_) {
-      return;  // A crashed node must stop rescheduling itself.
-    }
-    if (!in_recovery_ && !sync_.active() &&
-        (hung_ || fork_monitor_.ForkSuspected())) {
-      recovery_attempt_ = 0;
-      recovery_window_ = static_cast<uint64_t>(sim_->now() / params_.recovery_interval);
-      EnterRecovery();
-    }
-    ScheduleRecoveryCheck();
-  });
-}
-
-void Node::MaybeJoinRecoverySession(uint64_t code) {
-  if (halted_ || sync_.active()) {
-    return;  // Catch-up owns the node until it finishes or aborts.
-  }
-  if (!hung_ && !fork_monitor_.ForkSuspected() && !in_recovery_) {
-    return;  // Healthy nodes ignore recovery chatter.
-  }
-  if (in_recovery_ && code <= recovery_code_) {
-    return;  // Already in this session or a newer one.
-  }
-  // Sanity: the claimed window must be near our clock (loose synchrony).
-  uint64_t window = (code & ~kRecoveryRoundBit) >> 8;
-  uint64_t my_window = static_cast<uint64_t>(sim_->now() / params_.recovery_interval);
-  if (window > my_window + 1 || window + 1 < my_window) {
-    return;
-  }
-  recovery_window_ = window;
-  recovery_attempt_ = static_cast<uint32_t>(code & 0xff);
-  EnterRecovery();
-}
-
-void Node::EnterRecovery() {
-  in_recovery_ = true;
-  phase_ = Phase::kRecovery;
-  ++sched_epoch_;
-  recovery_code_ = RecoveryCode(recovery_attempt_);
-
-  // Anchor at the last common final round: finals are totally ordered, so
-  // every honest node shares this prefix (and its seed and weights).
-  recovery_final_round_ = ledger_.HighestFinalRound().value_or(0);
-  const Hash256 anchor = ledger_.BlockAtRound(recovery_final_round_).Hash();
-  recovery_accounts_ = ledger_.AccountsAtRound(recovery_final_round_);
-
-  // A fresh seed per attempt: H(seed_f || code), "applying a hash function to
-  // the seed each time to produce a different set of proposers and committee
-  // members".
-  Writer w;
-  w.Fixed(ledger_.SeedForRound(recovery_final_round_));
-  w.U64(recovery_code_);
-  Hash256 seed_hash = Sha256::Hash(w.buffer());
-
-  recovery_ctx_ = RoundContext{};
-  recovery_ctx_.round = recovery_code_;
-  recovery_ctx_.seed = SeedBytes::FromSpan(seed_hash.span());
-  recovery_ctx_.prev_hash = anchor;
-  recovery_ctx_.total_weight = recovery_accounts_.total_weight();
-  const AccountTable* accounts = &recovery_accounts_;
-  recovery_ctx_.weight_of = [accounts](const PublicKey& pk) { return accounts->WeightOf(pk); };
-
-  // Fallback value: an empty block directly extending the final prefix
-  // (agreeing on it truncates every fork back to the common ancestor).
-  recovery_empty_ = Block::MakeEmpty(recovery_final_round_ + 1, anchor,
-                                     ledger_.SeedForRound(recovery_final_round_ + 1));
-  recovery_empty_hash_ = recovery_empty_.Hash();
-
-  recovery_candidates_.clear();
-  have_best_recovery_ = false;
-  prev_recovery_ba_ = std::move(recovery_ba_);
-  recovery_ba_ = std::make_unique<BaStar>(
-      params_, this, [this](const BaResult& result) { OnRecoveryBaComplete(result); });
-  recovery_ba_->set_observer([this](const BaStepEvent& event) { ObserveBaStep(event); });
-  Trace(TraceKind::kRecoveryEnter, 0, recovery_attempt_);
-
-  MaybeProposeRecovery();
-
-  ScheduleAfter(params_.lambda_priority + params_.lambda_stepvar, [this] {
-    if (in_recovery_ && !recovery_ba_->started()) {
-      StartRecoveryAgreement();
-    }
-  });
-}
-
-void Node::MaybeProposeRecovery() {
-  SortitionResult sort = RunSortition(
-      *crypto_.vrf, key_, recovery_ctx_.seed, params_.tau_proposer, Role::kRecovery,
-      recovery_code_, 0, recovery_accounts_.WeightOf(key_.public_key),
-      recovery_ctx_.total_weight);
-  if (sort.votes == 0) {
-    return;
-  }
-  // Propose an empty block extending the longest fork this node has seen —
-  // its own chain (which includes all final blocks).
-  auto msg = std::make_shared<RecoveryProposalMessage>();
-  msg->pk = key_.public_key;
-  msg->code = recovery_code_;
-  msg->sorthash = sort.hash;
-  msg->sort_proof = sort.proof;
-  for (uint64_t r = recovery_final_round_ + 1; r < ledger_.chain_length(); ++r) {
-    msg->suffix.push_back(ledger_.BlockAtRound(r));
-  }
-  msg->block = Block::MakeEmpty(ledger_.next_round(), ledger_.tip_hash(),
-                                ledger_.SeedForRound(ledger_.next_round()));
-  msg->signature = crypto_.signer->Sign(key_, msg->SignedBody());
-  GossipMessage(msg);
-}
-
-GossipVerdict Node::ValidateRecoveryProposal(const RecoveryProposalMessage& msg,
-                                             uint64_t* votes) {
-  *votes = 0;
-  if (!in_recovery_ || msg.code != recovery_code_) {
-    return GossipVerdict::kDeliverOnly;  // Can't judge it; let it pass once.
-  }
-  if (!crypto_.signer->Verify(msg.pk, msg.SignedBody(), msg.signature)) {
-    return GossipVerdict::kReject;
-  }
-  *votes = VerifySortition(*crypto_.vrf, msg.pk, msg.sorthash, msg.sort_proof,
-                           recovery_ctx_.seed, params_.tau_proposer, Role::kRecovery,
-                           recovery_code_, 0, recovery_ctx_.weight_of(msg.pk),
-                           recovery_ctx_.total_weight);
-  if (*votes == 0) {
-    return GossipVerdict::kReject;
-  }
-  // The proposed chain must link from our final prefix and be at least as
-  // long as the chain we already have.
-  Hash256 prev = recovery_ctx_.prev_hash;
-  uint64_t round = recovery_final_round_;
-  for (const Block& b : msg.suffix) {
-    if (b.prev_hash != prev || b.round != round + 1) {
-      return GossipVerdict::kReject;
-    }
-    prev = b.Hash();
-    round = b.round;
-  }
-  if (msg.block.prev_hash != prev || msg.block.round != round + 1 || !msg.block.is_empty) {
-    return GossipVerdict::kReject;
-  }
-  if (msg.block.round < ledger_.next_round()) {
-    return GossipVerdict::kDeliverOnly;  // Shorter than our chain: not for us.
-  }
-  return GossipVerdict::kRelay;
-}
-
-void Node::HandleRecoveryProposal(const std::shared_ptr<const RecoveryProposalMessage>& msg) {
-  MaybeJoinRecoverySession(msg->code);
-  if (!in_recovery_ || msg->code != recovery_code_) {
-    return;
-  }
-  // The validator's verdict stands unless it could not judge the proposal
-  // (the session was only just joined) or never saw it (our own proposal).
-  uint64_t votes = 0;
-  if (relay_recovery_ == std::tuple(msg->DedupId(), recovery_code_, recovery_ctx_.prev_hash)) {
-    votes = relay_recovery_votes_;
-  } else if (ValidateRecoveryProposal(*msg, &votes) == GossipVerdict::kReject) {
-    return;
-  }
-  if (msg->block.round < ledger_.next_round()) {
-    return;  // Shorter than the chain we already have.
-  }
-  Hash256 hash = msg->block.Hash();
-  RecoveryCandidate candidate;
-  candidate.block = msg->block;
-  candidate.suffix = msg->suffix;
-  candidate.priority = ProposalPriority(msg->sorthash, votes);
-  recovery_candidates_.emplace(hash, std::move(candidate));
-  if (!have_best_recovery_ ||
-      PriorityBeats(recovery_candidates_.at(hash).priority, best_recovery_priority_)) {
-    have_best_recovery_ = true;
-    best_recovery_priority_ = recovery_candidates_.at(hash).priority;
-    best_recovery_hash_ = hash;
-  }
-}
-
-void Node::StartRecoveryAgreement() {
-  Hash256 candidate = have_best_recovery_ ? best_recovery_hash_ : recovery_empty_hash_;
-  recovery_ba_->Start(candidate, recovery_empty_hash_);
-}
-
-void Node::OnRecoveryBaComplete(const BaResult& result) {
-  if (result.hung) {
-    // Retry with a rehashed seed (fresh proposers and committees).
-    ++recovery_attempt_;
-    EnterRecovery();
-    return;
-  }
-  std::vector<Block> replacement;
-  if (result.value == recovery_empty_hash_) {
-    replacement.push_back(recovery_empty_);
-  } else {
-    auto it = recovery_candidates_.find(result.value);
-    if (it == recovery_candidates_.end()) {
-      // Agreed on a fork we never received; retry (the next attempt's
-      // proposers will include holders of that fork).
-      ++recovery_attempt_;
-      EnterRecovery();
-      return;
-    }
-    replacement = it->second.suffix;
-    replacement.push_back(it->second.block);
-  }
-  if (!ledger_.ReplaceSuffix(recovery_final_round_ + 1, replacement)) {
-    ++recovery_attempt_;
-    EnterRecovery();
-    return;
-  }
+void Node::Recovered(uint64_t first) {
   // The adopted fork may have spent different nonces than the abandoned one;
   // drop anything the new account state makes unappliable.
   mempool_.DropStale(ledger_.accounts());
+  // Deciding certificates of replaced rounds certify blocks that are no
+  // longer on the chain, and catch-up would serve them with the adopted
+  // blocks. Final certificates are at or below the anchor and stay.
+  certificates_.erase(certificates_.lower_bound(first), certificates_.end());
   if (store_ != nullptr) {
     // Mirror the fork switch on disk: one truncate record (fsync'd before
     // any segment GC), then the adopted suffix. Recovery-adopted blocks
     // carry no per-round certificate — the recovery session itself vouched
     // for them — so they are logged cert-less.
-    store_->TruncateSuffix(recovery_final_round_ + 1);
-    for (uint64_t r = recovery_final_round_ + 1; r < ledger_.next_round(); ++r) {
+    store_->TruncateSuffix(first);
+    for (uint64_t r = first; r < ledger_.next_round(); ++r) {
       StreamRoundToStore(r, nullptr, nullptr);
     }
   }
-  // Recovered: resume normal operation on the agreed fork.
-  in_recovery_ = false;
-  ++sched_epoch_;
   hung_ = false;
-  recovery_attempt_ = 0;
-  ++recoveries_completed_;
   if (obs_.recoveries != nullptr) {
     obs_.recoveries->Increment();
   }

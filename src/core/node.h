@@ -2,10 +2,13 @@
 // certificates (§8.3) and the gossip relay rules (§8.4) into the per-user
 // state machine the paper evaluates.
 //
-// Node = agreement + one SyncSession. The node runs proposal, BA*, fork
-// recovery (§8.2) and checkpointing itself; catching up with the network —
-// certificate-chain fast-sync and block catch-up (§8.3) — is the session's
-// (catchup.h), which reaches the node only through the SyncHost interface.
+// Node = agreement + one SyncSession + one RecoverySession. The node runs
+// proposal, BA* and checkpointing itself. Catching up with the network —
+// certificate-chain fast-sync and block catch-up (§8.3) — is the
+// SyncSession's (catchup.h); fork recovery (§8.2) is the RecoverySession's
+// (recovery.h). Each reaches the node only through its host interface. Chain
+// rounds and recovery sessions share one BA* slot: one machine is active at
+// a time, and it votes in the context the slot points at.
 //
 // One Node instance is one "user" of the paper's experiments. Nodes interact
 // only through the gossip network; every run is deterministic given the
@@ -18,7 +21,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -30,6 +32,7 @@
 #include "src/core/context.h"
 #include "src/core/fork_monitor.h"
 #include "src/core/params.h"
+#include "src/core/recovery.h"
 #include "src/core/sortition.h"
 #include "src/core/tx_verifier.h"
 #include "src/core/verification_cache.h"
@@ -78,7 +81,7 @@ struct RoundRecord {
   int binary_steps = 0;
 };
 
-class Node : public BaEnvironment, private SyncHost {
+class Node : public BaEnvironment, private SyncHost, private RecoveryHost {
  public:
   Node(NodeId id, Executor* sim, GossipAgent* gossip, const Ed25519KeyPair& key,
        const GenesisConfig& genesis, const ProtocolParams& params, CryptoSuite crypto);
@@ -113,10 +116,9 @@ class Node : public BaEnvironment, private SyncHost {
   const std::map<uint64_t, Certificate>& final_certificates() const {
     return final_certificates_;
   }
-  const ForkMonitor& fork_monitor() const { return fork_monitor_; }
   bool hung() const { return hung_; }
-  bool in_recovery() const { return in_recovery_; }
-  uint64_t recoveries_completed() const { return recoveries_completed_; }
+  bool in_recovery() const { return recovery_.active(); }
+  uint64_t recoveries_completed() const { return recovery_.recoveries_completed(); }
   uint64_t current_round() const { return current_round_; }
   size_t pending_txn_count() const { return mempool_.size(); }
   // Vote rounds (including recovery sessions) the §8.4 relay table holds.
@@ -211,13 +213,13 @@ class Node : public BaEnvironment, private SyncHost {
     kWaitBlock,
     kAgreement,
     kFetchBlock,
-    kRecovery,
     kCatchup,
   };
 
   void StartRound(uint64_t round) override;
   void OnPriorityWindowClosed();
   void OnBlockWindowClosed(uint64_t round);
+  // Ends the round's proposal phase: BA* starts on `candidate`.
   void StartAgreement(const Hash256& candidate);
   void OnBaComplete(const BaResult& result);
   void TryFinishRound();
@@ -259,6 +261,24 @@ class Node : public BaEnvironment, private SyncHost {
     return shard_count_ <= 1 || round % shard_count_ == id_ % shard_count_;
   }
 
+  // --- RecoveryHost: how the recovery session reaches this node ---
+  void ScheduleRecoveryCheck(SimTime at, std::function<void()> fn) override {
+    sim_->ScheduleAt(at, [this, fn = std::move(fn)] {
+      if (!halted_) {  // A crashed node must stop rescheduling itself.
+        fn();
+      }
+    });
+  }
+  bool NeedsRecovery() const override { return hung_ || fork_monitor_.ForkSuspected(); }
+  bool Syncing() const override { return sync_.active(); }
+  void Gossip(const MessagePtr& msg) override { GossipMessage(msg); }
+  void BeginAgreement(const RoundContext& ctx, BaStar::CompletionHandler done) override;
+  void StartAgreement(const Hash256& candidate, const Hash256& empty) override {
+    ba_->Start(candidate, empty);
+  }
+  void Recovered(uint64_t first_replaced_round) override;
+  void TraceRecovery(TraceKind kind, uint64_t a, uint64_t b) override { Trace(kind, 0, a, b); }
+
   // --- Checkpoints (DESIGN.md §13) ---
   // After a final round crosses a checkpoint-interval boundary, captures the
   // ledger state at the boundary round and hands it to the store (which
@@ -297,8 +317,9 @@ class Node : public BaEnvironment, private SyncHost {
   // `msg` keeps the checked message alive until the job has run.
   void PrewarmCheck(const SortitionCheck& check, const MessagePtr& msg, VerifyPool* pool);
 
-  // Verifies a vote's signature and sortition for the current round context;
-  // returns the weighted vote count (0 = invalid). Uses the shared cache.
+  // Verifies a vote's signature and sortition in `ctx` (a chain round's or a
+  // recovery session's); returns the weighted vote count (0 = invalid). Uses
+  // the shared cache.
   uint64_t VerifyVote(const VoteMessage& vote, const RoundContext& ctx) const {
     return RunCached(VoteCheck(vote, ctx), ctx);
   }
@@ -316,34 +337,15 @@ class Node : public BaEnvironment, private SyncHost {
 
   // --- Observability ---
   // Translates BaStar step transitions into tracer events and the
-  // "ba.step_time_ms" histogram (shared by the normal and recovery machines).
+  // "ba.step_time_ms" histogram (for chain rounds and recovery sessions).
   void ObserveBaStep(const BaStepEvent& event);
-  // Records a trace event stamped with this node's id and current time; the
-  // round defaults to the active one (recovery session code in recovery).
+  // Records a trace event stamped with this node's id, the current time and
+  // the active machine's round (the session code during recovery).
   void Trace(TraceKind kind, uint32_t step = 0, uint64_t a = 0, uint64_t b = 0,
              uint64_t value_prefix = 0, uint8_t flag = 0);
   // Observes the completed round's phase durations into the "ba.*"
   // histograms and bumps the round-outcome counters.
   void RecordRoundMetrics(const RoundRecord& rec);
-
-  // --- Fork recovery (§8.2) ---
-  // Periodic clock-driven check: enters recovery when the node is hung or
-  // has fork evidence.
-  void ScheduleRecoveryCheck();
-  void EnterRecovery();
-  // Joins a newer recovery session observed on the wire (a stuck node whose
-  // retries drifted out of step with the majority adopts their session code).
-  void MaybeJoinRecoverySession(uint64_t code);
-  void MaybeProposeRecovery();
-  void StartRecoveryAgreement();
-  void OnRecoveryBaComplete(const BaResult& result);
-  void HandleRecoveryProposal(const std::shared_ptr<const RecoveryProposalMessage>& msg);
-  // Checks a proposal against the current recovery session: signature,
-  // sortition (its weight goes to `*votes`) and chain linkage.
-  GossipVerdict ValidateRecoveryProposal(const RecoveryProposalMessage& msg, uint64_t* votes);
-  // The recovery session code all (loosely synchronized) nodes derive for
-  // attempt `attempt` of the recovery window containing `now`.
-  uint64_t RecoveryCode(uint32_t attempt) const;
 
   NodeId id_;
   Executor* sim_;
@@ -384,8 +386,11 @@ class Node : public BaEnvironment, private SyncHost {
   RoundContext ctx_;
   Hash256 empty_hash_;
   Block empty_block_;
+  // The one BA* slot: the active machine — the chain round's, or a recovery
+  // session's — and the context it votes in (ctx_ or the session's).
   std::unique_ptr<BaStar> ba_;
-  // The previous round's machine is parked here for one round instead of
+  const RoundContext* vote_ctx_ = &ctx_;
+  // The previous machine is parked here until the next one begins instead of
   // being destroyed inside its own completion callback.
   std::unique_ptr<BaStar> prev_ba_;
   BaResult ba_result_;
@@ -404,18 +409,25 @@ class Node : public BaEnvironment, private SyncHost {
     std::unordered_set<PublicKey, FixedBytesHasher> banned_proposers;
   };
   ProposalState proposal_;
-  // (DedupId, round, tip) of the block ValidateForRelay last accepted:
-  // HandleBlock reuses that verdict, so a gossiped block is validated once.
-  std::tuple<Hash256, uint64_t, Hash256> relay_validated_;
-  // The same hand-off for votes: (DedupId, round, prev hash) of the vote
-  // ValidateForRelay last verified, and its weight. Own and buffered votes
-  // skip the validator and are verified in HandleVote.
-  std::tuple<Hash256, uint64_t, Hash256> relay_vote_;
-  uint64_t relay_vote_weight_ = 0;
-  // And for recovery proposals: (DedupId, session code, anchor hash) of the
-  // proposal ValidateForRelay last accepted, and its sortition weight.
-  std::tuple<Hash256, uint64_t, Hash256> relay_recovery_;
-  uint64_t relay_recovery_votes_ = 0;
+  // The relay hand-off. The gossip agent runs the handler right after the
+  // validator for the same message, so the message ValidateForRelay last
+  // accepted — its DedupId, the round (or session code) and anchor hash it
+  // was judged in, and its weight — lets the handler skip a second check.
+  // Blocks, votes and recovery proposals share it. Own and buffered messages
+  // skip the validator and are checked in the handler.
+  struct RelayHandoff {
+    Hash256 id;
+    uint64_t round = 0;
+    Hash256 anchor;
+    uint64_t weight = 0;
+  };
+  RelayHandoff relay_;
+  // relay_'s weight if it is `msg`'s verdict in (round, anchor), else 0.
+  uint64_t HandedOff(const SimMessage& msg, uint64_t round, const Hash256& anchor) const {
+    return relay_.id == msg.DedupId() && relay_.round == round && relay_.anchor == anchor
+               ? relay_.weight
+               : 0;
+  }
 
   // Verified votes of the current round in arrival order, for certificate
   // assembly. Held by pointer: a message is immutable once sent, so the
@@ -454,8 +466,9 @@ class Node : public BaEnvironment, private SyncHost {
   };
   std::map<uint64_t, FlatSet<StepVoter>> relayed_votes_;
 
-  // Scheduling epoch: bumped on round changes and recovery transitions so
-  // timers scheduled for a dead state never fire into it.
+  // Scheduling epoch: bumped whenever the BA* slot gets a new machine and
+  // when the node leaves agreement, so timers scheduled for a dead state
+  // never fire into it.
   uint64_t sched_epoch_ = 0;
 
   // Set by Halt(): the node is a parked zombie (crashed); every handler and
@@ -470,28 +483,8 @@ class Node : public BaEnvironment, private SyncHost {
   // Highest round this node asked the store to checkpoint (or adopted).
   uint64_t last_checkpoint_round_ = 0;
 
-  // Recovery state (§8.2).
-  bool in_recovery_ = false;
-  uint64_t recovery_code_ = 0;
-  uint32_t recovery_attempt_ = 0;
-  uint64_t recovery_window_ = 0;  // Pinned at session entry; retries keep it.
-  uint64_t recoveries_completed_ = 0;
-  uint64_t recovery_final_round_ = 0;  // Last common final round f.
-  RoundContext recovery_ctx_;
-  AccountTable recovery_accounts_;  // Weights as of round f.
-  Block recovery_empty_;            // Fallback: empty block extending round f.
-  Hash256 recovery_empty_hash_;
-  std::unique_ptr<BaStar> recovery_ba_;
-  std::unique_ptr<BaStar> prev_recovery_ba_;
-  struct RecoveryCandidate {
-    Block block;
-    std::vector<Block> suffix;
-    Hash256 priority;
-  };
-  std::unordered_map<Hash256, RecoveryCandidate, FixedBytesHasher> recovery_candidates_;
-  bool have_best_recovery_ = false;
-  Hash256 best_recovery_priority_;
-  Hash256 best_recovery_hash_;
+  // Fork recovery (§8.2): the node's one recovery session.
+  RecoverySession recovery_;
 };
 
 }  // namespace algorand

@@ -239,8 +239,8 @@ std::string TraceEventToJson(const TraceEvent& ev) {
       out.append(buf, static_cast<size_t>(n));
       break;
     case TraceKind::kRecoveryEnter:
-      n = snprintf(buf, sizeof(buf), ",\"attempt\":%llu",
-                   static_cast<unsigned long long>(ev.a));
+      n = snprintf(buf, sizeof(buf), ",\"attempt\":%llu,\"cause\":%llu",
+                   static_cast<unsigned long long>(ev.a), static_cast<unsigned long long>(ev.b));
       out.append(buf, static_cast<size_t>(n));
       break;
     case TraceKind::kCatchupStart:
@@ -457,7 +457,7 @@ std::optional<TraceEvent> ParseTraceEventJson(std::string_view line) {
       break;
     }
     case TraceKind::kRecoveryEnter:
-      if (!FieldU64(kv, "attempt", &ev.a)) return std::nullopt;
+      if (!FieldU64(kv, "attempt", &ev.a) || !FieldU64(kv, "cause", &ev.b)) return std::nullopt;
       break;
     case TraceKind::kCatchupStart:
       if (!FieldU64(kv, "target", &ev.a)) return std::nullopt;

@@ -36,7 +36,8 @@ enum class TraceKind : uint8_t {
   kCoinFlip = 5,       // a = coin bit.
   kBinaryDecided = 6,  // a = BinaryBA* steps used, value = decided hash.
   kRoundEnd = 7,       // flag bits: 1 final, 2 empty, 4 hung.
-  kRecoveryEnter = 8,  // a = recovery attempt, round = session code.
+  kRecoveryEnter = 8,  // a = recovery attempt, b = cause (kTraceRecovery*),
+                       // round = session code.
   kCatchupStart = 9,   // a = target round, round = tip round at start.
   kCatchupBatch = 10,  // a = blocks applied, b = responding peer.
   kCatchupDone = 11,   // a = rounds gained, round = new tip round.
@@ -56,6 +57,13 @@ constexpr uint64_t kTraceRoleCommittee = 1;
 constexpr uint8_t kTraceFinal = 1;
 constexpr uint8_t kTraceEmpty = 2;
 constexpr uint8_t kTraceHung = 4;
+
+// Causes for kRecoveryEnter's b: why this recovery attempt started.
+constexpr uint64_t kTraceRecoveryClockCheck = 0;  // Periodic check: hung or fork suspected.
+constexpr uint64_t kTraceRecoveryJoined = 1;      // Joined a newer session seen on the wire.
+constexpr uint64_t kTraceRecoveryRetryHung = 2;   // Retry: the last attempt's BA* hung.
+constexpr uint64_t kTraceRecoveryRetryUnknownFork = 3;    // Retry: agreed on an unseen fork.
+constexpr uint64_t kTraceRecoveryRetryReplaceFailed = 4;  // Retry: the agreed fork did not apply.
 
 // Origin sentinel for kBlockReceived when the message carried no trace
 // context (mirrors TraceContext::origin's unset value).

@@ -8,6 +8,7 @@
 
 #include "src/core/catchup.h"
 #include "src/core/sim_harness.h"
+#include "src/crypto/sha256.h"
 
 namespace algorand {
 namespace {
@@ -243,6 +244,38 @@ TEST(RecoveryTest, RecoveryAnchorsAtHighestFinalRound) {
     EXPECT_FALSE(h.node(i).in_recovery()) << "node " << i;
     EXPECT_FALSE(h.node(i).hung()) << "node " << i;
   }
+}
+
+TEST(RecoveryTest, ForkSwitchDropsCertificatesOfReplacedRounds) {
+  // The scenario above replaces rounds past the final anchor on half of the
+  // nodes. Their deciding certificates certify blocks that are no longer on
+  // the chain; kept, catch-up would serve them beside the adopted blocks and
+  // a catching-up peer would reject the batch. Every certificate a node still
+  // holds right after the switch must certify its own block at that round.
+  SimHarness h(RecoveryConfig(9));
+  h.Start();
+  ASSERT_TRUE(h.RunRounds(1, Hours(1)));
+  std::set<NodeId> group_a;
+  for (NodeId i = 0; i < 10; ++i) {
+    group_a.insert(i);
+  }
+  SimTime start = h.sim().now();
+  h.SetNetworkAdversary(std::make_unique<PartitionAdversary>(group_a, start, start + Minutes(9)));
+  h.sim().RunUntil(start + Minutes(12));
+  size_t recovered = 0;
+  size_t checked = 0;
+  for (size_t i = 0; i < h.node_count(); ++i) {
+    const Ledger& ledger = h.node(i).ledger();
+    recovered += h.node(i).recoveries_completed() > 0;
+    for (const auto& [round, cert] : h.node(i).certificates()) {
+      ASSERT_LT(round, ledger.next_round()) << "node " << i;
+      EXPECT_EQ(cert.block_hash, ledger.BlockAtRound(round).Hash())
+          << "node " << i << " round " << round;
+      ++checked;
+    }
+  }
+  EXPECT_GT(recovered, 0u);
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(CatchupTest, NewUserValidatesChainFromCertificates) {
@@ -736,6 +769,98 @@ TEST(RecoveryTest, DiskLogFollowsForkRecoveryAndReplaysAfterRestart) {
   EXPECT_TRUE(h.ChainsConsistent());
   auto safety2 = h.CheckSafety();
   EXPECT_TRUE(safety2.ok) << safety2.violation;
+  std::filesystem::remove_all(cfg.data_dir);
+}
+
+// Golden pin of the fork-recovery path in the shape of the test above: seed
+// 33, a synchronous store, a partition long enough for §8.2 recovery, then a
+// kill and a restart from disk. Every node's tip, recoveries per node, every
+// node.* and catchup.* counter and a digest of the recovery-entry trace
+// events (node, time, session code, attempt) are pinned, so any change to
+// when a node enters recovery, which fork it adopts or how the session
+// resumes agreement shows up here.
+TEST(RecoveryTest, GoldenForkRecoveryAndDiskRestartArePinned) {
+  HarnessConfig cfg = RecoveryConfig(33);
+  UseDataDir(&cfg, "golden");
+  SimHarness h(cfg);
+  Sha256 enters;
+  size_t enter_events = 0;
+  h.tracer().SetObserver([&](const TraceEvent& ev) {
+    if (ev.kind == TraceKind::kRecoveryEnter) {
+      ++enter_events;
+      enters.Update(std::to_string(ev.node) + " " + std::to_string(ev.at) + " " +
+                    std::to_string(ev.round) + " " + std::to_string(ev.a) + "\n");
+    }
+  });
+  std::set<NodeId> group_a;
+  for (NodeId i = 0; i < 10; ++i) {
+    group_a.insert(i);
+  }
+  h.SetNetworkAdversary(std::make_unique<PartitionAdversary>(group_a, 0, Minutes(9)));
+  h.Start();
+  h.sim().RunUntil(Minutes(40));
+  uint64_t tip = 0;
+  for (size_t i = 0; i < h.node_count(); ++i) {
+    tip = std::max<uint64_t>(tip, h.node(i).ledger().chain_length());
+  }
+  h.KillNode(3);
+  ASSERT_TRUE(h.RunRounds(tip + 1, Hours(1)));
+  h.RestartNode(3, /*keep_disk=*/true);
+  ASSERT_TRUE(h.RunRounds(tip + 4, Hours(1)));
+  ASSERT_TRUE(h.CheckSafety().ok);
+
+  Sha256 tips;
+  std::vector<uint64_t> recoveries;
+  for (size_t i = 0; i < h.node_count(); ++i) {
+    const Ledger& l = h.node(i).ledger();
+    tips.Update(std::to_string(i) + ":" + std::to_string(l.chain_length()) + ":" +
+                l.tip_hash().ToHex() + "\n");
+    recoveries.push_back(h.node(i).recoveries_completed());
+  }
+  std::map<std::string, uint64_t> counters;
+  for (const auto& [name, value] : h.AggregateMetrics().counters) {
+    if (name.rfind("node.", 0) == 0 || name.rfind("catchup.", 0) == 0) {
+      counters[name] = value;
+    }
+  }
+  // Recorded from this scenario; any drift is a change in recovery behaviour.
+  const std::map<std::string, uint64_t> kCounters = {
+      {"catchup.aborted", 0},
+      {"catchup.bad_batches", 0},
+      {"catchup.blocks_applied", 3},
+      {"catchup.completed", 1},
+      {"catchup.fastsync_bytes", 0},
+      {"catchup.fastsync_completed", 0},
+      {"catchup.fastsync_failed", 0},
+      {"catchup.fastsync_links_verified", 0},
+      {"catchup.fastsync_served", 0},
+      {"catchup.fastsync_sessions", 0},
+      {"catchup.peer_rotations", 0},
+      {"catchup.requests", 1},
+      {"catchup.served", 1},
+      {"catchup.sessions", 1},
+      {"catchup.timeouts", 0},
+      {"node.blocks.proposed", 632},
+      {"node.blocks.validated", 8921},
+      {"node.checkpoints_requested", 0},
+      {"node.recoveries", 20},
+      {"node.rounds.completed", 2777},
+      {"node.rounds.empty", 60},
+      {"node.rounds.final", 2677},
+      {"node.rounds.hung", 20},
+      {"node.votes.cast", 17588},
+      {"node.votes.counted", 304400},
+  };
+  EXPECT_EQ(counters, kCounters);
+  // Node 3 was rebuilt by its restart, which started its count afresh.
+  std::vector<uint64_t> kRecoveries(h.node_count(), 1);
+  kRecoveries[3] = 0;
+  EXPECT_EQ(recoveries, kRecoveries);
+  EXPECT_EQ(enter_events, 20u);
+  EXPECT_EQ(tips.Finish().ToHex(),
+            "31576b7c16fd1a72fb1f469a5ec09f5240a252d0501b7c8a3e67b207e5a94ea5");
+  EXPECT_EQ(enters.Finish().ToHex(),
+            "89d93981d210af2a4b9da44893ad9f30503cd0eee244ade83e5c180bf1b39488");
   std::filesystem::remove_all(cfg.data_dir);
 }
 

@@ -73,6 +73,7 @@ std::vector<TraceEvent> SampleEvents() {
   add(TraceKind::kRecoveryEnter, [](TraceEvent* ev) {
     ev->round = kTraceRecoverySessionBit | 42;
     ev->a = 1;
+    ev->b = kTraceRecoveryRetryHung;
   });
   add(TraceKind::kCatchupStart, [](TraceEvent* ev) { ev->a = 9; });
   add(TraceKind::kCatchupBatch, [](TraceEvent* ev) {
