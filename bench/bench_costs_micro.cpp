@@ -315,6 +315,35 @@ void BM_Simulation_ScheduleStep(benchmark::State& state) {
 }
 BENCHMARK(BM_Simulation_ScheduleStep)->Arg(4096)->Arg(1 << 19);
 
+void BM_Simulation_Delivery(benchmark::State& state) {
+  // BM_Simulation_ScheduleStep's loop with message deliveries instead of
+  // callbacks: each iteration schedules one typed delivery (the record
+  // Network::Send queues) and runs one window, which pops one and hands it
+  // to the sink.
+  struct CountingSink : DeliverySink {
+    void Deliver(const Delivery&) override { ++delivered; }
+    uint64_t delivered = 0;
+  } sink;
+  Simulation sim(/*workers=*/1, /*n_streams=*/1, /*lookahead=*/1);
+  sim.set_delivery_sink(&sink);
+  sim.SetExternalStream(0);
+  const MessagePtr msg = std::make_shared<VoteMessage>();
+  DeterministicRng rng(7);
+  auto schedule = [&] {
+    sim.ScheduleDelivery(sim.now() + static_cast<SimTime>(rng.NextU64() % Seconds(10)),
+                         Delivery{msg, 0, 0});
+  };
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    schedule();
+  }
+  for (auto _ : state) {
+    schedule();
+    sim.Step();
+  }
+  benchmark::DoNotOptimize(sink.delivered);
+}
+BENCHMARK(BM_Simulation_Delivery)->Arg(4096)->Arg(1 << 19);
+
 void BM_GossipSeenSet(benchmark::State& state) {
   // GossipAgent's two-generation dedup memory under gossip traffic: every
   // message id arrives 6 times, its copies 97 messages apart (the first

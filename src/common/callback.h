@@ -1,8 +1,8 @@
 // UniqueCallback: a move-only callable slot with small-buffer optimization.
 //
-// The simulator's event queue stores millions of short-lived closures; most
-// capture a couple of pointers plus a round number and fit comfortably in a
-// small inline buffer. std::function requires copyability and (depending on
+// The simulator's timers are short-lived closures; most capture a couple of
+// pointers plus a round number and fit comfortably in a small inline buffer
+// (message deliveries, the bulk of its events, are typed records instead). std::function requires copyability and (depending on
 // the library) may heap-allocate captures beyond two words. UniqueCallback
 // accepts any callable — including move-only ones — stores it inline when it
 // fits kInlineBytes, and spills to the heap otherwise. Moving a UniqueCallback
@@ -20,8 +20,8 @@ namespace algorand {
 
 class UniqueCallback {
  public:
-  // Inline capacity. Sized for the simulator's common case: a lambda holding
-  // `this`, a shared_ptr, and one or two integers (see simulation.h).
+  // Inline capacity. Sized for the simulator's largest common timer: a lambda
+  // holding `this`, an epoch and a std::function (Node::ScheduleAfter).
   static constexpr size_t kInlineBytes = 48;
 
   UniqueCallback() = default;

@@ -6,8 +6,8 @@ namespace algorand {
 
 uint64_t Certificate::WireSize() const {
   uint64_t size = 8 + 4 + 32;
-  for (const VoteMessage& v : votes) {
-    size += v.WireSize();
+  for (const auto& v : votes) {
+    size += v->WireSize();
   }
   return size;
 }
@@ -18,8 +18,8 @@ std::vector<uint8_t> Certificate::Serialize() const {
   w.U32(step);
   w.Fixed(block_hash);
   w.U32(static_cast<uint32_t>(votes.size()));
-  for (const VoteMessage& v : votes) {
-    w.Bytes(v.Serialize());
+  for (const auto& v : votes) {
+    w.Bytes(v->Serialize());
   }
   return w.Take();
 }
@@ -40,7 +40,7 @@ std::optional<Certificate> Certificate::Deserialize(std::span<const uint8_t> dat
     if (!vote) {
       return std::nullopt;
     }
-    c.votes.push_back(std::move(*vote));
+    c.votes.push_back(std::make_shared<const VoteMessage>(std::move(*vote)));
   }
   if (!r.AtEnd()) {
     return std::nullopt;
@@ -60,7 +60,8 @@ bool ValidateCertificate(const Certificate& cert, const RoundContext& ctx,
 
   uint64_t weight = 0;
   std::unordered_set<PublicKey, FixedBytesHasher> seen;
-  for (const VoteMessage& v : cert.votes) {
+  for (const auto& vote : cert.votes) {
+    const VoteMessage& v = *vote;
     // All votes must be for this round/step/value and extend the same chain.
     if (v.round != cert.round || v.step != cert.step || v.value != cert.block_hash ||
         v.prev_hash != ctx.prev_hash) {

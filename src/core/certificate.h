@@ -3,10 +3,16 @@
 // round. A certificate is valid when every vote checks out (signature,
 // sortition for the claimed round/step, binding to the same previous block)
 // and the weighted votes for the block hash exceed the step threshold.
+//
+// A certificate holds its votes by pointer: a node certifies the very vote
+// messages it counted, which are the ones gossip delivered to every node, so
+// each certified vote exists once per process however many certificates
+// name it. The serialized form carries the votes' bytes.
 #ifndef ALGORAND_SRC_CORE_CERTIFICATE_H_
 #define ALGORAND_SRC_CORE_CERTIFICATE_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -23,7 +29,7 @@ struct Certificate {
   uint64_t round = 0;
   uint32_t step = 0;  // Wire step code whose votes certify the value.
   Hash256 block_hash;
-  std::vector<VoteMessage> votes;
+  std::vector<std::shared_ptr<const VoteMessage>> votes;
 
   // Bytes this certificate would occupy on the wire.
   uint64_t WireSize() const;

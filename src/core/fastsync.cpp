@@ -61,7 +61,8 @@ bool VerifyChainLink(const ChainLink& link, uint64_t round, const Hash256& prev_
       cert->votes.empty()) {
     return false;
   }
-  for (const VoteMessage& v : cert->votes) {
+  for (const auto& vote : cert->votes) {
+    const VoteMessage& v = *vote;
     if (v.round != link.round || v.value != link.hash || v.prev_hash != prev_hash ||
         v.step != cert->step || !signer.Verify(v.pk, v.SignedBody(), v.signature)) {
       return false;

@@ -370,22 +370,23 @@ void Node::AppendAgreedBlock(const Block& block) {
 
   // Certificate: votes of the deciding step (§8.3), sharded if configured.
   Certificate cert = BuildCertificateForStep(ba_result_.deciding_step, params_.StepThreshold());
-  if (KeepsCertificate(cert.round)) {
-    certificates_[cert.round] = cert;
-  }
   std::optional<Certificate> final_cert;
   if (ba_result_.final) {
     final_cert = BuildCertificateForStep(kStepFinal, params_.FinalThreshold());
-    if (KeepsCertificate(cert.round)) {
-      final_certificates_[cert.round] = *final_cert;
-    }
     // Finality supersedes fork suspicions up to this round.
     fork_monitor_.Prune(ledger_.HighestFinalRound().value_or(0));
   }
   // Disk gets the certificate unconditionally (no shard filter): the log is
   // this node's history of record, and catch-up serves from it beyond the
   // in-memory shard window.
-  StreamRoundToStore(cert.round, &cert, final_cert ? &*final_cert : nullptr);
+  const uint64_t round = cert.round;
+  StreamRoundToStore(round, &cert, final_cert ? &*final_cert : nullptr);
+  if (KeepsCertificate(round)) {
+    certificates_[round] = std::move(cert);
+    if (final_cert) {
+      final_certificates_[round] = std::move(*final_cert);
+    }
+  }
   MaybeCheckpoint();
 
   StartRound(current_round_ + 1);
@@ -426,11 +427,12 @@ Certificate Node::BuildCertificateForStep(uint32_t step, double needed) const {
     return cert;
   }
   // Each voter's first stored vote of the step is the one the tally counted.
-  std::unordered_map<PublicKey, const VoteMessage*, FixedBytesHasher> counted;
+  std::unordered_map<PublicKey, const std::shared_ptr<const VoteMessage>*, FixedBytesHasher>
+      counted;
   counted.reserve(tally->voter_count());
   for (const auto& vote : round_votes_) {
     if (vote->step == step) {
-      counted.try_emplace(vote->pk, vote.get());
+      counted.try_emplace(vote->pk, &vote);
     }
   }
   double total = 0;
@@ -768,6 +770,7 @@ GossipVerdict Node::ValidateForRelay(const MessagePtr& msg) {
       if (votes == 0) {
         return GossipVerdict::kReject;
       }
+      relay_ = {msg->DedupId(), current_round_, ledger_.tip_hash(), votes};
       // Relay only if this is the best priority seen so far (§6).
       Hash256 priority = ProposalPriority(pri.sorthash, votes);
       if (proposal_.have_best && !PriorityBeats(priority, proposal_.best_priority)) {
@@ -907,7 +910,10 @@ void Node::HandlePriority(const std::shared_ptr<const PriorityMessage>& msg) {
   if (sync_.active()) {
     return;
   }
-  if (!crypto_.signer->Verify(msg->pk, msg->SignedBody(), msg->signature)) {
+  // The relay validator already checked the signature of a message it
+  // handed off; the sortition lookup below stays (it is a cache hit then).
+  if (HandedOff(*msg, current_round_, ledger_.tip_hash()) == 0 &&
+      !crypto_.signer->Verify(msg->pk, msg->SignedBody(), msg->signature)) {
     return;
   }
   uint64_t votes = VerifyProposerSortition(msg->pk, msg->sorthash, msg->sort_proof, ctx_);

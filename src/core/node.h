@@ -413,8 +413,8 @@ class Node : public BaEnvironment, private SyncHost, private RecoveryHost {
   // validator for the same message, so the message ValidateForRelay last
   // accepted — its DedupId, the round (or session code) and anchor hash it
   // was judged in, and its weight — lets the handler skip a second check.
-  // Blocks, votes and recovery proposals share it. Own and buffered messages
-  // skip the validator and are checked in the handler.
+  // Blocks, votes, priorities and recovery proposals share it. Own and
+  // buffered messages skip the validator and are checked in the handler.
   struct RelayHandoff {
     Hash256 id;
     uint64_t round = 0;

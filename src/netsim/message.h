@@ -100,8 +100,9 @@ class SimMessage {
   // change under the same object. Reset happens while the destination is
   // exclusively owned — sharing starts only once the message is frozen.
   // The kind tag rides along in the padding after the state bytes, so tagging
-  // costs no space (certificates hold votes by value); it belongs to the
-  // class, not the content, so copies keep it and assignment leaves it.
+  // costs no space (every in-flight and certified vote is one such message);
+  // it belongs to the class, not the content, so copies keep it and
+  // assignment leaves it.
   struct Memo {
     explicit Memo(uint8_t k) : kind(k) {}
     Memo(const Memo& other) noexcept : kind(other.kind) {}

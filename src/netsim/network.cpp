@@ -9,7 +9,9 @@ Network::Network(Simulation* sim, LatencyModel* latency, NetworkConfig config, s
       uplink_free_at_(n_nodes, 0),
       control_free_at_(n_nodes, 0),
       uplink_rate_(n_nodes, config.uplink_bytes_per_sec),
-      traffic_(n_nodes) {}
+      traffic_(n_nodes) {
+  sim_->set_delivery_sink(this);
+}
 
 uint64_t Network::total_bytes_sent() const {
   uint64_t total = 0;
@@ -48,17 +50,20 @@ void Network::Send(NodeId from, NodeId to, const MessagePtr& msg) {
     return;  // Uplink time is still consumed (the bytes left the host).
   }
 
-  // The delivery mutates the receiver's state, so it is keyed to `to`'s
-  // stream: the engine routes it to to's shard (cross-shard sends
-  // ride the exchange queues and land at a window barrier).
+  // The delivery mutates the receiver's state, so it runs on `to`'s stream:
+  // the engine routes it to to's shard (cross-shard sends ride the exchange
+  // queues and land at a window barrier).
   SimTime arrival = done + latency_->Sample(from, to) + action.extra_delay;
-  sim_->ScheduleAtForStream(arrival, to, [this, to, from, msg] {
-    traffic_[to].bytes_received += msg->WireSize();
-    traffic_[to].messages_received += 1;
-    if (deliver_) {
-      deliver_(to, from, msg);
-    }
-  });
+  sim_->ScheduleDelivery(arrival, Delivery{msg, from, to});
+}
+
+void Network::Deliver(const Delivery& delivery) {
+  NodeTraffic& traffic = traffic_[delivery.to];
+  traffic.bytes_received += delivery.msg->WireSize();
+  traffic.messages_received += 1;
+  if (deliver_) {
+    deliver_(delivery.to, delivery.from, delivery.msg);
+  }
 }
 
 }  // namespace algorand

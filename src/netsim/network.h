@@ -42,10 +42,12 @@ struct NodeTraffic {
   uint64_t messages_received = 0;
 };
 
-class Network : public Transport {
+class Network final : public Transport, private DeliverySink {
  public:
   using DeliveryHandler = std::function<void(NodeId to, NodeId from, const MessagePtr&)>;
 
+  // Registers itself as `sim`'s delivery sink, so it must outlive every
+  // delivery it schedules there.
   Network(Simulation* sim, LatencyModel* latency, NetworkConfig config, size_t n_nodes);
 
   // Delivery callback invoked when a message arrives at a node.
@@ -65,6 +67,9 @@ class Network : public Transport {
   void set_uplink(NodeId n, double bytes_per_sec) { uplink_rate_[n] = bytes_per_sec; }
 
  private:
+  // A scheduled delivery arrives: receive accounting, then the handler.
+  void Deliver(const Delivery& delivery) override;
+
   Simulation* sim_;
   LatencyModel* latency_;
   NetworkConfig config_;

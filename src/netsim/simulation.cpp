@@ -159,19 +159,34 @@ Simulation::Key Simulation::PopChosen(KeyQueue* queue, SimTime window_end) {
   return candidates[pick];
 }
 
+template <typename Event>
+void Simulation::Route(SimTime when, uint32_t stream, Event&& event) {
+  RequireStream(stream);
+  const uint32_t src = ContextStream();
+  const Key key{when, src == kGlobalStream ? global_seq_++ : stream_seq_[src]++, src, 0};
+  const size_t dst = ShardOf(stream);
+  if (tls_worker.owner == this && dst != tls_worker.shard) {
+    // Cross-shard send from inside a window: buffer for the barrier merge.
+    exchange_[tls_worker.shard][dst].Add(key, std::forward<Event>(event));
+    return;
+  }
+  // Same-shard send, or an external/barrier-context schedule while every
+  // worker is parked: push straight into the target queue.
+  PushEvent(dst, key, std::forward<Event>(event));
+}
+
 void Simulation::PushEvent(size_t shard, Key key, Slot&& slot) {
   Shard& sh = shards_[shard];
-  if (sh.free_slots.empty()) {
-    sh.free_slots.push_back(static_cast<uint32_t>(sh.slab.size()));
-    sh.slab.emplace_back();
-  }
-  key.slot = sh.free_slots.back();
-  sh.free_slots.pop_back();
-  sh.slab[key.slot] = std::move(slot);
+  key.slot = sh.callbacks.Put(std::move(slot));
   sh.queue.push(key);
-  if (sh.queue.size() > sh.peak_queue) {
-    sh.peak_queue = sh.queue.size();
-  }
+  sh.peak_queue = std::max<uint64_t>(sh.peak_queue, sh.queue.size());
+}
+
+void Simulation::PushEvent(size_t shard, Key key, Delivery&& delivery) {
+  Shard& sh = shards_[shard];
+  key.slot = kDeliveryBit | sh.deliveries.Put(std::move(delivery));
+  sh.queue.push(key);
+  sh.peak_queue = std::max<uint64_t>(sh.peak_queue, sh.queue.size());
 }
 
 void Simulation::Schedule(SimTime delay, Callback fn) {
@@ -180,32 +195,23 @@ void Simulation::Schedule(SimTime delay, Callback fn) {
 
 void Simulation::ScheduleAt(SimTime when, Callback fn) {
   // An event scheduled with no target stream acts on its scheduler's own
-  // state (timers); deliveries go through ScheduleAtForStream.
+  // state (timers); deliveries go through ScheduleDelivery.
   ScheduleAtForStream(when, ContextStream(), std::move(fn));
 }
 
 void Simulation::ScheduleAtForStream(SimTime when, uint32_t stream, Callback fn) {
-  const SimTime current = now();
-  if (when < current) {
-    when = current;
-  }
+  when = std::max(when, now());
   if (stream == kGlobalStream) {
     // Global events carry a global sequence; they run at barriers.
     global_.emplace(std::make_pair(when, global_seq_++), std::move(fn));
     return;
   }
-  RequireStream(stream);
-  const uint32_t src = ContextStream();
-  const Key key{when, src == kGlobalStream ? global_seq_++ : stream_seq_[src]++, src, 0};
-  const size_t dst = ShardOf(stream);
-  if (tls_worker.owner == this && dst != tls_worker.shard) {
-    // Cross-shard send from inside a window: buffer for the barrier merge.
-    exchange_[tls_worker.shard][dst].emplace_back(key, Slot{std::move(fn), stream});
-    return;
-  }
-  // Same-shard send, or an external/barrier-context schedule while every
-  // worker is parked: push straight into the target queue.
-  PushEvent(dst, key, Slot{std::move(fn), stream});
+  Route(when, stream, Slot{std::move(fn), stream});
+}
+
+void Simulation::ScheduleDelivery(SimTime when, Delivery delivery) {
+  const uint32_t to = delivery.to;
+  Route(std::max(when, now()), to, std::move(delivery));
 }
 
 SimTime Simulation::MinShardTime() {
@@ -221,15 +227,17 @@ SimTime Simulation::MinShardTime() {
 void Simulation::DrainExchanges() {
   for (size_t src = 0; src < workers_; ++src) {
     for (size_t dst = 0; dst < workers_; ++dst) {
-      std::vector<std::pair<Key, Slot>>& q = exchange_[src][dst];
-      if (q.empty()) {
-        continue;
-      }
+      Exchange& q = exchange_[src][dst];
       exchanged_ += q.size();
-      for (auto& [key, slot] : q) {
+      // Keys order the queue, so the two buffers may merge in either order.
+      for (auto& [key, slot] : q.callbacks) {
         PushEvent(dst, key, std::move(slot));
       }
-      q.clear();
+      for (auto& [key, delivery] : q.deliveries) {
+        PushEvent(dst, key, std::move(delivery));
+      }
+      q.callbacks.clear();
+      q.deliveries.clear();
     }
   }
 }
@@ -241,15 +249,20 @@ void Simulation::ProcessShardWindow(size_t s, SimTime window_end) {
   Shard& sh = shards_[s];
   while (!sh.queue.empty() && sh.queue.front().when <= window_end) {
     const Key key = choice_hook_ != nullptr ? PopChosen(&sh.queue, window_end) : sh.queue.pop();
-    // Out of the slab before it runs: what it schedules may reuse the slot.
-    Callback fn = std::move(sh.slab[key.slot].fn);
-    sh.current_stream = sh.slab[key.slot].exec_stream;
-    sh.free_slots.push_back(key.slot);
     // A hook may run a later candidate first; the passed-over ones then run
     // at the advanced clock, which never regresses.
     sh.local_now = std::max(sh.local_now, key.when);
     ++sh.executed;
-    fn();
+    // Out of the slab before it runs: what it schedules may reuse the slot.
+    if (key.slot & kDeliveryBit) {
+      const Delivery delivery = sh.deliveries.Take(key.slot & ~kDeliveryBit);
+      sh.current_stream = delivery.to;
+      sink_->Deliver(delivery);
+    } else {
+      Slot slot = sh.callbacks.Take(key.slot);
+      sh.current_stream = slot.exec_stream;
+      slot.fn();
+    }
   }
   tls_worker = saved;
 }
@@ -376,6 +389,8 @@ std::vector<std::pair<std::string, uint64_t>> Simulation::EngineStats() const {
     const std::string prefix = "sim.worker" + std::to_string(i);
     out.emplace_back(prefix + ".events", shards_[i].executed);
     out.emplace_back(prefix + ".peak_queue", shards_[i].peak_queue);
+    out.emplace_back(prefix + ".peak_slab_bytes",
+                     shards_[i].callbacks.bytes() + shards_[i].deliveries.bytes());
   }
   return out;
 }

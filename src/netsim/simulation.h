@@ -33,8 +33,11 @@
 // global-stream events (kGlobalStream is the largest stream id).
 //
 // Each shard queues 24-byte keys (when, key_stream, key_seq, slot) in a
-// calendar of ~1 ms buckets (KeyQueue); callbacks wait in a per-shard slab
-// with a free list, at the key's slot, and move once, when their event pops.
+// calendar of ~1 ms buckets (KeyQueue). An event's record waits in one of two
+// per-shard slabs with free lists, at the key's slot, and moves out once,
+// when its key pops: a message delivery is a 24-byte typed `Delivery` handed
+// to the `DeliverySink` (the Network), everything else an 80-byte callback
+// slot (timers).
 #ifndef ALGORAND_SRC_NETSIM_SIMULATION_H_
 #define ALGORAND_SRC_NETSIM_SIMULATION_H_
 
@@ -50,6 +53,7 @@
 
 #include "src/common/executor.h"
 #include "src/common/time_units.h"
+#include "src/netsim/message.h"
 
 namespace algorand {
 
@@ -74,6 +78,24 @@ class ScheduleChoiceHook {
   // Picks which of `count` candidates (listed in default key order) runs
   // next. Called only when count > 1; must return a value in [0, count).
   virtual size_t ChooseNext(SimTime earliest, size_t count) = 0;
+};
+
+// A message in flight: the engine's typed event. It runs on stream `to`.
+struct Delivery {
+  MessagePtr msg;
+  uint32_t from;
+  uint32_t to;
+};
+static_assert(sizeof(Delivery) <= 24, "a delivery record is one shared_ptr and two ids");
+
+// Receives each Delivery when its event runs (the simulated Network). Runs on
+// the shard thread of stream `to`.
+class DeliverySink {
+ public:
+  virtual void Deliver(const Delivery& delivery) = 0;
+
+ protected:
+  ~DeliverySink() = default;
 };
 
 class Simulation final : public Executor {
@@ -105,10 +127,15 @@ class Simulation final : public Executor {
   // Schedules at an absolute time (times in the past clamp to now). The event
   // acts on its scheduler's own stream (timers).
   void ScheduleAt(SimTime when, Callback fn) override;
-  // Schedules an event that acts on `stream`'s state (a delivery to node
-  // `stream`): it is routed to the stream's shard and runs with that stream
-  // current, which is what keeps cross-shard sends deterministic.
+  // Schedules an event that acts on `stream`'s state: it is routed to the
+  // stream's shard and runs with that stream current, which is what keeps
+  // cross-shard sends deterministic.
   void ScheduleAtForStream(SimTime when, uint32_t stream, Callback fn);
+  // Schedules `delivery` at an absolute time (clamped to now) on stream
+  // `delivery.to`, keyed exactly like ScheduleAtForStream. When it runs it
+  // goes to the delivery sink, which must be set and outlive it.
+  void ScheduleDelivery(SimTime when, Delivery delivery);
+  void set_delivery_sink(DeliverySink* sink) { sink_ = sink; }
 
   // Declares which stream subsequent Schedule* calls from *outside* event
   // execution belong to (harness setup, node restarts), so those events are
@@ -131,7 +158,7 @@ class Simulation final : public Executor {
   uint64_t executed_events() const;
 
   // Counters folded into metrics snapshots ("sim.windows", per-worker event
-  // counts and peak queue sizes).
+  // counts, peak queue sizes and peak slab bytes).
   std::vector<std::pair<std::string, uint64_t>> EngineStats() const;
 
   // Installs (or clears, with nullptr) the model checker's scheduling hook.
@@ -151,8 +178,9 @@ class Simulation final : public Executor {
     SimTime when;
     uint64_t key_seq;     // Per-key_stream counter: makes the key total.
     uint32_t key_stream;  // Stream whose callback scheduled the event.
-    uint32_t slot;        // Index of the event's Slot in the shard's slab.
+    uint32_t slot;        // Slab index; kDeliveryBit selects the delivery slab.
   };
+  static constexpr uint32_t kDeliveryBit = 1u << 31;
 
   static bool Before(const Key& a, const Key& b) {
     if (a.when != b.when) {
@@ -168,6 +196,31 @@ class Simulation final : public Executor {
   struct Slot {
     Callback fn;
     uint32_t exec_stream;  // Stream whose state the event touches.
+  };
+
+  // Records at stable indices with a LIFO free list. Never shrinks, so its
+  // size is the shard's peak count of waiting records.
+  template <typename T>
+  struct Slab {
+    std::vector<T> items;
+    std::vector<uint32_t> free;
+
+    uint32_t Put(T&& item) {
+      if (free.empty()) {
+        items.push_back(std::move(item));
+        return static_cast<uint32_t>(items.size() - 1);
+      }
+      const uint32_t index = free.back();
+      free.pop_back();
+      items[index] = std::move(item);
+      return index;
+    }
+    T Take(uint32_t index) {
+      T out = std::move(items[index]);
+      free.push_back(index);
+      return out;
+    }
+    uint64_t bytes() const { return items.size() * sizeof(T); }
   };
 
   // A shard's keys in Before() order: a calendar. Keys in buckets (of 2^20
@@ -200,8 +253,8 @@ class Simulation final : public Executor {
 
   struct Shard {
     KeyQueue queue;
-    std::vector<Slot> slab;
-    std::vector<uint32_t> free_slots;
+    Slab<Slot> callbacks;
+    Slab<Delivery> deliveries;
     SimTime local_now = 0;
     uint32_t current_stream = kGlobalStream;
     uint64_t executed = 0;
@@ -215,7 +268,13 @@ class Simulation final : public Executor {
   // engine; throws std::out_of_range for an undeclared stream otherwise).
   void RequireStream(uint32_t stream);
 
+  // Keys an event scheduled now by the calling stream for `stream`, and
+  // queues it on that stream's shard, through the exchange if the shard is
+  // another worker's.
+  template <typename Event>
+  void Route(SimTime when, uint32_t stream, Event&& event);
   void PushEvent(size_t shard, Key key, Slot&& slot);
+  void PushEvent(size_t shard, Key key, Delivery&& delivery);
   // Pops the key the choice hook picks among the candidates no later than
   // `window_end`; the others go back unchanged.
   Key PopChosen(KeyQueue* queue, SimTime window_end);
@@ -239,7 +298,14 @@ class Simulation final : public Executor {
 
   // Cross-shard exchange buffers: exchange_[src][dst] is written only by
   // src's worker during a window and drained only at barriers.
-  std::vector<std::vector<std::vector<std::pair<Key, Slot>>>> exchange_;
+  struct Exchange {
+    std::vector<std::pair<Key, Slot>> callbacks;
+    std::vector<std::pair<Key, Delivery>> deliveries;
+    void Add(const Key& key, Slot&& slot) { callbacks.emplace_back(key, std::move(slot)); }
+    void Add(const Key& key, Delivery&& d) { deliveries.emplace_back(key, std::move(d)); }
+    size_t size() const { return callbacks.size() + deliveries.size(); }
+  };
+  std::vector<std::vector<Exchange>> exchange_;
 
   // Global-stream events, run at barriers on the calling thread.
   std::map<std::pair<SimTime, uint64_t>, Callback> global_;
@@ -247,6 +313,7 @@ class Simulation final : public Executor {
 
   SimTime now_ = 0;  // Barrier clock.
   uint32_t external_stream_ = kGlobalStream;
+  DeliverySink* sink_ = nullptr;
   ScheduleChoiceHook* choice_hook_ = nullptr;
   std::atomic<bool> stopped_{false};
   uint64_t windows_ = 0;

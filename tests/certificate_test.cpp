@@ -1,9 +1,15 @@
 // Adversarial certificate tests: forged votes, non-committee voters,
-// duplicate voters, threshold boundaries (§8.3).
+// duplicate voters, threshold boundaries (§8.3); and the certificates nodes
+// hold after a harness round: their bytes, and the votes they share.
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "src/common/rng.h"
 #include "src/core/certificate.h"
+#include "src/core/sim_harness.h"
+#include "src/crypto/sha256.h"
+#include "tests/certificate_edit.h"
 
 namespace algorand {
 namespace {
@@ -47,8 +53,8 @@ struct CertFixture {
       if (sort.votes == 0) {
         continue;
       }
-      cert.votes.push_back(MakeVote(key, ctx.round, step, sort.hash, sort.proof, ctx.prev_hash,
-                                    value, kSigner));
+      cert.votes.push_back(std::make_shared<const VoteMessage>(MakeVote(
+          key, ctx.round, step, sort.hash, sort.proof, ctx.prev_hash, value, kSigner)));
       total += static_cast<double>(sort.votes);
       if (total > threshold) {
         break;
@@ -94,7 +100,7 @@ TEST(CertificateTest, RejectsWrongPrevHash) {
 TEST(CertificateTest, RejectsForgedSignature) {
   CertFixture f;
   Certificate cert = f.BuildValid(3, f.params.tau_step, f.params.StepThreshold());
-  cert.votes.back().signature[0] ^= 1;
+  ForgeVote(&cert, cert.votes.size() - 1);
   EXPECT_FALSE(ValidateCertificate(cert, f.ctx, f.params, kVrf, kSigner));
 }
 
@@ -107,8 +113,8 @@ TEST(CertificateTest, RejectsNonCommitteeVoter) {
   SortitionResult wrong_step = RunSortition(kVrf, key, f.ctx.seed, f.params.tau_step,
                                             Role::kCommittee, f.ctx.round, 4, 1000,
                                             f.ctx.total_weight);
-  cert.votes.back() = MakeVote(key, f.ctx.round, 3, wrong_step.hash, wrong_step.proof,
-                               f.ctx.prev_hash, f.value, kSigner);
+  cert.votes.back() = std::make_shared<const VoteMessage>(MakeVote(
+      key, f.ctx.round, 3, wrong_step.hash, wrong_step.proof, f.ctx.prev_hash, f.value, kSigner));
   EXPECT_FALSE(ValidateCertificate(cert, f.ctx, f.params, kVrf, kSigner));
 }
 
@@ -122,8 +128,8 @@ TEST(CertificateTest, RejectsDuplicateVoters) {
 TEST(CertificateTest, RejectsMixedValues) {
   CertFixture f;
   Certificate cert = f.BuildValid(3, f.params.tau_step, f.params.StepThreshold());
-  cert.votes.back().value[0] ^= 1;  // Also breaks the signature, but the value
-                                    // check fires first either way.
+  // Also breaks the signature, but the value check fires first either way.
+  EditVote(&cert, cert.votes.size() - 1, [](VoteMessage& v) { v.value[0] ^= 1; });
   EXPECT_FALSE(ValidateCertificate(cert, f.ctx, f.params, kVrf, kSigner));
 }
 
@@ -141,8 +147,9 @@ TEST(CertificateTest, RejectsFinalCertWithStepCommittee) {
   CertFixture f;
   Certificate cert = f.BuildValid(3, f.params.tau_step, f.params.StepThreshold());
   cert.step = kStepFinal;
-  for (auto& v : cert.votes) {
-    v.step = kStepFinal;  // Breaks signatures too; both checks protect.
+  for (size_t i = 0; i < cert.votes.size(); ++i) {
+    // Breaks signatures too; both checks protect.
+    EditVote(&cert, i, [](VoteMessage& v) { v.step = kStepFinal; });
   }
   EXPECT_FALSE(ValidateCertificate(cert, f.ctx, f.params, kVrf, kSigner));
 }
@@ -163,9 +170,72 @@ TEST(CertificateTest, WeightsOfHeavyUsersCountMultiply) {
                                       Role::kCommittee, f.ctx.round, 3, 50000,
                                       f.ctx.total_weight);
   ASSERT_GT(sort.votes, static_cast<uint64_t>(f.params.StepThreshold()));
-  cert.votes.push_back(MakeVote(f.keys[0], f.ctx.round, 3, sort.hash, sort.proof, f.ctx.prev_hash,
-                                f.value, kSigner));
+  cert.votes.push_back(std::make_shared<const VoteMessage>(MakeVote(
+      f.keys[0], f.ctx.round, 3, sort.hash, sort.proof, f.ctx.prev_hash, f.value, kSigner)));
   EXPECT_TRUE(ValidateCertificate(cert, f.ctx, f.params, kVrf, kSigner));
+}
+
+// A 10-node run through round 1 (sim crypto, uniform latency, seed 41).
+HarnessConfig RoundOneConfig() {
+  HarnessConfig cfg;
+  cfg.n_nodes = 10;
+  cfg.rng_seed = 41;
+  cfg.params = ProtocolParams::ScaledCommittees(0.02);
+  cfg.params.block_size_bytes = 8 * 1024;
+  cfg.latency = HarnessConfig::Latency::kUniform;
+  cfg.use_sim_crypto = true;
+  cfg.verify_workers = 0;
+  return cfg;
+}
+
+// SHA-256 of node 0's round-1 certificate bytes, recorded while
+// certificates still held copies of their votes.
+constexpr char kGoldenRoundOneCertificate[] =
+    "5e6ad40e23c49bd7ee592051fb432b773a169a533004f2eef3e91a3a6775ccaa";
+
+TEST(CertificateTest, HarnessCertificateKeepsItsBytesAndRoundTrips) {
+  SimHarness h(RoundOneConfig());
+  h.Start();
+  ASSERT_TRUE(h.RunRounds(1, Hours(1)));
+  const Certificate& cert = h.node(0).certificates().at(1);
+  const std::vector<uint8_t> bytes = cert.Serialize();
+  EXPECT_EQ(Sha256::Hash(bytes).ToHex(), kGoldenRoundOneCertificate);
+
+  std::optional<Certificate> decoded = Certificate::Deserialize(bytes);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->round, cert.round);
+  EXPECT_EQ(decoded->step, cert.step);
+  EXPECT_EQ(decoded->block_hash, cert.block_hash);
+  ASSERT_EQ(decoded->votes.size(), cert.votes.size());
+  for (size_t i = 0; i < cert.votes.size(); ++i) {
+    EXPECT_EQ(decoded->votes[i]->Serialize(), cert.votes[i]->Serialize()) << "vote " << i;
+  }
+  EXPECT_EQ(decoded->Serialize(), bytes);
+}
+
+TEST(CertificateTest, HonestNodesCertifyTheSameVoteObjects) {
+  SimHarness h(RoundOneConfig());
+  h.Start();
+  ASSERT_TRUE(h.RunRounds(1, Hours(1)));
+  // The first vote object seen for each voter, and how many certificates
+  // name that voter.
+  std::map<PublicKey, const VoteMessage*> first;
+  std::map<PublicKey, size_t> named;
+  for (size_t i = 0; i < h.node_count(); ++i) {
+    const Certificate& cert = h.node(i).certificates().at(1);
+    ASSERT_FALSE(cert.votes.empty()) << "node " << i;
+    for (const auto& vote : cert.votes) {
+      auto [it, inserted] = first.emplace(vote->pk, vote.get());
+      EXPECT_EQ(it->second, vote.get()) << "node " << i << " holds its own copy of a vote";
+      ++named[vote->pk];
+    }
+  }
+  // Voters certified by more than one node make the comparison bite.
+  size_t shared = 0;
+  for (const auto& [pk, count] : named) {
+    shared += count > 1 ? 1 : 0;
+  }
+  EXPECT_GT(shared, 0u);
 }
 
 }  // namespace

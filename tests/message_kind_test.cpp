@@ -77,7 +77,8 @@ Certificate FixedCertificate(uint64_t round) {
   c.round = round;
   c.step = kStepFinal;
   c.block_hash = Pattern<32>(0xe0);
-  c.votes = {FixedVote(round), FixedVote(round + 1)};
+  c.votes = {std::make_shared<const VoteMessage>(FixedVote(round)),
+             std::make_shared<const VoteMessage>(FixedVote(round + 1))};
   return c;
 }
 

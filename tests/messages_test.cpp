@@ -141,9 +141,9 @@ TEST(BlockRequestTest, DedupDistinguishesRequesters) {
 TEST(CertificateTest, WireSizeSumsVotes) {
   Certificate cert;
   EXPECT_EQ(cert.WireSize(), 8u + 4 + 32);
-  cert.votes.emplace_back();
+  cert.votes.push_back(std::make_shared<const VoteMessage>());
   uint64_t one = cert.WireSize();
-  cert.votes.emplace_back();
+  cert.votes.push_back(std::make_shared<const VoteMessage>());
   EXPECT_EQ(cert.WireSize(), 2 * (one - 44) + 44);
 }
 

@@ -331,7 +331,7 @@ TEST(NodeTest, CertificatesCoverEveryCompletedRound) {
     EXPECT_EQ(cert.block_hash, node.ledger().BlockAtRound(r).Hash());
     // The certificate's weighted votes exceed the step threshold.
     double total = 0;
-    for (const VoteMessage& v : cert.votes) {
+    for (const auto& v : cert.votes) {
       (void)v;
       total += 1;  // At least one sub-vote each; exact weight checked by ValidateCertificate.
     }
@@ -376,6 +376,19 @@ class ProbeNode : public Node {
     return msg;
   }
 
+  // This round's priority message, as MaybePropose gossips it; null if
+  // proposer sortition does not select this node.
+  std::shared_ptr<PriorityMessage> PriorityProposal() {
+    SortitionResult sort =
+        RunSortition(*crypto().vrf, key(), MakeContext().seed, params().tau_proposer,
+                     Role::kProposer, current_round(), 0, SelfWeight(), ledger().total_weight());
+    if (sort.votes == 0) {
+      return nullptr;
+    }
+    return std::make_shared<PriorityMessage>(MakePriorityMessage(
+        key(), current_round(), sort.hash, sort.proof, sort.votes, *crypto().signer));
+  }
+
   // Hands `msg` to this node's gossip agent as if `from` had sent it: relay
   // validation, then delivery.
   void Receive(NodeId from, const MessagePtr& msg) { gossip()->OnReceive(from, msg); }
@@ -401,6 +414,15 @@ class CountingSigner : public SignerBackend {
 
   size_t Checks(const Transaction& tx) const {
     return static_cast<size_t>(std::count(verified.begin(), verified.end(), tx.Serialize()));
+  }
+  size_t Checks(const PriorityMessage& msg) const {
+    return static_cast<size_t>(std::count(verified.begin(), verified.end(), Image(msg)));
+  }
+  // A priority's signed body followed by its signature.
+  static std::vector<uint8_t> Image(const PriorityMessage& msg) {
+    std::vector<uint8_t> image = msg.SignedBody();
+    image.insert(image.end(), msg.signature.data(), msg.signature.data() + msg.signature.size());
+    return image;
   }
 
   const SignerBackend* inner = nullptr;
@@ -578,6 +600,59 @@ TEST(BlockValidationTest, GossipedBlockIsValidatedOncePerNode) {
   ASSERT_TRUE(delivered);
   EXPECT_EQ(net.Validated(ProbeNet::kCounted), validated + 1);
   EXPECT_EQ(net.signer.Checks(later), 1u);
+}
+
+TEST(PriorityValidationTest, RelayedPriorityIsSignatureCheckedOncePerNode) {
+  ProbeNet net(54);
+  net.h->Start();
+  ASSERT_TRUE(net.h->RunRounds(2, Hours(1)));
+  // Every signature check of a priority message the counted node made, by
+  // image: no other message this run signs has a priority image's length
+  // (no payments, no recovery).
+  const size_t image_size = CountingSigner::Image(PriorityMessage{}).size();
+  std::map<std::vector<uint8_t>, size_t> checks;
+  for (const std::vector<uint8_t>& image : net.signer.verified) {
+    if (image.size() == image_size) {
+      ++checks[image];
+    }
+  }
+  // Relay validation checks a first-seen priority and its delivery takes
+  // the hand-off; the node's own priority is checked once, at delivery.
+  ASSERT_GT(checks.size(), 2u);
+  for (const auto& [image, count] : checks) {
+    EXPECT_EQ(count, 1u);
+  }
+}
+
+TEST(PriorityValidationTest, PriorityWithoutHandOffIsCheckedAndForgeryRejected) {
+  ProbeNet net(55);
+  net.h->Start();
+  ProbeNode& counted = net.node(ProbeNet::kCounted);
+  ASSERT_EQ(counted.PriorityProposal(), nullptr);  // No own priority to compete with.
+  std::shared_ptr<PriorityMessage> genuine;
+  NodeId proposer = 0;
+  for (NodeId i = 0; i < net.h->node_count() && genuine == nullptr; ++i) {
+    if (i != ProbeNet::kCounted) {
+      genuine = net.node(i).PriorityProposal();
+      proposer = i;
+    }
+  }
+  ASSERT_NE(genuine, nullptr);
+
+  // A forged copy delivered without relay validation is checked in the
+  // handler and rejected, not waved through on the last relay verdict.
+  auto forged = std::make_shared<PriorityMessage>(*genuine);
+  forged->signature[0] ^= 1;
+  counted.Originate(forged);
+  EXPECT_EQ(net.signer.Checks(*forged), 1u);
+
+  // Had the forgery become the best priority, the genuine message (same
+  // priority) would be delivered without relay. It is relayed, and checked
+  // once: by relay validation, whose verdict its delivery takes.
+  const uint64_t relayed = net.Counter(ProbeNet::kCounted, "gossip.relayed");
+  counted.Receive(proposer, genuine);
+  EXPECT_EQ(net.Counter(ProbeNet::kCounted, "gossip.relayed"), relayed + 1);
+  EXPECT_EQ(net.signer.Checks(*genuine), 1u);
 }
 
 }  // namespace

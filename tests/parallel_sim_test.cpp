@@ -1,5 +1,5 @@
-// Unit tests for the conservative-lookahead engine's windows, workers and
-// model-checker choice hook (src/netsim/simulation.h), the aggregate-user model's
+// Unit tests for the conservative-lookahead engine's windows, workers,
+// typed deliveries and model-checker choice hook (src/netsim/simulation.h), the aggregate-user model's
 // distributional fidelity (src/core/user_group.h), and the mutex-striped
 // sortition CDF cache. sim_determinism_test covers the end-to-end
 // workers=1-vs-N contract on full consensus runs; this file pins the
@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -330,6 +331,106 @@ TEST(ParallelSimTest, ChoiceHookNeedsOneWorker) {
   Simulation one(/*workers=*/1, /*n_streams=*/2, /*lookahead=*/100);
   one.set_choice_hook(&hook);
   EXPECT_EQ(one.choice_hook(), &hook);
+}
+
+// ---------------------------------------------------------------------------
+// Typed deliveries next to callbacks.
+
+// A message that is only its id.
+class IdMessage : public SimMessage {
+ public:
+  explicit IdMessage(int id) : SimMessage(0), id_(id) {}
+  int id() const { return id_; }
+  const char* TypeName() const override { return "id"; }
+  std::vector<uint8_t> Serialize() const override { return {}; }
+
+ protected:
+  uint64_t ComputeWireSize() const override { return 0; }
+  Hash256 ComputeDedupId() const override { return Hash256{}; }
+
+ private:
+  int id_;
+};
+
+// Logs every delivery at its target stream as (now, id). A delivery of
+// kRearm schedules a timer at 300 with ScheduleAt, which keys it to the
+// stream the delivery runs on.
+struct LoggingSink : DeliverySink {
+  static constexpr int kRearm = 100;
+
+  LoggingSink(Simulation* sim, std::vector<std::vector<std::pair<SimTime, int>>>* logs)
+      : sim(sim), logs(logs) {}
+  void Deliver(const Delivery& d) override {
+    const int id = static_cast<const IdMessage&>(*d.msg).id();
+    (*logs)[d.to].emplace_back(sim->now(), id);
+    if (id == kRearm) {
+      const uint32_t to = d.to;
+      sim->ScheduleAt(300, [this, to] { (*logs)[to].emplace_back(sim->now(), kRearm + 1); });
+    }
+  }
+
+  Simulation* sim;
+  std::vector<std::vector<std::pair<SimTime, int>>>* logs;
+};
+
+// Streams 0, 1 and 2 each send three events to stream 3 for time 200 — a
+// delivery, a callback, a delivery — from kicks that run in the reverse of
+// stream order (stream 2 first). A global event sends stream 3 a delivery
+// for 200 too, whose handler arms a timer for 300; streams 2 and 4 schedule
+// callbacks on stream 3 for 300. Returns the per-stream (now, id) logs.
+std::vector<std::vector<std::pair<SimTime, int>>> RunMixedDeliveries(size_t workers,
+                                                                     ScheduleChoiceHook* hook) {
+  constexpr uint32_t kStreams = 5;
+  constexpr uint32_t kTarget = 3;
+  Simulation sim(workers, kStreams, /*lookahead=*/100);
+  sim.set_choice_hook(hook);
+  std::vector<std::vector<std::pair<SimTime, int>>> logs(kStreams);
+  LoggingSink sink(&sim, &logs);
+  sim.set_delivery_sink(&sink);
+  auto deliver = [&sim](SimTime when, int id, uint32_t from) {
+    sim.ScheduleDelivery(when, Delivery{std::make_shared<IdMessage>(id), from, kTarget});
+  };
+  auto call = [&sim, &logs](SimTime when, int id) {
+    sim.ScheduleAtForStream(when, kTarget,
+                            [&sim, &logs, id] { logs[kTarget].emplace_back(sim.now(), id); });
+  };
+  for (uint32_t s : {2u, 1u, 0u}) {
+    sim.SetExternalStream(s);
+    sim.ScheduleAtForStream(30 - 10 * static_cast<SimTime>(s), s, [&, s] {
+      const int base = 10 * static_cast<int>(s);
+      deliver(200, base + 1, s);
+      call(200, base + 2);
+      deliver(200, base + 3, s);
+    });
+  }
+  sim.SetExternalStream(4);
+  call(300, 40);
+  sim.SetExternalStream(2);
+  call(300, 20);
+  sim.SetExternalStream(Simulation::kGlobalStream);
+  sim.ScheduleAt(50, [&] { deliver(200, LoggingSink::kRearm, 4); });
+  sim.Run();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.executed_events(), 3u + 9u + 1u + 1u + 2u + 1u);
+  return logs;
+}
+
+TEST(ParallelSimTest, DeliveriesAndCallbacksRunInKeyOrder) {
+  // At equal times events run by (scheduling stream, its sequence), with
+  // the global stream last: stream 0's three, then 1's, then 2's, then the
+  // global event's delivery. At 300 the rearmed timer carries stream 3's
+  // key, so it runs between stream 2's callback and stream 4's.
+  const std::vector<std::pair<SimTime, int>> want = {
+      {200, 1},  {200, 2},  {200, 3},  {200, 11}, {200, 12}, {200, 13},  {200, 21},
+      {200, 22}, {200, 23}, {200, 100}, {300, 20}, {300, 101}, {300, 40}};
+  const auto one = RunMixedDeliveries(1, nullptr);
+  EXPECT_EQ(one[3], want);
+  // Three shards: stream 3 shares shard 0 with stream 0, so streams 1 and 2
+  // reach it through the exchange buffers.
+  EXPECT_EQ(RunMixedDeliveries(3, nullptr), one);
+  ScriptedHook first(/*window=*/150, /*max_candidates=*/6, ScriptedHook::Pick::kFirst);
+  EXPECT_EQ(RunMixedDeliveries(1, &first), one);
+  EXPECT_FALSE(first.offers.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include "src/core/sim_harness.h"
 #include "src/core/wire_codec.h"
 #include "src/netsim/simulation.h"
+#include "tests/certificate_edit.h"
 
 namespace algorand {
 namespace {
@@ -109,8 +110,8 @@ TEST(FuzzTest, MutatedCatchupResponsesParseOrReject) {
     VrfOutput sorthash;
     VrfProof proof;
     Hash256 prev;
-    cert.votes.push_back(
-        MakeVote(key, r, kStepFinal, sorthash, proof, prev, cert.block_hash, signer));
+    cert.votes.push_back(std::make_shared<const VoteMessage>(
+        MakeVote(key, r, kStepFinal, sorthash, proof, prev, cert.block_hash, signer)));
     resp->entries.push_back(CatchupResponseMessage::Entry{block, cert});
   }
   resp->final_cert = resp->entries.back().cert;
@@ -284,11 +285,11 @@ class TamperingNode : public Node {
     if (resp != nullptr) {
       for (auto& e : resp->entries) {
         if (!e.cert.votes.empty()) {
-          e.cert.votes[0].signature[0] ^= 0x01;
+          ForgeVote(&e.cert, 0);
         }
       }
       if (resp->final_cert.has_value() && !resp->final_cert->votes.empty()) {
-        resp->final_cert->votes[0].signature[0] ^= 0x01;
+        ForgeVote(&*resp->final_cert, 0);
       }
     }
     return resp;

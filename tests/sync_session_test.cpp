@@ -136,8 +136,8 @@ class SyncSessionTest : public ::testing::Test {
     cert.round = 1;
     cert.step = 1;
     cert.block_hash = hash;
-    cert.votes.push_back(
-        MakeVote(key_, 1, 1, VrfOutput{}, VrfProof{}, ledger_->tip_hash(), hash, signer_));
+    cert.votes.push_back(std::make_shared<const VoteMessage>(
+        MakeVote(key_, 1, 1, VrfOutput{}, VrfProof{}, ledger_->tip_hash(), hash, signer_)));
     ChainLink link;
     link.round = 1;
     link.hash = hash;

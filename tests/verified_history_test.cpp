@@ -18,6 +18,7 @@
 #include "src/core/catchup.h"
 #include "src/core/fastsync.h"
 #include "src/core/sim_harness.h"
+#include "tests/certificate_edit.h"
 #include "tests/test_dirs.h"
 
 namespace algorand {
@@ -85,7 +86,7 @@ TEST(CertifiedRoundTest, AppendsCertifiedRoundsAndRejectsForgeries) {
   EXPECT_EQ(c.Append(&l, 0, &c.certs[1]), RoundCheck::kCertMismatch);
   // A forged vote: one signature byte flipped.
   Certificate forged = c.certs[0];
-  forged.votes[0].signature[0] ^= 1;
+  ForgeVote(&forged, 0);
   EXPECT_EQ(c.Append(&l, 0, &forged), RoundCheck::kInvalidCert);
   // Below quorum.
   Certificate weak = c.certs[0];
@@ -180,7 +181,7 @@ TEST(CertifiedRoundTest, PastFinalCertificateMarksThePrefixAndBeyondTipIsIgnored
   // A deciding certificate is no final certificate.
   EXPECT_EQ(c.MarkFinal(&l, c.certs[fc.round - 1]), RoundCheck::kCertMismatch);
   Certificate forged = fc;
-  forged.votes[0].signature[0] ^= 1;
+  ForgeVote(&forged, 0);
   EXPECT_EQ(c.MarkFinal(&l, forged), RoundCheck::kInvalidCert);
   ASSERT_EQ(c.MarkFinal(&l, fc), RoundCheck::kOk);
   for (uint64_t r = 0; r < l.chain_length(); ++r) {

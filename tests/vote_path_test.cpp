@@ -18,8 +18,8 @@
 namespace algorand {
 namespace {
 
-// Certificates copy their votes, so every byte of a vote is resident memory
-// in every certificate map.
+// Every byte of a vote is resident memory while any node counts it or any
+// certificate names it (certificates share the counted messages).
 static_assert(sizeof(VoteMessage) == 416);
 
 // Signs two different votes for every step it is selected in: first one for
@@ -98,9 +98,9 @@ TEST(VotePathTest, CertificatesTakeTheFirstCountedVoteByteForByte) {
         Append(&all, bytes.size());
         all.insert(all.end(), bytes.begin(), bytes.end());
         ++certificates;
-        for (const VoteMessage& vote : cert.votes) {
-          EXPECT_EQ(vote.value, cert.block_hash);
-          if (vote.pk == double_voter) {
+        for (const auto& vote : cert.votes) {
+          EXPECT_EQ(vote->value, cert.block_hash);
+          if (vote->pk == double_voter) {
             ++with_double_voter;
           }
         }
