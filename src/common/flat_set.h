@@ -6,8 +6,8 @@
 // FlatTable: slots in one array of any capacity, probed linearly from a
 // multiply-shift home slot, behind a dense ctrl byte per slot (0 = empty,
 // else a 7-bit hash tag) that is scanned first; keys are compared in full on
-// a tag match. Neither needs tombstones: FlatSet has no erase (clear() drops
-// a generation and keeps the capacity), and FlatMap erases by backward shift.
+// a tag match. Both erase by backward shift, so neither needs tombstones;
+// FlatSet's clear() drops a whole generation and keeps the capacity.
 #ifndef ALGORAND_SRC_COMMON_FLAT_SET_H_
 #define ALGORAND_SRC_COMMON_FLAT_SET_H_
 
@@ -28,6 +28,17 @@ class FlatTable {
   size_t size() const { return size_; }
   size_t capacity() const { return ctrl_.size(); }
   bool contains(const Key& key) const { return Find(key) != capacity(); }
+
+  // Removes `key` by backward shift (see EraseAt); returns false if it was
+  // absent.
+  bool erase(const Key& key) {
+    const size_t i = Find(key);
+    if (i == capacity()) {
+      return false;
+    }
+    EraseAt(i);
+    return true;
+  }
 
   // Bytes of slot storage: one ctrl byte plus one Slot per slot.
   size_t memory_bytes() const { return capacity() * (1 + sizeof(Slot)); }
@@ -228,16 +239,6 @@ class FlatMap : public FlatTable<Key, FlatMapEntry<Key, Value>> {
       stored = value;
     }
     return {stored, inserted};
-  }
-
-  // Returns false if `key` was absent.
-  bool erase(const Key& key) {
-    const size_t i = this->Find(key);
-    if (i == this->capacity()) {
-      return false;
-    }
-    this->EraseAt(i);
-    return true;
   }
 };
 

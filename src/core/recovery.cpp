@@ -74,8 +74,7 @@ void RecoverySession::Enter(uint64_t cause) {
   empty_ = Block::MakeEmpty(anchor_round_ + 1, anchor, ledger_.SeedForRound(anchor_round_ + 1));
   empty_hash_ = empty_.Hash();
 
-  candidates_.clear();
-  best_ = nullptr;
+  book_.Clear();
   host_.BeginAgreement(ctx_, [this](const BaResult& result) { OnAgreed(result); });
   host_.TraceRecovery(TraceKind::kRecoveryEnter, attempt_, cause);
 
@@ -83,7 +82,8 @@ void RecoverySession::Enter(uint64_t cause) {
 
   host_.ScheduleAfter(params_.lambda_priority + params_.lambda_stepvar, [this] {
     if (active_) {
-      host_.StartAgreement(best_ != nullptr ? best_->first : empty_hash_, empty_hash_);
+      const Hash256* leader = book_.LeaderBody();
+      host_.StartAgreement(leader != nullptr ? *leader : empty_hash_, empty_hash_);
     }
   });
 }
@@ -116,8 +116,7 @@ void RecoverySession::MaybePropose() {
   host_.Gossip(msg);
 }
 
-GossipVerdict RecoverySession::ValidateProposal(const RecoveryProposalMessage& msg,
-                                                uint64_t* votes) const {
+GossipVerdict RecoverySession::Judge(const RecoveryProposalMessage& msg, uint64_t* votes) const {
   *votes = 0;
   if (ContextFor(msg.code) == nullptr) {
     return GossipVerdict::kDeliverOnly;  // Can't judge it; let it pass once.
@@ -151,24 +150,19 @@ GossipVerdict RecoverySession::ValidateProposal(const RecoveryProposalMessage& m
   return GossipVerdict::kRelay;
 }
 
-void RecoverySession::HandleProposal(const RecoveryProposalMessage& msg, uint64_t votes) {
-  if (ContextFor(msg.code) == nullptr) {
-    return;
+GossipVerdict RecoverySession::Receive(const std::shared_ptr<const RecoveryProposalMessage>& msg) {
+  uint64_t votes = 0;
+  const GossipVerdict verdict = Judge(*msg, &votes);
+  GossipVerdict here = verdict;
+  if (verdict == GossipVerdict::kDeliverOnly && votes == 0) {  // No session could judge it.
+    MaybeJoin(msg->code);
+    here = Judge(*msg, &votes);
   }
-  if (votes == 0 && ValidateProposal(msg, &votes) == GossipVerdict::kReject) {
-    return;
+  if (here == GossipVerdict::kRelay) {  // Valid and no shorter than our chain.
+    book_.OfferBody(msg->pk, msg->block.Hash(), msg, ProposalPriority(msg->sorthash, votes),
+                    host_.Now());
   }
-  if (msg.block.round < ledger_.next_round()) {
-    return;  // Shorter than the chain we already have.
-  }
-  const Hash256 hash = msg.block.Hash();
-  auto [it, inserted] = candidates_.try_emplace(hash);
-  if (inserted) {
-    it->second = {msg.block, msg.suffix, ProposalPriority(msg.sorthash, votes)};
-  }
-  if (best_ == nullptr || PriorityBeats(it->second.priority, best_->second.priority)) {
-    best_ = &*it;
-  }
+  return verdict;
 }
 
 void RecoverySession::OnAgreed(const BaResult& result) {
@@ -180,15 +174,15 @@ void RecoverySession::OnAgreed(const BaResult& result) {
   if (result.value == empty_hash_) {
     replacement.push_back(empty_);
   } else {
-    auto it = candidates_.find(result.value);
-    if (it == candidates_.end()) {
+    const auto* agreed = book_.Find<RecoveryProposalMessage>(result.value);
+    if (agreed == nullptr) {
       // Agreed on a fork we never received; the next attempt's proposers
       // include holders of that fork.
       Retry(kTraceRecoveryRetryUnknownFork);
       return;
     }
-    replacement = it->second.suffix;
-    replacement.push_back(it->second.block);
+    replacement = agreed->suffix;
+    replacement.push_back(agreed->block);
   }
   const uint64_t first = anchor_round_ + 1;
   if (!ledger_.ReplaceSuffix(first, replacement)) {

@@ -2,21 +2,24 @@
 // last final block f and run a separate BA* — with a fresh seed and the
 // weights as of f — on which fork to adopt. RecoverySession is one node's
 // side of that: the clock-driven check and the join rule that start a
-// session, the session's context and its empty fallback, recovery proposals,
-// and the adoption of the agreed fork. It reaches the node only through the
-// RecoveryHost interface, so a unit test can fake the node.
+// session, the session's context and its empty fallback, recovery proposals
+// (kept in a ProposalBook, so the backed candidate is the best priority over
+// every proposal seen, whatever their order), and the adoption of the agreed
+// fork. It reaches the node only through the RecoveryHost interface, so a
+// unit test can fake the node.
 #ifndef ALGORAND_SRC_CORE_RECOVERY_H_
 #define ALGORAND_SRC_CORE_RECOVERY_H_
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "src/core/ba_star.h"
 #include "src/core/context.h"
 #include "src/core/messages.h"
 #include "src/core/params.h"
+#include "src/core/proposal_book.h"
 #include "src/ledger/ledger.h"
 #include "src/netsim/gossip.h"
 #include "src/obs/round_tracer.h"
@@ -80,12 +83,12 @@ class RecoverySession {
   // Joins a newer session seen on the wire: a stuck node whose retries
   // drifted out of step with the majority adopts their session code.
   void MaybeJoin(uint64_t code);
-  // Checks a proposal against the active session: signature, sortition (its
-  // weight goes to `*votes`) and chain linkage.
-  GossipVerdict ValidateProposal(const RecoveryProposalMessage& msg, uint64_t* votes) const;
-  // Takes a proposal as a candidate. `votes` is the relay validator's
-  // sortition weight for it; 0 = not judged yet, validate here.
-  void HandleProposal(const RecoveryProposalMessage& msg, uint64_t votes);
+  // Checks a proposal and takes it as a candidate, in one pass. It is judged
+  // in the session as it stands (kDeliverOnly if no active session can judge
+  // it), may then make the node join its session, and is checked once in the
+  // joined session if the earlier one could not judge it. Returns the relay
+  // verdict of the first judgement.
+  GossipVerdict Receive(const std::shared_ptr<const RecoveryProposalMessage>& msg);
   // Leaves the session without adopting anything (catch-up preempts it, or
   // the node halted). The periodic check keeps running.
   void Stop() { active_ = false; }
@@ -98,6 +101,9 @@ class RecoverySession {
   void Retry(uint64_t cause);
   void MaybePropose();
   void OnAgreed(const BaResult& result);
+  // Checks a proposal against the active session: signature, sortition (its
+  // weight goes to `*votes`) and chain linkage.
+  GossipVerdict Judge(const RecoveryProposalMessage& msg, uint64_t* votes) const;
 
   RecoveryHost& host_;
   Ledger& ledger_;
@@ -117,14 +123,9 @@ class RecoverySession {
   RoundContext ctx_;           // round = session code, prev_hash = H(block f).
   Block empty_;                // Fallback: empty block extending round f.
   Hash256 empty_hash_;
-  struct Candidate {
-    Block block;
-    std::vector<Block> suffix;
-    Hash256 priority;
-  };
-  // Candidates by the hash of their top block: the value BA* agrees on.
-  std::unordered_map<Hash256, Candidate, FixedBytesHasher> candidates_;
-  const std::pair<const Hash256, Candidate>* best_ = nullptr;
+  // Candidates by the hash of their top block, the value BA* agrees on. A
+  // proposer that offers two different chains in one session is banned.
+  ProposalBook book_;
   uint64_t completed_ = 0;
 };
 

@@ -188,8 +188,8 @@ void GossipAgent::Gossip(const MessagePtr& msg) {
     return;  // Already originated/relayed.
   }
   StampOrigination(msg);
-  if (handler_) {
-    handler_(msg);
+  if (receiver_) {
+    receiver_(self_, msg);  // Own message: delivered, its verdict unused.
   }
   Forward(msg, self_);
 }
@@ -210,21 +210,23 @@ void GossipAgent::SendTo(NodeId peer, const MessagePtr& msg) {
 void GossipAgent::OnReceive(NodeId from, const MessagePtr& msg) {
   CountKind(&msgs_in_by_kind_, *msg, 1);
   counts_.bytes_in += msg->WireSize();
-  if (SeenBefore(msg->DedupId())) {
+  const Hash256& id = msg->DedupId();
+  if (!MarkSeen(id)) {
     ++counts_.dup_dropped;
     return;
   }
-  GossipVerdict verdict = validator_ ? validator_(msg) : GossipVerdict::kRelay;
+  GossipVerdict verdict = receiver_ ? receiver_(from, msg) : GossipVerdict::kRelay;
   if (verdict == GossipVerdict::kReject) {
+    // Unmarked (in whichever generation now holds it): a valid copy arriving
+    // later is still usable.
+    if (!seen_current_.erase(id)) {
+      seen_prev_.erase(id);
+    }
     rejected_->Increment();
-    return;  // Not marked seen: a valid copy arriving later is still usable.
+    return;
   }
-  MarkSeen(msg->DedupId());
   if (delivered_ != nullptr) {
     delivered_->Increment();
-  }
-  if (handler_) {
-    handler_(msg);
   }
   if (verdict == GossipVerdict::kRelay) {
     if (relayed_ != nullptr) {

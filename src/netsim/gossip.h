@@ -3,10 +3,11 @@
 // Topology: every node opens connections to a small number of random peers
 // (4 in the paper's prototype) and also accepts incoming connections, for ~8
 // neighbours on average. GossipAgent handles per-node relay behaviour:
-// drop duplicates, validate before relaying (the validator is supplied by the
-// consensus layer and can accept-without-relay, e.g. for non-best block
-// proposals), and forward to all neighbours except the one the message came
-// from.
+// drop duplicates, hand each first-seen message to one receiver (supplied by
+// the consensus layer, which checks the message, handles it and returns the
+// relay verdict in the same call; it can accept-without-relay, e.g. for
+// non-best block proposals), and forward to all neighbours except the one the
+// message came from.
 #ifndef ALGORAND_SRC_NETSIM_GOSSIP_H_
 #define ALGORAND_SRC_NETSIM_GOSSIP_H_
 
@@ -42,8 +43,8 @@ class GossipTopology {
   std::vector<std::vector<NodeId>> adj_;
 };
 
-// What the consensus layer tells the gossip agent to do with a first-seen
-// message.
+// What the consensus layer's receiver tells the gossip agent to do with a
+// first-seen message.
 enum class GossipVerdict : uint8_t {
   kRelay = 0,        // Valid: deliver locally and forward to neighbours.
   kDeliverOnly = 1,  // Valid but don't forward (e.g. superseded proposal).
@@ -52,8 +53,9 @@ enum class GossipVerdict : uint8_t {
 
 class GossipAgent {
  public:
-  using Validator = std::function<GossipVerdict(const MessagePtr&)>;
-  using Handler = std::function<void(const MessagePtr&)>;
+  // Checks and handles one message from `from` (this agent's own node for
+  // a message it originates) and returns its relay verdict.
+  using Receiver = std::function<GossipVerdict(NodeId from, const MessagePtr&)>;
 
   GossipAgent(NodeId self, Transport* network, const GossipTopology* topology);
   // Folds the last counts into the attached registry, which must outlive
@@ -62,8 +64,11 @@ class GossipAgent {
   GossipAgent(const GossipAgent&) = delete;
   GossipAgent& operator=(const GossipAgent&) = delete;
 
-  void set_validator(Validator v) { validator_ = std::move(v); }
-  void set_handler(Handler h) { handler_ = std::move(h); }
+  // A first-seen message is marked seen before the receiver runs (a receiver
+  // that advances the seen window leaves it in the generation it arrived in)
+  // and unmarked on kReject. Own messages (Gossip) arrive with from == self;
+  // their verdict is ignored.
+  void set_receiver(Receiver r) { receiver_ = std::move(r); }
 
   // Reports this agent's relay counters in `registry` ("gossip.*" namespace,
   // per-message-kind ins/outs plus byte totals and the seen-set size). What
@@ -105,7 +110,7 @@ class GossipAgent {
   // Round-windowed pruning of the dedup memory. The consensus layer calls
   // this when its round advances; ids inserted during window w survive
   // through window w+1 and are forgotten when w+2 begins (two generations).
-  // That is enough for correctness because the validator rejects
+  // That is enough for correctness because the receiver rejects
   // stale-round traffic anyway — a long-forgotten duplicate re-validates and
   // drops without relaying — while without pruning a chaos run leaks one
   // Hash256 per unique message per node forever. Jumping multiple windows at
@@ -131,9 +136,6 @@ class GossipAgent {
   void FoldMetrics();
   void FoldKinds(std::vector<KindCount>* counts, const char* prefix);
 
-  bool SeenBefore(const Hash256& id) const {
-    return seen_current_.contains(id) || seen_prev_.contains(id);
-  }
   // Returns false if `id` was already known.
   bool MarkSeen(const Hash256& id);
 
@@ -148,8 +150,7 @@ class GossipAgent {
   Transport* network_;
   const GossipTopology* topology_;
   const Executor* clock_ = nullptr;
-  Validator validator_;
-  Handler handler_;
+  Receiver receiver_;
   // Two-generation dedup memory (see AdvanceSeenWindow).
   uint64_t seen_window_ = 0;
   FlatSet<Hash256> seen_current_;

@@ -515,8 +515,11 @@ struct GossipFixture {
       agents.push_back(std::make_unique<GossipAgent>(i, &network, &topology));
       // One shared registry: same-named counters aggregate across agents.
       agents.back()->AttachMetrics(&metrics);
-      agents.back()->set_handler([this, i](const MessagePtr& msg) {
-        received[i].insert(std::static_pointer_cast<const TestMessage>(msg)->id());
+      agents.back()->set_receiver([this, i](NodeId, const MessagePtr& msg) {
+        if (verdict != GossipVerdict::kReject) {
+          received[i].insert(std::static_pointer_cast<const TestMessage>(msg)->id());
+        }
+        return verdict;
       });
     }
     network.set_delivery_handler([this](NodeId to, NodeId from, const MessagePtr& msg) {
@@ -531,6 +534,9 @@ struct GossipFixture {
   MetricsRegistry metrics;
   std::vector<std::unique_ptr<GossipAgent>> agents;
   std::vector<std::set<uint64_t>> received;
+  // Every agent's receiver returns this verdict (and records the message
+  // unless it rejects it).
+  GossipVerdict verdict = GossipVerdict::kRelay;
 };
 
 TEST(GossipTest, SeenWindowPrunesAfterTwoGenerations) {
@@ -575,9 +581,7 @@ TEST(GossipTest, SeenWindowJumpClearsBothGenerations) {
 
 TEST(GossipTest, SeenWindowJumpForgetsIdsOfBothGenerations) {
   GossipFixture f(10);
-  for (auto& agent : f.agents) {
-    agent->set_validator([](const MessagePtr&) { return GossipVerdict::kDeliverOnly; });
-  }
+  f.verdict = GossipVerdict::kDeliverOnly;
   f.agents[1]->SendTo(2, Msg(4));  // Window 0: lands in the previous generation.
   f.sim.Run();
   f.agents[2]->AdvanceSeenWindow(1);
@@ -599,13 +603,11 @@ TEST(GossipTest, SeenWindowJumpForgetsIdsOfBothGenerations) {
 
 TEST(GossipTest, PrunedIdsAreFirstSeenAgain) {
   // After pruning, a replayed duplicate counts as first-seen; in the real
-  // node ValidateForRelay rejects the stale replay, which is what makes the
+  // node Receive rejects the stale replay, which is what makes the
   // two-generation window safe. kDeliverOnly keeps the check deterministic
   // (no relay fan-out).
   GossipFixture f(10);
-  for (auto& agent : f.agents) {
-    agent->set_validator([](const MessagePtr&) { return GossipVerdict::kDeliverOnly; });
-  }
+  f.verdict = GossipVerdict::kDeliverOnly;
   f.agents[1]->SendTo(2, Msg(3));
   f.sim.Run();
   uint64_t dupes_before = f.agents[0]->duplicates_dropped();
@@ -621,6 +623,53 @@ TEST(GossipTest, PrunedIdsAreFirstSeenAgain) {
   f.sim.Run();
   EXPECT_EQ(f.agents[0]->duplicates_dropped(), dupes_before + 1);
   EXPECT_GT(f.agents[2]->seen_size(), 0u);  // Re-marked seen on re-delivery.
+}
+
+// The agent marks a message seen before its receiver runs. A receiver that
+// ends the round advances the seen window while it handles the message, and
+// the message's id must stay in the generation it arrived in: two windows
+// after its arrival it is forgotten, and a re-delivery is judged again.
+TEST(GossipTest, IdMarkedBeforeAReceiverThatAdvancesTheWindow) {
+  GossipFixture f(4);
+  MetricsRegistry solo;
+  GossipAgent agent(0, &f.network, &f.topology);
+  agent.AttachMetrics(&solo);
+  int calls = 0;
+  agent.set_receiver([&](NodeId, const MessagePtr&) {
+    if (++calls == 1) {
+      agent.AdvanceSeenWindow(1);  // The message ends window 0.
+      return GossipVerdict::kDeliverOnly;
+    }
+    return GossipVerdict::kReject;  // A stale replay.
+  });
+  agent.OnReceive(1, Msg(6));
+  agent.AdvanceSeenWindow(2);
+  agent.OnReceive(2, Msg(6));
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(agent.rejected(), 1u);
+  EXPECT_EQ(agent.duplicates_dropped(), 0u);
+  EXPECT_EQ(agent.seen_size(), 0u);
+}
+
+// A rejected message is left unseen, so a valid copy arriving later is
+// delivered.
+TEST(GossipTest, RejectedIdIsLeftUnseen) {
+  GossipFixture f(4);
+  MetricsRegistry solo;
+  GossipAgent agent(0, &f.network, &f.topology);
+  agent.AttachMetrics(&solo);
+  GossipVerdict next = GossipVerdict::kReject;
+  agent.set_receiver([&](NodeId, const MessagePtr&) { return next; });
+  agent.OnReceive(1, Msg(8));
+  EXPECT_EQ(agent.seen_size(), 0u);
+  next = GossipVerdict::kDeliverOnly;
+  agent.OnReceive(2, Msg(8));
+  agent.OnReceive(3, Msg(8));
+  MetricsSnapshot snap = solo.Snapshot();
+  EXPECT_EQ(snap.CounterValue("gossip.rejected"), 1u);
+  EXPECT_EQ(snap.CounterValue("gossip.delivered"), 1u);
+  EXPECT_EQ(snap.CounterValue("gossip.dup_dropped"), 1u);
+  EXPECT_EQ(snap.gauges.at("gossip.seen_size"), 1);
 }
 
 TEST(GossipTest, BroadcastReachesEveryone) {
@@ -678,7 +727,7 @@ TEST(GossipTest, DestroyedAgentFoldsItsLastCounts) {
   {
     GossipAgent agent(0, &f.network, &f.topology);
     agent.AttachMetrics(&solo);
-    agent.set_validator([](const MessagePtr&) { return GossipVerdict::kDeliverOnly; });
+    agent.set_receiver([](NodeId, const MessagePtr&) { return GossipVerdict::kDeliverOnly; });
     agent.OnReceive(1, Msg(9));
     agent.OnReceive(2, Msg(9));
   }
@@ -692,10 +741,8 @@ TEST(GossipTest, DestroyedAgentFoldsItsLastCounts) {
 
 TEST(GossipTest, RejectedMessagesAreNotRelayedOrDelivered) {
   GossipFixture f(30);
-  for (auto& agent : f.agents) {
-    agent->set_validator([](const MessagePtr&) { return GossipVerdict::kReject; });
-  }
-  // Originator bypasses its own validator (it built the message).
+  f.verdict = GossipVerdict::kReject;
+  // The originator's own verdict is ignored (it built the message).
   f.agents[0]->Gossip(Msg(5));
   f.sim.Run();
   size_t got = 0;
@@ -710,9 +757,7 @@ TEST(GossipTest, RejectedMessagesAreNotRelayedOrDelivered) {
 
 TEST(GossipTest, DeliverOnlyStopsPropagation) {
   GossipFixture f(100);
-  for (auto& agent : f.agents) {
-    agent->set_validator([](const MessagePtr&) { return GossipVerdict::kDeliverOnly; });
-  }
+  f.verdict = GossipVerdict::kDeliverOnly;
   f.agents[0]->Gossip(Msg(9));
   f.sim.Run();
   // Only direct neighbours of the originator receive it.
@@ -733,11 +778,12 @@ TEST(GossipTest, PropagationTimeGrowsLogarithmically) {
     // Track the time the target-th node first receives.
     size_t got = 0;
     for (NodeId i = 0; i < n; ++i) {
-      f.agents[i]->set_handler([&, i](const MessagePtr&) {
+      f.agents[i]->set_receiver([&, i](NodeId, const MessagePtr&) {
         f.received[i].insert(1);
         if (++got == target) {
           done = f.sim.now();
         }
+        return GossipVerdict::kRelay;
       });
     }
     f.sim.Run();

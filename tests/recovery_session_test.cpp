@@ -5,6 +5,7 @@
 // proposal it backs, when it retries and what it adopts — is checked alone.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -189,9 +190,18 @@ class RecoverySessionTest : public ::testing::Test {
   // The active session's code.
   uint64_t Session() const { return session_->context().round; }
 
-  GossipVerdict Validate(const RecoveryProposalMessage& msg) {
-    uint64_t votes = 0;
-    return session_->ValidateProposal(msg, &votes);
+  GossipVerdict Receive(const std::shared_ptr<const RecoveryProposalMessage>& msg) {
+    return session_->Receive(msg);
+  }
+
+  // `msg`'s priority in the active session.
+  Hash256 Priority(const RecoveryProposalMessage& msg) const {
+    const RoundContext& ctx = session_->context();
+    uint64_t votes =
+        VerifySortition(vrf_, msg.pk, msg.sorthash, msg.sort_proof, ctx.seed,
+                        params_.tau_proposer, Role::kRecovery, ctx.round, 0, 100, ctx.total_weight);
+    EXPECT_GT(votes, 0u);
+    return ProposalPriority(msg.sorthash, votes);
   }
 
   std::vector<Ed25519KeyPair> keys_;
@@ -267,45 +277,65 @@ TEST_F(RecoverySessionTest, JoinNeedsANewerCodeWithinAWindowOfTheClock) {
 TEST_F(RecoverySessionTest, ProposesItsOwnChainOnEntry) {
   EnterSession();
   ASSERT_EQ(host_.gossiped.size(), 1u);
-  const auto& own = static_cast<const RecoveryProposalMessage&>(*host_.gossiped[0]);
-  EXPECT_EQ(own.code, Session());
-  ASSERT_EQ(own.suffix.size(), 2u);  // Rounds 2 and 3, past the final anchor.
-  EXPECT_EQ(own.suffix[0].Hash(), ledger_->BlockAtRound(2).Hash());
-  EXPECT_EQ(own.block.round, 4u);
-  EXPECT_TRUE(own.block.is_empty);
-  EXPECT_EQ(Validate(own), GossipVerdict::kRelay);
+  const auto own = std::static_pointer_cast<const RecoveryProposalMessage>(host_.gossiped[0]);
+  EXPECT_EQ(own->code, Session());
+  ASSERT_EQ(own->suffix.size(), 2u);  // Rounds 2 and 3, past the final anchor.
+  EXPECT_EQ(own->suffix[0].Hash(), ledger_->BlockAtRound(2).Hash());
+  EXPECT_EQ(own->block.round, 4u);
+  EXPECT_TRUE(own->block.is_empty);
+  EXPECT_EQ(Receive(own), GossipVerdict::kRelay);
 }
 
 TEST_F(RecoverySessionTest, ProposalsNeedALinkedChainEndingEmptyNoShorterThanOurs) {
   EnterSession();
-  EXPECT_EQ(Validate(*ProposalOf(1, *ledger_)), GossipVerdict::kRelay);
-
   std::vector<Block> broken = {ledger_->BlockAtRound(2), ledger_->BlockAtRound(3)};
   broken[1].prev_hash = Hash256{};  // Does not extend round 2.
   Block top = Block::MakeEmpty(4, broken[1].Hash(), SeedBytes{});
-  EXPECT_EQ(Validate(*Proposal(1, broken, top)), GossipVerdict::kReject);
+  EXPECT_EQ(Receive(Proposal(1, broken, top)), GossipVerdict::kReject);
 
   auto full_tip = ProposalOf(1, *ledger_);
   full_tip->block.is_empty = false;
   full_tip->signature = signer_.Sign(keys_[1], full_tip->SignedBody());
-  EXPECT_EQ(Validate(*full_tip), GossipVerdict::kReject);
+  EXPECT_EQ(Receive(full_tip), GossipVerdict::kReject);
 
   auto forged = ProposalOf(1, *ledger_);
   forged->signature = signer_.Sign(keys_[2], forged->SignedBody());
-  EXPECT_EQ(Validate(*forged), GossipVerdict::kReject);
+  EXPECT_EQ(Receive(forged), GossipVerdict::kReject);
 
   // A shorter fork is valid but not for this node: passed on, never backed.
-  auto shorter = ProposalOf(1, *Fork(1, 7));
-  EXPECT_EQ(Validate(*shorter), GossipVerdict::kDeliverOnly);
-  session_->HandleProposal(*shorter, 0);
-  // Another session's proposal cannot be judged here.
+  EXPECT_EQ(Receive(ProposalOf(1, *Fork(1, 7))), GossipVerdict::kDeliverOnly);
+  // An older session's proposal cannot be judged here (a newer one's makes
+  // the node join, below).
   auto other = ProposalOf(1, *ledger_);
-  other->code = Code(3, 1);
-  EXPECT_EQ(Validate(*other), GossipVerdict::kDeliverOnly);
-  session_->HandleProposal(*other, 0);
+  other->code = Code(2, 1);
+  EXPECT_EQ(Receive(other), GossipVerdict::kDeliverOnly);
+  EXPECT_EQ(Session(), Code(3, 0));
   host_.FireTimers();
   ASSERT_EQ(host_.started.size(), 1u);
   EXPECT_EQ(host_.started[0].first, host_.started[0].second) << "only the empty fallback";
+
+  EXPECT_EQ(Receive(ProposalOf(1, *ledger_)), GossipVerdict::kRelay);
+}
+
+TEST_F(RecoverySessionTest, ANewerSessionsProposalIsJudgedInTheSessionItJoins) {
+  EnterSession();
+  // A peer already in attempt 1 proposes there.
+  FakeHost peer_host;
+  peer_host.now = host_.now;
+  peer_host.needs_recovery = true;
+  RecoverySession peer(&peer_host, ledger_.get(), keys_[1], params_, vrf_, signer_);
+  peer.MaybeJoin(Code(3, 1));
+  ASSERT_EQ(peer_host.gossiped.size(), 1u);
+  const auto proposal =
+      std::static_pointer_cast<const RecoveryProposalMessage>(peer_host.gossiped[0]);
+  // Attempt 0 cannot judge it, so it is not relayed; the node joins attempt
+  // 1 and takes it as a candidate there.
+  EXPECT_EQ(Receive(proposal), GossipVerdict::kDeliverOnly);
+  EXPECT_EQ(Session(), Code(3, 1));
+  EXPECT_EQ(host_.entries.back(), (FakeHost::Entry{1, kTraceRecoveryJoined}));
+  host_.FireTimers();
+  ASSERT_EQ(host_.started.size(), 1u);
+  EXPECT_EQ(host_.started[0].first, proposal->block.Hash());
 }
 
 TEST_F(RecoverySessionTest, TheBestPriorityProposalIsBacked) {
@@ -315,14 +345,12 @@ TEST_F(RecoverySessionTest, TheBestPriorityProposalIsBacked) {
   Hash256 best_hash;
   Hash256 best_priority;
   for (size_t i = 0; i < proposals.size(); ++i) {
-    uint64_t votes = 0;
-    ASSERT_EQ(session_->ValidateProposal(*proposals[i], &votes), GossipVerdict::kRelay);
-    Hash256 priority = ProposalPriority(proposals[i]->sorthash, votes);
+    Hash256 priority = Priority(*proposals[i]);
     if (i == 0 || PriorityBeats(priority, best_priority)) {
       best_priority = priority;
       best_hash = proposals[i]->block.Hash();
     }
-    session_->HandleProposal(*proposals[i], i % 2 == 0 ? votes : 0);
+    ASSERT_EQ(Receive(proposals[i]), GossipVerdict::kRelay);
   }
   host_.FireTimers();
   ASSERT_EQ(host_.started.size(), 1u);
@@ -345,7 +373,7 @@ TEST_F(RecoverySessionTest, EachRetryCauseBumpsTheAttempt) {
   bad.txns.push_back(MakeTransaction(broke, keys_[0].public_key, 50, 0, signer_));
   Block next = Block::MakeEmpty(3, bad.Hash(), SeedBytes{});
   auto proposal = Proposal(1, {bad, next}, Block::MakeEmpty(4, next.Hash(), SeedBytes{}));
-  session_->HandleProposal(*proposal, 0);
+  Receive(proposal);
   host_.Complete(Agreed(proposal->block.Hash()));
   EXPECT_EQ(Session(), Code(3, 3));
   EXPECT_EQ(ledger_->tip_hash(), tip) << "a failed switch leaves the chain alone";
@@ -364,7 +392,7 @@ TEST_F(RecoverySessionTest, AdoptingAForkReportsTheFirstReplacedRound) {
   EnterSession();
   auto fork = Fork(3, 17);
   auto proposal = ProposalOf(2, *fork);
-  session_->HandleProposal(*proposal, 0);
+  Receive(proposal);
   host_.Complete(Agreed(proposal->block.Hash()));
   EXPECT_EQ(host_.recovered, std::vector<uint64_t>({2}));
   EXPECT_FALSE(session_->active());
@@ -387,16 +415,84 @@ TEST_F(RecoverySessionTest, AgreeingOnTheEmptyFallbackTruncatesToTheAnchor) {
 
 TEST_F(RecoverySessionTest, StopLeavesTheSessionAndItsPendingStart) {
   EnterSession();
-  session_->HandleProposal(*ProposalOf(1, *Fork(3, 19)), 0);
+  Receive(ProposalOf(1, *Fork(3, 19)));
+  // Catch-up preempts the session.
+  host_.syncing = true;
   session_->Stop();
   EXPECT_FALSE(session_->active());
   host_.FireTimers();  // A host that kept the timer alive starts nothing.
   EXPECT_TRUE(host_.started.empty());
-  EXPECT_EQ(Validate(*ProposalOf(1, *ledger_)), GossipVerdict::kDeliverOnly);
+  EXPECT_EQ(Receive(ProposalOf(1, *ledger_)), GossipVerdict::kDeliverOnly);
+  EXPECT_FALSE(session_->active());
+  host_.syncing = false;
   // The periodic check still runs and enters a fresh session.
   host_.FireCheck();
   EXPECT_TRUE(session_->active());
   EXPECT_EQ(Session(), Code(4, 0));
+}
+
+// The backed candidate is the best priority over every proposal seen, so it
+// does not depend on the order proposals arrive in. Two proposers offer the
+// same chain: the best and the third-best priority. A fork sits between them,
+// so a book that kept the first proposer's priority for the shared chain
+// backs that fork whenever the third-best copy comes first.
+TEST_F(RecoverySessionTest, TheBackedCandidateDoesNotDependOnArrivalOrder) {
+  EnterSession();
+  // The four proposers by priority, best first.
+  std::vector<size_t> rank = {0, 1, 2, 3};
+  std::vector<Hash256> priority;
+  for (size_t who : rank) {
+    priority.push_back(Priority(*ProposalOf(who, *ledger_)));
+  }
+  std::sort(rank.begin(), rank.end(),
+            [&](size_t a, size_t b) { return PriorityBeats(priority[a], priority[b]); });
+  const std::vector<std::shared_ptr<RecoveryProposalMessage>> proposals = {
+      ProposalOf(rank[0], *ledger_), ProposalOf(rank[2], *ledger_),
+      ProposalOf(rank[1], *Fork(3, 11)), ProposalOf(rank[3], *Fork(2, 13))};
+  const Hash256 shared = proposals[0]->block.Hash();
+  ASSERT_EQ(proposals[1]->block.Hash(), shared);
+  ASSERT_NE(proposals[2]->block.Hash(), shared);
+  ASSERT_NE(proposals[3]->block.Hash(), shared);
+
+  std::vector<size_t> order = {0, 1, 2, 3};
+  size_t permutations = 0;
+  do {
+    FakeHost host;
+    host.now = Minutes(25);
+    host.needs_recovery = true;
+    RecoverySession session(&host, ledger_.get(), keys_[0], params_, vrf_, signer_);
+    session.ScheduleCheck();
+    host.FireCheck();
+    ASSERT_EQ(session.context().round, Session());
+    for (size_t i : order) {
+      EXPECT_EQ(session.Receive(proposals[i]), GossipVerdict::kRelay);
+    }
+    host.FireTimers();
+    ASSERT_EQ(host.started.size(), 1u);
+    EXPECT_EQ(host.started[0].first, shared)
+        << "order " << order[0] << order[1] << order[2] << order[3];
+    ++permutations;
+  } while (std::next_permutation(order.begin(), order.end()));
+  EXPECT_EQ(permutations, 24u);
+}
+
+// A recovery proposer that offers two different chains in one session is
+// banned, as a chain-round proposer is: it is no longer a candidate and its
+// later chains are ignored, but the first chain it offered stays adoptable.
+TEST_F(RecoverySessionTest, AProposerOfferingTwoChainsIsBanned) {
+  EnterSession();
+  const auto first = ProposalOf(1, *Fork(3, 11));
+  const auto second = ProposalOf(1, *Fork(2, 13));
+  const auto third = ProposalOf(1, *ledger_);
+  EXPECT_EQ(Receive(first), GossipVerdict::kRelay);
+  EXPECT_EQ(Receive(second), GossipVerdict::kRelay);
+  EXPECT_EQ(Receive(third), GossipVerdict::kRelay);
+  host_.FireTimers();
+  ASSERT_EQ(host_.started.size(), 1u);
+  EXPECT_EQ(host_.started[0].first, host_.started[0].second) << "only the empty fallback";
+  host_.Complete(Agreed(first->block.Hash()));
+  EXPECT_EQ(host_.recovered, std::vector<uint64_t>({2}));
+  EXPECT_EQ(ledger_->tip_hash(), first->block.Hash());
 }
 
 }  // namespace
