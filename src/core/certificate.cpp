@@ -5,9 +5,11 @@
 namespace algorand {
 
 uint64_t Certificate::WireSize() const {
-  uint64_t size = 8 + 4 + 32;
+  // Serialize()'s image: round, step, hash and vote count, then each vote
+  // behind its u32 length prefix.
+  uint64_t size = 8 + 4 + 32 + 4;
   for (const auto& v : votes) {
-    size += v->WireSize();
+    size += 4 + v->WireSize();
   }
   return size;
 }

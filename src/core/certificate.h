@@ -31,7 +31,7 @@ struct Certificate {
   Hash256 block_hash;
   std::vector<std::shared_ptr<const VoteMessage>> votes;
 
-  // Bytes this certificate would occupy on the wire.
+  // Bytes this certificate occupies on the wire: Serialize().size().
   uint64_t WireSize() const;
 
   std::vector<uint8_t> Serialize() const;

@@ -6,7 +6,9 @@
 #include <map>
 
 #include "src/common/rng.h"
+#include "src/core/catchup.h"
 #include "src/core/certificate.h"
+#include "src/core/fastsync.h"
 #include "src/core/sim_harness.h"
 #include "src/crypto/sha256.h"
 #include "tests/certificate_edit.h"
@@ -176,6 +178,41 @@ TEST(CertificateTest, WeightsOfHeavyUsersCountMultiply) {
 }
 
 // A 10-node run through round 1 (sim crypto, uniform latency, seed 41).
+// A certificate's simulated wire size is its serialized size, vote count and
+// each vote's length prefix included, and so is that of every message that
+// carries certificates: a catch-up response adds only its blocks' simulated
+// padding, and fast-sync links carry certificates as serialized bytes.
+TEST(CertificateTest, WireSizeIsTheSerializedSize) {
+  CertFixture f;
+  EXPECT_EQ(Certificate{}.WireSize(), Certificate{}.Serialize().size());
+  const Certificate cert = f.BuildValid(2, f.params.tau_step, f.params.StepThreshold());
+  const Certificate final_cert =
+      f.BuildValid(kStepFinal, f.params.tau_final, f.params.FinalThreshold());
+  ASSERT_GE(cert.votes.size(), 2u);
+  EXPECT_EQ(cert.WireSize(), cert.Serialize().size());
+  EXPECT_EQ(final_cert.WireSize(), final_cert.Serialize().size());
+
+  Block padded = Block::MakeEmpty(5, f.ctx.prev_hash, SeedBytes{});
+  padded.padding_bytes = 1000;
+  for (bool with_final : {false, true}) {
+    CatchupResponseMessage resp;
+    resp.entries.push_back({padded, cert});
+    resp.entries.push_back({Block::MakeEmpty(6, padded.Hash(), SeedBytes{}), Certificate{}});
+    if (with_final) {
+      resp.final_cert = final_cert;
+    }
+    EXPECT_EQ(resp.WireSize(), resp.Serialize().size() + padded.padding_bytes) << with_final;
+  }
+
+  FastSyncLinksResponse links;
+  ChainLink link;
+  link.round = 5;
+  link.cert = cert.Serialize();
+  links.links.push_back(link.SerializePayload());
+  links.links.push_back(ChainLink{}.SerializePayload());
+  EXPECT_EQ(links.WireSize(), links.Serialize().size());
+}
+
 HarnessConfig RoundOneConfig() {
   HarnessConfig cfg;
   cfg.n_nodes = 10;

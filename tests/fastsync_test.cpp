@@ -304,9 +304,9 @@ TEST(FastSyncTest, GoldenRestartJoinAndLaggingCatchupArePinned) {
   EXPECT_EQ(counters, kCounters);
   EXPECT_EQ(catchup_events, 14u);
   EXPECT_EQ(tips.Finish().ToHex(),
-            "2f27368136db7bc9914781120c14ca02abfb7169b8e0b481329de4e975b8d71f");
+            "f6ae57584256084585a03b8d6fb3371d0d9729ec4fae1c4771bdfb07bb29edfa");
   EXPECT_EQ(trace.Finish().ToHex(),
-            "e6097ea0ff74b59322c4a74312387d97f034f7114aa02f6ebe6226081a319e4b");
+            "769dfd7ba978038096e5b9ee95a200539f591b34f1d165fc5202142533b1f15a");
   EXPECT_GE(h.node(6).fastsyncs_completed(), 1u);
   EXPECT_GE(h.node(5).catchups_completed(), 1u);
   EXPECT_GE(h.node(7).catchups_completed(), 1u);

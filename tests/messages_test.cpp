@@ -140,11 +140,12 @@ TEST(BlockRequestTest, DedupDistinguishesRequesters) {
 
 TEST(CertificateTest, WireSizeSumsVotes) {
   Certificate cert;
-  EXPECT_EQ(cert.WireSize(), 8u + 4 + 32);
+  EXPECT_EQ(cert.WireSize(), 8u + 4 + 32 + 4);  // Round, step, hash, vote count.
   cert.votes.push_back(std::make_shared<const VoteMessage>());
   uint64_t one = cert.WireSize();
+  EXPECT_EQ(one, 48 + 4 + VoteMessage::kWireSize);  // Each vote is length-prefixed.
   cert.votes.push_back(std::make_shared<const VoteMessage>());
-  EXPECT_EQ(cert.WireSize(), 2 * (one - 44) + 44);
+  EXPECT_EQ(cert.WireSize(), 2 * (one - 48) + 48);
 }
 
 // --- Wire-size constants vs actual serialization ---
