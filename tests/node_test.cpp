@@ -389,10 +389,10 @@ class ProbeNode : public Node {
         key(), current_round(), sort.hash, sort.proof, sort.votes, *crypto().signer));
   }
 
-  // Hands `msg` to this node's gossip agent as if `from` had sent it: relay
-  // validation, then delivery.
+  // Hands `msg` to this node's gossip agent as if `from` had sent it: one
+  // receive pass checks it, decides its relay and handles it.
   void Receive(NodeId from, const MessagePtr& msg) { gossip()->OnReceive(from, msg); }
-  // Gossips `msg` as its originator: delivered here without relay validation.
+  // Gossips `msg` as its originator: its own receive pass ignores the verdict.
   void Originate(const MessagePtr& msg) { GossipMessage(msg); }
 };
 
@@ -563,7 +563,7 @@ TEST(BlockValidationTest, GossipedBlockIsValidatedOncePerNode) {
   ASSERT_GE(proposals.size(), 2u);
   ProbeNode& counted = net.node(ProbeNet::kCounted);
 
-  // Relay validation checks the unknown payment; delivery reuses the verdict.
+  // The receive pass checks the unknown payment once, for relay and delivery.
   const Transaction fresh = net.FreshPayment(15);
   auto add_fresh = [&](Block& b) { b.txns.push_back(fresh); };
   counted.Receive(proposals[0].first, ProbeNet::Variant(*proposals[0].second, add_fresh));
@@ -575,8 +575,8 @@ TEST(BlockValidationTest, GossipedBlockIsValidatedOncePerNode) {
   EXPECT_EQ(net.Validated(ProbeNet::kCounted), 2u);
   EXPECT_EQ(net.signer.Checks(fresh), 2u);
 
-  // A block delivered without relay validation is validated in full, not
-  // waved through on the last relay verdict.
+  // A block this node originates is validated in full too, not waved
+  // through on an earlier message's verdict.
   const Transaction forged = Transaction::Edited(fresh, [](auto& f) { f.amount += 1; });
   counted.Originate(ProbeNet::Variant(*proposals[0].second,
                                       [&](Block& b) { b.txns.push_back(forged); }));
@@ -616,8 +616,8 @@ TEST(PriorityValidationTest, RelayedPriorityIsSignatureCheckedOncePerNode) {
       ++checks[image];
     }
   }
-  // Relay validation checks a first-seen priority and its delivery takes
-  // the hand-off; the node's own priority is checked once, at delivery.
+  // A first-seen priority is checked once in its receive pass, the node's
+  // own priority included.
   ASSERT_GT(checks.size(), 2u);
   for (const auto& [image, count] : checks) {
     EXPECT_EQ(count, 1u);
@@ -639,8 +639,8 @@ TEST(PriorityValidationTest, PriorityWithoutHandOffIsCheckedAndForgeryRejected) 
   }
   ASSERT_NE(genuine, nullptr);
 
-  // A forged copy delivered without relay validation is checked in the
-  // handler and rejected, not waved through on the last relay verdict.
+  // A forged copy this node originates is checked and rejected, not waved
+  // through on an earlier message's verdict.
   auto forged = std::make_shared<PriorityMessage>(*genuine);
   forged->signature[0] ^= 1;
   counted.Originate(forged);
@@ -648,7 +648,7 @@ TEST(PriorityValidationTest, PriorityWithoutHandOffIsCheckedAndForgeryRejected) 
 
   // Had the forgery become the best priority, the genuine message (same
   // priority) would be delivered without relay. It is relayed, and checked
-  // once: by relay validation, whose verdict its delivery takes.
+  // once, in its receive pass.
   const uint64_t relayed = net.Counter(ProbeNet::kCounted, "gossip.relayed");
   counted.Receive(proposer, genuine);
   EXPECT_EQ(net.Counter(ProbeNet::kCounted, "gossip.relayed"), relayed + 1);
