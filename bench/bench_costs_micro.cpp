@@ -6,6 +6,7 @@
 #include <atomic>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "src/core/messages.h"
 #include "src/core/sortition.h"
 #include "src/core/tx_verifier.h"
+#include "src/core/vote_counter.h"
 #include "src/ledger/account_table.h"
 #include "src/ledger/ledger.h"
 #include "src/ledger/mempool.h"
@@ -371,6 +373,42 @@ void BM_GossipSeenSet(benchmark::State& state) {
   benchmark::DoNotOptimize(current.size());
 }
 BENCHMARK(BM_GossipSeenSet)->Arg(4096)->Arg(1 << 16);
+
+void BM_StepTally_AddVote(benchmark::State& state) {
+  // One node's tally of one Figure 5 step, on the message path a node takes:
+  // 500 voters' shared vote messages, weights 1-8 sub-users, one value with
+  // a few votes for a second, the array reserved from the previous round's
+  // count as BaStar does. A new tally starts every 500 votes.
+  constexpr size_t kVoters = 500;
+  DeterministicRng rng(12);
+  Hash256 block;
+  Hash256 empty;
+  block[0] = 1;
+  empty[0] = 2;
+  std::vector<std::shared_ptr<const VoteMessage>> votes;
+  std::vector<uint64_t> weights;
+  for (size_t i = 0; i < kVoters; ++i) {
+    auto vote = std::make_shared<VoteMessage>();
+    rng.FillBytes(vote->pk.data(), vote->pk.size());
+    rng.FillBytes(vote->sorthash.data(), vote->sorthash.size());
+    vote->value = rng.UniformU64(20) == 0 ? empty : block;
+    votes.push_back(std::move(vote));
+    weights.push_back(1 + rng.UniformU64(8));
+  }
+  auto tally = std::make_unique<StepTally>();
+  size_t n = 0;
+  for (auto _ : state) {
+    if (n == kVoters) {
+      n = 0;
+      tally = std::make_unique<StepTally>();
+      tally->reserve(kVoters + kVoters / 8);
+    }
+    benchmark::DoNotOptimize(tally->AddVote(votes[n], weights[n]));
+    ++n;
+  }
+  benchmark::DoNotOptimize(tally->total_weight());
+}
+BENCHMARK(BM_StepTally_AddVote);
 
 void BM_DedupId_Cached_vs_Uncached(benchmark::State& state) {
   const bool fresh_each_time = state.range(0) != 0;

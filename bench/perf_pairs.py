@@ -13,7 +13,8 @@ interquartile range, the change's win count (ties count for neither side) and
 whether the gain rule holds: the change wins at least nine tenths of the pairs
 and its median beats the parent's by more than the parent's IQR. Failed
 operations are reported per side. Exits 1 if any run fails its correctness
-gate.
+gate, or if a root holds a .bench_build/perfbench configured from another
+checkout (a copied build directory builds the other checkout's sources).
 """
 import argparse
 import json
@@ -41,6 +42,26 @@ def run_once(root, workload, seed, seconds):
     except json.JSONDecodeError:
         return None
     return result if result.get("correct") else None
+
+
+def stale_build(root):
+    """The build directory of `root` if its CMake cache names another source tree.
+
+    perfbench/run.py configures only when the cache is missing, so a build
+    directory copied from another checkout would build that checkout's sources.
+    """
+    build = os.path.join(root, ".bench_build", "perfbench")
+    try:
+        with open(os.path.join(build, "CMakeCache.txt")) as f:
+            for line in f:
+                if line.startswith("CMAKE_HOME_DIRECTORY:"):
+                    home = line.split("=", 1)[1].strip()
+                    if os.path.realpath(home) != os.path.realpath(os.path.join(root, "perfbench")):
+                        return build
+                    return None
+    except FileNotFoundError:
+        return None
+    return None
 
 
 def quartiles(values):
@@ -82,6 +103,12 @@ def main():
     ap.add_argument("--out", help="also write every run's result object here as JSON")
     args = ap.parse_args()
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    for side, root in roots.items():
+        build = stale_build(root)
+        if build:
+            log("perf_pairs: %s's %s was configured for another checkout; delete it and rerun" %
+                (side, build))
+            return 1
     with open(os.path.join(roots["parent"], "BENCHMARK.json")) as f:
         end_to_end = json.load(f)["end_to_end"]
 

@@ -25,11 +25,13 @@ class Executor {
   // since the runtime started.
   virtual SimTime now() const = 0;
 
-  // Runs `fn` after `delay` (clamped at now for non-positive delays).
-  virtual void Schedule(SimTime delay, Callback fn) = 0;
+  // Runs `fn` after `delay` (clamped at now for non-positive delays). Taken
+  // by rvalue reference down to the event slot, so the callback is relocated
+  // into its slot once, not once per layer.
+  virtual void Schedule(SimTime delay, Callback&& fn) = 0;
 
   // Runs `fn` at the absolute time `when` (clamped at now).
-  virtual void ScheduleAt(SimTime when, Callback fn) = 0;
+  virtual void ScheduleAt(SimTime when, Callback&& fn) = 0;
 };
 
 }  // namespace algorand

@@ -10,10 +10,33 @@ const StepTally* BaStar::TallyFor(uint32_t step_code) const {
   return it == tallies_.end() ? nullptr : &it->second;
 }
 
-void BaStar::OnVote(uint32_t step_code, const PublicKey& pk, uint64_t weight, const Hash256& value,
-                    const VrfOutput& sorthash) {
-  StepTally& tally = tallies_[step_code];
-  if (!tally.AddVote(pk, weight, value, sorthash)) {
+BaStar::StepSizes BaStar::ReleaseTallies() {
+  StepSizes sizes;
+  for (const auto& [step, tally] : tallies_) {
+    sizes.emplace(step, tally.entries().size());
+  }
+  tallies_.clear();
+  return sizes;
+}
+
+size_t BaStar::TallyBytes() const {
+  size_t bytes = 0;
+  for (const auto& [step, tally] : tallies_) {
+    bytes += tally.memory_bytes();
+  }
+  return bytes;
+}
+
+void BaStar::OnVote(const StepTally::VotePtr& vote, uint64_t weight) {
+  const uint32_t step_code = vote->step;
+  auto [it, fresh] = tallies_.try_emplace(step_code);
+  StepTally& tally = it->second;
+  if (auto hint = fresh ? reserve_.find(step_code) : reserve_.end(); hint != reserve_.end()) {
+    // An eighth of headroom: a step's count varies a little between rounds,
+    // and one vote past the reserve would double the array.
+    tally.reserve(hint->second + hint->second / 8);
+  }
+  if (!tally.AddVote(vote, weight)) {
     return;
   }
   if (waiting_ && step_code == wait_step_) {

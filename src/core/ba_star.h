@@ -13,6 +13,9 @@
 // committee votes (sortition + signing + gossip live in the Node), and OnVote
 // feeds back every verified vote for this round, whatever step it belongs
 // to — early votes buffer in their step's tally until the machine gets there.
+// The tallies are the round's one index of counted votes: the common coin and
+// the host's certificates read them, and nothing reads them once the round's
+// block is appended, so a finished machine releases them.
 #ifndef ALGORAND_SRC_CORE_BA_STAR_H_
 #define ALGORAND_SRC_CORE_BA_STAR_H_
 
@@ -88,14 +91,31 @@ class BaStar {
   // proposal) and the canonical empty-block hash for this round.
   void Start(const Hash256& proposed_hash, const Hash256& empty_hash);
 
-  // Feeds a signature- and sortition-verified vote. Weight is the voter's
-  // sub-user count; per-pk dedup happens in the tally.
+  // Feeds a signature- and sortition-verified vote of this machine's round,
+  // counted in vote->step's tally. Weight is the voter's sub-user count;
+  // per-pk dedup happens in the tally.
+  void OnVote(const StepTally::VotePtr& vote, uint64_t weight);
+  // Adapter for callers that hold the fields, not a message.
   void OnVote(uint32_t step_code, const PublicKey& pk, uint64_t weight, const Hash256& value,
-              const VrfOutput& sorthash);
+              const VrfOutput& sorthash) {
+    OnVote(StepTally::Wrap(step_code, pk, value, sorthash), weight);
+  }
 
   // Tally access (certificate assembly, common-coin tests). Null if the step
   // received no votes.
   const StepTally* TallyFor(uint32_t step_code) const;
+
+  // Votes counted per step code.
+  using StepSizes = std::map<uint32_t, size_t>;
+  // Frees every tally and returns their sizes. For a machine that is parked
+  // but may still have frames on the stack: none of them reads a tally after
+  // the completion handler returns.
+  StepSizes ReleaseTallies();
+  // Sizes each step's tally, when its first vote arrives, for a little more
+  // than `sizes` lists for that step (a previous machine's counts).
+  void ReserveTallies(StepSizes sizes) { reserve_ = std::move(sizes); }
+  // Heap bytes the tallies hold (StepTally::memory_bytes summed).
+  size_t TallyBytes() const;
 
  private:
   using WaitContinuation = std::function<void(std::optional<Hash256>)>;
@@ -130,6 +150,7 @@ class BaStar {
   StepObserver observer_;
 
   std::map<uint32_t, StepTally> tallies_;
+  StepSizes reserve_;
 
   BaResult result_;
 

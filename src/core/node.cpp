@@ -1,7 +1,6 @@
 #include "src/core/node.h"
 
 #include <cstring>
-#include <unordered_map>
 
 #include "src/common/serialize.h"
 #include "src/common/verify_pool.h"
@@ -105,10 +104,12 @@ void Node::AttachObservability(MetricsRegistry* metrics, RoundTracer* tracer) {
   obs_.round_time_ms = &metrics->GetHistogram("ba.round_time_ms");
   obs_.binary_steps =
       &metrics->GetHistogram("ba.binary_steps", MetricsRegistry::DefaultCountBuckets());
-  // Read at snapshot time, so the apply path never touches the gauge.
+  // Read at snapshot time, so the apply and vote paths never touch a gauge.
   Gauge* table_bytes = &metrics->GetGauge("accounts.table_bytes");
-  collector_ = metrics->AddCollector([this, table_bytes] {
+  Gauge* tally_bytes = &metrics->GetGauge("ba.tally_bytes");
+  collector_ = metrics->AddCollector([this, table_bytes, tally_bytes] {
     table_bytes->Set(static_cast<int64_t>(ledger_.accounts().memory_bytes()));
+    tally_bytes->Set(static_cast<int64_t>(TallyBytes()));
   });
 }
 
@@ -223,7 +224,6 @@ void Node::StartRound(uint64_t round) {
   empty_block_ = Block::MakeEmpty(round, ledger_.tip_hash(), ledger_.SeedForRound(round));
   empty_hash_ = empty_block_.Hash();
   book_.Clear();
-  round_votes_.clear();
   // Prune relay bookkeeping for finished rounds.
   relayed_votes_.erase(relayed_votes_.begin(), relayed_votes_.lower_bound(round));
   if (gossip_ != nullptr) {
@@ -259,6 +259,10 @@ void Node::BeginAgreement(const RoundContext& ctx, BaStar::CompletionHandler don
   prev_ba_ = std::move(ba_);  // Defer destruction past the caller's frames.
   ba_ = std::make_unique<BaStar>(params_, this, std::move(done));
   ba_->set_observer([this](const BaStepEvent& event) { ObserveBaStep(event); });
+  if (prev_ba_ != nullptr) {
+    // Its round's certificates are built: the parked machine keeps no votes.
+    ba_->ReserveTallies(prev_ba_->ReleaseTallies());
+  }
 }
 
 void Node::OnPriorityWindowClosed() {
@@ -420,25 +424,13 @@ Certificate Node::BuildCertificateForStep(uint32_t step, double needed) const {
   if (tally == nullptr) {
     return cert;
   }
-  // Each voter's first stored vote of the step is the one the tally counted.
-  std::unordered_map<PublicKey, const std::shared_ptr<const VoteMessage>*, FixedBytesHasher>
-      counted;
-  counted.reserve(tally->voter_count());
-  for (const auto& vote : round_votes_) {
-    if (vote->step == step) {
-      counted.try_emplace(vote->pk, &vote);
-    }
-  }
+  // The tally's entries are the messages it counted, in arrival order.
   double total = 0;
   for (const StepTally::Entry& e : tally->entries()) {
-    if (e.value != cert.block_hash) {
+    if (e.value() != cert.block_hash) {
       continue;
     }
-    auto it = counted.find(e.pk);
-    if (it == counted.end()) {
-      continue;  // Own vote stored at emission; should always be present.
-    }
-    cert.votes.push_back(*it->second);
+    cert.votes.push_back(e.vote);
     total += static_cast<double>(e.weight);
     if (total > needed) {
       break;
@@ -799,13 +791,10 @@ GossipVerdict Node::ReceiveVote(NodeId from, const std::shared_ptr<const VoteMes
   if (judged == nullptr && (weight = VerifyVote(*vote, active)) == 0) {
     return verdict;
   }
-  if (chain_round) {
-    if (obs_.votes_counted != nullptr) {
-      obs_.votes_counted->Increment();
-    }
-    round_votes_.push_back(vote);  // Certificate assembly (chain rounds only).
+  if (chain_round && obs_.votes_counted != nullptr) {
+    obs_.votes_counted->Increment();
   }
-  ba_->OnVote(vote->step, vote->pk, weight, vote->value, vote->sorthash);
+  ba_->OnVote(vote, weight);
   return verdict;
 }
 

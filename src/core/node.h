@@ -91,8 +91,9 @@ class Node : public BaEnvironment, private SyncHost, private RecoveryHost {
   void Start();
 
   // Routes this node's per-round instrumentation through `metrics` ("node.*"
-  // counters, "ba.*" timing histograms, the "accounts.table_bytes" gauge
-  // folded at snapshot time) and structured BA* events through `tracer`.
+  // counters, "ba.*" timing histograms, the "accounts.table_bytes" and
+  // "ba.tally_bytes" gauges folded at snapshot time) and structured BA*
+  // events through `tracer`.
   // Either may be null; `metrics` must outlive the node. Call before Start();
   // instrument pointers are resolved once here so the per-event path never
   // takes the registry lock.
@@ -123,6 +124,12 @@ class Node : public BaEnvironment, private SyncHost, private RecoveryHost {
   size_t pending_txn_count() const { return mempool_.size(); }
   // Vote rounds (including recovery sessions) the §8.4 relay table holds.
   size_t relay_table_rounds() const { return relayed_votes_.size(); }
+  // Heap bytes of the BA* tallies: the active machine's plus the parked
+  // one's (which releases its tallies when parked, so adds 0). The
+  // "ba.tally_bytes" gauge.
+  size_t TallyBytes() const {
+    return (ba_ ? ba_->TallyBytes() : 0) + (prev_ba_ ? prev_ba_->TallyBytes() : 0);
+  }
   const Mempool& mempool() const { return mempool_; }
   // Syncing with the network: fast-sync or block catch-up.
   bool in_catchup() const { return sync_.active(); }
@@ -224,8 +231,8 @@ class Node : public BaEnvironment, private SyncHost, private RecoveryHost {
   void OnBaComplete(const BaResult& result);
   void TryFinishRound();
   void AppendAgreedBlock(const Block& block);
-  // Gathers stored votes of `step` for the agreed value until their weight
-  // exceeds `threshold`.
+  // Gathers the votes `step`'s tally counted for the agreed value, in arrival
+  // order, until their weight exceeds `threshold`.
   Certificate BuildCertificateForStep(uint32_t step, double threshold) const;
   // Streams ledger round `round`, with its consensus kind, to the attached
   // store, if any. Null certificates mean "none recorded".
@@ -396,18 +403,15 @@ class Node : public BaEnvironment, private SyncHost, private RecoveryHost {
   std::unique_ptr<BaStar> ba_;
   const RoundContext* vote_ctx_ = &ctx_;
   // The previous machine is parked here until the next one begins instead of
-  // being destroyed inside its own completion callback.
+  // being destroyed inside its own completion callback. Parking releases its
+  // tallies: only the parked machine's frames still on the stack can read
+  // it, and none of them reads a tally.
   std::unique_ptr<BaStar> prev_ba_;
   BaResult ba_result_;
   bool hung_ = false;
 
   // The current round's proposals (§6).
   ProposalBook book_;
-
-  // Verified votes of the current round in arrival order, for certificate
-  // assembly. Held by pointer: a message is immutable once sent, so the
-  // shared message serves every node without a per-vote copy or allocation.
-  std::vector<std::shared_ptr<const VoteMessage>> round_votes_;
 
   // Messages for rounds we have not reached yet.
   std::map<uint64_t, std::vector<MessagePtr>> future_messages_;

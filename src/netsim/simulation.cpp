@@ -159,25 +159,25 @@ Simulation::Key Simulation::PopChosen(KeyQueue* queue, SimTime window_end) {
   return candidates[pick];
 }
 
-template <typename Event>
-void Simulation::Route(SimTime when, uint32_t stream, Event&& event) {
+template <typename... Args>
+void Simulation::Route(SimTime when, uint32_t stream, Args&&... args) {
   RequireStream(stream);
   const uint32_t src = ContextStream();
   const Key key{when, src == kGlobalStream ? global_seq_++ : stream_seq_[src]++, src, 0};
   const size_t dst = ShardOf(stream);
   if (tls_worker.owner == this && dst != tls_worker.shard) {
     // Cross-shard send from inside a window: buffer for the barrier merge.
-    exchange_[tls_worker.shard][dst].Add(key, std::forward<Event>(event));
+    exchange_[tls_worker.shard][dst].Add(key, std::forward<Args>(args)...);
     return;
   }
   // Same-shard send, or an external/barrier-context schedule while every
   // worker is parked: push straight into the target queue.
-  PushEvent(dst, key, std::forward<Event>(event));
+  PushEvent(dst, key, std::forward<Args>(args)...);
 }
 
-void Simulation::PushEvent(size_t shard, Key key, Slot&& slot) {
+void Simulation::PushEvent(size_t shard, Key key, Callback&& fn, uint32_t exec_stream) {
   Shard& sh = shards_[shard];
-  key.slot = sh.callbacks.Put(std::move(slot));
+  key.slot = sh.callbacks.Put(std::move(fn), exec_stream);
   sh.queue.push(key);
   sh.peak_queue = std::max<uint64_t>(sh.peak_queue, sh.queue.size());
 }
@@ -189,24 +189,24 @@ void Simulation::PushEvent(size_t shard, Key key, Delivery&& delivery) {
   sh.peak_queue = std::max<uint64_t>(sh.peak_queue, sh.queue.size());
 }
 
-void Simulation::Schedule(SimTime delay, Callback fn) {
+void Simulation::Schedule(SimTime delay, Callback&& fn) {
   ScheduleAt(now() + (delay < 0 ? 0 : delay), std::move(fn));
 }
 
-void Simulation::ScheduleAt(SimTime when, Callback fn) {
+void Simulation::ScheduleAt(SimTime when, Callback&& fn) {
   // An event scheduled with no target stream acts on its scheduler's own
   // state (timers); deliveries go through ScheduleDelivery.
   ScheduleAtForStream(when, ContextStream(), std::move(fn));
 }
 
-void Simulation::ScheduleAtForStream(SimTime when, uint32_t stream, Callback fn) {
+void Simulation::ScheduleAtForStream(SimTime when, uint32_t stream, Callback&& fn) {
   when = std::max(when, now());
   if (stream == kGlobalStream) {
     // Global events carry a global sequence; they run at barriers.
     global_.emplace(std::make_pair(when, global_seq_++), std::move(fn));
     return;
   }
-  Route(when, stream, Slot{std::move(fn), stream});
+  Route(when, stream, std::move(fn), stream);
 }
 
 void Simulation::ScheduleDelivery(SimTime when, Delivery delivery) {
@@ -231,7 +231,7 @@ void Simulation::DrainExchanges() {
       exchanged_ += q.size();
       // Keys order the queue, so the two buffers may merge in either order.
       for (auto& [key, slot] : q.callbacks) {
-        PushEvent(dst, key, std::move(slot));
+        PushEvent(dst, key, std::move(slot.fn), slot.exec_stream);
       }
       for (auto& [key, delivery] : q.deliveries) {
         PushEvent(dst, key, std::move(delivery));

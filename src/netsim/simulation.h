@@ -45,6 +45,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -123,14 +124,14 @@ class Simulation final : public Executor {
   SimTime now() const override;
 
   // Schedules `fn` to run `delay` from now (negative delays clamp to now).
-  void Schedule(SimTime delay, Callback fn) override;
+  void Schedule(SimTime delay, Callback&& fn) override;
   // Schedules at an absolute time (times in the past clamp to now). The event
   // acts on its scheduler's own stream (timers).
-  void ScheduleAt(SimTime when, Callback fn) override;
+  void ScheduleAt(SimTime when, Callback&& fn) override;
   // Schedules an event that acts on `stream`'s state: it is routed to the
   // stream's shard and runs with that stream current, which is what keeps
   // cross-shard sends deterministic.
-  void ScheduleAtForStream(SimTime when, uint32_t stream, Callback fn);
+  void ScheduleAtForStream(SimTime when, uint32_t stream, Callback&& fn);
   // Schedules `delivery` at an absolute time (clamped to now) on stream
   // `delivery.to`, keyed exactly like ScheduleAtForStream. When it runs it
   // goes to the delivery sink, which must be set and outlive it.
@@ -205,14 +206,17 @@ class Simulation final : public Executor {
     std::vector<T> items;
     std::vector<uint32_t> free;
 
-    uint32_t Put(T&& item) {
+    // Builds the record from `args` in its slot, with no temporary.
+    template <typename... Args>
+    uint32_t Put(Args&&... args) {
       if (free.empty()) {
-        items.push_back(std::move(item));
+        items.emplace_back(std::forward<Args>(args)...);
         return static_cast<uint32_t>(items.size() - 1);
       }
       const uint32_t index = free.back();
       free.pop_back();
-      items[index] = std::move(item);
+      std::destroy_at(&items[index]);
+      std::construct_at(&items[index], std::forward<Args>(args)...);
       return index;
     }
     T Take(uint32_t index) {
@@ -270,10 +274,11 @@ class Simulation final : public Executor {
 
   // Keys an event scheduled now by the calling stream for `stream`, and
   // queues it on that stream's shard, through the exchange if the shard is
-  // another worker's.
-  template <typename Event>
-  void Route(SimTime when, uint32_t stream, Event&& event);
-  void PushEvent(size_t shard, Key key, Slot&& slot);
+  // another worker's. `args` are a callback and its exec stream, or a
+  // delivery.
+  template <typename... Args>
+  void Route(SimTime when, uint32_t stream, Args&&... args);
+  void PushEvent(size_t shard, Key key, Callback&& fn, uint32_t exec_stream);
   void PushEvent(size_t shard, Key key, Delivery&& delivery);
   // Pops the key the choice hook picks among the candidates no later than
   // `window_end`; the others go back unchanged.
@@ -301,7 +306,9 @@ class Simulation final : public Executor {
   struct Exchange {
     std::vector<std::pair<Key, Slot>> callbacks;
     std::vector<std::pair<Key, Delivery>> deliveries;
-    void Add(const Key& key, Slot&& slot) { callbacks.emplace_back(key, std::move(slot)); }
+    void Add(const Key& key, Callback&& fn, uint32_t exec_stream) {
+      callbacks.emplace_back(key, Slot{std::move(fn), exec_stream});
+    }
     void Add(const Key& key, Delivery&& d) { deliveries.emplace_back(key, std::move(d)); }
     size_t size() const { return callbacks.size() + deliveries.size(); }
   };

@@ -192,31 +192,34 @@ std::string MetricsSnapshot::ToJson() const {
   return out;
 }
 
-Counter& MetricsRegistry::GetCounter(const std::string& name) {
+template <typename T, typename... Args>
+T& MetricsRegistry::FindOrAdd(Kind kind, std::deque<T>* arena, std::string_view name,
+                              Args&&... args) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
-  if (!slot) {
-    slot = std::make_unique<Counter>();
+  auto it = std::lower_bound(index_.begin(), index_.end(), name,
+                             [this, kind](const IndexEntry& e, std::string_view key) {
+                               return e.kind != kind ? e.kind < kind : NameOf(e) < key;
+                             });
+  if (it != index_.end() && it->kind == kind && NameOf(*it) == name) {
+    return (*arena)[it->slot];
   }
-  return *slot;
+  index_.insert(it, IndexEntry{kind, static_cast<uint32_t>(names_.size()),
+                               static_cast<uint32_t>(name.size()),
+                               static_cast<uint32_t>(arena->size())});
+  names_.append(name);
+  return arena->emplace_back(std::forward<Args>(args)...);
+}
+
+Counter& MetricsRegistry::GetCounter(const std::string& name) {
+  return FindOrAdd(Kind::kCounter, &counters_, name);
 }
 
 Gauge& MetricsRegistry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) {
-    slot = std::make_unique<Gauge>();
-  }
-  return *slot;
+  return FindOrAdd(Kind::kGauge, &gauges_, name);
 }
 
 Histogram& MetricsRegistry::GetHistogram(const std::string& name, std::vector<double> bounds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) {
-    slot = std::make_unique<Histogram>(std::move(bounds));
-  }
-  return *slot;
+  return FindOrAdd(Kind::kHistogram, &histograms_, name, std::move(bounds));
 }
 
 MetricsRegistry::CollectorId MetricsRegistry::AddCollector(std::function<void()> collect) {
@@ -243,22 +246,31 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   Collect();
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap;
-  for (const auto& [name, counter] : counters_) {
-    snap.counters[name] = counter->Value();
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    snap.gauges[name] = gauge->Value();
-  }
-  for (const auto& [name, hist] : histograms_) {
-    HistogramSnapshot h;
-    h.bounds = hist->bounds_;
-    h.buckets.reserve(hist->buckets_.size());
-    for (const auto& bucket : hist->buckets_) {
-      h.buckets.push_back(bucket.load(std::memory_order_relaxed));
+  // The index is in name order within each kind: every insert goes last.
+  for (const IndexEntry& e : index_) {
+    std::string name(NameOf(e));
+    switch (e.kind) {
+      case Kind::kCounter:
+        snap.counters.emplace_hint(snap.counters.end(), std::move(name),
+                                   counters_[e.slot].Value());
+        break;
+      case Kind::kGauge:
+        snap.gauges.emplace_hint(snap.gauges.end(), std::move(name), gauges_[e.slot].Value());
+        break;
+      case Kind::kHistogram: {
+        const Histogram& hist = histograms_[e.slot];
+        HistogramSnapshot h;
+        h.bounds = hist.bounds_;
+        h.buckets.reserve(hist.buckets_.size());
+        for (const auto& bucket : hist.buckets_) {
+          h.buckets.push_back(bucket.load(std::memory_order_relaxed));
+        }
+        h.count = hist.count_.load(std::memory_order_relaxed);
+        h.sum = std::bit_cast<double>(hist.sum_bits_.load(std::memory_order_relaxed));
+        snap.histograms.emplace_hint(snap.histograms.end(), std::move(name), std::move(h));
+        break;
+      }
     }
-    h.count = hist->count_.load(std::memory_order_relaxed);
-    h.sum = std::bit_cast<double>(hist->sum_bits_.load(std::memory_order_relaxed));
-    snap.histograms.emplace(name, std::move(h));
   }
   return snap;
 }

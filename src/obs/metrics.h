@@ -17,11 +17,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace algorand {
@@ -151,10 +152,31 @@ class MetricsRegistry {
   static std::vector<double> DefaultCountBuckets();
 
  private:
+  enum class Kind : uint8_t { kCounter, kGauge, kHistogram };
+  // One instrument: its kind, its name in names_ and its slot in that kind's
+  // arena.
+  struct IndexEntry {
+    Kind kind;
+    uint32_t name_offset;
+    uint32_t name_size;
+    uint32_t slot;
+  };
+  std::string_view NameOf(const IndexEntry& e) const {
+    return std::string_view(names_).substr(e.name_offset, e.name_size);
+  }
+  // The instrument (kind, name), built from `args` at the end of `arena` if
+  // absent. Takes mu_.
+  template <typename T, typename... Args>
+  T& FindOrAdd(Kind kind, std::deque<T>* arena, std::string_view name, Args&&... args);
+
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  // Chunked arenas: a deque never moves an element it holds, so the
+  // references Get* returns stay valid, and instruments share allocations.
+  std::deque<Counter> counters_;
+  std::deque<Gauge> gauges_;
+  std::deque<Histogram> histograms_;
+  std::string names_;              // Every instrument name, back to back.
+  std::vector<IndexEntry> index_;  // Sorted by (kind, name).
   // Lock order: collectors_mu_ before mu_ (collectors resolve instruments).
   mutable std::mutex collectors_mu_;
   std::map<CollectorId, std::function<void()>> collectors_;

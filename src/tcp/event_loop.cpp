@@ -28,11 +28,11 @@ EventLoop::~EventLoop() {
 
 SimTime EventLoop::now() const { return MonotonicNow() - start_; }
 
-void EventLoop::Schedule(SimTime delay, Callback fn) {
+void EventLoop::Schedule(SimTime delay, Callback&& fn) {
   ScheduleAt(now() + (delay < 0 ? 0 : delay), std::move(fn));
 }
 
-void EventLoop::ScheduleAt(SimTime when, Callback fn) {
+void EventLoop::ScheduleAt(SimTime when, Callback&& fn) {
   if (when < now()) {
     when = now();
   }

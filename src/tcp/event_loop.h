@@ -28,8 +28,8 @@ class EventLoop : public Executor {
   // --- Executor ---
   // Monotonic nanoseconds since the loop was constructed.
   SimTime now() const override;
-  void Schedule(SimTime delay, Callback fn) override;
-  void ScheduleAt(SimTime when, Callback fn) override;
+  void Schedule(SimTime delay, Callback&& fn) override;
+  void ScheduleAt(SimTime when, Callback&& fn) override;
 
   // --- Sockets ---
   // Registers a non-blocking fd; handler runs with the epoll event mask.

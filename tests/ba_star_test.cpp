@@ -265,6 +265,85 @@ TEST(BaStarTest, TimeoutInStepBVotesEmptyNext) {
   EXPECT_TRUE(f.env.DidCast(BinaryStepCode(3), f.empty));
 }
 
+// Parks the fixture's machine the way Node::BeginAgreement does, from inside
+// its own completion handler: a fresh machine takes the slot, the old one
+// stays alive (its frames are still on the stack) and releases its tallies.
+struct ParkingFixture : BaFixture {
+  ParkingFixture() {
+    ba = std::make_unique<BaStar>(params, &env, [this](const BaResult& r) {
+      completed = true;
+      result = r;
+      parked = std::move(ba);
+      ba = std::make_unique<BaStar>(params, &env, [](const BaResult&) {});
+      ba->ReserveTallies(parked->ReleaseTallies());
+      parked_bytes = parked->TallyBytes();
+    });
+  }
+  std::unique_ptr<BaStar> parked;
+  size_t parked_bytes = 1;
+};
+
+TEST(BaStarTest, ReleaseInsideCallbackWhenTheDecidingVoteArrives) {
+  // The final-step quorum's last vote arrives through OnVote and completes
+  // the machine, whose handler parks it and frees its tallies while OnVote's
+  // frame is still on the stack. Sanitizer builds fail here if any frame
+  // reads a released tally.
+  ParkingFixture f;
+  f.ba->Start(f.block, f.empty);
+  f.Votes(kStepReduction1, f.block, 8);
+  f.Votes(kStepReduction2, f.block, 8);
+  f.Votes(BinaryStepCode(1), f.block, 8);
+  f.Votes(kStepFinal, f.block, 14);  // One short of > 14.8.
+  ASSERT_FALSE(f.completed);
+  f.Votes(kStepFinal, f.block, 1, /*first_voter=*/14);
+  ASSERT_TRUE(f.completed);
+  EXPECT_TRUE(f.result.final);
+  EXPECT_EQ(f.parked_bytes, 0u);
+  EXPECT_EQ(f.parked->TallyFor(kStepFinal), nullptr);
+  // The machine in the slot counts from scratch.
+  f.Votes(kStepReduction1, f.block, 3, /*first_voter=*/100);
+  ASSERT_NE(f.ba->TallyFor(kStepReduction1), nullptr);
+  EXPECT_EQ(f.ba->TallyFor(kStepReduction1)->voter_count(), 3u);
+}
+
+TEST(BaStarTest, ReleaseInsideCallbackWhenFinalVotesAreAlreadyIn) {
+  // The final-step votes arrive before binary step 1 decides, so the
+  // deciding binary vote enters FinishBinary's wait, which completes at once
+  // from the buffered tally: the handler frees the tallies under the
+  // WaitCountVotes, FinishBinary, step-continuation and OnVote frames.
+  ParkingFixture f;
+  f.ba->Start(f.block, f.empty);
+  f.Votes(kStepReduction1, f.block, 8);
+  f.Votes(kStepReduction2, f.block, 8);
+  f.Votes(kStepFinal, f.block, 16);
+  f.Votes(BinaryStepCode(1), f.block, 6);  // One short of > 6.85.
+  ASSERT_FALSE(f.completed);
+  f.Votes(BinaryStepCode(1), f.block, 1, /*first_voter=*/6);
+  ASSERT_TRUE(f.completed);
+  EXPECT_TRUE(f.result.final);
+  EXPECT_EQ(f.result.deciding_step, BinaryStepCode(1));
+  EXPECT_EQ(f.parked_bytes, 0u);
+  EXPECT_EQ(f.parked->TallyFor(BinaryStepCode(1)), nullptr);
+}
+
+TEST(BaStarTest, ReleasedSizesReserveTheNextMachinesTallies) {
+  BaFixture f;
+  f.Votes(kStepReduction1, f.block, 40);
+  f.Votes(kStepFinal, f.block, 8);
+  const BaStar::StepSizes sizes = f.ba->ReleaseTallies();
+  EXPECT_EQ(sizes, (BaStar::StepSizes{{kStepReduction1, 40}, {kStepFinal, 8}}));
+  EXPECT_EQ(f.ba->TallyBytes(), 0u);
+  BaStar next(f.params, &f.env, [](const BaResult&) {});
+  next.ReserveTallies(sizes);
+  next.OnVote(kStepReduction1, Pk(1), 1, f.block, Sorthash(1));
+  const size_t reserved = next.TallyBytes();
+  EXPECT_GE(reserved, 40 * sizeof(StepTally::Entry));
+  for (int i = 2; i <= 40; ++i) {
+    next.OnVote(kStepReduction1, Pk(i), 1, f.block, Sorthash(i));
+  }
+  EXPECT_EQ(next.TallyBytes(), reserved);  // No regrowth up to the reserve.
+}
+
 TEST(BaStarTest, CoinStepFollowsCommonCoin) {
   BaFixture f;
   f.ba->Start(f.block, f.empty);

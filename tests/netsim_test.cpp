@@ -249,6 +249,44 @@ TEST(SimulationTest, DestroysPendingCallbacksExactlyOnce) {
   EXPECT_LT(ran, 2 * kEach);
 }
 
+// Counts its own move constructions: each is one relocation of the
+// UniqueCallback holding it. `at_run` records the count when it runs.
+struct MoveCounter {
+  MoveCounter(int* moves, int* at_run) : moves(moves), at_run(at_run) {}
+  MoveCounter(MoveCounter&& other) noexcept : moves(other.moves), at_run(other.at_run) {
+    ++*moves;
+  }
+  void operator()() const { *at_run = *moves; }
+  int* moves;
+  int* at_run;
+};
+
+TEST(SimulationTest, ScheduleRelocatesACallbackAtMostTwice) {
+  // Executor::Schedule takes the callback by rvalue reference down to the
+  // event slot: one relocation into the slot, one out of it before it runs.
+  // The second round reuses the freed slot.
+  Simulation sim;
+  Executor& executor = sim;
+  for (int round = 0; round < 2; ++round) {
+    int moves = 0;
+    int at_run = -1;
+    Executor::Callback fn(MoveCounter(&moves, &at_run));
+    moves = 0;
+    executor.Schedule(Millis(5), std::move(fn));
+    sim.Run();
+    EXPECT_GE(at_run, 0) << "round " << round;
+    EXPECT_LE(at_run, 2) << "round " << round;
+    at_run = -1;
+    moves = 0;
+    Executor::Callback at(MoveCounter(&moves, &at_run));
+    moves = 0;
+    executor.ScheduleAt(sim.now() + Millis(5), std::move(at));
+    sim.Run();
+    EXPECT_GE(at_run, 0) << "round " << round;
+    EXPECT_LE(at_run, 2) << "round " << round;
+  }
+}
+
 TEST(SimulationTest, NestedScheduling) {
   Simulation sim;
   int fired = 0;

@@ -151,6 +151,34 @@ class BlockStarver : public NetworkAdversary {
   uint64_t allow_after_ = 0;
 };
 
+TEST(NodeTest, ParkedMachineHoldsNoTallies) {
+  // When round r+1 starts, round r's machine is parked and its tallies are
+  // freed; the new machine has counted nothing yet, so the node holds no
+  // tally bytes at that instant. Within a round they are non-zero, and the
+  // "ba.tally_bytes" gauge reads the node's total.
+  SimHarness h(BaseConfig(34));
+  size_t checked_starts = 0;
+  size_t max_at_round_end = 0;
+  h.tracer().SetObserver([&](const TraceEvent& ev) {
+    const Node& node = h.node(ev.node);
+    if (ev.kind == TraceKind::kRoundStart && ev.round >= 2) {
+      EXPECT_EQ(node.TallyBytes(), 0u) << "node " << ev.node << " round " << ev.round;
+      ++checked_starts;
+    } else if (ev.kind == TraceKind::kRoundEnd) {
+      max_at_round_end = std::max(max_at_round_end, node.TallyBytes());
+    }
+  });
+  h.Start();
+  ASSERT_TRUE(h.RunRounds(3, Hours(1)));
+  h.tracer().SetObserver(nullptr);
+  EXPECT_GE(checked_starts, 2 * h.node_count());
+  EXPECT_GT(max_at_round_end, 0u);
+  for (size_t i = 0; i < h.node_count(); ++i) {
+    EXPECT_EQ(h.node_metrics(i).Snapshot().gauges.at("ba.tally_bytes"),
+              static_cast<int64_t>(h.node(i).TallyBytes()));
+  }
+}
+
 TEST(NodeTest, FetchesAgreedBlockItNeverReceived) {
   HarnessConfig cfg = BaseConfig(34);
   SimHarness h(cfg);

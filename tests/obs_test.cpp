@@ -2,13 +2,16 @@
 // semantics, histogram percentiles against the exact stats helpers, snapshot
 // merging, the round tracer's ring buffer, and end-to-end integration through
 // SimHarness.
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/core/sim_harness.h"
+#include "src/crypto/sha256.h"
 #include "src/obs/metrics.h"
 #include "src/obs/round_tracer.h"
 
@@ -43,6 +46,90 @@ TEST(RegistryTest, SameNameSameInstrument) {
   Histogram& h2 = reg.GetHistogram("h", {10, 20});  // Bounds fixed at creation.
   EXPECT_EQ(&h1, &h2);
   EXPECT_EQ(h2.bounds().size(), 3u);
+}
+
+TEST(RegistryTest, ThousandMixedMetricsSnapshotIsPinned) {
+  // 1,000 instruments of all three kinds, created out of name order with
+  // names of several lengths (400 shared across kinds) and repeat lookups,
+  // then written through the references the first lookups returned. The
+  // snapshot must match one built beside it, and its exports are pinned to a
+  // digest.
+  MetricsRegistry reg;
+  MetricsSnapshot expected;
+  DeterministicRng rng(1000);
+  std::vector<std::pair<std::string, Counter*>> counters;
+  std::vector<std::pair<std::string, Gauge*>> gauges;
+  std::vector<std::pair<std::string, Histogram*>> histograms;
+  std::vector<uint64_t> first_kind;
+  for (int i = 0; i < 1000; ++i) {
+    // The last 400 reuse an earlier name under another kind.
+    const int n = i % 600;
+    uint64_t kind = rng.UniformU64(3);
+    if (i < 600) {
+      first_kind.push_back(kind);
+    } else if (kind == first_kind[n]) {
+      kind = (kind + 1) % 3;
+    }
+    std::string name = "m";
+    name += std::to_string(n * 7919 % 600);
+    name.push_back('.');
+    name.append(n % 5 * 9, static_cast<char>('a' + n % 26));
+    if (kind == 0) {
+      counters.emplace_back(name, &reg.GetCounter(name));
+      expected.counters[name];
+    } else if (kind == 1) {
+      gauges.emplace_back(name, &reg.GetGauge(name));
+      expected.gauges[name];
+    } else {
+      std::vector<double> bounds;
+      for (uint64_t b = 0, n = 1 + rng.UniformU64(6); b < n; ++b) {
+        bounds.push_back(static_cast<double>(rng.UniformU64(100)));
+      }
+      Histogram& h = reg.GetHistogram(name, bounds);
+      histograms.emplace_back(name, &h);
+      HistogramSnapshot& e = expected.histograms[name];
+      if (e.bounds.empty()) {
+        e.bounds = h.bounds();
+        e.buckets.assign(e.bounds.size() + 1, 0);
+      }
+    }
+  }
+  for (const auto& [name, c] : counters) {
+    EXPECT_EQ(c, &reg.GetCounter(name));
+    const uint64_t n = rng.UniformU64(1000);
+    c->Increment(n);
+    expected.counters[name] += n;
+  }
+  for (const auto& [name, g] : gauges) {
+    EXPECT_EQ(g, &reg.GetGauge(name));
+    const int64_t d = static_cast<int64_t>(rng.UniformU64(2000)) - 1000;
+    g->Add(d);
+    expected.gauges[name] += d;
+  }
+  for (const auto& [name, h] : histograms) {
+    EXPECT_EQ(h, &reg.GetHistogram(name));
+    const double v = static_cast<double>(rng.UniformU64(120));
+    h->Observe(v);
+    HistogramSnapshot& e = expected.histograms[name];
+    ++e.buckets[std::lower_bound(e.bounds.begin(), e.bounds.end(), v) - e.bounds.begin()];
+    ++e.count;
+    e.sum += v;
+  }
+  const MetricsSnapshot snap = reg.Snapshot();
+  EXPECT_EQ(snap.counters, expected.counters);
+  EXPECT_EQ(snap.gauges, expected.gauges);
+  ASSERT_EQ(snap.histograms.size(), expected.histograms.size());
+  for (const auto& [name, e] : expected.histograms) {
+    const HistogramSnapshot& h = snap.histograms.at(name);
+    EXPECT_EQ(h.bounds, e.bounds) << name;
+    EXPECT_EQ(h.buckets, e.buckets) << name;
+    EXPECT_EQ(h.count, e.count) << name;
+    EXPECT_DOUBLE_EQ(h.sum, e.sum) << name;
+  }
+  EXPECT_EQ(snap.ToJson(), expected.ToJson());
+  EXPECT_EQ(snap.counters.size() + snap.gauges.size() + snap.histograms.size(), 1000u);
+  EXPECT_EQ(Sha256::Hash(BytesOfString(snap.ToJson() + snap.ToText())).ToHex(),
+            "7094ee96ce7ebc18cf4bfcb6d7c058337920c04123bfc336bc8e9b1deef0095b");
 }
 
 TEST(HistogramTest, BucketsObservationsByBound) {

@@ -22,6 +22,30 @@ TEST(EventLoopTest, TimersFireInOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(EventLoopTest, ScheduleRelocatesACallbackAtMostTwice) {
+  // A move-counting callable: each move is one relocation of its
+  // UniqueCallback.
+  struct MoveCounter {
+    MoveCounter(int* moves, int* at_run) : moves(moves), at_run(at_run) {}
+    MoveCounter(MoveCounter&& other) noexcept : moves(other.moves), at_run(other.at_run) {
+      ++*moves;
+    }
+    void operator()() const { *at_run = *moves; }
+    int* moves;
+    int* at_run;
+  };
+  EventLoop loop;
+  Executor& executor = loop;
+  int moves = 0;
+  int at_run = -1;
+  Executor::Callback fn(MoveCounter(&moves, &at_run));
+  moves = 0;
+  executor.Schedule(Millis(1), std::move(fn));
+  loop.RunFor(Millis(20));
+  EXPECT_GE(at_run, 0);
+  EXPECT_LE(at_run, 2);
+}
+
 TEST(EventLoopTest, NowAdvancesMonotonically) {
   EventLoop loop;
   SimTime a = loop.now();

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/vote_counter.h"
+#include "tests/reference_tally.h"
 
 namespace algorand {
 namespace {
@@ -84,8 +87,8 @@ std::optional<Hash256> ReplayLeader(const std::vector<StepTally::Entry>& entries
                                     double threshold) {
   std::map<Hash256, uint64_t> running;
   for (const StepTally::Entry& e : entries) {
-    if (static_cast<double>(running[e.value] += e.weight) > threshold) {
-      return e.value;
+    if (static_cast<double>(running[e.value()] += e.weight) > threshold) {
+      return e.value();
     }
   }
   return std::nullopt;
@@ -154,15 +157,129 @@ TEST(StepTallyTest, CommonCoinRoughlyUnbiased) {
   EXPECT_LT(zeros, 140);
 }
 
+using VotePtr = std::shared_ptr<const VoteMessage>;
+
+// Certificate selection as a node made it over the copy-based tally, from
+// its store of the step's verified votes: each voter's first stored vote is
+// the one the tally counted; walk
+// the tally's entries for `value` until their weight exceeds `needed`.
+std::vector<const VoteMessage*> ReferenceCertificate(const ReferenceTally& tally,
+                                                     const std::vector<VotePtr>& stored,
+                                                     const Hash256& value, double needed) {
+  std::unordered_map<PublicKey, const VoteMessage*, FixedBytesHasher> counted;
+  for (const VotePtr& vote : stored) {
+    counted.try_emplace(vote->pk, vote.get());
+  }
+  std::vector<const VoteMessage*> out;
+  double total = 0;
+  for (const ReferenceTally::Entry& e : tally.entries()) {
+    if (e.value != value) {
+      continue;
+    }
+    out.push_back(counted.at(e.pk));
+    if ((total += static_cast<double>(e.weight)) > needed) {
+      break;
+    }
+  }
+  return out;
+}
+
+// The same selection over the compact tally: its entries hold the messages.
+std::vector<const VoteMessage*> Certificate(const StepTally& tally, const Hash256& value,
+                                            double needed) {
+  std::vector<const VoteMessage*> out;
+  double total = 0;
+  for (const StepTally::Entry& e : tally.entries()) {
+    if (e.value() != value) {
+      continue;
+    }
+    out.push_back(e.vote.get());
+    if ((total += static_cast<double>(e.weight)) > needed) {
+      break;
+    }
+  }
+  return out;
+}
+
+TEST(StepTallyTest, CompactTallyMatchesCopyingReferenceAtEveryPrefix) {
+  // Random vote streams (repeat voters, zero weights, 1-8 values, weights
+  // 1-5) fed to the compact tally as shared messages and to the reference as
+  // copied fields. After every vote both agree on the leader at several
+  // thresholds, every value's count, the common coin, the total weight and
+  // the certificate votes for each value.
+  DeterministicRng rng(32);
+  const double thresholds[] = {0.5, 3.0, 6.85, 11.0, 20.5};
+  for (int trial = 0; trial < 150; ++trial) {
+    const int values = 1 + static_cast<int>(rng.UniformU64(8));
+    const int voters = 4 + static_cast<int>(rng.UniformU64(40));
+    StepTally tally;
+    ReferenceTally reference;
+    std::vector<VotePtr> stored;
+    for (int i = 0; i < 60; ++i) {
+      auto vote = std::make_shared<VoteMessage>();
+      vote->pk = Pk(static_cast<int>(rng.UniformU64(voters)));
+      vote->value = Value(1 + static_cast<int>(rng.UniformU64(values)));
+      vote->sorthash = Sorthash(static_cast<int>(rng.UniformU64(1000)));
+      const uint64_t weight = rng.UniformU64(8) == 0 ? 0 : 1 + rng.UniformU64(5);
+      if (weight > 0) {
+        stored.push_back(vote);  // A node stored every verified vote (weight > 0).
+      }
+      ASSERT_EQ(tally.AddVote(vote, weight),
+                reference.AddVote(vote->pk, weight, vote->value, vote->sorthash))
+          << "trial " << trial << " vote " << i;
+      ASSERT_EQ(tally.total_weight(), reference.total_weight());
+      ASSERT_EQ(tally.CommonCoin(), reference.CommonCoin());
+      for (double threshold : thresholds) {
+        ASSERT_EQ(tally.Leader(threshold), reference.Leader(threshold))
+            << "trial " << trial << " vote " << i << " threshold " << threshold;
+      }
+      for (int v = 0; v <= values + 1; ++v) {
+        ASSERT_EQ(tally.CountFor(Value(v)), reference.CountFor(Value(v)));
+        for (double needed : thresholds) {
+          ASSERT_EQ(Certificate(tally, Value(v), needed),
+                    ReferenceCertificate(reference, stored, Value(v), needed))
+              << "trial " << trial << " vote " << i << " value " << v;
+        }
+      }
+    }
+    ASSERT_EQ(tally.entries().size(), reference.entries().size());
+    for (size_t k = 0; k < tally.entries().size(); ++k) {
+      const StepTally::Entry& e = tally.entries()[k];
+      const ReferenceTally::Entry& r = reference.entries()[k];
+      EXPECT_EQ(e.pk(), r.pk);
+      EXPECT_EQ(e.value(), r.value);
+      EXPECT_EQ(e.sorthash(), r.sorthash);
+      EXPECT_EQ(e.weight, r.weight);
+      EXPECT_EQ(e.running, r.running);
+    }
+  }
+}
+
+TEST(StepTallyTest, EntryIsCompact) {
+  // A counted vote costs one shared pointer, its weight, its running count
+  // and an interned value id: at most 40 bytes, against 144 for a copy of
+  // pk, value and sorthash.
+  EXPECT_LE(sizeof(StepTally::Entry), 40u);
+  StepTally t;
+  t.reserve(100);
+  const size_t reserved = t.memory_bytes();
+  EXPECT_GE(reserved, 100 * sizeof(StepTally::Entry));
+  for (int i = 0; i < 100; ++i) {
+    t.AddVote(Pk(i), 1, Value(i % 3), Sorthash(i));
+  }
+  // Three values: the value table grows, the reserved arrays do not.
+  EXPECT_LE(t.memory_bytes(), reserved + 4 * (sizeof(Hash256) + sizeof(uint64_t)));
+}
+
 TEST(StepTallyTest, EntriesPreserveArrivalOrder) {
   StepTally t;
   t.AddVote(Pk(3), 1, Value(1), Sorthash(3));
   t.AddVote(Pk(1), 1, Value(1), Sorthash(1));
   t.AddVote(Pk(2), 1, Value(1), Sorthash(2));
   ASSERT_EQ(t.entries().size(), 3u);
-  EXPECT_EQ(t.entries()[0].pk, Pk(3));
-  EXPECT_EQ(t.entries()[1].pk, Pk(1));
-  EXPECT_EQ(t.entries()[2].pk, Pk(2));
+  EXPECT_EQ(t.entries()[0].pk(), Pk(3));
+  EXPECT_EQ(t.entries()[1].pk(), Pk(1));
+  EXPECT_EQ(t.entries()[2].pk(), Pk(2));
 }
 
 }  // namespace
