@@ -200,9 +200,8 @@ BENCHMARK(BM_GeDoubleScalarMult);
 
 // Batch verification throughput through the VerifyPool: 64 distinct vote-
 // sized signatures per batch, verified inline (workers = 0) or fanned out to
-// worker threads. Reported per signature. This is where the pipeline pays
-// off: a round's burst of committee votes verifies in parallel while the
-// protocol thread keeps dequeueing.
+// worker threads while the submitting thread waits (VerifyBatch's fork-join
+// shape; nodes verify votes inline). Reported per signature.
 void BM_BatchVerify_Pool(benchmark::State& state) {
   const size_t workers = static_cast<size_t>(state.range(0));
   constexpr size_t kBatch = 64;
@@ -528,7 +527,7 @@ BENCHMARK(BM_BlockStore_ReadRound);
 // Transaction signature verification, sequential vs batched through the
 // VerifyPool (the proposal-validation path of ValidateBlockContents). Arg is
 // the worker count; 0 is the inline loop. No cache: this measures raw batch
-// verification, not prewarm hits (those are ~free by construction).
+// verification, not cache hits (those are ~free by construction).
 void BM_TxVerify_Batched_vs_Sequential(benchmark::State& state) {
   const size_t workers = static_cast<size_t>(state.range(0));
   const Ed25519Signer signer;

@@ -136,7 +136,7 @@ PointResult RunPoint(const Options& opt, size_t exec_workers) {
   cfg.n_nodes = opt.n_nodes;
   cfg.rng_seed = opt.seed;
   cfg.use_sim_crypto = !opt.real_crypto;
-  cfg.verify_workers = 0;  // Isolate the exec sweep; prewarm is benched elsewhere.
+  cfg.verify_workers = 0;  // Isolate the exec sweep from the batch-verify fan-out.
   cfg.exec_workers = static_cast<int>(exec_workers);
   // Consensus stake stays with the nodes; clients and fillers must be
   // noise-level weight. Non-voting stake directly shrinks expected committee

@@ -1,17 +1,13 @@
-// VerifyPool: a small worker-thread pool that batch-verifies gossip payloads
-// off the protocol thread.
+// VerifyPool: a small worker-thread pool for fork-join batch work.
 //
 // The paper's evaluation (§10.1) identifies signature and VRF verification as
-// the dominant CPU cost of a node. All verification in this codebase is a
-// pure function of the message bytes and a context resolved at submit time,
-// so the work can run on any thread: the network layer *prewarms* the shared
-// VerificationCache while a message is still in flight, and the protocol
-// thread's lookup either hits a finished entry or briefly waits for the
-// worker that is computing it. The pool never makes a protocol decision —
-// with identical inputs the cached values are identical to what the inline
-// path would compute, so a run with N workers is decision-for-decision
-// equal to a run with zero (the default, which stays single-threaded and
-// fully deterministic).
+// the dominant CPU cost of a node. TxSigVerifier::VerifyBatch splits a
+// block's signature checks into chunks, runs them on these workers and waits
+// for all of them; the block-apply pipeline (ledger/exec.h) uses a second
+// pool the same way for conflict partitions. The calling thread always waits
+// for its jobs, so the pool never makes a protocol decision: a run with N
+// workers is decision-for-decision equal to a run with zero (the default,
+// which stays single-threaded and fully deterministic).
 #ifndef ALGORAND_SRC_COMMON_VERIFY_POOL_H_
 #define ALGORAND_SRC_COMMON_VERIFY_POOL_H_
 
@@ -40,9 +36,9 @@ class VerifyPool {
   VerifyPool(const VerifyPool&) = delete;
   VerifyPool& operator=(const VerifyPool&) = delete;
 
-  // Enqueues a job for a worker. Jobs must be self-contained: they run on a
-  // worker thread, possibly after the submitting round has moved on. No-op
-  // when the pool has zero workers.
+  // Enqueues a job for a worker. A job that borrows the caller's state must
+  // be waited for before that state dies (VerifyBatch and BlockApplier count
+  // their jobs down). No-op when the pool has zero workers.
   void Submit(std::function<void()> job);
 
   // Blocks until the queue is empty and every worker is idle.

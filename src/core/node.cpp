@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "src/common/serialize.h"
-#include "src/common/verify_pool.h"
 #include "src/crypto/sha256.h"
 #include "src/store/block_store.h"
 #include "src/store/checkpoint.h"
@@ -504,16 +503,6 @@ void Node::MaybePropose() {
   Trace(TraceKind::kProposalGossiped, 0, sort.votes, 0, block_msg->DedupId().prefix_u64());
 }
 
-void Node::GossipMessage(const MessagePtr& msg) {
-  // Start verifying our own outbound message on a worker before the gossip
-  // agent's local delivery asks for the verdict; the inline lookup then joins
-  // the in-flight computation instead of running it on the protocol thread.
-  if (crypto_.pool != nullptr) {
-    PrewarmMessage(msg, crypto_.pool);
-  }
-  gossip_->Gossip(msg);
-}
-
 // ---------------------------------------------------------------------------
 // Voting (BaEnvironment)
 // ---------------------------------------------------------------------------
@@ -550,112 +539,39 @@ void Node::EmitVotes(uint32_t step_code, const SortitionResult& sort, const Hash
 // Message verification
 // ---------------------------------------------------------------------------
 
-uint64_t Node::SortitionCheck::Run(uint64_t weight) const {
-  if (vote != nullptr && !signer->Verify(vote->pk, vote->SignedBody(), vote->signature)) {
-    return 0;
-  }
-  return VerifySortition(*vrf, pk, sorthash, proof, seed, tau, role, round, step, weight,
-                         total_weight);
-}
-
-Node::SortitionCheck Node::VoteCheck(const VoteMessage& vote, const RoundContext& ctx) const {
-  SortitionCheck check;
-  check.key = ContextKey(vote.DedupId(), ctx.seed, ctx.total_weight);
-  check.vrf = crypto_.vrf;
-  check.signer = crypto_.signer;
-  check.vote = &vote;
-  check.pk = vote.pk;
-  check.sorthash = vote.sorthash;
-  check.proof = vote.sort_proof;
-  check.role = Role::kCommittee;
-  check.round = vote.round;
-  // Participant replacement (ablation): with replacement off, one step-0
-  // committee serves the whole round.
-  check.step = params_.participant_replacement_enabled ? vote.step : 0;
-  check.tau = vote.step == kStepFinal ? params_.tau_final : params_.tau_step;
-  check.seed = ctx.seed;
-  check.total_weight = ctx.total_weight;
-  return check;
-}
-
-Node::SortitionCheck Node::ProposerCheck(const PublicKey& pk, const VrfOutput& sorthash,
-                                         const VrfProof& proof, const RoundContext& ctx) const {
-  SortitionCheck check;
-  check.key = ContextKey(HashImage(pk, sorthash, ctx.round), ctx.seed, ctx.total_weight);
-  check.vrf = crypto_.vrf;
-  check.pk = pk;
-  check.sorthash = sorthash;
-  check.proof = proof;
-  check.role = Role::kProposer;
-  check.round = ctx.round;
-  check.tau = params_.tau_proposer;
-  check.seed = ctx.seed;
-  check.total_weight = ctx.total_weight;
-  return check;
-}
-
-uint64_t Node::RunCached(const SortitionCheck& check, const RoundContext& ctx) const {
-  auto compute = [&] { return check.Run(ctx.weight_of(check.pk)); };
-  return crypto_.cache != nullptr ? crypto_.cache->GetOrCompute(check.key, compute) : compute();
-}
-
-void Node::PrewarmCheck(const SortitionCheck& check, const MessagePtr& msg, VerifyPool* pool) {
-  VerificationCache* cache = crypto_.cache;
-  if (cache->Contains(check.key)) {
-    return;
-  }
-  // Resolved on the protocol thread: the job must not touch the ledger.
-  const uint64_t weight = ctx_.weight_of(check.pk);
-  pool->Submit([cache, check, weight, msg] {
-    cache->Prewarm(check.key, [&] { return check.Run(weight); });
-  });
-}
-
-void Node::PrewarmMessage(const MessagePtr& msg, VerifyPool* pool) {
-  if (pool == nullptr || pool->worker_count() == 0 || crypto_.cache == nullptr) {
-    return;
-  }
-  switch (KindOf(*msg)) {
-    case MessageKind::kTransaction:
-      // Payment signatures are context-free, so they can always be prewarmed;
-      // Receive then hits the cache instead of verifying inline.
-      tx_verifier_.Prewarm({static_cast<const TransactionMessage&>(*msg).tx});
-      return;
-    case MessageKind::kVote: {
-      // Recovery votes need session context and future/stale votes are not
-      // verifiable yet (unknown seed) — both are skipped, exactly the cases
-      // the inline path also cannot cache usefully.
-      const auto& vote = static_cast<const VoteMessage&>(*msg);
-      if (vote.round == current_round_) {
-        PrewarmCheck(VoteCheck(vote, ctx_), msg, pool);
-      }
-      return;
+// Both checks memoize under ContextKey: the same message verified against
+// another seed or stake total is a different check.
+uint64_t Node::VerifyVote(const VoteMessage& vote, const RoundContext& ctx) const {
+  auto compute = [&]() -> uint64_t {
+    if (!crypto_.signer->Verify(vote.pk, vote.SignedBody(), vote.signature)) {
+      return 0;
     }
-    // Priority and block messages share the cached proposer-sortition check;
-    // the rest of block validation (contents, seed VRF) stays on the protocol
-    // thread, which is fine — the sortition proof is the expensive part.
-    case MessageKind::kPriority: {
-      const auto& pri = static_cast<const PriorityMessage&>(*msg);
-      if (pri.round == current_round_) {
-        PrewarmCheck(ProposerCheck(pri.pk, pri.sorthash, pri.sort_proof, ctx_), msg, pool);
-      }
-      return;
-    }
-    case MessageKind::kBlock: {
-      const Block& block = static_cast<const BlockMessage&>(*msg).block;
-      // Transaction signatures are context-free: start them regardless of
-      // the round check below so ValidateBlockContents' batch verify hits the
-      // cache. Payments this node's mempool holds were verified at admission.
-      tx_verifier_.Prewarm(mempool_.NotResident(block.txns));
-      if (block.round == current_round_) {
-        PrewarmCheck(ProposerCheck(block.proposer, block.proposer_vrf, block.proposer_proof, ctx_),
-                     msg, pool);
-      }
-      return;
-    }
-    default:
-      return;
+    // Participant replacement (ablation): with replacement off, one step-0
+    // committee serves the whole round.
+    const uint32_t step = params_.participant_replacement_enabled ? vote.step : 0;
+    const double tau = vote.step == kStepFinal ? params_.tau_final : params_.tau_step;
+    return VerifySortition(*crypto_.vrf, vote.pk, vote.sorthash, vote.sort_proof, ctx.seed, tau,
+                           Role::kCommittee, vote.round, step, ctx.weight_of(vote.pk),
+                           ctx.total_weight);
+  };
+  if (crypto_.cache == nullptr) {
+    return compute();
   }
+  return crypto_.cache->GetOrCompute(ContextKey(vote.DedupId(), ctx.seed, ctx.total_weight),
+                                     compute);
+}
+
+uint64_t Node::VerifyProposerSortition(const PublicKey& pk, const VrfOutput& sorthash,
+                                       const VrfProof& proof, const RoundContext& ctx) const {
+  auto compute = [&] {
+    return VerifySortition(*crypto_.vrf, pk, sorthash, proof, ctx.seed, params_.tau_proposer,
+                           Role::kProposer, ctx.round, 0, ctx.weight_of(pk), ctx.total_weight);
+  };
+  if (crypto_.cache == nullptr) {
+    return compute();
+  }
+  return crypto_.cache->GetOrCompute(
+      ContextKey(HashImage(pk, sorthash, ctx.round), ctx.seed, ctx.total_weight), compute);
 }
 
 uint64_t Node::ValidateBlockContents(const Block& block) const {

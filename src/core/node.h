@@ -53,14 +53,12 @@ struct CryptoSuite {
   const VrfBackend* vrf = nullptr;
   const SignerBackend* signer = nullptr;
   VerificationCache* cache = nullptr;  // Optional.
-  // Optional verification worker pool. With a shared cache the first
-  // verification of a message happens at its origin (every later receiver
-  // hits the cache), so nodes prewarm their own outbound messages here and
-  // the pool carries the compute off the protocol thread.
+  // Optional worker pool for batch signature checks: TxSigVerifier::
+  // VerifyBatch fans a block's payments not held in the mempool out across
+  // these threads and waits for them.
   VerifyPool* pool = nullptr;
   // Optional worker pool for the block-apply pipeline (ledger/exec.h):
   // conflict partitions of a committed block apply across these threads.
-  // Kept separate from `pool` so long apply jobs never starve prewarms.
   // Null or zero workers = sequential apply (the deterministic default).
   VerifyPool* exec_pool = nullptr;
 };
@@ -159,15 +157,6 @@ class Node : public BaEnvironment, private SyncHost, private RecoveryHost {
   // "crashed" node whose callbacks may still sit in the event queue.
   void Halt();
 
-  // Verification pipeline hook: if `msg` carries a signature/VRF payload
-  // verifiable in this node's *current* round context, submits a job to
-  // `pool` that prewarms the shared VerificationCache. Everything the job
-  // needs (seed, weights, committee size) is resolved here on the protocol
-  // thread; the job itself is a pure function, so running it on a worker
-  // changes wall-clock timing but never a protocol decision. Called by the
-  // harness/cluster transport while the message is still in flight.
-  void PrewarmMessage(const MessagePtr& msg, VerifyPool* pool);
-
   // Serves block/certificate history to catching-up peers (§8.3). When
   // sharding is configured (shard_count > 1) a node keeps certificates, both
   // deciding and final, in memory only for rounds where
@@ -205,7 +194,7 @@ class Node : public BaEnvironment, private SyncHost, private RecoveryHost {
       const CatchupRequestMessage& req) const override;
 
   // Shared helpers for subclasses.
-  void GossipMessage(const MessagePtr& msg);
+  void GossipMessage(const MessagePtr& msg) { gossip_->Gossip(msg); }
   RoundContext MakeContext() const { return ContextAt(ledger_, params_, current_round_); }
   GossipAgent* gossip() { return gossip_; }
   Executor* sim() { return sim_; }
@@ -296,48 +285,12 @@ class Node : public BaEnvironment, private SyncHost, private RecoveryHost {
   // writes the sidecar off the protocol thread and compacts old segments).
   void MaybeCheckpoint() override;
 
-  // One cached sortition check, a vote's (signature first) or a proposer's,
-  // built once from a round context: the verification-cache key and the pure
-  // check it memoizes. The inline path (RunCached) and PrewarmMessage's
-  // worker job (PrewarmCheck) run the same value, so they cannot disagree on
-  // key or verdict. Run() reads no node state: the caller resolves the
-  // signer's weight on the protocol thread, and a vote check must not
-  // outlive its vote.
-  struct SortitionCheck {
-    Hash256 key;
-    const VrfBackend* vrf = nullptr;
-    const SignerBackend* signer = nullptr;
-    const VoteMessage* vote = nullptr;  // Set for votes only.
-    PublicKey pk;
-    VrfOutput sorthash;
-    VrfProof proof;
-    Role role = Role::kProposer;
-    uint64_t round = 0;
-    uint32_t step = 0;
-    double tau = 0;
-    SeedBytes seed;
-    uint64_t total_weight = 0;
-
-    uint64_t Run(uint64_t weight) const;
-  };
-  SortitionCheck VoteCheck(const VoteMessage& vote, const RoundContext& ctx) const;
-  SortitionCheck ProposerCheck(const PublicKey& pk, const VrfOutput& sorthash,
-                               const VrfProof& proof, const RoundContext& ctx) const;
-  uint64_t RunCached(const SortitionCheck& check, const RoundContext& ctx) const;
-  // Submits `check` to a verify worker unless the cache already holds it;
-  // `msg` keeps the checked message alive until the job has run.
-  void PrewarmCheck(const SortitionCheck& check, const MessagePtr& msg, VerifyPool* pool);
-
   // Verifies a vote's signature and sortition in `ctx` (a chain round's or a
   // recovery session's); returns the weighted vote count (0 = invalid). Uses
   // the shared cache.
-  uint64_t VerifyVote(const VoteMessage& vote, const RoundContext& ctx) const {
-    return RunCached(VoteCheck(vote, ctx), ctx);
-  }
+  uint64_t VerifyVote(const VoteMessage& vote, const RoundContext& ctx) const;
   uint64_t VerifyProposerSortition(const PublicKey& pk, const VrfOutput& sorthash,
-                                   const VrfProof& proof, const RoundContext& ctx) const {
-    return RunCached(ProposerCheck(pk, sorthash, proof, ctx), ctx);
-  }
+                                   const VrfProof& proof, const RoundContext& ctx) const;
 
   // Validates a received block's contents (§8.1) and returns its proposer's
   // sortition weight; 0 = invalid, and the block is treated as garbage

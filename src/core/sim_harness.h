@@ -57,13 +57,14 @@ struct HarnessConfig {
   // factor; total users = n_nodes * users_per_group.
   size_t users_per_group = 1;
 
-  // Verification pipeline: worker threads that prewarm the shared
-  // VerificationCache while messages are in flight. 0 = single-threaded
-  // (fully deterministic, the tier-1 test configuration); the pipeline only
-  // changes wall-clock speed, never protocol decisions, because every cached
-  // value is identical to what the inline path computes. -1 (default) reads
-  // the ALGORAND_VERIFY_WORKERS environment variable, else 0 — the hook CI
-  // uses to run the whole suite threaded under TSan.
+  // Batch signature checks: worker threads across which a node's block
+  // validation fans out the payments its mempool does not hold, waiting for
+  // all of them (TxSigVerifier::VerifyBatch). 0 = single-threaded (the tier-1
+  // test configuration); workers change wall-clock speed, never a protocol
+  // decision, and cache counts only for a block with a bad signature (the
+  // fan-out may check a few payments past it). -1 (default) reads the
+  // ALGORAND_VERIFY_WORKERS environment variable, else 0 — the hook CI uses
+  // to run the whole suite threaded under TSan.
   int verify_workers = -1;
 
   // Block-apply pipeline: worker threads for the conflict-partitioned
@@ -288,8 +289,8 @@ class SimHarness {
   // Declared after cache_ (and the crypto backends) so workers are joined
   // before anything they touch is destroyed.
   std::unique_ptr<VerifyPool> pool_;
-  // Separate pool for block-apply partitions: long apply jobs must never
-  // queue behind (or starve) in-flight signature prewarms.
+  // Separate pool for block-apply partitions, sized by exec_workers: the two
+  // fan-outs are configured (and measured) independently.
   std::unique_ptr<VerifyPool> exec_pool_;
   AdversaryCoordinator coordinator_;
   size_t malicious_count_ = 0;

@@ -23,8 +23,8 @@ bool TxSigVerifier::VerifyBatch(const std::vector<Transaction>& txns) const {
     }
     return true;
   }
-  // Chunk the block across workers; each chunk goes through the cache so
-  // gossip-prewarmed signatures cost a lookup, not a verification.
+  // Chunk the block across workers; each chunk goes through the cache so a
+  // signature already checked costs a lookup, not a verification.
   const size_t jobs = std::min(txns.size(), workers * 4);
   std::atomic<bool> all_ok{true};
   std::mutex mu;
@@ -50,35 +50,6 @@ bool TxSigVerifier::VerifyBatch(const std::vector<Transaction>& txns) const {
   std::unique_lock<std::mutex> lock(mu);
   cv.wait(lock, [&] { return pending == 0; });
   return all_ok.load(std::memory_order_relaxed);
-}
-
-void TxSigVerifier::Prewarm(const std::vector<Transaction>& txns) const {
-  if (pool_ == nullptr || pool_->worker_count() == 0 || cache_ == nullptr || txns.empty()) {
-    return;
-  }
-  const size_t jobs = std::min(txns.size(), pool_->worker_count() * 4);
-  for (size_t j = 0; j < jobs; ++j) {
-    // Jobs copy the shared state they need; the caller's vector may die
-    // before they run, so chunks are materialized per job.
-    std::vector<Transaction> chunk;
-    for (size_t i = j; i < txns.size(); i += jobs) {
-      if (!cache_->Contains(txns[i].Id())) {
-        chunk.push_back(txns[i]);
-      }
-    }
-    if (chunk.empty()) {
-      continue;
-    }
-    VerificationCache* cache = cache_;
-    const SignerBackend* signer = signer_;
-    pool_->Submit([cache, signer, chunk = std::move(chunk)] {
-      for (const Transaction& tx : chunk) {
-        cache->Prewarm(tx.Id(), [&]() -> uint64_t {
-          return signer->Verify(tx.from, tx.SerializeBody(), tx.signature) ? 1 : 0;
-        });
-      }
-    });
-  }
 }
 
 }  // namespace algorand

@@ -5,8 +5,7 @@
 // checks out across the shared VerifyPool and memoizes verdicts in the
 // round-pruned VerificationCache keyed by transaction id. A node checks a
 // payment once, at mempool admission (Node::SubmitTransaction); block
-// validation verifies only the payments its mempool does not hold, so it
-// does not rely on the gossip-receipt prewarm to skip repeat checks.
+// validation verifies only the payments its mempool does not hold.
 // Signature validity is a pure function of the transaction bytes (no round
 // context), so cached verdicts need no ContextKey salt and worker count can
 // never change a protocol decision — with zero workers everything runs
@@ -34,13 +33,10 @@ class TxSigVerifier {
   bool VerifyOne(const Transaction& tx) const;
 
   // Verifies every signature; false if any is invalid. With pool workers the
-  // checks run chunked across threads (cache-aware, so prewarmed entries are
-  // free); otherwise sequentially. Verdict is worker-count independent.
+  // checks run chunked across threads while the caller waits (each through
+  // the cache, so a verdict already cached costs a lookup); otherwise
+  // sequentially. Verdict is worker-count independent.
   bool VerifyBatch(const std::vector<Transaction>& txns) const;
-
-  // Submits pool jobs that prewarm the cache for `txns` (gossip-receipt
-  // pipeline hook). No-op without a pool worker or cache.
-  void Prewarm(const std::vector<Transaction>& txns) const;
 
  private:
   uint64_t ComputeOne(const Transaction& tx) const {

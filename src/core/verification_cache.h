@@ -7,13 +7,12 @@
 // verifications were replaced by equal-cost sleeps (§10.1). The cache maps a
 // message's DedupId to its verified sortition weight (0 = invalid).
 //
-// The cache is thread-safe and doubles as the rendezvous point of the
-// VerifyPool pipeline: workers Prewarm() entries while a message is still in
-// flight, and the protocol thread's GetOrCompute() either hits a finished
-// entry, waits briefly for the worker computing it, or (cache miss) computes
-// inline exactly as in the single-threaded configuration. Entries are
-// round-stamped and pruned a few rounds after their last use so the map does
-// not grow with chain length.
+// The cache is thread-safe: VerifyBatch's VerifyPool workers and the
+// engine's shard threads may look up the same entry at once. The first
+// lookup computes it (a miss); a concurrent lookup of that key waits for the
+// result instead of recomputing (a hit), so a key is computed once however
+// many threads ask for it. Entries are round-stamped and pruned a few rounds
+// after their last use so the map does not grow with chain length.
 #ifndef ALGORAND_SRC_CORE_VERIFICATION_CACHE_H_
 #define ALGORAND_SRC_CORE_VERIFICATION_CACHE_H_
 
@@ -32,16 +31,15 @@ namespace algorand {
 class VerificationCache {
  public:
   // Routes cache counts through `registry` ("verify.cache_hits" /
-  // "verify.cache_misses" / "verify.cache_pruned", plus the pipeline's
-  // "verify.pool_prewarms" / "verify.pool_waits" and the "verify.pool_wait_us"
-  // histogram); without a registry the private fallback counters keep the
-  // accessors working.
+  // "verify.cache_misses" / "verify.cache_pruned", plus "verify.pool_waits"
+  // and the "verify.pool_wait_us" histogram for lookups that waited on
+  // another thread); without a registry the private fallback counters keep
+  // the accessors working.
   void AttachMetrics(MetricsRegistry* registry) {
     if (registry == nullptr) {
       hits_ = &fallback_hits_;
       misses_ = &fallback_misses_;
       pruned_ = &fallback_pruned_;
-      prewarms_ = &fallback_prewarms_;
       pool_waits_ = &fallback_pool_waits_;
       pool_wait_us_ = nullptr;
       return;
@@ -49,15 +47,14 @@ class VerificationCache {
     hits_ = &registry->GetCounter("verify.cache_hits");
     misses_ = &registry->GetCounter("verify.cache_misses");
     pruned_ = &registry->GetCounter("verify.cache_pruned");
-    prewarms_ = &registry->GetCounter("verify.pool_prewarms");
     pool_waits_ = &registry->GetCounter("verify.pool_waits");
     pool_wait_us_ = &registry->GetHistogram("verify.pool_wait_us");
   }
 
   // Returns the cached value or computes, stores and returns it. Templated
   // over the callable so the hot path never allocates a std::function. If
-  // another thread is computing this entry (a pool prewarm), waits for its
-  // result instead of recomputing.
+  // another thread is computing this entry, waits for its result instead of
+  // recomputing.
   template <typename F>
   uint64_t GetOrCompute(const Hash256& id, F&& compute) {
     std::unique_lock<std::mutex> lock(mu_);
@@ -66,7 +63,7 @@ class VerificationCache {
     entry.round = round_;
     if (!inserted) {
       if (!entry.ready) {
-        // A pool worker is computing this entry right now; its result is
+        // Another thread is computing this entry right now; its result is
         // identical to what we would compute, so wait rather than duplicate
         // the work. (Unreachable in the single-threaded configuration.)
         pool_waits_->Increment();
@@ -92,34 +89,7 @@ class VerificationCache {
     return v;
   }
 
-  // Pipeline entry point, run on a VerifyPool worker: computes and stores the
-  // entry unless it is already present (ready or claimed by another thread).
-  template <typename F>
-  void Prewarm(const Hash256& id, F&& compute) {
-    Entry* entry = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto [it, inserted] = cache_.try_emplace(id);
-      if (!inserted) {
-        return;  // Cached or in flight elsewhere; nothing to add.
-      }
-      it->second.round = round_;
-      prewarms_->Increment();
-      // References into unordered_map survive inserts/rehashes, and NoteRound
-      // never erases a non-ready entry, so the pointer stays valid off-lock.
-      entry = &it->second;
-    }
-    uint64_t v = compute();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      entry->value = v;
-      entry->ready = true;
-    }
-    cv_.notify_all();
-  }
-
-  // True if `id` is present (ready or in flight). A racy pre-check for
-  // prewarm submitters; the authoritative dedup is inside Prewarm().
+  // True if `id` is present (ready or in flight).
   bool Contains(const Hash256& id) const {
     std::lock_guard<std::mutex> lock(mu_);
     return cache_.find(id) != cache_.end();
@@ -141,7 +111,8 @@ class VerificationCache {
     const uint64_t min_keep = round_ - kKeepRounds;
     uint64_t removed = 0;
     for (auto it = cache_.begin(); it != cache_.end();) {
-      // Never prune an in-flight entry: a worker or waiter holds a reference.
+      // Never prune an in-flight entry: its computing thread and any waiters
+      // hold a reference.
       if (it->second.ready && it->second.round < min_keep) {
         it = cache_.erase(it);
         ++removed;
@@ -157,7 +128,6 @@ class VerificationCache {
   uint64_t hits() const { return hits_->Value(); }
   uint64_t misses() const { return misses_->Value(); }
   uint64_t pruned() const { return pruned_->Value(); }
-  uint64_t prewarms() const { return prewarms_->Value(); }
   uint64_t pool_waits() const { return pool_waits_->Value(); }
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -187,12 +157,10 @@ class VerificationCache {
   Counter fallback_hits_;
   Counter fallback_misses_;
   Counter fallback_pruned_;
-  Counter fallback_prewarms_;
   Counter fallback_pool_waits_;
   Counter* hits_ = &fallback_hits_;
   Counter* misses_ = &fallback_misses_;
   Counter* pruned_ = &fallback_pruned_;
-  Counter* prewarms_ = &fallback_prewarms_;
   Counter* pool_waits_ = &fallback_pool_waits_;
   Histogram* pool_wait_us_ = nullptr;
 };

@@ -75,19 +75,9 @@ void LocalCluster::WireSlot(size_t i) {
     }
   }
   nodes_[i]->AttachObservability(metrics_[i].get(), &tracer_);
-  // With a pool, kick verification onto a worker as each frame is decoded;
-  // by the time the relay logic asks for the verdict, the entry is ready or
-  // in flight (worst case the protocol thread briefly waits).
-  TcpEndpoint* endpoint = endpoints_[i].get();
   GossipAgent* agent = agents_[i].get();
-  Node* node = nodes_[i].get();
-  VerifyPool* pool = pool_.get();
-  endpoint->set_receiver([agent, node, pool](NodeId from, const MessagePtr& msg) {
-    if (pool != nullptr) {
-      node->PrewarmMessage(msg, pool);
-    }
-    agent->OnReceive(from, msg);
-  });
+  endpoints_[i]->set_receiver(
+      [agent](NodeId from, const MessagePtr& msg) { agent->OnReceive(from, msg); });
 }
 
 std::string LocalCluster::NodeDir(size_t i) const {

@@ -25,9 +25,9 @@ struct LocalClusterConfig {
   size_t gossip_out_degree = 3;
   ProtocolParams params;  // Caller should scale lambdas to real-time budgets.
   bool use_sim_crypto = false;
-  // Verification worker threads (see HarnessConfig::verify_workers): 0 =
-  // verify inline on the event-loop thread; -1 (default) reads the
-  // ALGORAND_VERIFY_WORKERS environment variable, else 0.
+  // Batch signature-check worker threads (see HarnessConfig::verify_workers):
+  // 0 = verify every block inline on the event-loop thread; -1 (default)
+  // reads the ALGORAND_VERIFY_WORKERS environment variable, else 0.
   int verify_workers = -1;
   // When a gossip connection drops (peer crash, socket error), redial with
   // exponential backoff instead of staying disconnected.

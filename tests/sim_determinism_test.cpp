@@ -35,10 +35,6 @@ RunOutcome RunOnce(uint64_t seed, double malicious = 0.0, size_t sim_workers = 1
   cfg.n_nodes = 20;
   cfg.rng_seed = seed;
   cfg.use_sim_crypto = true;
-  // Pin the single-threaded path even when CI exports ALGORAND_VERIFY_WORKERS
-  // (the pipeline never changes decisions, but this test compares exact event
-  // counts, which prewarming does perturb).
-  cfg.verify_workers = 0;
   cfg.malicious_fraction = malicious;
   cfg.sim_workers = sim_workers;
   SimHarness h(cfg);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <vector>
 
@@ -256,22 +257,42 @@ TEST(TxVerifierTest, BatchVerdictMatchesSequential) {
   EXPECT_FALSE(inline_verifier.VerifyBatch(txns));
 }
 
-TEST(TxVerifierTest, PrewarmMakesBatchACacheHit) {
+// Counts Verify calls; thread-safe because VerifyBatch calls it from pool
+// workers.
+class CountingSigner : public SignerBackend {
+ public:
+  Signature Sign(const Ed25519KeyPair& key, std::span<const uint8_t> message) const override {
+    return kSigner.Sign(key, message);
+  }
+  bool Verify(const PublicKey& pk, std::span<const uint8_t> message,
+              const Signature& sig) const override {
+    checks.fetch_add(1, std::memory_order_relaxed);
+    return kSigner.Verify(pk, message, sig);
+  }
+  const char* name() const override { return "counting"; }
+  mutable std::atomic<uint64_t> checks{0};
+};
+
+TEST(TxVerifierTest, RepeatBatchIsAllCacheHits) {
   GenesisBundle bundle = MakeTestGenesis(4, 1000, 12);
   std::vector<Transaction> txns;
   for (size_t i = 0; i < 32; ++i) {
     txns.push_back(MakeTransaction(bundle.keys[i % 4], bundle.keys[(i + 1) % 4].public_key, 1,
                                    i / 4, kSigner));
   }
+  CountingSigner signer;
   VerificationCache cache;
   VerifyPool pool(2);
-  TxSigVerifier verifier(&kSigner, &cache, &pool);
-  verifier.Prewarm(txns);
-  pool.Drain();
-  for (const Transaction& tx : txns) {
-    EXPECT_TRUE(cache.Contains(tx.Id()));
-  }
+  TxSigVerifier verifier(&signer, &cache, &pool);
   EXPECT_TRUE(verifier.VerifyBatch(txns));
+  EXPECT_EQ(signer.checks.load(), txns.size());
+  EXPECT_EQ(cache.misses(), txns.size());
+  EXPECT_EQ(cache.hits(), 0u);
+  // The second batch reads every verdict from the cache.
+  EXPECT_TRUE(verifier.VerifyBatch(txns));
+  EXPECT_EQ(signer.checks.load(), txns.size());
+  EXPECT_EQ(cache.misses(), txns.size());
+  EXPECT_EQ(cache.hits(), txns.size());
 }
 
 // End-to-end A/B: a full consensus run with synthetic transaction load must

@@ -1,12 +1,15 @@
 // Verification pipeline tests: the VerifyPool worker pool, the thread-safe
-// VerificationCache it feeds, and the end-to-end property that matters for
-// tier-1 determinism — a SimHarness run produces the identical chain with the
-// pipeline off (workers = 0) and on (workers > 0), because prewarming only
-// ever caches values the inline path would compute anyway.
+// VerificationCache that VerifyBatch's workers share with the calling thread,
+// and the end-to-end property that matters for tier-1 determinism — a
+// SimHarness run produces the identical chain and identical cache counts with
+// workers off (0) and on (> 0), because the workers only ever run lookups the
+// inline path would run, while the caller waits.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -83,32 +86,12 @@ TEST(VerificationCacheTest, ComputesOncePerKey) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
-TEST(VerificationCacheTest, PrewarmServesLaterLookups) {
-  VerificationCache cache;
-  EXPECT_FALSE(cache.Contains(Key(5)));
-  cache.Prewarm(Key(5), [] { return uint64_t{42}; });
-  EXPECT_TRUE(cache.Contains(Key(5)));
-  EXPECT_EQ(cache.prewarms(), 1u);
-  // Re-prewarming an existing entry is a no-op.
-  cache.Prewarm(Key(5), [] { return uint64_t{0}; });
-  EXPECT_EQ(cache.prewarms(), 1u);
-  int computes = 0;
-  EXPECT_EQ(cache.GetOrCompute(Key(5), [&] {
-    ++computes;
-    return uint64_t{0};
-  }),
-            42u);
-  EXPECT_EQ(computes, 0);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 0u);
-}
-
 TEST(VerificationCacheTest, NoteRoundPrunesStaleEntries) {
   VerificationCache cache;
   cache.NoteRound(1);
-  cache.Prewarm(Key(10), [] { return uint64_t{1}; });
+  cache.GetOrCompute(Key(10), [] { return uint64_t{1}; });
   cache.NoteRound(2);
-  cache.Prewarm(Key(20), [] { return uint64_t{2}; });
+  cache.GetOrCompute(Key(20), [] { return uint64_t{2}; });
   EXPECT_EQ(cache.size(), 2u);
   // kKeepRounds = 2: at round 4 the round-1 entry ages out, round-2 survives.
   cache.NoteRound(4);
@@ -124,42 +107,51 @@ TEST(VerificationCacheTest, NoteRoundPrunesStaleEntries) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(VerificationCacheTest, ConcurrentPrewarmAndLookupComputeOnce) {
-  // Hammer the cache from a pool and the "protocol thread" at once: every
-  // key must be computed exactly once and every lookup must see that value.
+TEST(VerificationCacheTest, ConcurrentLookupsComputeOnce) {
+  // Hammer the cache from pool workers and the calling thread at once: every
+  // key must be computed exactly once, every lookup must see that value, and
+  // every lookup but the first of a key counts as a hit.
   VerificationCache cache;
   constexpr int kKeys = 200;
+  constexpr int kWorkerLookups = 2;  // Per key, besides the calling thread's.
   std::vector<std::atomic<int>> computes(kKeys);
+  auto lookup = [&cache, &computes](int k) {
+    return cache.GetOrCompute(Key(static_cast<uint64_t>(k)), [&computes, k] {
+      computes[static_cast<size_t>(k)].fetch_add(1);
+      // Slow enough that other threads ask for the key while it computes.
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      return static_cast<uint64_t>(k) * 3 + 1;
+    });
+  };
+  std::atomic<int> wrong{0};
   {
     VerifyPool pool(4);
     for (int k = 0; k < kKeys; ++k) {
-      pool.Submit([&cache, &computes, k] {
-        cache.Prewarm(Key(static_cast<uint64_t>(k)), [&computes, k] {
-          computes[static_cast<size_t>(k)].fetch_add(1);
-          return static_cast<uint64_t>(k) * 3 + 1;
+      for (int j = 0; j < kWorkerLookups; ++j) {
+        pool.Submit([&lookup, &wrong, k] {
+          if (lookup(k) != static_cast<uint64_t>(k) * 3 + 1) {
+            wrong.fetch_add(1);
+          }
         });
-      });
+      }
     }
     for (int k = 0; k < kKeys; ++k) {
-      uint64_t v =
-          cache.GetOrCompute(Key(static_cast<uint64_t>(k)), [&computes, k] {
-            computes[static_cast<size_t>(k)].fetch_add(1);
-            return static_cast<uint64_t>(k) * 3 + 1;
-          });
-      EXPECT_EQ(v, static_cast<uint64_t>(k) * 3 + 1);
+      EXPECT_EQ(lookup(k), static_cast<uint64_t>(k) * 3 + 1);
     }
     pool.Drain();
   }
+  EXPECT_EQ(wrong.load(), 0);
   for (int k = 0; k < kKeys; ++k) {
     EXPECT_EQ(computes[static_cast<size_t>(k)].load(), 1) << "key " << k;
   }
-  EXPECT_EQ(cache.prewarms() + cache.misses(), static_cast<uint64_t>(kKeys));
+  EXPECT_EQ(cache.misses(), static_cast<uint64_t>(kKeys));
+  EXPECT_EQ(cache.hits(), static_cast<uint64_t>(kKeys * kWorkerLookups));
 }
 
 // The pipeline must not change any protocol decision: the same seed with
-// workers disabled and enabled yields byte-identical chains. Prewarming only
-// warms the cache with values the inline path computes, and the simulated
-// event sequence never depends on wall-clock worker timing.
+// workers disabled and enabled yields byte-identical chains. Workers only run
+// the checks the inline path would run, and the simulated event sequence
+// never depends on wall-clock worker timing.
 TEST(VerifyPipelineTest, HarnessChainIsIdenticalWithAndWithoutWorkers) {
   auto run = [](int workers) {
     HarnessConfig cfg;
@@ -183,6 +175,66 @@ TEST(VerifyPipelineTest, HarnessChainIsIdenticalWithAndWithoutWorkers) {
   ASSERT_EQ(without.size(), with.size());
   for (size_t r = 0; r < without.size(); ++r) {
     EXPECT_EQ(without[r], with[r]) << "round " << r;
+  }
+}
+
+// Cache counts are exact per seed with verify workers: every check reaches the
+// cache through GetOrCompute on a thread that waits for it, so no worker can
+// win or lose a race for an entry. Nodes with odd ids hold a small mempool,
+// so blocks reach them with payments they never admitted and VerifyBatch fans
+// those out across the workers.
+TEST(VerifyPipelineTest, CacheCountsAreExactWithWorkers) {
+  struct Counts {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t batch_jobs = 0;
+    bool has_prewarms = false;
+  };
+  auto run = [](int workers) {
+    HarnessConfig cfg;
+    cfg.n_nodes = 10;
+    cfg.rng_seed = 5;
+    cfg.use_sim_crypto = true;
+    cfg.verify_workers = workers;
+    cfg.exec_workers = 0;
+    cfg.stake_per_user = 100'000;
+    cfg.tx_clients = 6;
+    cfg.client_stake = 2'000;
+    cfg.tx_load_per_round = 40;
+    cfg.node_factory = [](NodeId id, Simulation* sim, GossipAgent* gossip,
+                          const Ed25519KeyPair& key, const GenesisConfig& genesis,
+                          ProtocolParams params, CryptoSuite crypto,
+                          AdversaryCoordinator*) -> std::unique_ptr<Node> {
+      if (id % 2 == 1) {
+        params.mempool_capacity = 4;
+      }
+      return std::make_unique<Node>(id, sim, gossip, key, genesis, params, crypto);
+    };
+    SimHarness h(cfg);
+    h.Start();
+    EXPECT_TRUE(h.RunRounds(3));
+    EXPECT_GT(h.CommittedTxCount(), 0u);
+    const MetricsSnapshot m = h.AggregateMetrics();
+    auto counter = [&m](const char* name) {
+      auto it = m.counters.find(name);
+      return it == m.counters.end() ? uint64_t{0} : it->second;
+    };
+    return Counts{counter("verify.cache_hits"), counter("verify.cache_misses"),
+                  counter("verify.pool_jobs"), m.counters.contains("verify.pool_prewarms")};
+  };
+  const Counts base = run(0);
+  EXPECT_GT(base.hits, 0u);
+  EXPECT_GT(base.misses, 0u);
+  for (int workers : {0, 2}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      const Counts c = run(workers);
+      EXPECT_EQ(c.hits, base.hits) << "workers " << workers << " run " << rep;
+      EXPECT_EQ(c.misses, base.misses) << "workers " << workers << " run " << rep;
+      EXPECT_FALSE(c.has_prewarms);
+      if (workers > 0) {
+        EXPECT_GT(c.batch_jobs, 0u);  // The fan-out ran.
+      }
+    }
   }
 }
 

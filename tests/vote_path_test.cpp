@@ -84,8 +84,6 @@ HarnessConfig SmallConfig(uint64_t seed) {
   cfg.params.block_size_bytes = 8 * 1024;
   cfg.latency = HarnessConfig::Latency::kUniform;
   cfg.use_sim_crypto = true;
-  // Cache counters are exact per seed only without prewarm workers.
-  cfg.verify_workers = 0;
   return cfg;
 }
 
